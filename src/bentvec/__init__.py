@@ -14,7 +14,6 @@ from .boolfun import (
     classify,
     fwht,
     sigma_of,
-    walsh_transform,
 )
 from .constructions import (
     BentConstruction,
@@ -115,5 +114,4 @@ __all__ = [
     "vec_bent_lift",
     "vec_plateaued_lift",
     "vectorial_class_string",
-    "walsh_transform",
 ]

@@ -303,11 +303,6 @@ def _mobius(bits):
     return a
 
 
-def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
-    """Module-level alias for BooleanFunction.walsh()."""
-    return f.walsh()
-
-
 def sigma_of(f1, f2, f3):
     """Majority-of-three combiner f1 f2 + f1 f3 + f2 f3."""
     return (f1 & f2) ^ (f1 & f3) ^ (f2 & f3)

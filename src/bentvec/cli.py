@@ -13,9 +13,9 @@ import datetime
 import json
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 from . import fileio
+from .boolfun import BooleanFunction
 from .constructions import (
     gold_auto_u,
     gold_family,
@@ -23,6 +23,7 @@ from .constructions import (
     kasami_family,
     niho_auto_u,
     niho_family,
+    vectorial_class_string,
 )
 from .errors import BentvecError, ParseError, PreconditionError, VerificationError
 from .gf2n import FieldSpec
@@ -94,22 +95,18 @@ def _tau_value(text):
     return int(text)
 
 
+def hexadecimal(text):
+    return int(text, 16)
+
+
 def _common_flags(cmd):
-    cmd.add_argument("--field-modulus", help="hex override for the modulus table")
-    cmd.add_argument("--jobs", type=int, default=1, help="worker threads for component verification")
+    cmd.add_argument("--field-modulus", type=hexadecimal, help="hex override for the modulus table")
 
 
 def _field_for(n, args):
-    if args.field_modulus:
-        return fileio.field_from_modulus(n, int(args.field_modulus, 16))
+    if args.field_modulus is not None:
+        return fileio.field_from_modulus(n, args.field_modulus)
     return FieldSpec.default(n)
-
-
-def _file_field(args):
-    if args.field_modulus is None:
-        return None
-    # degree comes from the file header; defer construction until known
-    return int(args.field_modulus, 16)
 
 
 def _parse_u_list(field, raw):
@@ -190,81 +187,49 @@ def cmd_construct(args):
     return 0
 
 
-def _classify_components(F, jobs):
-    selectors = list(F.selectors())
-
-    def job(sel):
-        comp = F.component(*sel)
-        return sel, comp.classification(), comp.degree()
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(job, selectors))
-    return [job(sel) for sel in selectors]
+def _classify_components(F):
+    """verify's report lines for a VF file, all read from F.profile()."""
+    rows = F.profile()
+    # counted here, not by bent_component_count, which refuses odd n
+    bent = sum(1 for _, cls, _ in rows if cls.kind == "bent")
+    if F.n % 2 == 0 and F.out_bits >= F.n // 2:
+        bound = max_bent_components_bound(F.n, F.out_bits)
+    else:
+        bound = "n/a"
+    lines = [
+        f"class: {vectorial_class_string(F)}",
+        f"degree: {F.degree()}",
+        f"bent components: {bent} (bound {bound})",
+    ]
+    lines.extend(
+        f"  component lambda={lam:x} v={v:x}: {cls}, degree {deg}"
+        for (lam, v), cls, deg in rows
+    )
+    return lines
 
 
 def cmd_verify(args):
-    override = _file_field(args)
-    with open(args.file, "r") as handle:
-        text = handle.read()
-    tag = text.split(None, 1)[0] if text.split() else ""
-    if tag == "BF":
-        field = None
-        if override is not None:
-            n = fileio.parse_header(text.splitlines()[0], "BF", ("n", "field"))["n"]
-            field = fileio.field_from_modulus(n, override)
-        f = fileio.bf_from_text(text, field=field)
-        spectrum = f.walsh()
-        print(f"BF n={f.n} field={f.field.modulus:x}")
+    obj = fileio.read_any(args.file, modulus=args.field_modulus)
+    if isinstance(obj, BooleanFunction):
+        spectrum = obj.walsh()
+        print(f"BF n={obj.n} field={obj.field.modulus:x}")
         print(f"class: {spectrum.classification}")
-        print(f"degree: {f.degree()}")
-        print(f"weight: {f.weight()} (balanced: {f.is_balanced()})")
+        print(f"degree: {obj.degree()}")
+        print(f"weight: {obj.weight()} (balanced: {obj.is_balanced()})")
         counts = Counter(abs(int(v)) for v in spectrum.values)
         print(
             "spectrum |W| counts: "
             + ", ".join(f"{v}: {c}" for v, c in sorted(counts.items()))
         )
         return 0
-    if tag == "VF":
-        field = None
-        if override is not None:
-            n = fileio.parse_header(
-                text.splitlines()[0], "VF", ("n", "m", "t", "field")
-            )["n"]
-            field = fileio.field_from_modulus(n, override)
-        F = fileio.vf_from_text(text, field=field)
-        print(f"VF n={F.n} m={F.m} t={F.t} field={F.field.modulus:x}")
-        rows = _classify_components(F, args.jobs)
-        bent = sum(1 for _, cls, _ in rows if cls.kind == "bent")
-        plateaued = all(cls.plateaued_family for _, cls, _ in rows)
-        if F.n % 2 == 0 and bent == len(rows):
-            klass = f"vectorial bent ({F.n},{F.out_bits})"
-        elif plateaued:
-            klass = f"vectorial plateaued ({F.n},{F.out_bits})"
-        else:
-            klass = f"not vectorial plateaued ({F.n},{F.out_bits})"
-        print(f"class: {klass}")
-        print(f"degree: {F.degree()}")
-        if F.n % 2 == 0 and F.out_bits >= F.n // 2:
-            bound = max_bent_components_bound(F.n, F.out_bits)
-            print(f"bent components: {bent} (bound {bound})")
-        else:
-            print(f"bent components: {bent} (bound n/a)")
-        for sel, cls, deg in rows:
-            print(f"  component lambda={sel[0]:x} v={sel[1]:x}: {cls}, degree {deg}")
-        return 0
-    raise ParseError(f"unrecognized header tag {tag!r}", line=1, column=1)
+    print(f"VF n={obj.n} m={obj.m} t={obj.t} field={obj.field.modulus:x}")
+    for line in _classify_components(obj):
+        print(line)
+    return 0
 
 
 def cmd_propp(args):
-    override = _file_field(args)
-    field = None
-    if override is not None:
-        with open(args.file, "r") as handle:
-            first = handle.readline()
-        n = fileio.parse_header(first.rstrip("\n"), "BF", ("n", "field"))["n"]
-        field = fileio.field_from_modulus(n, override)
-    f = fileio.read_bf(args.file, field=field)
+    f = fileio.read_bf(args.file, modulus=args.field_modulus)
     if args.search is not None:
         sets = find_defining_sets(
             f, args.search, limit=args.limit, node_budget=args.node_budget

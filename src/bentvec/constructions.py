@@ -222,15 +222,16 @@ def _require_p_tau_for(G, defining, lambdas):
             )
 
 
-def _p_tau_all_lambdas(G, defining):
-    """Does every nonzero component dual satisfy (P_tau)?  (Info, not a gate.)"""
-    for lam, _ in G.selectors():
-        comp = G.component(lam)
-        if not comp.is_bent():
-            return False
-        if not satisfies_p(comp.dual(), defining).holds:
-            return False
-    return True
+def _p_tau_all_lambdas(G, defining, lambdas):
+    """Gate (P_tau) on the `lambdas` duals, then report whether every
+    nonzero component dual of the vectorial bent G satisfies it.  Each
+    dual is checked once."""
+    _require_p_tau_for(G, defining, lambdas)
+    return all(
+        satisfies_p(G.component(lam).dual(), defining).holds
+        for lam, _ in G.selectors()
+        if lam not in lambdas
+    )
 
 
 def vec_bent_lift(G, defining, poly):
@@ -303,14 +304,12 @@ def vec_plateaued_lift(G, defining, polys):
                 f"tail polynomial has {poly.tau} variables, defining set "
                 f"{defining.tau}"
             )
-    lambdas = _trace_one_lambdas(G.field, G.m)
-    _require_p_tau_for(G, defining, lambdas)
+    p_tau_all = _p_tau_all_lambdas(G, defining, _trace_one_lambdas(G.field, G.m))
     fs = tuple(poly.compose_traces(defining) for poly in polys)
     H_hat = G.augment(fs)
     hat_check = H_hat.is_vectorial_plateaued()
     tail_ok, tail_amps, _ = _tail_profile(G.field, fs)
     iff_ok = hat_check.ok == tail_ok
-    p_tau_all = _p_tau_all_lambdas(G, defining)
     t = len(fs)
     bent_count = H_hat.bent_component_count()
     predicted = ((1 << (t + G.m)) - (1 << t)) if p_tau_all else None
@@ -411,11 +410,11 @@ class FamilyResult:
 
 def vectorial_class_string(F):
     """Human-readable exhaustively verified class of a vectorial function."""
-    if F.n % 2 == 0:
-        if F.is_vectorial_bent().ok:
-            return f"vectorial bent ({F.n},{F.out_bits})"
-    profile = F.is_vectorial_plateaued()
-    if profile.ok:
+    classes = [cls for _, cls, _ in F.profile()]
+    # all bent implies n even; is_vectorial_bent adds the m <= n/2 guard
+    if all(cls.kind == "bent" for cls in classes) and F.is_vectorial_bent().ok:
+        return f"vectorial bent ({F.n},{F.out_bits})"
+    if all(cls.plateaued_family for cls in classes):
         return f"vectorial plateaued ({F.n},{F.out_bits})"
     return f"not vectorial plateaued ({F.n},{F.out_bits})"
 
@@ -469,10 +468,8 @@ def _component_dual_check(G, closed_form):
     """Compare closed-form duals with spectrum duals for every selector."""
     failures = []
     classes = []
-    for lam, _ in G.selectors():
-        comp = G.component(lam)
-        cls = comp.classification()
-        verified = comp.dual()
+    for (lam, _), cls, _ in G.profile():
+        verified = G.component(lam).dual()
         predicted = closed_form(lam)
         match = verified == predicted
         classes.append((lam, str(cls), match))

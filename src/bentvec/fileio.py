@@ -17,10 +17,10 @@ VF format (vectorial function):
 Each output line is the subfield value in hex, followed by "." and the
 extra bits in hex when t > 0.
 
-The field model is reconstructed from the header modulus: the shipped
-generator when the modulus matches the built-in table, otherwise the
-least primitive element for that modulus.  Writes are atomic
-(temp file + rename) and carry no timestamps.
+The field model is built from the header modulus, or a reader's `modulus`
+override: the shipped generator when the modulus matches the built-in
+table, otherwise the least primitive element for that modulus.  Writes
+are atomic (temp file + rename) and carry no timestamps.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import tempfile
 import numpy as np
 
 from .boolfun import BooleanFunction
-from .errors import ParseError
+from .errors import FieldError, ParseError
 from .gf2n import PRIMITIVE_POLYNOMIALS, FieldSpec
 from .vectorial import VectorialFunction
 
@@ -103,7 +103,7 @@ def parse_header(line, expected_tag, keys):
     return values
 
 
-def bf_from_text(text, field=None):
+def bf_from_text(text, modulus=None):
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty file", line=1, column=1)
@@ -111,9 +111,7 @@ def bf_from_text(text, field=None):
     n = header["n"]
     if not 1 <= n <= 24:
         raise ParseError(f"n={n} out of range", line=1, column=1)
-    spec = field if field is not None else field_from_modulus(n, header["field"])
-    if spec.n != n:
-        raise ParseError("field override degree mismatch", line=1, column=1)
+    spec = field_from_modulus(n, header["field"] if modulus is None else modulus)
     if len(lines) < 2:
         raise ParseError("missing truth-table payload", line=2, column=1)
     payload = lines[1].strip()
@@ -143,9 +141,9 @@ def bf_from_text(text, field=None):
     return BooleanFunction(spec, table)
 
 
-def read_bf(path, field=None):
+def read_bf(path, modulus=None):
     with open(path, "r") as handle:
-        return bf_from_text(handle.read(), field=field)
+        return bf_from_text(handle.read(), modulus=modulus)
 
 
 def vf_to_text(F: VectorialFunction):
@@ -163,7 +161,7 @@ def write_vf(path, F: VectorialFunction):
     atomic_write_text(path, vf_to_text(F))
 
 
-def vf_from_text(text, field=None):
+def vf_from_text(text, modulus=None):
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty file", line=1, column=1)
@@ -171,9 +169,7 @@ def vf_from_text(text, field=None):
     n, m, t = header["n"], header["m"], header["t"]
     if not 1 <= n <= 24:
         raise ParseError(f"n={n} out of range", line=1, column=1)
-    spec = field if field is not None else field_from_modulus(n, header["field"])
-    if spec.n != n:
-        raise ParseError("field override degree mismatch", line=1, column=1)
+    spec = field_from_modulus(n, header["field"] if modulus is None else modulus)
     size = 1 << n
     body = lines[1:]
     if len([ln for ln in body if ln.strip()]) != size:
@@ -196,12 +192,12 @@ def vf_from_text(text, field=None):
             raise ParseError("entry is missing its extra bits", line=lineno, column=len(entry) + 1)
         try:
             values[row] = int(value_part, 16)
-        except ValueError:
+        except (ValueError, OverflowError):
             raise ParseError(f"bad hex value {value_part!r}", line=lineno, column=1) from None
         if t:
             try:
                 extra[row] = int(extra_part, 16)
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise ParseError(
                     f"bad hex extra bits {extra_part!r}",
                     line=lineno,
@@ -210,22 +206,22 @@ def vf_from_text(text, field=None):
         row += 1
     try:
         return VectorialFunction(spec, m, values, extra, t)
-    except Exception as exc:
+    except FieldError as exc:
         raise ParseError(f"inconsistent table: {exc}", line=2, column=1) from None
 
 
-def read_vf(path, field=None):
+def read_vf(path, modulus=None):
     with open(path, "r") as handle:
-        return vf_from_text(handle.read(), field=field)
+        return vf_from_text(handle.read(), modulus=modulus)
 
 
-def read_any(path, field=None):
+def read_any(path, modulus=None):
     """Read a BF or VF file, dispatching on the header tag."""
     with open(path, "r") as handle:
         text = handle.read()
     tag = text.split(None, 1)[0] if text.split() else ""
     if tag == "BF":
-        return bf_from_text(text, field=field)
+        return bf_from_text(text, modulus=modulus)
     if tag == "VF":
-        return vf_from_text(text, field=field)
+        return vf_from_text(text, modulus=modulus)
     raise ParseError(f"unrecognized header tag {tag!r}", line=1, column=1)

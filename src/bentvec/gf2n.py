@@ -98,12 +98,7 @@ class FieldSpec:
     generator: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_N:
-            raise FieldError(f"extension degree must be in 1..{MAX_N}, got {self.n}")
-        if self.modulus.bit_length() != self.n + 1:
-            raise FieldError(
-                f"modulus {self.modulus:#x} does not have degree {self.n}"
-            )
+        _check_degree(self.n, self.modulus)
         if not 0 < self.generator < (1 << self.n):
             raise FieldError(f"generator {self.generator:#x} out of range")
         order = self.order
@@ -127,8 +122,12 @@ class FieldSpec:
         """Field model for a caller-supplied modulus, least primitive element.
 
         Used for the --field-modulus override: the file format records only
-        the modulus, so the generator is pinned deterministically.
+        the modulus, so the generator is pinned deterministically.  Testing
+        irreducibility first keeps a bad modulus from a scan of 2^n candidates.
         """
+        _check_degree(n, modulus)
+        if not _is_irreducible(modulus, n):
+            raise FieldError(f"modulus {modulus:#x} is not irreducible")
         order = (1 << n) - 1
         factors = prime_factors(order)
         for g in range(2, 1 << n) if n > 1 else (1,):
@@ -317,6 +316,38 @@ class FieldSpec:
             half = 1 << j
             tbl[half : 2 * half] = tbl[:half] ^ ((w >> j) & 1)
         return tbl
+
+
+def _check_degree(n, modulus):
+    if not 1 <= n <= MAX_N:
+        raise FieldError(f"extension degree must be in 1..{MAX_N}, got {n}")
+    if modulus.bit_length() != n + 1:
+        raise FieldError(f"modulus {modulus:#x} does not have degree {n}")
+
+
+def _poly_mod(a, f):
+    """a mod f for GF(2)[x] polynomials coded as bit masks."""
+    df = f.bit_length()
+    while a.bit_length() >= df:
+        a ^= f << (a.bit_length() - df)
+    return a
+
+
+def _is_irreducible(modulus, n):
+    """Rabin's test: x^(2^n) = x mod f and gcd(x^(2^(n/q)) - x, f) = 1
+    for every prime q | n."""
+    frob = [_poly_mod(2, modulus)]  # frob[k] = x^(2^k) mod f
+    for _ in range(n):
+        frob.append(clmul_reduce(frob[-1], frob[-1], modulus, n))
+    if frob[n] != frob[0]:
+        return False
+    for q in prime_factors(n):
+        a, b = modulus, frob[n // q] ^ frob[0]
+        while b:
+            a, b = b, _poly_mod(a, b)
+        if a != 1:
+            return False
+    return True
 
 
 def _order_is_full(g, modulus, n, order, factors):

@@ -47,7 +47,7 @@ def max_bent_components_bound(n, m):
 class VectorialFunction:
     """Immutable (n, m [+t])-function as a dense output table."""
 
-    __slots__ = ("field", "m", "values", "t", "extra")
+    __slots__ = ("field", "m", "values", "t", "extra", "_profile")
 
     def __init__(self, field: FieldSpec, m, values, extra=None, t=0):
         if m < 1 or field.n % m != 0:
@@ -55,6 +55,8 @@ class VectorialFunction:
         values = np.asarray(values, dtype=np.int64)
         if values.shape != (field.size,):
             raise FieldError(f"output table must have length {field.size}")
+        if np.any((values < 0) | (values >= field.size)):
+            raise FieldError(f"outputs must be elements of GF(2^{field.n})")
         if not np.array_equal(field.pow_elems(values, 1 << m), values):
             raise FieldError(f"outputs must lie in the subfield F_(2^{m})")
         if t < 0:
@@ -73,6 +75,7 @@ class VectorialFunction:
         self.values = values
         self.t = t
         self.extra = extra
+        self._profile = None
 
     @property
     def n(self):
@@ -171,15 +174,25 @@ class VectorialFunction:
         for lam, v in self.selectors():
             yield (lam, v), self.component(lam, v)
 
+    def profile(self):
+        """Cached ((lambda, v), Classification, degree) per selector, in order;
+        no truth table or spectrum is kept."""
+        if self._profile is None:
+            self._profile = tuple(
+                (sel, comp.classification(), comp.degree())
+                for sel, comp in self.components()
+            )
+        return self._profile
+
     # -- predicates ----------------------------------------------------------------
 
     def is_vectorial_bent(self):
         """All components bent?  Witness identifies the first failure."""
         if self.n % 2:
             raise FieldError("vectorial bentness needs even n")
-        for (lam, v), comp in self.components():
-            spectrum = comp.walsh()
-            if not spectrum.is_bent:
+        for (lam, v), cls, _ in self.profile():
+            if cls.kind != "bent":
+                spectrum = self.component(lam, v).walsh()
                 r = 1 << (self.n // 2)
                 bad = np.nonzero(np.abs(spectrum.values) != r)[0]
                 a = int(bad[0])
@@ -201,18 +214,17 @@ class VectorialFunction:
         amplitudes = {}
         ok = True
         witness = None
-        for (lam, v), comp in self.components():
-            cls = comp.classification()
-            amplitudes[(lam, v)] = cls.amplitude
+        for sel, cls, _ in self.profile():
+            amplitudes[sel] = cls.amplitude
             if not cls.plateaued_family and ok:
                 ok = False
-                witness = (lam, v)
+                witness = sel
         return PlateauedCheck(ok, amplitudes, witness)
 
     def bent_component_count(self):
         if self.n % 2:
             raise FieldError("bent-component counting needs even n")
-        return sum(1 for _, comp in self.components() if comp.is_bent())
+        return sum(1 for _, cls, _ in self.profile() if cls.kind == "bent")
 
     # -- degree ----------------------------------------------------------------------
 
@@ -239,7 +251,7 @@ class VectorialFunction:
 
     def degree(self):
         """Algebraic degree: max over components, cross-checked on coordinates."""
-        comp_deg = max(comp.degree() for _, comp in self.components())
+        comp_deg = max(deg for _, _, deg in self.profile())
         coord_deg = max(f.degree() for f in self.coordinate_functions())
         if comp_deg != coord_deg:
             raise VerificationError(

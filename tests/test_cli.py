@@ -2,9 +2,11 @@
 
 import json
 
-from bentvec import BooleanFunction, FieldSpec
+import numpy as np
+
+from bentvec import BooleanFunction, FieldSpec, VectorialFunction
 from bentvec.cli import main
-from bentvec.fileio import read_vf, write_bf
+from bentvec.fileio import read_vf, write_bf, write_vf
 
 F16 = FieldSpec.default(4)
 
@@ -137,8 +139,86 @@ def test_verify_with_jobs(tmp_path, capsys):
         ]
     ) == 0
     capsys.readouterr()
-    assert run(["verify", str(out), "--jobs", "4"]) == 0
+    assert run(["verify", str(out)]) == 0
     assert "vectorial bent (6,3)" in capsys.readouterr().out
+    # the thread-pool flag is gone: a usage error now
+    assert run(["verify", str(out), "--jobs", "4"]) == 1
+    assert "--jobs" in capsys.readouterr().err
+
+
+VERIFY_K4_T2 = """\
+VF n=4 m=2 t=2 field=13
+class: vectorial plateaued (4,4)
+degree: 2
+bent components: 12 (bound 12)
+  component lambda=0 v=1: Plateaued(16), degree 1
+  component lambda=0 v=2: Plateaued(16), degree 1
+  component lambda=0 v=3: Plateaued(16), degree 1
+  component lambda=1 v=0: Bent(4), degree 2
+  component lambda=1 v=1: Bent(4), degree 2
+  component lambda=1 v=2: Bent(4), degree 2
+  component lambda=1 v=3: Bent(4), degree 2
+  component lambda=6 v=0: Bent(4), degree 2
+  component lambda=6 v=1: Bent(4), degree 2
+  component lambda=6 v=2: Bent(4), degree 2
+  component lambda=6 v=3: Bent(4), degree 2
+  component lambda=7 v=0: Bent(4), degree 2
+  component lambda=7 v=1: Bent(4), degree 2
+  component lambda=7 v=2: Bent(4), degree 2
+  component lambda=7 v=3: Bent(4), degree 2
+"""
+
+VERIFY_ODD_N5 = """\
+VF n=5 m=1 t=1 field=25
+class: not vectorial plateaued (5,2)
+degree: 3
+bent components: 0 (bound n/a)
+  component lambda=0 v=1: Plateaued(8), degree 3
+  component lambda=1 v=0: Plateaued(8), degree 2
+  component lambda=1 v=1: Mixed{4,12,20}, degree 3
+"""
+
+
+def test_verify_vf_full_stdout_with_tail(tmp_path, capsys):
+    out = tmp_path / "hat.vf"
+    assert run(
+        [
+            "construct", "--family", "kasami", "--n", "4", "--tau", "2",
+            "--poly", "X1*X2", "--t", "2", "--seed", "5",
+            "--auto-u", "--out", str(out),
+        ]
+    ) == 0
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 0
+    assert capsys.readouterr().out == VERIFY_K4_T2
+
+
+def test_verify_vf_full_stdout_odd_n(tmp_path, capsys):
+    # (Tr(x^3), Tr(x^7)) on GF(32): odd n has no bent components, yet
+    # verify still prints a count
+    f32 = FieldSpec.default(5)
+    xs = np.arange(f32.size)
+    tr = f32.abs_trace_table()
+    F = VectorialFunction(
+        f32, 1, tr[f32.pow_elems(xs, 3)], tr[f32.pow_elems(xs, 7)], t=1
+    )
+    path = tmp_path / "odd.vf"
+    write_vf(path, F)
+    assert run(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == VERIFY_ODD_N5
+
+
+def test_verify_override_checks_header_n_first(tmp_path, capsys):
+    # n=30 is out of range; the override must not build GF(2^30) first
+    bad = tmp_path / "bad.bf"
+    bad.write_text("BF n=30 field=13\n0\n")
+    assert run(["verify", str(bad)]) == 1
+    plain = capsys.readouterr().err
+    assert "line 1, col 1" in plain
+    assert run(["verify", str(bad), "--field-modulus", "13"]) == 1
+    assert capsys.readouterr().err == plain
+    assert run(["propp", str(bad), "--field-modulus", "13", "--u", "1"]) == 1
+    assert "line 1, col 1" in capsys.readouterr().err
 
 
 def test_propp_affine_holds(tmp_path, capsys):

@@ -329,6 +329,30 @@ def test_theorem_iff_H_bent_vs_trace_one_components():
     assert hits[True] >= 1 and hits[False] >= 1
 
 
+def test_vec_plateaued_lift_one_p_tau_pass(monkeypatch):
+    import bentvec.constructions as constructions
+
+    G = kasami_vf(F16)
+    polys = (ReducedPolynomial.make(2, [(1, 2)]),)
+    bad = DefiningSet(F16, (1, 2))
+    with pytest.raises(PreconditionError) as gate:
+        vec_bent_lift(G, bad, polys[0])
+    with pytest.raises(PreconditionError) as lift:
+        vec_plateaued_lift(G, bad, polys)
+    assert str(lift.value) == str(gate.value)
+    # one dual check per nonzero selector, gate included
+    calls = []
+
+    def counting(g, defining):
+        calls.append(defining)
+        return satisfies_p(g, defining)
+
+    monkeypatch.setattr(constructions, "satisfies_p", counting)
+    ds = DefiningSet(F16, tuple(kasami_auto_u(F16)))
+    assert vec_plateaued_lift(G, ds, polys).p_tau_all
+    assert len(calls) == 3
+
+
 def test_vec_plateaued_lift_quadratic_tail():
     G = kasami_vf(F16)
     ds = DefiningSet(F16, tuple(kasami_auto_u(F16)))

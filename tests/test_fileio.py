@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bentvec import BooleanFunction, FieldSpec, VectorialFunction
-from bentvec.errors import ParseError
+from bentvec.errors import FieldError, ParseError
 from bentvec.fileio import (
     bf_from_text,
     bf_to_text,
@@ -97,6 +97,10 @@ def test_vf_parse_errors():
     with pytest.raises(ParseError) as info:
         vf_from_text(bad_value)
     assert info.value.line == 2
+    too_wide = "\n".join([lines[0], "f" * 40] + lines[2:]) + "\n"
+    with pytest.raises(ParseError) as info:
+        vf_from_text(too_wide)  # does not fit the int64 table
+    assert info.value.line == 2
     with_dot = "\n".join([lines[0], "0.1"] + lines[2:]) + "\n"
     with pytest.raises(ParseError):
         vf_from_text(with_dot)  # t=0 entries must not carry extras
@@ -109,6 +113,22 @@ def test_vf_parse_errors():
 def test_vf_rejects_outputs_outside_subfield():
     text = "VF n=4 m=2 t=0 field=13\n" + "\n".join(["2"] * 16) + "\n"
     with pytest.raises(ParseError):
+        vf_from_text(text)
+    # outside the field altogether
+    text = "VF n=4 m=2 t=0 field=13\n" + "\n".join(["ff"] * 16) + "\n"
+    with pytest.raises(ParseError):
+        vf_from_text(text)
+
+
+def test_vf_parse_reports_only_table_errors(monkeypatch):
+    # a fault that is not bad data must not be disguised as a parse error
+    text = vf_to_text(kasami(F16))
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(VectorialFunction, "__init__", broken)
+    with pytest.raises(RuntimeError):
         vf_from_text(text)
 
 
@@ -146,6 +166,8 @@ def test_read_with_field_override(tmp_path):
     path = tmp_path / "f.bf"
     write_bf(path, f)
     other = FieldSpec.with_least_generator(4, 0x19)  # x^4+x^3+1
-    g = read_bf(path, field=other)
+    g = read_bf(path, modulus=0x19)
     assert np.array_equal(g.table, f.table)
     assert g.field == other
+    with pytest.raises(FieldError):
+        read_bf(path, modulus=0x11B)  # degree 8, the header says n=4

@@ -35,6 +35,21 @@ def test_with_least_generator_on_aes_modulus():
     assert spec.mul(spec.generator, spec.inverse(spec.generator)) == 1
 
 
+def test_with_least_generator_rejects_bad_modulus_before_scanning(monkeypatch):
+    import bentvec.gf2n as gf2n
+
+    def no_scan(*args):
+        raise AssertionError("scanned generator candidates")
+
+    monkeypatch.setattr(gf2n, "_order_is_full", no_scan)
+    with pytest.raises(FieldError, match="degree"):
+        FieldSpec.with_least_generator(16, 0x13)
+    with pytest.raises(FieldError, match="irreducible"):
+        FieldSpec.with_least_generator(16, 0x10001)  # x^16 + 1 = (x + 1)^16
+    with pytest.raises(FieldError, match="1..24"):
+        FieldSpec.with_least_generator(30, 0x13)
+
+
 def test_mul_examples():
     assert all(F16.mul(0, x) == 0 for x in range(16))
     assert F4.mul(2, 2) == 3  # alpha^2 = alpha + 1

@@ -199,3 +199,41 @@ def test_coordinate_functions_match_components():
 def test_from_univariate_rejects_wrong_subfield():
     with pytest.raises(FieldError):
         VectorialFunction.from_univariate(F16, 2, [(1, 1)])  # identity leaves GF(4)
+
+
+def test_profile_matches_per_selector_components():
+    cubic = BooleanFunction.from_anf(F16, [{1, 2, 3}])
+    f32 = FieldSpec.default(5)
+    tr = f32.abs_trace_table()
+    xs = np.arange(f32.size)
+    odd = VectorialFunction(
+        f32, 1, tr[f32.pow_elems(xs, 3)], tr[f32.pow_elems(xs, 7)], t=1
+    )
+    for F in (kasami(F16).augment([cubic]), odd):
+        rows = F.profile()
+        assert [sel for sel, _, _ in rows] == list(F.selectors())
+        for (lam, v), cls, deg in rows:
+            comp = F.component(lam, v)
+            assert cls == comp.classification()
+            assert deg == comp.degree()
+        assert F.profile() is rows
+
+
+def test_predicates_extract_each_component_once(monkeypatch):
+    from bentvec import vectorial_class_string
+
+    calls = []
+    component = VectorialFunction.component
+
+    def counting(self, lam, v=0):
+        calls.append((lam, v))
+        return component(self, lam, v)
+
+    monkeypatch.setattr(VectorialFunction, "component", counting)
+    G = kasami(F64)
+    assert G.is_vectorial_bent().ok
+    assert G.is_vectorial_plateaued().ok
+    assert G.bent_component_count() == 7
+    assert G.degree() == 2
+    assert vectorial_class_string(G) == "vectorial bent (6,3)"
+    assert calls == list(G.selectors())
