@@ -25,17 +25,73 @@ from .gf2n import FieldSpec, _walsh_permutation
 
 
 def fwht(signs):
-    """In-place-style fast Walsh-Hadamard butterfly, O(n 2^n) exact ints."""
-    a = np.asarray(signs, dtype=np.int64).copy()
+    """Fast Walsh-Hadamard butterfly along axis 0, exact integers.
+
+    Each column of a (2^n, ...) array is transformed independently in
+    O(n 2^n).  int32 input stays int32, which is exact for n <= 24: every
+    partial sum is bounded by 2^n.  Anything else is computed in int64.
+    """
+    a = np.asarray(signs)
+    a = a.astype(np.int32 if a.dtype == np.int32 else np.int64)
     size = a.shape[0]
     h = 1
     while h < size:
-        b = a.reshape(-1, 2, h)
-        top = b[:, 0, :].copy()
-        b[:, 0, :] = top + b[:, 1, :]
-        b[:, 1, :] = top - b[:, 1, :]
+        b = a.reshape(-1, 2, h, *a.shape[1:])
+        top = b[:, 0].copy()
+        np.add(top, b[:, 1], out=b[:, 0])
+        np.subtract(top, b[:, 1], out=b[:, 1])
         h *= 2
     return a
+
+
+def _where(names, j):
+    return "" if names is None else f"component {names[j]}: "
+
+
+def check_parseval_parity(values, n, names=None):
+    """Parseval's relation and even parity for spectra along axis 0.
+
+    Each column of `values` is one field-paired spectrum of an n-variable
+    function.  A failure raises VerificationError naming a point and its
+    value, prefixed by the column's entry of `names` when given.
+    """
+    cols = values.reshape(values.shape[0], -1)
+    sums = np.einsum("ij,ij->j", cols, cols, dtype=np.int64)
+    bad = np.flatnonzero(sums != 1 << (2 * n))
+    if bad.size:
+        j = int(bad[0])
+        a = int(np.argmax(np.abs(cols[:, j])))
+        raise VerificationError(
+            f"{_where(names, j)}Parseval check failed: sum of W(a)^2 is "
+            f"{int(sums[j])}, expected 2^{2 * n}; largest |W(a)| is "
+            f"W({a}) = {int(cols[a, j])}"
+        )
+    if np.any(cols & 1):
+        a, j = (int(i) for i in np.argwhere(cols & 1)[0])
+        raise VerificationError(
+            f"{_where(names, j)}spectrum parity check failed: "
+            f"W({a}) = {int(cols[a, j])} is odd"
+        )
+
+
+def check_round_trip(values, signs, perm, names=None):
+    """The inverse butterfly must give back the sign tables, per column.
+
+    `values` are the spectra of `signs` reindexed by `perm`; they are
+    scattered back through `perm`, transformed again and divided by 2^n.
+    """
+    back = np.empty_like(values)
+    back[perm] = values
+    size = back.shape[0]
+    got = fwht(back).reshape(size, -1)
+    got //= size
+    want = signs.reshape(size, -1)
+    if not np.array_equal(got, want):
+        x, j = (int(i) for i in np.argwhere(got != want)[0])
+        raise VerificationError(
+            f"{_where(names, j)}Walsh round-trip failed at x = {x}: inverse "
+            f"gives {int(got[x, j])}, table sign is {int(want[x, j])}"
+        )
 
 
 @dataclass(frozen=True)
@@ -71,7 +127,14 @@ class Classification:
 def classify(values, n):
     """Classify a Walsh value vector per the precedence above."""
     absv = np.abs(np.asarray(values, dtype=np.int64))
-    abs_set = tuple(int(v) for v in np.unique(absv))
+    lo, hi = int(absv.min()), int(absv.max())
+    # exact shortcuts for the common one- and two-level spectra
+    if lo == hi:
+        abs_set = (hi,)
+    elif lo == 0 and np.all((absv == 0) | (absv == hi)):
+        abs_set = (0, hi)
+    else:
+        abs_set = tuple(int(v) for v in np.unique(absv))
     if n % 2 == 0 and abs_set == ((1 << (n // 2)),):
         return Classification("bent", 1 << (n // 2), abs_set)
     nonzero = [v for v in abs_set if v]
@@ -93,10 +156,7 @@ class WalshSpectrum:
         if values.shape != (field.size,):
             raise FieldError("spectrum length must be 2^n")
         n = field.n
-        if int(np.sum(values * values)) != 1 << (2 * n):
-            raise VerificationError("Parseval check failed")
-        if np.any(values & 1):
-            raise VerificationError("spectrum parity check failed")
+        check_parseval_parity(values, n)
         values.flags.writeable = False
         self.field = field
         self.values = values
@@ -239,14 +299,9 @@ class BooleanFunction:
         if self._walsh is None:
             perm = _walsh_permutation(self.field)
             signs = 1 - 2 * self.table.astype(np.int64)
-            hadamard = fwht(signs)
-            values = hadamard[perm]
+            values = fwht(signs)[perm]
             spectrum = WalshSpectrum(self.field, values)
-            # Round trip: the inverse butterfly must reproduce the table.
-            back = np.empty_like(hadamard)
-            back[perm] = values
-            if not np.array_equal(fwht(back) // self.field.size, signs):
-                raise VerificationError("Walsh round-trip failed")
+            check_round_trip(values, signs, perm)
             self._walsh = spectrum
         return self._walsh
 
@@ -292,8 +347,12 @@ class BooleanFunction:
 
 
 def _mobius(bits):
-    """Binary Möbius transform (self-inverse XOR butterfly)."""
-    a = np.asarray(bits, dtype=np.uint8).copy()
+    """Binary Möbius transform (self-inverse XOR butterfly).
+
+    Unsigned integer input is transformed bitwise, so a word packing
+    several truth tables yields their ANF coefficients packed the same way.
+    """
+    a = np.array(bits)
     size = a.shape[0]
     h = 1
     while h < size:

@@ -213,8 +213,7 @@ def _trace_one_lambdas(field, m):
 
 def _require_p_tau_for(G, defining, lambdas):
     for lam in lambdas:
-        dual = G.component(lam).dual()
-        check = satisfies_p(dual, defining)
+        check = satisfies_p(G.dual(lam), defining)
         if not check.holds:
             raise PreconditionError(
                 f"dual of component {lam:#x} violates (P_tau) on pair "
@@ -228,7 +227,7 @@ def _p_tau_all_lambdas(G, defining, lambdas):
     dual is checked once."""
     _require_p_tau_for(G, defining, lambdas)
     return all(
-        satisfies_p(G.component(lam).dual(), defining).holds
+        satisfies_p(G.dual(lam), defining).holds
         for lam, _ in G.selectors()
         if lam not in lambdas
     )
@@ -469,7 +468,7 @@ def _component_dual_check(G, closed_form):
     failures = []
     classes = []
     for (lam, _), cls, _ in G.profile():
-        verified = G.component(lam).dual()
+        verified = G.dual(lam)
         predicted = closed_form(lam)
         match = verified == predicted
         classes.append((lam, str(cls), match))
@@ -520,9 +519,10 @@ def _run_family(
     report.component_classes = component_classes
 
     if self_dual_selector is not None:
-        comp = G.component(self_dual_selector)
         report.self_dual_selector = self_dual_selector
-        report.self_dual_ok = comp.dual() == comp
+        report.self_dual_ok = (
+            G.dual(self_dual_selector) == G.component(self_dual_selector)
+        )
 
     lift = vec_bent_lift(G, defining, poly)
     report.predicted_class = f"vectorial bent ({field.n},{G.m})"

@@ -365,23 +365,47 @@ def _order_is_full(g, modulus, n, order, factors):
     return all(fpow(g, order // q) != 1 for q in factors)
 
 
+def _clmul_reduce_elems(a, b, modulus, n):
+    """clmul_reduce of every element of the array a by the scalar b."""
+    r = np.zeros_like(a)
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a = (a << 1) ^ ((a >> (n - 1)) & 1) * modulus
+    return r
+
+
 @lru_cache(maxsize=None)
 def _exp_log(spec):
     """exp/log tables for the generator; raises if its order is short."""
-    size, order = spec.size, spec.order
-    exp = np.zeros(order, dtype=np.int64)
-    log = np.full(size, -1, dtype=np.int64)
-    a = 1
-    for k in range(order):
-        if log[a] != -1:
-            raise FieldError(
-                f"generator {spec.generator:#x} has order {k} < {order}; "
-                f"modulus {spec.modulus:#x} with this generator is not primitive"
-            )
-        exp[k] = a
-        log[a] = k
-        a = clmul_reduce(a, spec.generator, spec.modulus, spec.n)
-    if a != 1:
+    order, n = spec.order, spec.n
+    # exp[k] = g^k by doubling: the next 2^j powers are the first 2^j
+    # times g^(2^j), one vectorised carry-less product per step
+    exp = np.empty(order, dtype=np.int64)
+    exp[0] = 1
+    filled, step = 1, spec.generator
+    while filled < order:
+        count = min(filled, order - filled)
+        exp[filled : filled + count] = _clmul_reduce_elems(
+            exp[:count], step, spec.modulus, n
+        )
+        step = clmul_reduce(step, step, spec.modulus, n)
+        filled += count
+    log = np.full(spec.size, -1, dtype=np.int64)
+    ks = np.arange(order, dtype=np.int64)
+    log[exp] = ks
+    if not np.array_equal(log[exp], ks):
+        # the first power that repeats an earlier one is the order
+        _, first = np.unique(exp, return_index=True)
+        seen = np.zeros(order, dtype=bool)
+        seen[first] = True
+        k = int(np.argmin(seen))
+        raise FieldError(
+            f"generator {spec.generator:#x} has order {k} < {order}; "
+            f"modulus {spec.modulus:#x} with this generator is not primitive"
+        )
+    if clmul_reduce(int(exp[-1]), spec.generator, spec.modulus, n) != 1:
         raise FieldError(f"modulus {spec.modulus:#x} is not irreducible")
     exp.flags.writeable = False
     log.flags.writeable = False

@@ -13,13 +13,25 @@ witnesses and reports are deterministic.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .boolfun import BooleanFunction
+from .boolfun import (
+    BooleanFunction,
+    _mobius,
+    check_parseval_parity,
+    check_round_trip,
+    classify,
+    fwht,
+)
 from .errors import FieldError, VerificationError
-from .gf2n import FieldSpec
+from .gf2n import FieldSpec, _walsh_permutation
+
+# profile() transforms max(1, BLOCK_POINTS >> n) components at a time, so
+# a block's int32 sign matrix holds max(2^16, 2^n) entries.
+BLOCK_POINTS = 1 << 16
 
 
 class BentnessCheck(NamedTuple):
@@ -47,7 +59,7 @@ def max_bent_components_bound(n, m):
 class VectorialFunction:
     """Immutable (n, m [+t])-function as a dense output table."""
 
-    __slots__ = ("field", "m", "values", "t", "extra", "_profile")
+    __slots__ = ("field", "m", "values", "t", "extra", "_word", "_duals", "_profile")
 
     def __init__(self, field: FieldSpec, m, values, extra=None, t=0):
         if m < 1 or field.n % m != 0:
@@ -61,6 +73,8 @@ class VectorialFunction:
             raise FieldError(f"outputs must lie in the subfield F_(2^{m})")
         if t < 0:
             raise FieldError("appended coordinate count must be nonnegative")
+        if m + t > 32:
+            raise FieldError(f"at most 32 output bits, got m + t = {m + t}")
         if extra is None:
             extra = np.zeros(field.size, dtype=np.int64)
         extra = np.asarray(extra, dtype=np.int64)
@@ -75,6 +89,8 @@ class VectorialFunction:
         self.values = values
         self.t = t
         self.extra = extra
+        self._word = None
+        self._duals = {}
         self._profile = None
 
     @property
@@ -146,6 +162,31 @@ class VectorialFunction:
                     continue
                 yield int(lam), v
 
+    def _coordinate_word(self):
+        """uint32 word coords(x) | extra(x) << m per point, built once.
+
+        coords(x) are the coordinates of F(x) in the least basis of
+        F_{2^m}, so every component is parity(word & selector mask).
+        """
+        if self._word is None:
+            combos, _ = _basis_tables(self.field, self.m)
+            lookup = np.full(self.field.size, -1, dtype=np.int64)
+            lookup[combos] = np.arange(1 << self.m)
+            coords = lookup[self.values]
+            if np.any(coords < 0):
+                raise FieldError("output outside the declared subfield")
+            word = (coords | self.extra << self.m).astype(np.uint32)
+            word.flags.writeable = False
+            self._word = word
+        return self._word
+
+    def _selector_masks(self):
+        """uint32 mask of every selector, in canonical order."""
+        combos, masks = _basis_tables(self.field, self.m)
+        lam_masks = masks[np.argsort(combos)]  # lambda ascending
+        vs = np.arange(1 << self.t, dtype=np.uint32) << np.uint32(self.m)
+        return (lam_masks[:, None] | vs[None, :]).ravel()[1:]
+
     def component(self, lam, v=0):
         """Truth table of Tr^m_1(lambda F(x)) + <v, extra bits>."""
         self.field.check(lam)
@@ -155,33 +196,74 @@ class VectorialFunction:
             raise FieldError(f"extra-bit selector {v:#x} out of range")
         if lam == 0 and v == 0:
             raise FieldError("zero selector does not name a component")
-        if lam == 0:
-            table = np.zeros(self.field.size, dtype=np.uint8)
-        else:
-            w = self.field.mul_elems(self.values, lam)
-            acc = w.copy()
-            for _ in range(self.m - 1):
-                w = self.field.mul_elems(w, w)
-                acc ^= w
-            if np.any(acc > 1):
-                raise FieldError("subfield trace left the prime field")
-            table = acc.astype(np.uint8)
-        if v:
-            table = table ^ (np.bitwise_count((self.extra & v).astype(np.uint64)) & 1).astype(np.uint8)
+        combos, masks = _basis_tables(self.field, self.m)
+        mask = masks[np.flatnonzero(combos == lam)[0]] | np.uint32(v << self.m)
+        table = np.bitwise_count(self._coordinate_word() & mask) & 1
         return BooleanFunction(self.field, table)
 
     def components(self):
         for lam, v in self.selectors():
             yield (lam, v), self.component(lam, v)
 
+    def dual(self, lam):
+        """Dual of the bent component (lambda, 0), computed once per lambda.
+
+        Raises NotBentError, as BooleanFunction.dual does, when that
+        component is not bent.
+        """
+        lam = int(lam)
+        if lam not in self._duals:
+            self._duals[lam] = self.component(lam).dual()
+        return self._duals[lam]
+
     def profile(self):
-        """Cached ((lambda, v), Classification, degree) per selector, in order;
-        no truth table or spectrum is kept."""
+        """Cached ((lambda, v), Classification, degree) per selector, in order.
+
+        All components come from the coordinate word: each block of
+        selector masks becomes an int32 sign matrix with one column per
+        component, transformed at once along axis 0 and checked column by
+        column (Parseval, parity, round trip).  Degrees use the linearity
+        of the ANF: one Möbius transform of the word packs the coordinate
+        ANFs, and a component's ANF is parity(anf_word & mask).  No truth
+        table or spectrum is kept.
+        """
         if self._profile is None:
-            self._profile = tuple(
-                (sel, comp.classification(), comp.degree())
-                for sel, comp in self.components()
+            n = self.n
+            word = self._coordinate_word()
+            perm = _walsh_permutation(self.field)
+            sels = list(self.selectors())
+            masks = self._selector_masks()
+            # distinct (monomial degree, packed ANF coefficients) pairs
+            anf = _mobius(word)
+            monomials = np.flatnonzero(anf)
+            keys = np.unique(
+                np.bitwise_count(monomials).astype(np.uint64) << np.uint64(32)
+                | anf[monomials]
             )
+            mono_deg = (keys >> np.uint64(32)).astype(np.int64)
+            mono_word = keys.astype(np.uint32)
+            cols = max(1, BLOCK_POINTS >> n)
+            rows = []
+            for start in range(0, len(sels), cols):
+                names = sels[start : start + cols]
+                block = masks[start : start + cols]
+                # (-1)^component, built in place in one buffer
+                signs = word[:, None] & block[None, :]
+                np.bitwise_count(signs, out=signs)
+                signs &= 1
+                signs = signs.view(np.int32)
+                signs *= -2
+                signs += 1
+                values = fwht(signs)[perm]
+                check_parseval_parity(values, n, names)
+                check_round_trip(values, signs, perm, names)
+                odd = np.bitwise_count(mono_word[:, None] & block[None, :]) & 1
+                degrees = np.max(odd * mono_deg[:, None], axis=0, initial=0)
+                rows.extend(
+                    (sel, classify(values[:, j], n), int(degrees[j]))
+                    for j, sel in enumerate(names)
+                )
+            self._profile = tuple(rows)
         return self._profile
 
     # -- predicates ----------------------------------------------------------------
@@ -230,24 +312,11 @@ class VectorialFunction:
 
     def coordinate_functions(self):
         """Coordinates w.r.t. the least basis of F_{2^m}, then the extra bits."""
-        basis = self.field.subfield_basis(self.m)
-        combo_values = np.zeros(1 << self.m, dtype=np.int64)
-        for i, b in enumerate(basis):
-            half = 1 << i
-            combo_values[half : 2 * half] = combo_values[:half] ^ b
-        lookup = np.full(self.field.size, -1, dtype=np.int64)
-        lookup[combo_values] = np.arange(1 << self.m)
-        coords = lookup[self.values]
-        if np.any(coords < 0):
-            raise FieldError("output outside the declared subfield")
-        out = []
-        for j in range(self.m):
-            out.append(BooleanFunction(self.field, ((coords >> j) & 1).astype(np.uint8)))
-        for j in range(self.t):
-            out.append(
-                BooleanFunction(self.field, ((self.extra >> j) & 1).astype(np.uint8))
-            )
-        return out
+        word = self._coordinate_word()
+        return [
+            BooleanFunction(self.field, ((word >> j) & 1).astype(np.uint8))
+            for j in range(self.out_bits)
+        ]
 
     def degree(self):
         """Algebraic degree: max over components, cross-checked on coordinates."""
@@ -258,3 +327,27 @@ class VectorialFunction:
                 f"component degree {comp_deg} != coordinate degree {coord_deg}"
             )
         return comp_deg
+
+
+@lru_cache(maxsize=None)
+def _basis_tables(field, m):
+    """Subfield elements by coordinate vector, and their selector masks.
+
+    combos[c] is the element of F_{2^m} with coordinates c in the least
+    basis b; bit j of masks[c] is Tr^m_1(combos[c] b_j).  Both are F2-linear
+    in c, so they are filled by doubling from the m basis elements.
+    """
+    basis = field.subfield_basis(m)
+    combos = np.zeros(1 << m, dtype=np.int64)
+    masks = np.zeros(1 << m, dtype=np.uint32)
+    for i, b in enumerate(basis):
+        traces = [field.subfield_abs_trace(field.mul(b, bj), m) for bj in basis]
+        if any(tr not in (0, 1) for tr in traces):
+            raise FieldError("subfield trace left the prime field")
+        row = sum(tr << j for j, tr in enumerate(traces))
+        half = 1 << i
+        combos[half : 2 * half] = combos[:half] ^ b
+        masks[half : 2 * half] = masks[:half] ^ row
+    combos.flags.writeable = False
+    masks.flags.writeable = False
+    return combos, masks

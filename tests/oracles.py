@@ -90,3 +90,12 @@ def naive_degree(table, n):
         if coeffs[mask]:
             deg = max(deg, bin(mask).count("1"))
     return deg
+
+
+def oracle_subfield_trace(y, modulus, n, m):
+    """Tr^m_1(y) = y + y^2 + ... + y^(2^(m-1)) for y in F_{2^m}."""
+    t, x = 0, y
+    for _ in range(m):
+        t ^= x
+        x = poly_mul_mod(x, x, modulus, n)
+    return t

@@ -11,7 +11,7 @@ from bentvec import (
     classify,
 )
 from bentvec.boolfun import check_lemma_walsh_identity, fwht
-from bentvec.errors import FieldError
+from bentvec.errors import FieldError, VerificationError
 
 from oracles import naive_anf, naive_degree, naive_walsh, pairing_matrix
 
@@ -255,3 +255,57 @@ def test_rejects_bad_tables():
         BooleanFunction(F4, [0, 1, 2, 0])
     with pytest.raises(FieldError):
         AND ^ BooleanFunction.zero(F16)
+
+
+def test_walsh_failures_name_point_and_value(monkeypatch):
+    import bentvec.boolfun as boolfun
+
+    f = kasami_component(F16)
+    good = f.walsh().values  # bent: every entry is +-4
+    perm = F16.walsh_permutation()
+    fwht_ok = boolfun.fwht
+
+    def corrupt(edit, on_call=1):
+        calls = []
+
+        def wrapped(signs):
+            out = fwht_ok(signs)
+            calls.append(1)
+            if len(calls) == on_call:
+                edit(out)
+            return out
+
+        monkeypatch.setattr(boolfun, "fwht", wrapped)
+        return BooleanFunction(F16, f.table)  # fresh, nothing cached
+
+    def triple(out):
+        out[3] *= 3
+
+    a = int(np.flatnonzero(perm == 3)[0])
+    with pytest.raises(VerificationError) as err:
+        corrupt(triple).walsh()
+    assert str(err.value) == (
+        f"Parseval check failed: sum of W(a)^2 is {256 - 16 + 144}, expected "
+        f"2^8; largest |W(a)| is W({a}) = {3 * int(good[a])}"
+    )
+
+    def odd_entries(out):
+        # seven 1s and one 11 keep the sum of squares of eight 4s
+        out[:8] = np.sign(out[:8]) * np.array([1, 1, 1, 1, 1, 1, 1, 11])
+
+    a = int(np.flatnonzero(perm < 8)[0])
+    value = int(np.sign(good[a])) * (11 if perm[a] == 7 else 1)
+    with pytest.raises(VerificationError) as err:
+        corrupt(odd_entries).walsh()
+    assert str(err.value) == f"spectrum parity check failed: W({a}) = {value} is odd"
+
+    def negate(out):
+        out[6] = -out[6]
+
+    sign = 1 - 2 * int(f.table[6])
+    with pytest.raises(VerificationError) as err:
+        corrupt(negate, on_call=2).walsh()
+    assert str(err.value) == (
+        f"Walsh round-trip failed at x = 6: inverse gives {-sign}, "
+        f"table sign is {sign}"
+    )

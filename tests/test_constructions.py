@@ -519,6 +519,30 @@ def test_family_with_tail_reports_counts():
     assert result.H_hat is not None and result.H_hat.t == 2
 
 
+def test_family_computes_each_dual_of_g_once(monkeypatch):
+    # the dual check, both (P_tau) gates and gold's self-dual check all
+    # read G.dual(lambda): one spectrum dual per nonzero lambda
+    duals = []
+    dual = BooleanFunction.dual
+
+    def counting(self):
+        duals.append(self)
+        return dual(self)
+
+    monkeypatch.setattr(BooleanFunction, "dual", counting)
+    tail = (ReducedPolynomial.make(3, [(1, 2)]),)
+    result = kasami_family(
+        F64, kasami_auto_u(F64), ReducedPolynomial.make(2, [(1, 2)]), tail_polys=tail
+    )
+    assert result.report.ok and result.report.p_tau_all_lambdas is not None
+    assert len(duals) == 7
+    duals.clear()
+    F256 = FieldSpec.default(8)
+    result = gold_family(F256, gold_auto_u(F256), ReducedPolynomial.make(2, [(1, 2)]))
+    assert result.report.ok and result.report.self_dual_ok
+    assert len(duals) == 3
+
+
 def test_report_json_encodes_ints_as_strings():
     import json
 

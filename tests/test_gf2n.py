@@ -253,3 +253,37 @@ def test_large_degree_table_entries_have_full_order():
         modulus = PRIMITIVE_POLYNOMIALS[n]
         order = (1 << n) - 1
         assert _order_is_full(2, modulus, n, order, prime_factors(order))
+
+
+def _unchecked_spec(n, modulus, generator):
+    # a FieldSpec that skips __post_init__, to reach the table builder's
+    # own guards
+    spec = object.__new__(FieldSpec)
+    for name, value in (("n", n), ("modulus", modulus), ("generator", generator)):
+        object.__setattr__(spec, name, value)
+    return spec
+
+
+def test_exp_log_tables_match_repeated_multiplication():
+    from bentvec.gf2n import _exp_log
+
+    for n in range(1, 11):
+        spec = FieldSpec.default(n)
+        exp, log = _exp_log(spec)
+        a = 1
+        for k in range(spec.order):
+            assert exp[k] == a and log[a] == k
+            a = clmul_reduce(a, spec.generator, spec.modulus, n)
+        assert log[0] == -1
+        assert not exp.flags.writeable and not log.flags.writeable
+
+
+def test_exp_log_rejects_short_order_and_reducible_modulus():
+    from bentvec.gf2n import _exp_log
+
+    # alpha^3 has order 5 in GF(16)
+    with pytest.raises(FieldError, match=r"generator 0x8 has order 5 < 15"):
+        _exp_log(_unchecked_spec(4, 0x13, 0x8))
+    # modulo x^2 the powers of x are 1, x, 0: all distinct, but x^3 != 1
+    with pytest.raises(FieldError, match=r"modulus 0x4 is not irreducible"):
+        _exp_log(_unchecked_spec(2, 0x4, 0x2))

@@ -1,15 +1,23 @@
 """Vectorial functions: components, predicates, counting, augmentation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bentvec import (
     BooleanFunction,
+    Classification,
     FieldSpec,
     VectorialFunction,
     max_bent_components_bound,
+    vectorial,
 )
-from bentvec.errors import FieldError
+from bentvec.errors import FieldError, VerificationError
+
+from oracles import naive_degree, naive_walsh, oracle_subfield_trace, pairing_matrix, poly_mul_mod
 
 F16 = FieldSpec.default(4)
 F64 = FieldSpec.default(6)
@@ -162,6 +170,31 @@ def test_never_certifies_m_above_half_n():
     assert not aug.is_vectorial_bent().ok
 
 
+def test_m_above_half_n_guard_refuses_all_bent_rows(monkeypatch):
+    # reach the guard itself: every row of the (4,3) function claims bent
+    aug = kasami(F16).augment([BooleanFunction.zero(F16)])
+    bent = Classification("bent", 4, (4,))
+    rows = tuple((sel, bent, 2) for sel in aug.selectors())
+    monkeypatch.setattr(VectorialFunction, "profile", lambda self: rows)
+    with pytest.raises(VerificationError, match=r"\(4,3\)-function.*m <= n/2"):
+        aug.is_vectorial_bent()
+
+
+def test_dual_is_cached_per_lambda():
+    G = kasami(F16)
+    assert G.dual(6) is G.dual(6)
+    assert G.dual(6) == G.component(6).dual()
+    from bentvec import NotBentError
+
+    with pytest.raises(NotBentError):
+        linear_vf(F16).dual(1)
+
+
+def test_at_most_32_output_bits():
+    with pytest.raises(FieldError, match="at most 32 output bits"):
+        VectorialFunction(F16, 4, np.zeros(16), t=29)
+
+
 def test_augment():
     G = kasami(F16)
     assert G.augment([]) == G
@@ -220,6 +253,8 @@ def test_profile_matches_per_selector_components():
 
 
 def test_predicates_extract_each_component_once(monkeypatch):
+    # the profile reads every component from the coordinate word, so the
+    # predicates extract no truth table through component() at all
     from bentvec import vectorial_class_string
 
     calls = []
@@ -236,4 +271,123 @@ def test_predicates_extract_each_component_once(monkeypatch):
     assert G.bent_component_count() == 7
     assert G.degree() == 2
     assert vectorial_class_string(G) == "vectorial bent (6,3)"
-    assert calls == list(G.selectors())
+    assert calls == []
+
+
+def _oracle_component(F, lam, v):
+    """Tr^m_1(lambda F(x)) + <v, extra(x)> from schoolbook field arithmetic."""
+    mod, n = F.field.modulus, F.n
+    table = np.zeros(F.field.size, dtype=np.uint8)
+    for x in range(F.field.size):
+        tr = oracle_subfield_trace(poly_mul_mod(lam, int(F.values[x]), mod, n), mod, n, F.m)
+        assert tr in (0, 1)
+        table[x] = tr ^ (bin(int(F.extra[x]) & v).count("1") & 1)
+    return table
+
+
+def test_components_and_profile_match_oracles():
+    cubic = BooleanFunction.from_anf(F16, [{1, 2, 3}])
+    f32 = FieldSpec.default(5)
+    tr = f32.abs_trace_table()
+    xs = np.arange(f32.size)
+    odd = VectorialFunction(
+        f32, 1, tr[f32.pow_elems(xs, 3)], tr[f32.pow_elems(xs, 7)], t=1
+    )
+    for F in (kasami(F16).augment([cubic]), odd):
+        pairing = pairing_matrix(F.field.modulus, F.n)
+        for (lam, v), cls, deg in F.profile():
+            table = _oracle_component(F, lam, v)
+            assert np.array_equal(F.component(lam, v).table, table)
+            spectrum = naive_walsh(table, pairing)
+            assert cls.abs_values == tuple(sorted(set(np.abs(spectrum).tolist())))
+            assert deg == naive_degree(table, F.n)
+
+
+def _reference_component(F, lam, v):
+    # the per-component path: subfield trace by repeated squaring
+    acc = np.zeros(F.field.size, dtype=np.int64)
+    if lam:
+        w = F.field.mul_elems(F.values, lam)
+        acc = w.copy()
+        for _ in range(F.m - 1):
+            w = F.field.mul_elems(w, w)
+            acc ^= w
+    bits = np.bitwise_count((F.extra & v).astype(np.uint64)) & 1
+    return BooleanFunction(F.field, acc ^ bits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    m_index=st.integers(0, 3),
+    t=st.integers(0, 2),
+    cols=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=4, m_index=1, t=1, cols=3, seed=0)  # 7 selectors: blocks of 3, 3, 1
+@example(n=6, m_index=2, t=2, cols=4, seed=1)  # 31 selectors: last block holds 3
+def test_profile_blocks_match_per_component_reference(n, m_index, t, cols, seed):
+    field = FieldSpec.default(n)
+    divisors = [m for m in range(1, n + 1) if n % m == 0]
+    m = divisors[m_index % len(divisors)]
+    rng = np.random.default_rng(seed)
+    values = rng.choice(field.subfield(m), size=field.size)
+    extra = rng.integers(0, 1 << t, size=field.size)
+    F = VectorialFunction(field, m, values, extra, t)
+    with mock.patch.object(vectorial, "BLOCK_POINTS", cols << n):
+        rows = F.profile()
+    assert [sel for sel, _, _ in rows] == list(F.selectors())
+    for (lam, v), cls, deg in rows:
+        ref = _reference_component(F, lam, v)
+        assert F.component(lam, v) == ref
+        assert cls == ref.classification()
+        assert deg == ref.degree()
+
+
+def _corrupting(fwht, edit, on_call=1):
+    # fwht that passes its output through `edit` on the on_call-th call
+    calls = []
+
+    def wrapped(signs):
+        out = fwht(signs)
+        calls.append(1)
+        if len(calls) == on_call:
+            edit(out)
+        return out
+
+    return wrapped
+
+
+def test_profile_failures_name_selector_point_and_value(monkeypatch):
+    import bentvec.boolfun as boolfun
+
+    G = kasami(F64)
+    sels = list(G.selectors())
+    perm = F64.walsh_permutation()
+    a = int(np.flatnonzero(perm == 5)[0])  # spectrum point of Hadamard entry 5
+
+    def triple_column_2(out):
+        out[5, 2] *= 3
+
+    monkeypatch.setattr(vectorial, "fwht", _corrupting(boolfun.fwht, triple_column_2))
+    with pytest.raises(VerificationError) as err:
+        kasami(F64).profile()
+    assert str(err.value) == (
+        f"component {sels[2]}: Parseval check failed: sum of W(a)^2 is "
+        f"{4096 - 64 + 576}, expected 2^12; largest |W(a)| is W({a}) = "
+        f"{3 * int(G.component(*sels[2]).walsh()[a])}"
+    )
+
+    def flip_column_4(out):
+        out[7, 4] = -out[7, 4]
+
+    # the forward transform is intact; the inverse one is corrupted
+    monkeypatch.setattr(vectorial, "fwht", boolfun.fwht)
+    monkeypatch.setattr(boolfun, "fwht", _corrupting(boolfun.fwht, flip_column_4))
+    sign = 1 - 2 * int(G.component(*sels[4]).table[7])
+    with pytest.raises(VerificationError) as err:
+        kasami(F64).profile()
+    assert str(err.value) == (
+        f"component {sels[4]}: Walsh round-trip failed at x = 7: inverse "
+        f"gives {-sign}, table sign is {sign}"
+    )
