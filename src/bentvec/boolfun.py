@@ -125,8 +125,12 @@ class Classification:
 
 
 def classify(values, n):
-    """Classify a Walsh value vector per the precedence above."""
-    absv = np.abs(np.asarray(values, dtype=np.int64))
+    """Classify a Walsh value vector per the precedence above.
+
+    int32 values stay int32, as for checked spectra, whose |W| <= 2^n.
+    """
+    values = np.asarray(values)
+    absv = np.abs(values if values.dtype == np.int32 else values.astype(np.int64))
     lo, hi = int(absv.min()), int(absv.max())
     # exact shortcuts for the common one- and two-level spectra
     if lo == hi:
@@ -152,7 +156,11 @@ class WalshSpectrum:
     __slots__ = ("field", "values", "classification")
 
     def __init__(self, field, values):
-        values = np.asarray(values, dtype=np.int64)
+        values = np.asarray(values)
+        # int32 holds any |W| <= 2^n <= 2^24; anything else is widened to
+        # int64, never narrowed, so no value is truncated before the checks
+        if values.dtype != np.int32:
+            values = values.astype(np.int64)
         if values.shape != (field.size,):
             raise FieldError("spectrum length must be 2^n")
         n = field.n
@@ -294,11 +302,12 @@ class BooleanFunction:
         """Walsh spectrum over the field pairing, verified exactly.
 
         Parseval and the inverse-transform round trip are asserted inline
-        for every spectrum this package ever computes.
+        for every spectrum this package ever computes.  The butterfly and
+        the values are int32, exact since |W(a)| <= 2^n <= 2^24.
         """
         if self._walsh is None:
             perm = _walsh_permutation(self.field)
-            signs = 1 - 2 * self.table.astype(np.int64)
+            signs = 1 - 2 * self.table.astype(np.int32)
             values = fwht(signs)[perm]
             spectrum = WalshSpectrum(self.field, values)
             check_round_trip(values, signs, perm)

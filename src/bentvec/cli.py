@@ -12,7 +12,8 @@ import argparse
 import datetime
 import json
 import sys
-from collections import Counter
+
+import numpy as np
 
 from . import fileio
 from .boolfun import BooleanFunction
@@ -216,10 +217,10 @@ def cmd_verify(args):
         print(f"class: {spectrum.classification}")
         print(f"degree: {obj.degree()}")
         print(f"weight: {obj.weight()} (balanced: {obj.is_balanced()})")
-        counts = Counter(abs(int(v)) for v in spectrum.values)
+        absv, counts = np.unique(np.abs(spectrum.values), return_counts=True)
         print(
             "spectrum |W| counts: "
-            + ", ".join(f"{v}: {c}" for v, c in sorted(counts.items()))
+            + ", ".join(f"{v}: {c}" for v, c in zip(absv.tolist(), counts.tolist()))
         )
         return 0
     print(f"VF n={obj.n} m={obj.m} t={obj.t} field={obj.field.modulus:x}")

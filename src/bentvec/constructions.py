@@ -587,17 +587,10 @@ def kasami_family(field, u_values, poly, tail_polys=(), seed=None):
     u_values = [field.check(int(u)) for u in u_values]
     _check_conjugate_condition(field, u_values, k)
     G = VectorialFunction.from_univariate(field, k, [(1, (1 << k) + 1)])
-    norm = G.values
 
     def closed_form(lam):
-        y = field.mul_elems(norm, field.inverse(lam))
-        acc = y.copy()
-        for _ in range(k - 1):
-            y = field.mul_elems(y, y)
-            acc ^= y
-        if np.any(acc > 1):
-            raise VerificationError("Kasami dual trace left the prime field")
-        return BooleanFunction(field, acc.astype(np.uint8) ^ 1)
+        # Tr^k_1(lambda^-1 x^(2^k+1)) is the component lambda^-1 of G
+        return G.component(field.inverse(lam)).complement()
 
     d = poly.degree()
     degree_predicted = (

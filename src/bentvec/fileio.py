@@ -7,7 +7,8 @@ BF format (Boolean function):
 
 The payload character at position p carries table indices 4p..4p+3, index
 4p in the least significant bit of the nibble.  A single payload line,
-lowercase hex on write, either case accepted on read.
+lowercase hex on write, either case of the ASCII hex digits accepted on
+read.
 
 VF format (vectorial function):
 
@@ -15,7 +16,8 @@ VF format (vectorial function):
     <2^n lines of output values>
 
 Each output line is the subfield value in hex, followed by "." and the
-extra bits in hex when t > 0.
+extra bits in hex when t > 0.  Any character other than ASCII hex digits,
+"." and whitespace is a parse error at its line and column.
 
 The field model is built from the header modulus, or a reader's `modulus`
 override: the shipped generator when the modulus matches the built-in
@@ -26,6 +28,7 @@ are atomic (temp file + rename) and carry no timestamps.
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -57,15 +60,39 @@ def atomic_write_text(path, text):
         raise
 
 
+# hex digit -> nibble for the 256 lowest code points; 255 marks the rest
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+_NIBBLE = np.full(256, 255, dtype=np.uint8)
+_NIBBLE[_HEX_DIGITS] = np.arange(16)
+_NIBBLE[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
+
+# anything but hex digits, the extra-bits dot and whitespace in a VF body
+_VF_BAD_CHAR = re.compile(r"[^0-9a-fA-F.\s]")
+
+
 def _pack_bits(table):
-    chars = []
-    bits = np.asarray(table, dtype=np.uint8)
-    padded = np.zeros((len(bits) + 3) // 4 * 4, dtype=np.uint8)
-    padded[: len(bits)] = bits
-    for p in range(0, len(padded), 4):
-        nib = padded[p] | (padded[p + 1] << 1) | (padded[p + 2] << 2) | (padded[p + 3] << 3)
-        chars.append(f"{nib:x}")
-    return "".join(chars)
+    """Truth-table bits as BF payload hex, four bits per lowercase digit."""
+    packed = np.packbits(np.asarray(table, dtype=np.uint8), bitorder="little")
+    nibs = np.stack((packed & 15, packed >> 4), axis=1).reshape(-1)
+    return _HEX_DIGITS[nibs[: (len(table) + 3) // 4]].tobytes().decode("ascii")
+
+
+def _unpack_bits(payload, size):
+    """BF payload hex to a uint8 table of `size` bits; bad digits raise."""
+    # one code point per character, so an index is a column
+    codes = np.frombuffer(payload.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    # code points above 255 land on entry 255, which is not a digit
+    low = np.minimum(codes, 255, out=np.empty(codes.size, np.uint8), casting="unsafe")
+    nibs = _NIBBLE[low]
+    bad = np.flatnonzero(nibs > 15)
+    if bad.size:
+        p = int(bad[0])
+        raise ParseError(f"bad hex character {payload[p]!r}", line=2, column=p + 1)
+    if size % 4 and nibs[-1] >> size % 4:
+        raise ParseError("padding bits must be zero", line=2, column=len(payload))
+    if nibs.size % 2:
+        nibs = np.append(nibs, np.uint8(0))
+    return np.unpackbits(nibs[0::2] | (nibs[1::2] << 4), count=size, bitorder="little")
 
 
 def bf_to_text(f: BooleanFunction):
@@ -123,18 +150,7 @@ def bf_from_text(text, modulus=None):
             line=2,
             column=len(payload) + 1,
         )
-    table = np.zeros(size, dtype=np.uint8)
-    for p, ch in enumerate(payload):
-        try:
-            nib = int(ch, 16)
-        except ValueError:
-            raise ParseError(f"bad hex character {ch!r}", line=2, column=p + 1) from None
-        for j in range(4):
-            idx = 4 * p + j
-            if idx < size:
-                table[idx] = (nib >> j) & 1
-            elif (nib >> j) & 1:
-                raise ParseError("padding bits must be zero", line=2, column=p + 1)
+    table = _unpack_bits(payload, size)
     for extra, line in enumerate(lines[2:], start=3):
         if line.strip():
             raise ParseError("unexpected trailing content", line=extra, column=1)
@@ -170,6 +186,14 @@ def vf_from_text(text, modulus=None):
     if not 1 <= n <= 24:
         raise ParseError(f"n={n} out of range", line=1, column=1)
     spec = field_from_modulus(n, header["field"] if modulus is None else modulus)
+    bad = _VF_BAD_CHAR.search(text, len(lines[0]))
+    if bad:
+        # every line break is whitespace, so the bad character ends the
+        # last line of the text up to and including it
+        head = text[: bad.start() + 1].splitlines()
+        raise ParseError(
+            f"bad character {bad.group()!r}", line=len(head), column=len(head[-1])
+        )
     size = 1 << n
     body = lines[1:]
     if len([ln for ln in body if ln.strip()]) != size:

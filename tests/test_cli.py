@@ -208,6 +208,61 @@ def test_verify_vf_full_stdout_odd_n(tmp_path, capsys):
     assert capsys.readouterr().out == VERIFY_ODD_N5
 
 
+VERIFY_BF_N1 = """\
+BF n=1 field=3
+class: Plateaued(2)
+degree: 1
+weight: 1 (balanced: True)
+spectrum |W| counts: 0: 1, 2: 1
+"""
+
+VERIFY_BF_N10 = """\
+BF n=10 field=409
+class: Mixed{0,4,8,12,16,20,24,28,...(25 values)}
+degree: 9
+weight: 498 (balanced: False)
+spectrum |W| counts: 0: 58, 4: 100, 8: 102, 12: 101, 16: 89, 20: 78, 24: 65, \
+28: 68, 32: 59, 36: 53, 40: 56, 44: 41, 48: 36, 52: 19, 56: 22, 60: 24, 64: 8, \
+68: 14, 72: 11, 76: 7, 80: 5, 84: 5, 92: 1, 96: 1, 116: 1
+"""
+
+VERIFY_BF_N16 = """\
+BF n=16 field=1100b
+class: Mixed{0,64,128,192,256,320,384,448,...(16 values)}
+degree: 3
+weight: 32768 (balanced: True)
+spectrum |W| counts: 0: 6462, 64: 12608, 128: 11704, 192: 9840, 256: 7840, \
+320: 6032, 384: 4288, 448: 2848, 512: 1836, 576: 928, 640: 496, 704: 432, \
+768: 112, 832: 80, 896: 24, 1024: 6
+"""
+
+
+def test_verify_bf_full_stdout_n1_padding(tmp_path, capsys):
+    # two table bits in one digit: f(0) = 0, f(1) = 1, high bits padding
+    path = tmp_path / "n1.bf"
+    path.write_text("BF n=1 field=3\n2\n")
+    assert run(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == VERIFY_BF_N1
+
+
+def test_verify_bf_full_stdout_n10_mixed(tmp_path, capsys):
+    f = FieldSpec.default(10)
+    table = np.random.default_rng(10).integers(0, 2, f.size)
+    path = tmp_path / "n10.bf"
+    write_bf(path, BooleanFunction(f, table))
+    assert run(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == VERIFY_BF_N10
+
+
+def test_verify_bf_full_stdout_n16(tmp_path, capsys):
+    # Tr(x^257 + x^7) on GF(2^16): a cubic with 16 distinct |W| values
+    f = BooleanFunction.from_univariate(FieldSpec.default(16), [(1, 257), (1, 7)])
+    path = tmp_path / "n16.bf"
+    write_bf(path, f)
+    assert run(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == VERIFY_BF_N16
+
+
 def test_verify_override_checks_header_n_first(tmp_path, capsys):
     # n=30 is out of range; the override must not build GF(2^30) first
     bad = tmp_path / "bad.bf"

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bentvec import BooleanFunction, FieldSpec, VectorialFunction
-from bentvec.errors import FieldError, ParseError
+from bentvec.errors import BentvecError, FieldError, ParseError
 from bentvec.fileio import (
     bf_from_text,
     bf_to_text,
@@ -171,3 +173,115 @@ def test_read_with_field_override(tmp_path):
     assert g.field == other
     with pytest.raises(FieldError):
         read_bf(path, modulus=0x11B)  # degree 8, the header says n=4
+
+
+def oracle_bf_payload(table):
+    """The BF payload by its definition: index 4p + j is bit j of digit p."""
+    digits = []
+    for p in range(0, len(table), 4):
+        nib = sum(int(b) << j for j, b in enumerate(table[p : p + 4]))
+        digits.append("0123456789abcdef"[nib])
+    return "".join(digits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), upper=st.booleans())
+def test_bf_write_read_round_trip(n, seed, upper):
+    spec = FieldSpec.default(n)
+    table = np.random.default_rng(seed).integers(0, 2, spec.size, dtype=np.uint8)
+    f = BooleanFunction(spec, table)
+    text = bf_to_text(f)
+    assert text == f"BF n={n} field={spec.modulus:x}\n{oracle_bf_payload(table)}\n"
+    lines = text.splitlines()
+    payload = lines[1].upper() if upper else lines[1]
+    assert bf_from_text(f"{lines[0]}\n{payload}\n") == f
+
+
+# characters int(ch, 16) accepts or that look like hex, none in the format
+NOT_HEX = ["g", "x", "_", "+", "-", " ", ".", "\u0663", "\uff11", "\u00e9", "\ud800"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 10), data=st.data())
+def test_bf_bad_character_column(n, data):
+    spec = FieldSpec.default(n)
+    payload = list(bf_to_text(BooleanFunction.zero(spec)).splitlines()[1])
+    p = data.draw(st.integers(0, len(payload) - 1))
+    ch = data.draw(st.sampled_from(NOT_HEX))
+    if ch == " " and p in (0, len(payload) - 1):
+        ch = "g"  # an outer blank is stripped, so the length check fires
+    payload[p] = ch
+    text = f"BF n={n} field={spec.modulus:x}\n{''.join(payload)}\n"
+    with pytest.raises(ParseError) as info:
+        bf_from_text(text)
+    assert (info.value.line, info.value.column) == (2, p + 1)
+    assert f"bad hex character {ch!r}" in str(info.value)
+
+
+def test_bf_rejects_unicode_digits():
+    # int("\u0663", 16) == 3, but the format allows ASCII hex digits only
+    for ch in ("\u0663", "\uff13", "\U0001d7d1"):
+        with pytest.raises(ParseError) as info:
+            bf_from_text(f"BF n=4 field=13\nff{ch}f\n")
+        assert (info.value.line, info.value.column) == (2, 3)
+
+
+@pytest.mark.parametrize(
+    "entry, column",
+    [("0x1", 2), ("+1", 1), ("-1", 1), ("1_0", 2), ("\u0661", 1), ("  1g", 4), ("1.\u0661", 3)],
+)
+def test_vf_rejects_non_hex_spellings(entry, column):
+    lines = vf_to_text(kasami(F16)).splitlines()
+    # the t=1 header makes every row carry a dot, so only the bad
+    # character can be at fault
+    header = lines[0].replace("t=0", "t=1")
+    body = [f"{row}.0" for row in lines[1:]]
+    body[5] = entry if "." in entry else f"{entry}.0"
+    with pytest.raises(ParseError) as info:
+        vf_from_text("\n".join([header] + body) + "\n")
+    assert (info.value.line, info.value.column) == (7, column)
+    assert "bad character" in str(info.value)
+
+
+def test_vf_bad_character_after_blank_and_crlf_lines():
+    lines = vf_to_text(kasami(F16)).splitlines()
+    text = "\r\n".join(lines[:3] + ["", lines[3] + "z"] + lines[4:]) + "\r\n"
+    with pytest.raises(ParseError) as info:
+        vf_from_text(text)
+    assert (info.value.line, info.value.column) == (5, len(lines[3]) + 1)
+
+
+def _mutate(text, edits):
+    chars = list(text)
+    for op, pos, ch in edits:
+        pos %= len(chars) + 1
+        if op == 0:
+            chars.insert(pos, ch)
+        elif chars:
+            pos %= len(chars)
+            if op == 1:
+                chars[pos] = ch
+            else:
+                del chars[pos]
+    return "".join(chars)
+
+
+EDITS = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 10**6), st.characters()), max_size=8
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.sampled_from(["bf", "vf", ""]), edits=EDITS, vf=st.booleans())
+def test_fuzzed_text_raises_only_bentvec_errors(base, edits, vf):
+    # edits of valid files, and short random texts grown from nothing
+    texts = {
+        "bf": bf_to_text(BooleanFunction(F16, [0, 1, 1, 0] * 4)),
+        "vf": vf_to_text(kasami(F16)),
+        "": "",
+    }
+    text = _mutate(texts[base], edits)
+    try:
+        (vf_from_text if vf else bf_from_text)(text)
+    except BentvecError:
+        pass
