@@ -56,14 +56,17 @@ def check_parseval_parity(values, n, names=None):
     value, prefixed by the column's entry of `names` when given.
     """
     cols = values.reshape(values.shape[0], -1)
-    sums = np.einsum("ij,ij->j", cols, cols, dtype=np.int64)
+    # float64 cannot wrap: with nonnegative terms and monotone rounding the sum
+    # is exact below 2^53 and, once there, never drops back to 2^(2n) <= 2^48
+    sums = np.einsum("ij,ij->j", cols, cols, dtype=np.float64)
     bad = np.flatnonzero(sums != 1 << (2 * n))
     if bad.size:
         j = int(bad[0])
         a = int(np.argmax(np.abs(cols[:, j])))
+        exact = sum(int(w) ** 2 for w in cols[:, j])
         raise VerificationError(
             f"{_where(names, j)}Parseval check failed: sum of W(a)^2 is "
-            f"{int(sums[j])}, expected 2^{2 * n}; largest |W(a)| is "
+            f"{exact}, expected 2^{2 * n}; largest |W(a)| is "
             f"W({a}) = {int(cols[a, j])}"
         )
     if np.any(cols & 1):
@@ -291,10 +294,7 @@ class BooleanFunction:
     def second_derivative(self, a, b):
         """D_a D_b f: four-term sum over the coset of span{a, b}."""
         idx = np.arange(self.field.size)
-        t = self.table
-        return BooleanFunction(
-            self.field, t ^ t[idx ^ a] ^ t[idx ^ b] ^ t[idx ^ a ^ b]
-        )
+        return BooleanFunction(self.field, _second_derivative(self.table, idx, a, b))
 
     # -- spectra ---------------------------------------------------------------
 
@@ -353,6 +353,11 @@ class BooleanFunction:
         if masks.size == 0:
             return 0
         return int(np.bitwise_count(masks.astype(np.uint64)).max())
+
+
+def _second_derivative(t, idx, a, b):
+    """D_a D_b of truth table t; idx = np.arange(len(t)), built once per caller."""
+    return t ^ t[idx ^ a] ^ t[idx ^ b] ^ t[idx ^ a ^ b]
 
 
 def _mobius(bits):

@@ -19,6 +19,9 @@ Each output line is the subfield value in hex, followed by "." and the
 extra bits in hex when t > 0.  Any character other than ASCII hex digits,
 "." and whitespace is a parse error at its line and column.
 
+Header values are ASCII decimal digits (hex for `field`); anything else
+is a parse error at that field's column.
+
 The field model is built from the header modulus, or a reader's `modulus`
 override: the shipped generator when the modulus matches the built-in
 table, otherwise the least primitive element for that modulus.  Writes
@@ -117,8 +120,12 @@ def parse_header(line, expected_tag, keys):
         key, _, raw = token.partition("=")
         if key not in keys:
             raise ParseError(f"unknown header field {key!r}", line=1, column=col)
+        hex_value = key == "field"
         try:
-            values[key] = int(raw, 16 if key == "field" else 10)
+            # int() alone would take signs, "_" and non-ASCII digits
+            if not re.fullmatch("[0-9a-fA-F]+" if hex_value else "[0-9]+", raw):
+                raise ValueError(raw)
+            values[key] = int(raw, 16 if hex_value else 10)
         except ValueError:
             raise ParseError(
                 f"bad value for header field {key!r}", line=1, column=col

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boolfun import BooleanFunction
+from .boolfun import BooleanFunction, _second_derivative
 from .errors import PreconditionError, VerificationError
 from .redpoly import DefiningSet
 
@@ -37,10 +37,8 @@ def satisfies_p(g: BooleanFunction, defining: DefiningSet) -> PropertyCheck:
     _same_field(g, defining)
     us = defining.elements
     idx = np.arange(g.field.size)
-    t = g.table
     for i, j in combinations(range(len(us)), 2):
-        a, b = us[i], us[j]
-        dd = t ^ t[idx ^ a] ^ t[idx ^ b] ^ t[idx ^ a ^ b]
+        dd = _second_derivative(g.table, idx, us[i], us[j])
         hit = np.nonzero(dd)[0]
         if hit.size:
             return PropertyCheck(False, (i + 1, j + 1), int(hit[0]))
@@ -60,11 +58,9 @@ def span_closure(g: BooleanFunction, defining: DefiningSet) -> bool:
         )
     span = defining.span()
     idx = np.arange(g.field.size)
-    t = g.table
     for a in span:
         for b in span:
-            dd = t ^ t[idx ^ a] ^ t[idx ^ b] ^ t[idx ^ a ^ b]
-            if dd.any():
+            if _second_derivative(g.table, idx, a, b).any():
                 return False
     return True
 
@@ -141,12 +137,10 @@ def find_defining_sets(
     for c in pool:
         field.check(c)
     idx = np.arange(field.size)
-    t = g.table
     edges = {c: set() for c in pool}
     for i, a in enumerate(pool):
         for b in pool[i + 1 :]:
-            dd = t ^ t[idx ^ a] ^ t[idx ^ b] ^ t[idx ^ a ^ b]
-            if not dd.any():
+            if not _second_derivative(g.table, idx, a, b).any():
                 edges[a].add(b)
                 edges[b].add(a)
     results = []

@@ -1,9 +1,10 @@
 """(n,m)-functions with values in a subfield, plus appended Boolean coordinates.
 
-A VectorialFunction stores one output per field element: a value in the
+A VectorialFunction has one output per field element: a value in the
 subfield F_{2^m} of GF(2^n) and, for augmented functions, t extra output
-bits.  Components are selected by pairs (lambda, v) with lambda in
-F_{2^m}, v an integer mask of the extra coordinates, (lambda, v) != (0,0):
+bits, stored together as one (m+t)-bit coordinate word.  Components are
+selected by pairs (lambda, v) with lambda in F_{2^m}, v an integer mask
+of the extra coordinates, (lambda, v) != (0,0):
 
     component(lambda, v)(x) = Tr^m_1(lambda F(x)) + <v, extra bits(x)>
 
@@ -48,7 +49,12 @@ class PlateauedCheck(NamedTuple):
 
 
 def max_bent_components_bound(n, m):
-    """Largest possible number of bent components of an (n,m)-function, m >= n/2."""
+    """Largest possible number of bent components of an (n,m)-function, m >= n/2.
+
+    2^m - 2^(m - n/2): Pott, Pasalic, Muratović-Ribić and Bajrić, "On the
+    maximum number of bent components of vectorial functions", IEEE Trans.
+    Inf. Theory 64(1), 2018.
+    """
     if n % 2:
         raise FieldError("bound needs even n")
     if m < n // 2:
@@ -57,9 +63,9 @@ def max_bent_components_bound(n, m):
 
 
 class VectorialFunction:
-    """Immutable (n, m [+t])-function as a dense output table."""
+    """Immutable (n, m [+t])-function; `word` is its only per-point table."""
 
-    __slots__ = ("field", "m", "values", "t", "extra", "_word", "_duals", "_profile")
+    __slots__ = ("field", "m", "t", "word", "_duals", "_profile")
 
     def __init__(self, field: FieldSpec, m, values, extra=None, t=0):
         if m < 1 or field.n % m != 0:
@@ -69,33 +75,44 @@ class VectorialFunction:
             raise FieldError(f"output table must have length {field.size}")
         if np.any((values < 0) | (values >= field.size)):
             raise FieldError(f"outputs must be elements of GF(2^{field.n})")
-        if not np.array_equal(field.pow_elems(values, 1 << m), values):
+        # coordinates by element; 2^m marks elements outside F_{2^m}
+        combos, _ = _basis_tables(field, m)
+        lookup = np.full(field.size, 1 << m, dtype=np.uint32)
+        lookup[combos] = np.arange(1 << m, dtype=np.uint32)
+        word = lookup[values]
+        if np.any(word >> m):
             raise FieldError(f"outputs must lie in the subfield F_(2^{m})")
         if t < 0:
             raise FieldError("appended coordinate count must be nonnegative")
         if m + t > 32:
             raise FieldError(f"at most 32 output bits, got m + t = {m + t}")
-        if extra is None:
-            extra = np.zeros(field.size, dtype=np.int64)
-        extra = np.asarray(extra, dtype=np.int64)
-        if extra.shape != (field.size,) or np.any(extra < 0) or np.any(extra >> t):
-            raise FieldError("extra bits out of range for t appended coordinates")
-        values = values.copy()
-        extra = extra.copy()
-        values.flags.writeable = False
-        extra.flags.writeable = False
+        if extra is not None:
+            extra = np.asarray(extra, dtype=np.int64)
+            if extra.shape != (field.size,) or np.any(extra < 0) or np.any(extra >> t):
+                raise FieldError("extra bits out of range for t appended coordinates")
+            np.bitwise_or(word, extra << m, out=word, casting="unsafe")
+        word.flags.writeable = False
         self.field = field
         self.m = m
-        self.values = values
         self.t = t
-        self.extra = extra
-        self._word = None
+        self.word = word
         self._duals = {}
         self._profile = None
 
     @property
     def n(self):
         return self.field.n
+
+    @property
+    def values(self):
+        """int64 subfield value F(x) per point, derived from the word."""
+        combos, _ = _basis_tables(self.field, self.m)
+        return combos[self.word & np.uint32((1 << self.m) - 1)]
+
+    @property
+    def extra(self):
+        """int64 extra bits per point, derived from the word."""
+        return (self.word >> np.uint32(self.m)).astype(np.int64)
 
     @property
     def out_bits(self):
@@ -109,14 +126,11 @@ class VectorialFunction:
             self.field == other.field
             and self.m == other.m
             and self.t == other.t
-            and np.array_equal(self.values, other.values)
-            and np.array_equal(self.extra, other.extra)
+            and np.array_equal(self.word, other.word)
         )
 
     def __hash__(self):
-        return hash(
-            (self.field, self.m, self.t, self.values.tobytes(), self.extra.tobytes())
-        )
+        return hash((self.field, self.m, self.t, self.word.tobytes()))
 
     def __repr__(self):
         return f"VectorialFunction(n={self.n}, m={self.m}, t={self.t})"
@@ -142,7 +156,7 @@ class VectorialFunction:
 
     def augment(self, fs):
         """Append Boolean coordinate functions: (F, f_1, ..., f_t')."""
-        extra = self.extra.copy()
+        extra = self.extra
         t = self.t
         for f in fs:
             if f.field != self.field:
@@ -162,24 +176,6 @@ class VectorialFunction:
                     continue
                 yield int(lam), v
 
-    def _coordinate_word(self):
-        """uint32 word coords(x) | extra(x) << m per point, built once.
-
-        coords(x) are the coordinates of F(x) in the least basis of
-        F_{2^m}, so every component is parity(word & selector mask).
-        """
-        if self._word is None:
-            combos, _ = _basis_tables(self.field, self.m)
-            lookup = np.full(self.field.size, -1, dtype=np.int64)
-            lookup[combos] = np.arange(1 << self.m)
-            coords = lookup[self.values]
-            if np.any(coords < 0):
-                raise FieldError("output outside the declared subfield")
-            word = (coords | self.extra << self.m).astype(np.uint32)
-            word.flags.writeable = False
-            self._word = word
-        return self._word
-
     def _selector_masks(self):
         """uint32 mask of every selector, in canonical order."""
         combos, masks = _basis_tables(self.field, self.m)
@@ -198,7 +194,7 @@ class VectorialFunction:
             raise FieldError("zero selector does not name a component")
         combos, masks = _basis_tables(self.field, self.m)
         mask = masks[np.flatnonzero(combos == lam)[0]] | np.uint32(v << self.m)
-        table = np.bitwise_count(self._coordinate_word() & mask) & 1
+        table = np.bitwise_count(self.word & mask) & 1
         return BooleanFunction(self.field, table)
 
     def components(self):
@@ -229,7 +225,7 @@ class VectorialFunction:
         """
         if self._profile is None:
             n = self.n
-            word = self._coordinate_word()
+            word = self.word
             perm = _walsh_permutation(self.field)
             sels = list(self.selectors())
             masks = self._selector_masks()
@@ -312,9 +308,8 @@ class VectorialFunction:
 
     def coordinate_functions(self):
         """Coordinates w.r.t. the least basis of F_{2^m}, then the extra bits."""
-        word = self._coordinate_word()
         return [
-            BooleanFunction(self.field, ((word >> j) & 1).astype(np.uint8))
+            BooleanFunction(self.field, ((self.word >> j) & 1).astype(np.uint8))
             for j in range(self.out_bits)
         ]
 

@@ -10,7 +10,7 @@ from bentvec import (
     VectorialFunction,
     classify,
 )
-from bentvec.boolfun import check_lemma_walsh_identity, fwht
+from bentvec.boolfun import WalshSpectrum, check_lemma_walsh_identity, fwht
 from bentvec.errors import FieldError, VerificationError
 
 from oracles import naive_anf, naive_degree, naive_walsh, pairing_matrix
@@ -308,4 +308,15 @@ def test_walsh_failures_name_point_and_value(monkeypatch):
     assert str(err.value) == (
         f"Walsh round-trip failed at x = 6: inverse gives {-sign}, "
         f"table sign is {sign}"
+    )
+
+
+def test_parseval_sum_does_not_wrap():
+    # 2^64 + 64 wraps to 64 = 2^6 in int64; the sum must still be refused
+    values = np.array([2**32, 8, 0, 0, 0, 0, 0, 0])
+    with pytest.raises(VerificationError) as err:
+        WalshSpectrum(FieldSpec.default(3), values)
+    assert str(err.value) == (
+        f"Parseval check failed: sum of W(a)^2 is {2**64 + 64}, expected 2^6; "
+        f"largest |W(a)| is W(0) = {2**32}"
     )

@@ -25,7 +25,7 @@ from bentvec import (
     vec_bent_lift,
     vec_plateaued_lift,
 )
-from bentvec.errors import PreconditionError
+from bentvec.errors import FieldError, PreconditionError, VerificationError
 
 F16 = FieldSpec.default(4)
 F64 = FieldSpec.default(6)
@@ -462,6 +462,44 @@ def test_niho_dual_closed_form_is_u_independent():
     first = _niho_dual_one(F64, r, k, s, solutions[0])
     second = _niho_dual_one(F64, r, k, s, solutions[1])
     assert first == second
+
+
+def test_niho_dual_rejects_argument_outside_subfield(monkeypatch):
+    from bentvec.constructions import _niho_dual_one
+
+    n, r = 6, 2
+    k = n // 2
+    s = pow((1 << r) - 1, -1, (1 << k) - 1)
+    u = next(x for x in range(F64.size) if F64.trace(x, k) == 1)
+    mul_elems = FieldSpec.mul_elems
+
+    def shifted(self, a, b):
+        # alpha = 2 lies outside F_(2^3), so z leaves the subfield
+        return mul_elems(self, a, b) ^ 2
+
+    monkeypatch.setattr(FieldSpec, "mul_elems", shifted)
+    with pytest.raises(VerificationError) as err:
+        _niho_dual_one(F64, r, k, s, u)
+    assert str(err.value) == "Niho dual argument left F_(2^k)"
+
+
+def test_niho_dual_keeps_basis_table_error(monkeypatch):
+    # only leaving the subfield is reported as a Niho dual failure
+    from bentvec.constructions import _niho_dual_one
+    from bentvec.vectorial import _basis_tables
+
+    n, r = 6, 2
+    k = n // 2
+    s = pow((1 << r) - 1, -1, (1 << k) - 1)
+    u = next(x for x in range(F64.size) if F64.trace(x, k) == 1)
+    monkeypatch.setattr(FieldSpec, "subfield_abs_trace", lambda self, x, m: 2)
+    _basis_tables.cache_clear()
+    try:
+        with pytest.raises(FieldError) as err:
+            _niho_dual_one(F64, r, k, s, u)
+    finally:
+        _basis_tables.cache_clear()
+    assert str(err.value) == "subfield trace left the prime field"
 
 
 def test_niho_family_parameter_errors():

@@ -67,6 +67,32 @@ def test_bf_parse_errors_carry_positions():
     assert info.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "header, column",
+    [
+        ("BF n=\u0664 field=13", 4),  # Arabic-Indic four
+        ("BF n=0_4 field=13", 4),
+        ("BF n=+4 field=13", 4),
+        ("BF n=4 field=\uff11\uff13", 8),  # fullwidth one three
+        ("BF n=4 field=1_3", 8),
+        ("BF n=4 field=0x13", 8),
+        ("BF n=4 field=+13", 8),
+        ("VF n=\u0664 m=2 t=0 field=13", 4),
+        ("VF n=4 m=+2 t=0 field=13", 8),
+        ("VF n=4 m=2 t=0_0 field=13", 12),
+        ("VF n=4 m=2 t=0 field=1_3", 16),
+        ("VF n=4 m=2 t=0 field=\uff11\uff13", 16),
+    ],
+)
+def test_header_values_take_ascii_digits_only(header, column):
+    body = "0000\n" if header.startswith("BF") else "0\n" * 16
+    read = bf_from_text if header.startswith("BF") else vf_from_text
+    with pytest.raises(ParseError) as info:
+        read(f"{header}\n{body}")
+    assert (info.value.line, info.value.column) == (1, column)
+    assert "bad value for header field" in str(info.value)
+
+
 def test_bf_rejects_nonzero_padding():
     # n=1: two table bits in one nibble, high bits must be zero
     spec = FieldSpec.default(1)

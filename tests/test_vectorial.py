@@ -391,3 +391,53 @@ def test_profile_failures_name_selector_point_and_value(monkeypatch):
         f"component {sels[4]}: Walsh round-trip failed at x = 7: inverse "
         f"gives {-sign}, table sign is {sign}"
     )
+
+
+@given(
+    n=st.integers(1, 8),
+    m_index=st.integers(0, 3),
+    t=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_word_gives_back_values_extra_and_file_text(n, m_index, t, seed):
+    from bentvec.fileio import vf_from_text, vf_to_text
+
+    field = FieldSpec.default(n)
+    divisors = [m for m in range(1, n + 1) if n % m == 0]
+    m = divisors[m_index % len(divisors)]
+    rng = np.random.default_rng(seed)
+    values = rng.choice(field.subfield(m), size=field.size)
+    extra = rng.integers(0, 1 << t, size=field.size)
+    F = VectorialFunction(field, m, values, extra, t)
+    assert F.word.dtype == np.uint32
+    assert np.array_equal(F.values, values)
+    assert np.array_equal(F.extra, extra)
+    back = vf_from_text(vf_to_text(F))
+    assert back == F
+    assert hash(back) == hash(F)
+
+
+def test_writing_derived_tables_leaves_the_function_unchanged():
+    G = kasami(F16).augment([trace_form(F16, 5)])
+    for table in (G.values, G.extra):
+        try:
+            table[:] ^= 1
+        except ValueError:
+            pass  # read-only is as good as a copy
+    assert G == kasami(F16).augment([trace_form(F16, 5)])
+    with pytest.raises(ValueError):
+        G.word[0] = 0
+
+
+def test_out_of_range_outputs_keep_their_messages():
+    values = np.zeros(16, dtype=np.int64)
+    values[3] = 2  # alpha is not in GF(4) = {0, 1, 6, 7}
+    with pytest.raises(FieldError) as err:
+        VectorialFunction(F16, 2, values)
+    assert str(err.value) == "outputs must lie in the subfield F_(2^2)"
+    extra = np.zeros(16, dtype=np.int64)
+    extra[5] = 2  # bit 1 needs t >= 2
+    with pytest.raises(FieldError) as err:
+        VectorialFunction(F16, 2, np.zeros(16), extra, 1)
+    assert str(err.value) == "extra bits out of range for t appended coordinates"
