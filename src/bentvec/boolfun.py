@@ -141,7 +141,7 @@ def classify(values, n):
     elif lo == 0 and np.all((absv == 0) | (absv == hi)):
         abs_set = (0, hi)
     else:
-        abs_set = tuple(int(v) for v in np.unique(absv))
+        abs_set = tuple(int(v) for v in _distinct(absv))
     if n % 2 == 0 and abs_set == ((1 << (n // 2)),):
         return Classification("bent", 1 << (n // 2), abs_set)
     nonzero = [v for v in abs_set if v]
@@ -184,7 +184,7 @@ class WalshSpectrum:
 class BooleanFunction:
     """Immutable n-variable Boolean function bound to a field model."""
 
-    __slots__ = ("field", "table", "_walsh")
+    __slots__ = ("field", "table", "_walsh", "__weakref__")
 
     def __init__(self, field: FieldSpec, table):
         table = np.asarray(table, dtype=np.uint8)
@@ -355,9 +355,25 @@ class BooleanFunction:
         return int(np.bitwise_count(masks.astype(np.uint64)).max())
 
 
+def _distinct(a):
+    """Sorted distinct entries of a 1-D array.
+
+    np.unique's plain form imports numpy.ma on first use, which costs more
+    than a whole small job; a sort and a neighbour comparison do not.
+    """
+    a = np.sort(a)
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _second_derivative(t, idx, a, b):
-    """D_a D_b of truth table t; idx = np.arange(len(t)), built once per caller."""
-    return t ^ t[idx ^ a] ^ t[idx ^ b] ^ t[idx ^ a ^ b]
+    """D_a D_b of truth table t along axis 0; idx = np.arange(len(t)), built
+    once per caller.  Bitwise, so a matrix of bit-planes gives every
+    plane's second derivative at once."""
+    # take() gathers whole rows faster than fancy indexing does
+    return t ^ t.take(idx ^ a, 0) ^ t.take(idx ^ b, 0) ^ t.take(idx ^ a ^ b, 0)
 
 
 def _mobius(bits):

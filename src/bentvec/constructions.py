@@ -19,7 +19,7 @@ import numpy as np
 from .boolfun import BooleanFunction, Classification, bent_or_raise, sigma_of
 from .errors import FieldError, PreconditionError, VerificationError
 from .gf2n import prime_factors, f2_is_independent
-from .propp import satisfies_p
+from .propp import _same_field, satisfies_p, satisfies_p_planes
 from .redpoly import DefiningSet
 from .vectorial import (
     BentnessCheck,
@@ -211,26 +211,28 @@ def _trace_one_lambdas(field, m):
     )
 
 
-def _require_p_tau_for(G, defining, lambdas):
-    for lam in lambdas:
-        check = satisfies_p(G.dual(lam), defining)
+def _require_p_tau_for(G, defining, lambdas, others=()):
+    """Gate (P_tau) on the `lambdas` duals and return the checks of the
+    `others` duals.  All of them are tested in one packed pass."""
+    _same_field(G, defining)
+    lams = (*lambdas, *others)
+    checks = satisfies_p_planes(G.dual_planes(lams), defining, len(lams))
+    for lam, check in zip(lambdas, checks):
         if not check.holds:
             raise PreconditionError(
                 f"dual of component {lam:#x} violates (P_tau) on pair "
                 f"{check.pair} at x={check.witness}"
             )
+    return checks[len(lambdas) :]
 
 
 def _p_tau_all_lambdas(G, defining, lambdas):
     """Gate (P_tau) on the `lambdas` duals, then report whether every
     nonzero component dual of the vectorial bent G satisfies it.  Each
     dual is checked once."""
-    _require_p_tau_for(G, defining, lambdas)
-    return all(
-        satisfies_p(G.dual(lam), defining).holds
-        for lam, _ in G.selectors()
-        if lam not in lambdas
-    )
+    others = [lam for lam, _ in G.selectors() if lam not in lambdas]
+    checks = _require_p_tau_for(G, defining, lambdas, others)
+    return all(check.holds for check in checks)
 
 
 def vec_bent_lift(G, defining, poly):

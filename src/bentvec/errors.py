@@ -10,7 +10,16 @@ class BentvecError(Exception):
 
 
 class FieldError(BentvecError):
-    """Invalid field parameters or element outside its domain."""
+    """Invalid field parameters or element outside its domain.
+
+    A bad table entry is named by `point`, its least index, and `extra`
+    tells whether its appended bits, not its value, are at fault.
+    """
+
+    def __init__(self, message, point=None, extra=False):
+        super().__init__(message)
+        self.point = point
+        self.extra = extra
 
 
 class PreconditionError(BentvecError):

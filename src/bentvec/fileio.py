@@ -38,7 +38,7 @@ import numpy as np
 
 from .boolfun import BooleanFunction
 from .errors import FieldError, ParseError
-from .gf2n import PRIMITIVE_POLYNOMIALS, FieldSpec
+from .gf2n import PRIMITIVE_POLYNOMIALS, FieldSpec, _check_degree
 from .vectorial import VectorialFunction
 
 
@@ -111,7 +111,7 @@ def parse_header(line, expected_tag, keys):
     tokens = line.split()
     if not tokens or tokens[0] != expected_tag:
         raise ParseError(f"expected header tag {expected_tag!r}", line=1, column=1)
-    values = {}
+    values, columns = {}, {}
     col = len(expected_tag) + 1
     for token in tokens[1:]:
         col = line.index(token, col - 1) + 1
@@ -126,6 +126,7 @@ def parse_header(line, expected_tag, keys):
             if not re.fullmatch("[0-9a-fA-F]+" if hex_value else "[0-9]+", raw):
                 raise ValueError(raw)
             values[key] = int(raw, 16 if hex_value else 10)
+            columns[key] = col
         except ValueError:
             raise ParseError(
                 f"bad value for header field {key!r}", line=1, column=col
@@ -134,18 +135,33 @@ def parse_header(line, expected_tag, keys):
     missing = [k for k in keys if k not in values]
     if missing:
         raise ParseError(f"missing header fields {missing}", line=1, column=1)
-    return values
+    return values, columns
+
+
+def _header_field(header, columns, modulus):
+    """The field model of a parsed header, or of a reader's modulus override.
+
+    A header modulus of the wrong degree is a parse error at its column.
+    """
+    n = header["n"]
+    if not 1 <= n <= 24:
+        raise ParseError(f"n={n} out of range", line=1, column=1)
+    if modulus is None:
+        modulus = header["field"]
+        try:
+            _check_degree(n, modulus)
+        except FieldError as exc:
+            raise ParseError(str(exc), line=1, column=columns["field"]) from None
+    return field_from_modulus(n, modulus)
 
 
 def bf_from_text(text, modulus=None):
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty file", line=1, column=1)
-    header = parse_header(lines[0], "BF", ("n", "field"))
+    header, columns = parse_header(lines[0], "BF", ("n", "field"))
     n = header["n"]
-    if not 1 <= n <= 24:
-        raise ParseError(f"n={n} out of range", line=1, column=1)
-    spec = field_from_modulus(n, header["field"] if modulus is None else modulus)
+    spec = _header_field(header, columns, modulus)
     if len(lines) < 2:
         raise ParseError("missing truth-table payload", line=2, column=1)
     payload = lines[1].strip()
@@ -188,11 +204,9 @@ def vf_from_text(text, modulus=None):
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty file", line=1, column=1)
-    header = parse_header(lines[0], "VF", ("n", "m", "t", "field"))
+    header, columns = parse_header(lines[0], "VF", ("n", "m", "t", "field"))
     n, m, t = header["n"], header["m"], header["t"]
-    if not 1 <= n <= 24:
-        raise ParseError(f"n={n} out of range", line=1, column=1)
-    spec = field_from_modulus(n, header["field"] if modulus is None else modulus)
+    spec = _header_field(header, columns, modulus)
     bad = _VF_BAD_CHAR.search(text, len(lines[0]))
     if bad:
         # every line break is whitespace, so the bad character ends the
@@ -238,7 +252,19 @@ def vf_from_text(text, modulus=None):
     try:
         return VectorialFunction(spec, m, values, extra, t)
     except FieldError as exc:
-        raise ParseError(f"inconsistent table: {exc}", line=2, column=1) from None
+        line, column = 2, 1
+        if exc.point is not None:
+            # the bad row's line, then its value or its extra bits
+            rows = [i for i, entry in enumerate(body, start=2) if entry.strip()]
+            line = rows[exc.point]
+            entry = lines[line - 1]
+            if exc.extra:
+                column = entry.index(".") + 2
+            else:
+                column = len(entry) - len(entry.lstrip()) + 1
+        raise ParseError(
+            f"inconsistent table: {exc}", line=line, column=column
+        ) from None
 
 
 def read_vf(path, modulus=None):

@@ -35,14 +35,35 @@ class ShiftCheck(NamedTuple):
 def satisfies_p(g: BooleanFunction, defining: DefiningSet) -> PropertyCheck:
     """Check D_{u_i} D_{u_j} g = 0 for all pairs of the defining set."""
     _same_field(g, defining)
+    return satisfies_p_planes(g.table[:, None], defining, 1)[0]
+
+
+def satisfies_p_planes(planes, defining: DefiningSet, count):
+    """satisfies_p for `count` functions at once, one PropertyCheck each.
+
+    `planes` is a (2^n, w) uint8 bit-plane matrix: function c is bit c % 8
+    of column c // 8.  One second derivative per pair tests every plane.
+    Each function's witness is its first failing pair in `combinations`
+    order, then the least x, as if it were checked alone.
+    """
     us = defining.elements
-    idx = np.arange(g.field.size)
+    idx = np.arange(planes.shape[0])
+    checks = [PropertyCheck(True, None, None)] * count
+    pending = np.ones(count, dtype=bool)
     for i, j in combinations(range(len(us)), 2):
-        dd = _second_derivative(g.table, idx, us[i], us[j])
-        hit = np.nonzero(dd)[0]
-        if hit.size:
-            return PropertyCheck(False, (i + 1, j + 1), int(hit[0]))
-    return PropertyCheck(True, None, None)
+        dd = _second_derivative(planes, idx, us[i], us[j])
+        if not dd.any():
+            continue
+        hit = np.bitwise_or.reduce(dd, axis=0)
+        new = np.unpackbits(hit, count=count, bitorder="little").astype(bool)
+        new &= pending
+        for c in np.flatnonzero(new):
+            x = np.flatnonzero((dd[:, c >> 3] >> (c & 7)) & 1)[0]
+            checks[c] = PropertyCheck(False, (i + 1, j + 1), int(x))
+        pending &= ~new
+        if not pending.any():
+            break
+    return checks
 
 
 def span_closure(g: BooleanFunction, defining: DefiningSet) -> bool:

@@ -14,6 +14,7 @@ witnesses and reports are deterministic.
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from .boolfun import (
     BooleanFunction,
+    _distinct,
     _mobius,
     check_parseval_parity,
     check_round_trip,
@@ -63,9 +65,15 @@ def max_bent_components_bound(n, m):
 
 
 class VectorialFunction:
-    """Immutable (n, m [+t])-function; `word` is its only per-point table."""
+    """Immutable (n, m [+t])-function; `word` is its only per-point table.
 
-    __slots__ = ("field", "m", "t", "word", "_duals", "_profile")
+    A function made by add_boolean or augment keeps its parent until its
+    profile is computed, so that profile() can copy the parent's rows.
+    """
+
+    __slots__ = (
+        "field", "m", "t", "word", "_parent", "_profile", "_dual_bits", "_duals"
+    )
 
     def __init__(self, field: FieldSpec, m, values, extra=None, t=0):
         if m < 1 or field.n % m != 0:
@@ -73,31 +81,48 @@ class VectorialFunction:
         values = np.asarray(values, dtype=np.int64)
         if values.shape != (field.size,):
             raise FieldError(f"output table must have length {field.size}")
-        if np.any((values < 0) | (values >= field.size)):
-            raise FieldError(f"outputs must be elements of GF(2^{field.n})")
+        # read as unsigned, a negative value is at least 2^63
+        if np.any(values.view(np.uint64) >= field.size):
+            raise FieldError(
+                f"outputs must be elements of GF(2^{field.n})",
+                point=_first(values.view(np.uint64) >= field.size),
+            )
         # coordinates by element; 2^m marks elements outside F_{2^m}
         combos, _ = _basis_tables(field, m)
         lookup = np.full(field.size, 1 << m, dtype=np.uint32)
         lookup[combos] = np.arange(1 << m, dtype=np.uint32)
         word = lookup[values]
         if np.any(word >> m):
-            raise FieldError(f"outputs must lie in the subfield F_(2^{m})")
+            raise FieldError(
+                f"outputs must lie in the subfield F_(2^{m})", point=_first(word >> m)
+            )
         if t < 0:
             raise FieldError("appended coordinate count must be nonnegative")
         if m + t > 32:
             raise FieldError(f"at most 32 output bits, got m + t = {m + t}")
         if extra is not None:
             extra = np.asarray(extra, dtype=np.int64)
-            if extra.shape != (field.size,) or np.any(extra < 0) or np.any(extra >> t):
-                raise FieldError("extra bits out of range for t appended coordinates")
-            np.bitwise_or(word, extra << m, out=word, casting="unsafe")
+            message = "extra bits out of range for t appended coordinates"
+            if extra.shape != (field.size,):
+                raise FieldError(message)
+            # read as unsigned, a negative entry is at least 2^63
+            if np.any(extra.view(np.uint64) >= 1 << t):
+                raise FieldError(
+                    message, point=_first(extra.view(np.uint64) >= 1 << t), extra=True
+                )
+            # in place and in uint32, so no int64 temporary holds the shift
+            high = extra.astype(np.uint32)
+            high <<= np.uint32(m)
+            word |= high
         word.flags.writeable = False
         self.field = field
         self.m = m
         self.t = t
         self.word = word
-        self._duals = {}
+        self._parent = None
         self._profile = None
+        self._dual_bits = None  # lambda -> packed dual, filled by profile()
+        self._duals = weakref.WeakValueDictionary()
 
     @property
     def n(self):
@@ -150,9 +175,11 @@ class VectorialFunction:
         """H(x) = F(x) + g(x), the bit embedded as the subfield element 1."""
         if g.field != self.field:
             raise FieldError("operands live in different fields")
-        return VectorialFunction(
+        H = VectorialFunction(
             self.field, self.m, self.values ^ g.table, self.extra, self.t
         )
+        H._parent = self
+        return H
 
     def augment(self, fs):
         """Append Boolean coordinate functions: (F, f_1, ..., f_t')."""
@@ -163,7 +190,9 @@ class VectorialFunction:
                 raise FieldError("appended coordinate lives in a different field")
             extra |= f.table.astype(np.int64) << t
             t += 1
-        return VectorialFunction(self.field, self.m, self.values, extra, t)
+        H = VectorialFunction(self.field, self.m, self.values, extra, t)
+        H._parent = self
+        return H
 
     # -- components ---------------------------------------------------------------
 
@@ -202,65 +231,142 @@ class VectorialFunction:
             yield (lam, v), self.component(lam, v)
 
     def dual(self, lam):
-        """Dual of the bent component (lambda, 0), computed once per lambda.
+        """Dual of the bent component (lambda, 0), unpacked from profile().
 
-        Raises NotBentError, as BooleanFunction.dual does, when that
-        component is not bent.
+        One object per lambda while a caller holds it.  Raises
+        NotBentError, as BooleanFunction.dual does, when that component is
+        not bent.
         """
         lam = int(lam)
-        if lam not in self._duals:
-            self._duals[lam] = self.component(lam).dual()
-        return self._duals[lam]
+        dual = self._duals.get(lam)
+        if dual is None:
+            bits = np.unpackbits(self._packed_dual(lam), count=self.field.size)
+            dual = self._duals[lam] = BooleanFunction(self.field, bits)
+        return dual
+
+    def dual_planes(self, lams):
+        """(2^n, ceil(k/8)) uint8 bit-planes of the k duals of `lams`.
+
+        The dual of lams[c] is bit c % 8 of column c // 8, the layout
+        propp.satisfies_p_planes reads.
+        """
+        size = self.field.size
+        planes = np.empty((size, -(-len(lams) // 8)), dtype=np.uint8)
+        for c in range(0, len(lams), 8):
+            column = np.zeros(size, dtype=np.uint8)
+            for bit, lam in enumerate(lams[c : c + 8]):
+                column |= np.unpackbits(self._packed_dual(lam), count=size) << bit
+            planes[:, c // 8] = column
+        return planes
+
+    def _packed_dual(self, lam):
+        """np.packbits of the dual of (lambda, 0), as profile() kept it."""
+        self.profile()
+        bits = self._dual_bits.get(int(lam))
+        if bits is None:
+            # not a bent (lambda, 0) component, or not a selector: the lone
+            # function's path raises the same error
+            bits = np.packbits(self.component(lam).dual().table)
+        return bits
 
     def profile(self):
         """Cached ((lambda, v), Classification, degree) per selector, in order.
 
-        All components come from the coordinate word: each block of
-        selector masks becomes an int32 sign matrix with one column per
-        component, transformed at once along axis 0 and checked column by
-        column (Parseval, parity, round trip).  Degrees use the linearity
-        of the ANF: one Möbius transform of the word packs the coordinate
-        ANFs, and a component's ANF is parity(anf_word & mask).  No truth
-        table or spectrum is kept.
+        A row is copied, with its packed dual, from the parent recorded by
+        add_boolean or augment when the parent's profile is computed and an
+        exact test shows the two component tables are equal.  Every other
+        component comes from the coordinate word: each block of selector
+        masks becomes an int32 sign matrix with one column per component,
+        transformed at once along axis 0 and checked column by column
+        (Parseval, parity, round trip).  The dual of each bent (lambda, 0)
+        column is kept packed, one bit per point.  Degrees use the
+        linearity of the ANF: one Möbius transform of the word packs the
+        coordinate ANFs, and a component's ANF is parity(anf_word & mask).
+        No truth table or spectrum is kept.
         """
         if self._profile is None:
-            n = self.n
-            word = self.word
-            perm = _walsh_permutation(self.field)
             sels = list(self.selectors())
             masks = self._selector_masks()
-            # distinct (monomial degree, packed ANF coefficients) pairs
-            anf = _mobius(word)
-            monomials = np.flatnonzero(anf)
-            keys = np.unique(
-                np.bitwise_count(monomials).astype(np.uint64) << np.uint64(32)
-                | anf[monomials]
-            )
-            mono_deg = (keys >> np.uint64(32)).astype(np.int64)
-            mono_word = keys.astype(np.uint32)
-            cols = max(1, BLOCK_POINTS >> n)
-            rows = []
-            for start in range(0, len(sels), cols):
-                names = sels[start : start + cols]
-                block = masks[start : start + cols]
-                # (-1)^component, built in place in one buffer
-                signs = word[:, None] & block[None, :]
-                np.bitwise_count(signs, out=signs)
-                signs &= 1
-                signs = signs.view(np.int32)
-                signs *= -2
-                signs += 1
-                values = fwht(signs)[perm]
-                check_parseval_parity(values, n, names)
-                check_round_trip(values, signs, perm, names)
-                odd = np.bitwise_count(mono_word[:, None] & block[None, :]) & 1
-                degrees = np.max(odd * mono_deg[:, None], axis=0, initial=0)
-                rows.extend(
-                    (sel, classify(values[:, j], n), int(degrees[j]))
-                    for j, sel in enumerate(names)
-                )
+            rows, duals = self._inherited_rows(sels, masks)
+            todo = [i for i, row in enumerate(rows) if row is None]
+            if todo:
+                self._transform_rows(sels, masks, todo, rows, duals)
             self._profile = tuple(rows)
+            self._dual_bits = duals
+            self._parent = None
         return self._profile
+
+    def _inherited_rows(self, sels, masks):
+        """The parent's row and packed dual wherever (lambda, v) has equal tables.
+
+        Both functions share the selector masks of the parent's t, and
+        their components (lambda, v) agree exactly when
+        parity((word ^ parent word) & mask) is 0 at every x.  That parity
+        depends on x only through the difference, so it is tested on the
+        difference's distinct values.
+        """
+        rows = [None] * len(sels)
+        duals = {}
+        parent = self._parent
+        if parent is None or parent._profile is None:
+            return rows, duals
+        # flat selector index (lambda rank << t | v) - 1, child and parent
+        flat = np.arange(1, len(sels) + 1)
+        vs = flat & ((1 << self.t) - 1)
+        shared = np.flatnonzero(vs < (1 << parent.t))
+        parent_index = ((flat[shared] >> self.t) << parent.t | vs[shared]) - 1
+        low = np.uint32((1 << (self.m + parent.t)) - 1)
+        diff = _distinct((self.word ^ parent.word) & low)
+        odd = np.bitwise_count(diff[:, None] & masks[shared][None, :]) & 1
+        equal = ~odd.any(axis=0)
+        for i, p in zip(shared[equal].tolist(), parent_index[equal].tolist()):
+            rows[i] = parent._profile[p]
+            (lam, v), _, _ = rows[i]
+            if v == 0 and lam in parent._dual_bits:
+                duals[lam] = parent._dual_bits[lam]
+        return rows, duals
+
+    def _transform_rows(self, sels, masks, todo, rows, duals):
+        """Fill rows[i] for i in `todo` from blocked, checked transforms."""
+        n = self.n
+        word = self.word
+        perm = _walsh_permutation(self.field)
+        # distinct (monomial degree, packed ANF coefficients) pairs
+        anf = _mobius(word)
+        monomials = np.flatnonzero(anf)
+        keys = _distinct(
+            np.bitwise_count(monomials).astype(np.uint64) << np.uint64(32)
+            | anf[monomials]
+        )
+        mono_deg = (keys >> np.uint64(32)).astype(np.int64)
+        mono_word = keys.astype(np.uint32)
+        cols = max(1, BLOCK_POINTS >> n)
+        # one buffer holds the packed duals: many small arrays fragmented
+        # the heap enough to raise verify's peak RSS
+        slot = {i: r for r, i in enumerate(i for i in todo if sels[i][1] == 0)}
+        store = np.empty((len(slot), -(-self.field.size // 8)), dtype=np.uint8)
+        for start in range(0, len(todo), cols):
+            index = todo[start : start + cols]
+            names = [sels[i] for i in index]
+            block = masks[index]
+            # (-1)^component, built in place in one buffer
+            signs = word[:, None] & block[None, :]
+            np.bitwise_count(signs, out=signs)
+            signs &= 1
+            signs = signs.view(np.int32)
+            signs *= -2
+            signs += 1
+            values = fwht(signs)[perm]
+            check_parseval_parity(values, n, names)
+            check_round_trip(values, signs, perm, names)
+            odd = np.bitwise_count(mono_word[:, None] & block[None, :]) & 1
+            degrees = np.max(odd * mono_deg[:, None], axis=0, initial=0)
+            for j, (i, sel) in enumerate(zip(index, names)):
+                cls = classify(values[:, j], n)
+                rows[i] = (sel, cls, int(degrees[j]))
+                if sel[1] == 0 and cls.kind == "bent":
+                    store[slot[i]] = np.packbits(values[:, j] < 0)
+                    duals[sel[0]] = store[slot[i]]
 
     # -- predicates ----------------------------------------------------------------
 
@@ -322,6 +428,11 @@ class VectorialFunction:
                 f"component degree {comp_deg} != coordinate degree {coord_deg}"
             )
         return comp_deg
+
+
+def _first(marks):
+    """Least index of a nonzero entry."""
+    return int(np.flatnonzero(marks)[0])
 
 
 @lru_cache(maxsize=None)

@@ -99,3 +99,20 @@ def oracle_subfield_trace(y, modulus, n, m):
         t ^= x
         x = poly_mul_mod(x, x, modulus, n)
     return t
+
+
+def naive_p_tau(table, elements):
+    """(holds, pair, x) of property (P_tau) by its definition, pair by pair.
+
+    The first pair i < j (1-based, lexicographic) whose second derivative
+    g(x) + g(x+u_i) + g(x+u_j) + g(x+u_i+u_j) is 1 somewhere, with the
+    least such x.
+    """
+    g = [int(b) for b in table]
+    for i in range(len(elements)):
+        for j in range(i + 1, len(elements)):
+            a, b = elements[i], elements[j]
+            for x in range(len(g)):
+                if g[x] ^ g[x ^ a] ^ g[x ^ b] ^ g[x ^ a ^ b]:
+                    return False, (i + 1, j + 1), x
+    return True, None, None

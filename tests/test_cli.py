@@ -1,8 +1,13 @@
 """CLI surface: exit codes, file outputs, determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
+
+import bentvec
 
 from bentvec import BooleanFunction, FieldSpec, VectorialFunction
 from bentvec.cli import main
@@ -324,3 +329,38 @@ def test_field_modulus_override(tmp_path, capsys):
     capsys.readouterr()
     assert run(["verify", str(out)]) == 0
     assert "vectorial bent (4,2)" in capsys.readouterr().out
+
+
+# runs one CLI command, then reports whether numpy.ma was imported
+RUN_AND_REPORT_NUMPY_MA = """\
+import sys
+from bentvec.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write(f"numpy.ma imported: {'numpy.ma' in sys.modules}\\n")
+sys.exit(code)
+"""
+
+
+def test_construct_and_verify_do_not_import_numpy_ma(tmp_path):
+    # np.unique's plain form imports numpy.ma, a cost larger than a small job
+    rng = np.random.default_rng(3)
+    F64 = FieldSpec.default(6)
+    values = np.asarray(F64.subfield(3))[rng.integers(0, 8, 64)]
+    write_vf(tmp_path / "mixed.vf", VectorialFunction(F64, 3, values))
+    src = os.path.dirname(os.path.dirname(bentvec.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    commands = [
+        ["construct", "--family", "kasami", "--n", "8", "--tau", "3", "--poly",
+         "X1*X2*X3", "--t", "1", "--auto-u", "--out", "H.vf"],
+        ["verify", "H.vf"],
+        ["verify", "mixed.vf"],
+    ]
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_AND_REPORT_NUMPY_MA, *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.endswith("numpy.ma imported: False\n"), (argv, proc.stderr)
+    assert "Mixed{" in proc.stdout

@@ -26,6 +26,7 @@ from bentvec import (
     vec_plateaued_lift,
 )
 from bentvec.errors import FieldError, PreconditionError, VerificationError
+from bentvec.propp import satisfies_p_planes
 
 F16 = FieldSpec.default(4)
 F64 = FieldSpec.default(6)
@@ -340,17 +341,18 @@ def test_vec_plateaued_lift_one_p_tau_pass(monkeypatch):
     with pytest.raises(PreconditionError) as lift:
         vec_plateaued_lift(G, bad, polys)
     assert str(lift.value) == str(gate.value)
-    # one dual check per nonzero selector, gate included
+    # one dual check per nonzero selector, gate included: one packed pass
+    # with one column per dual
     calls = []
 
-    def counting(g, defining):
-        calls.append(defining)
-        return satisfies_p(g, defining)
+    def counting(planes, defining, count):
+        calls.append(count)
+        return satisfies_p_planes(planes, defining, count)
 
-    monkeypatch.setattr(constructions, "satisfies_p", counting)
+    monkeypatch.setattr(constructions, "satisfies_p_planes", counting)
     ds = DefiningSet(F16, tuple(kasami_auto_u(F16)))
     assert vec_plateaued_lift(G, ds, polys).p_tau_all
-    assert len(calls) == 3
+    assert calls == [3]
 
 
 def test_vec_plateaued_lift_quadratic_tail():
@@ -559,7 +561,8 @@ def test_family_with_tail_reports_counts():
 
 def test_family_computes_each_dual_of_g_once(monkeypatch):
     # the dual check, both (P_tau) gates and gold's self-dual check all
-    # read G.dual(lambda): one spectrum dual per nonzero lambda
+    # read the duals G.profile() packed from its one spectrum per nonzero
+    # lambda: no lone function's dual is computed
     duals = []
     dual = BooleanFunction.dual
 
@@ -573,12 +576,11 @@ def test_family_computes_each_dual_of_g_once(monkeypatch):
         F64, kasami_auto_u(F64), ReducedPolynomial.make(2, [(1, 2)]), tail_polys=tail
     )
     assert result.report.ok and result.report.p_tau_all_lambdas is not None
-    assert len(duals) == 7
-    duals.clear()
+    assert duals == []
     F256 = FieldSpec.default(8)
     result = gold_family(F256, gold_auto_u(F256), ReducedPolynomial.make(2, [(1, 2)]))
     assert result.report.ok and result.report.self_dual_ok
-    assert len(duals) == 3
+    assert duals == []
 
 
 def test_report_json_encodes_ints_as_strings():

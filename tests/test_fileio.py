@@ -311,3 +311,49 @@ def test_fuzzed_text_raises_only_bentvec_errors(base, edits, vf):
         (vf_from_text if vf else bf_from_text)(text)
     except BentvecError:
         pass
+
+
+@pytest.mark.parametrize(
+    "row, entry, column, message",
+    [
+        # 2 is not in the subfield F_4 of GF(16); 16 is not in GF(16)
+        (9, "2.0", 1, "outputs must lie in the subfield F_(2^2)"),
+        (3, "  10.1", 3, "outputs must be elements of GF(2^4)"),
+        (12, "1.2", 3, "extra bits out of range for t appended coordinates"),
+        (0, " 0.3", 4, "extra bits out of range for t appended coordinates"),
+    ],
+)
+def test_vf_inconsistent_entry_is_reported_at_its_line(row, entry, column, message):
+    body = ["0.0"] * 16
+    body[row] = entry
+    # a blank line before the entries shifts every row down one line
+    text = "VF n=4 m=2 t=1 field=13\n\n" + "\n".join(body) + "\n"
+    with pytest.raises(ParseError) as info:
+        vf_from_text(text)
+    assert (info.value.line, info.value.column) == (row + 3, column)
+    assert str(info.value).startswith(f"inconsistent table: {message} at line")
+
+
+def test_vf_inconsistent_value_line_without_extra_bits():
+    body = ["0"] * 16
+    body[9] = "2"
+    with pytest.raises(ParseError) as info:
+        vf_from_text("VF n=4 m=2 t=0 field=13\n" + "\n".join(body) + "\n")
+    assert (info.value.line, info.value.column) == (11, 1)
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("BF n=4 field=111\n0000\n", 8),
+        ("VF n=4 m=2 t=0 field=111\n" + "0\n" * 16, 16),
+        ("VF field=7 n=4 m=2 t=0\n" + "0\n" * 16, 4),
+    ],
+)
+def test_header_modulus_of_wrong_degree_is_a_parse_error(text, column):
+    read = bf_from_text if text.startswith("BF") else vf_from_text
+    with pytest.raises(ParseError) as info:
+        read(text)
+    assert (info.value.line, info.value.column) == (1, column)
+    modulus = text.split("field=")[1].split()[0]
+    assert str(info.value).startswith(f"modulus 0x{modulus} does not have degree 4")
