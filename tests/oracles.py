@@ -3,7 +3,8 @@
 Everything here recomputes results from definitions, sharing no code path
 with the library: multiplication is schoolbook polynomial arithmetic with
 top-down long division, the Walsh transform is the literal double sum,
-and the ANF is the subset-sum Möbius formula.
+the Hadamard matrix is Sylvester's doubling, and the ANF is the subset-sum
+Möbius formula.
 """
 
 import numpy as np
@@ -70,17 +71,27 @@ def naive_walsh_batch(tables, pairing):
     return (size - 2 * mism).astype(np.int64)
 
 
+def sylvester_hadamard(n):
+    """H_0 = [1], H_(k+1) = [[H_k, H_k], [H_k, -H_k]]: the 2^n Hadamard matrix."""
+    h = np.ones((1, 1), dtype=np.int64)
+    for _ in range(n):
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+def naive_subset_xor(words):
+    """a[I] = xor of words[x] over x <= I, along axis 0, for any trailing shape."""
+    words = np.asarray(words)
+    xs = np.arange(words.shape[0])
+    out = np.empty_like(words)
+    for mask in range(words.shape[0]):
+        out[mask] = np.bitwise_xor.reduce(words[(xs & ~mask) == 0], axis=0)
+    return out
+
+
 def naive_anf(table, n):
     """ANF coefficients by the subset-sum formula a_I = xor of f over x <= I."""
-    size = 1 << n
-    coeffs = np.zeros(size, dtype=np.uint8)
-    for mask in range(size):
-        acc = 0
-        for x in range(size):
-            if x & ~mask == 0:
-                acc ^= int(table[x])
-        coeffs[mask] = acc
-    return coeffs
+    return naive_subset_xor(np.asarray(table, dtype=np.uint8)[: 1 << n])
 
 
 def naive_degree(table, n):

@@ -300,7 +300,8 @@ def test_walsh_failures_name_point_and_value(monkeypatch):
     assert str(err.value) == f"spectrum parity check failed: W({a}) = {value} is odd"
 
     def negate(out):
-        out[6] = -out[6]
+        # the inverse reads Hadamard row perm[x] for table point x
+        out[perm[6]] = -out[perm[6]]
 
     sign = 1 - 2 * int(f.table[6])
     with pytest.raises(VerificationError) as err:

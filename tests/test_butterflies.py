@@ -1,0 +1,141 @@
+"""The two butterflies (fwht, _mobius) and the field-paired inverse."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bentvec import BooleanFunction, FieldSpec
+from bentvec.boolfun import PASS_BUFSIZE, _mobius, check_round_trip, fwht
+from bentvec.errors import VerificationError
+
+from oracles import naive_subset_xor, sylvester_hadamard
+
+TRAILING = st.one_of(
+    st.just(()), st.integers(1, 5).map(lambda k: (k,)), st.just((2, 3))
+)
+
+
+@given(
+    n=st.integers(0, 9),
+    trailing=TRAILING,
+    dtype=st.sampled_from([np.int32, np.int64, np.int8, np.int16, np.uint8, np.bool_]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_fwht_is_the_sylvester_hadamard_product(n, trailing, dtype, seed):
+    rng = np.random.default_rng(seed)
+    shape = (1 << n, *trailing)
+    if dtype == np.bool_:
+        signs = rng.integers(0, 2, shape).astype(bool)
+    else:
+        info = np.iinfo(dtype)
+        # int32 stays int32, so keep every partial sum inside its range
+        bound = min(info.max, 1 << (30 - n))
+        signs = rng.integers(max(info.min, -bound), bound, shape, endpoint=True)
+        signs = signs.astype(dtype)
+    before = signs.copy()
+    got = fwht(signs)
+    want = np.tensordot(sylvester_hadamard(n), signs.astype(np.int64), axes=1)
+    assert got.dtype == (np.int32 if dtype == np.int32 else np.int64)
+    assert got.shape == shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(signs, before) and signs.dtype == dtype
+
+
+@given(
+    n=st.integers(0, 9),
+    trailing=TRAILING,
+    dtype=st.sampled_from([np.uint8, np.uint16, np.uint32, np.uint64, np.int64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_mobius_is_the_subset_sum_anf(n, trailing, dtype, seed):
+    rng = np.random.default_rng(seed)
+    info = np.iinfo(dtype)
+    shape = (1 << n, *trailing)
+    words = rng.integers(0, info.max, shape, dtype=np.uint64, endpoint=True)
+    words = words.astype(dtype)
+    before = words.copy()
+    got = _mobius(words)
+    assert got.dtype == dtype
+    assert np.array_equal(got, naive_subset_xor(words))
+    assert np.array_equal(words, before)
+    assert np.array_equal(_mobius(got), words)  # self-inverse
+
+
+def _parity(v):
+    return np.bitwise_count(np.asarray(v, dtype=np.uint64)) & 1
+
+
+def _fields():
+    yield from (FieldSpec.default(n) for n in range(1, 17))
+    yield FieldSpec.with_least_generator(4, 0x19)  # x^4 + x^3 + 1
+
+
+@pytest.mark.parametrize("field", _fields(), ids=lambda f: f"n{f.n}-{f.modulus:x}")
+def test_pairing_is_symmetric_so_the_inverse_gathers(field):
+    # parity(perm[a] & x) = Tr(a x) = Tr(x a) = parity(a & perm[x])
+    perm = field.walsh_permutation()
+    if field.n <= 8:
+        a, x = np.meshgrid(np.arange(field.size), np.arange(field.size), indexing="ij")
+        a, x = a.ravel(), x.ravel()
+    else:
+        rng = np.random.default_rng(field.n)
+        a, x = rng.integers(0, field.size, (2, 1 << 16))
+        basis = 1 << np.arange(field.n)
+        a = np.concatenate([a, np.repeat(basis, field.n)])
+        x = np.concatenate([x, np.tile(basis, field.n)])
+    pairing = _parity(perm[a] & x)
+    assert np.array_equal(pairing, _parity(a & perm[x]))
+    assert np.array_equal(pairing, field.abs_trace_table()[field.mul_elems(a, x)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_round_trip_refuses_a_non_symmetric_permutation(n):
+    # one column per point table: a map that moves any point fails a column
+    field = FieldSpec.default(n)
+    signs = 1 - 2 * np.eye(field.size, dtype=np.int32)
+    perm = field.walsh_permutation()
+    check_round_trip(fwht(signs)[perm], signs, perm)
+    xs = np.arange(field.size)
+    swapped = perm.copy()
+    swapped[[1, 2]] = swapped[[2, 1]]
+    # skew is linear with matrix I + E_10; swapped is not linear at all
+    for bad in (xs ^ ((xs & 1) << 1), perm[xs ^ ((xs & 1) << 1)], swapped):
+        a, x = np.meshgrid(xs, xs, indexing="ij")
+        assert np.any(_parity(bad[a] & x) != _parity(a & bad[x]))
+        with pytest.raises(VerificationError, match="Walsh round-trip failed"):
+            check_round_trip(fwht(signs)[bad], signs, bad)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectrum_memory_at_n16():
+    n = 16
+    field = FieldSpec.default(n)
+    field.walsh_permutation()  # the cached index is built outside the trace
+    column = 4 << n  # bytes of one int32 array of 2^n entries
+    # numpy's ufunc buffers for up to three strided operands, and 16 KB for
+    # views and other small objects
+    slack = 3 * 4 * PASS_BUFSIZE + 16384
+    x = np.arange(1 << n, dtype=np.uint32)
+    half = np.uint32((1 << (n // 2)) - 1)
+    # Maiorana-McFarland <x_low, x_high>: bent, so classify takes no sort
+    table = (np.bitwise_count(x & half & (x >> (n // 2))) & 1).astype(np.uint8)
+    signs = 1 - 2 * table.astype(np.int32)
+    # the result and a scratch buffer of half the array
+    assert _traced_peak(lambda: fwht(signs)) <= 1.5 * column + slack
+    f = BooleanFunction(field, table)
+    # signs, spectrum, inverse butterfly and its gather; no scatter buffer
+    assert _traced_peak(f.walsh) <= 4 * column + slack
+    assert f.is_bent()

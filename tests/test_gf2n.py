@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bentvec import FieldSpec, PRIMITIVE_POLYNOMIALS, f2_is_independent, f2_rank, f2_span
 from bentvec.errors import FieldError
@@ -93,6 +95,37 @@ def test_mul_algebra_randomized_larger():
             spec.mul_elems(a, b ^ c), spec.mul_elems(a, b) ^ spec.mul_elems(a, c)
         )
         assert np.array_equal(spec.mul_elems(a, b), spec.mul_elems(b, a))
+
+
+# every default field up to n = 12, and an override whose least generator
+# is x + 1 rather than x
+AXIOM_FIELDS = [FieldSpec.default(n) for n in range(1, 13)] + [
+    FieldSpec.with_least_generator(8, 0x11B)
+]
+
+
+@given(field=st.sampled_from(AXIOM_FIELDS), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_field_axioms(field, data):
+    elems = st.lists(st.integers(0, field.order), min_size=1, max_size=40)
+    a = np.array(data.draw(elems))
+    b = np.resize(data.draw(elems), a.size)
+    c = np.resize(data.draw(elems), a.size)
+    ab = field.mul_elems(a, b)
+    assert np.array_equal(ab, field.mul_elems(b, a))
+    bc = field.mul_elems(b, c)
+    assert np.array_equal(field.mul_elems(ab, c), field.mul_elems(a, bc))
+    assert np.array_equal(field.mul_elems(a, b ^ c), ab ^ field.mul_elems(a, c))
+    assert np.array_equal(field.mul_elems(a, 1), a)
+    assert not field.mul_elems(a, 0).any()
+    for x, y, xy in zip(a.tolist(), b.tolist(), ab.tolist()):
+        assert field.mul(x, y) == xy == poly_mul_mod(x, y, field.modulus, field.n)
+    nonzero = a[a != 0]
+    if nonzero.size:
+        inv = field.inverse_elems(nonzero)
+        assert np.all(field.mul_elems(nonzero, inv) == 1)
+        assert inv.tolist() == [field.inverse(int(x)) for x in nonzero]
+        assert np.array_equal(field.inverse_elems(inv), nonzero)
 
 
 def test_pow_examples():

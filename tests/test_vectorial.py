@@ -379,9 +379,10 @@ def test_profile_failures_name_selector_point_and_value(monkeypatch):
     )
 
     def flip_column_4(out):
-        out[7, 4] = -out[7, 4]
+        out[perm[7], 4] = -out[perm[7], 4]
 
-    # the forward transform is intact; the inverse one is corrupted
+    # the forward transform is intact; the inverse one is corrupted at the
+    # Hadamard row it reads for table point 7
     monkeypatch.setattr(vectorial, "fwht", boolfun.fwht)
     monkeypatch.setattr(boolfun, "fwht", _corrupting(boolfun.fwht, flip_column_4))
     sign = 1 - 2 * int(G.component(*sels[4]).table[7])
