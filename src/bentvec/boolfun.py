@@ -133,17 +133,24 @@ def check_round_trip(values, signs, perm, names=None):
     symmetric matrix M_ij = Tr(alpha^i alpha^j), so
     parity(perm[a] & x) = parity(a & perm[x]), and the inverse is the
     same butterfly gathered through perm: fwht(values)[perm] = 2^n signs.
-    A perm without that symmetry fails the check.
+    A perm without that symmetry fails the check.  The inverse is
+    compared unscaled, so an entry off by less than 2^n fails too.
     """
     size = values.shape[0]
-    got = fwht(values)[perm].reshape(size, -1)
-    got >>= size.bit_length() - 1
-    want = signs.reshape(size, -1)
-    if not np.array_equal(got, want):
-        x, j = (int(i) for i in np.argwhere(got != want)[0])
+    n = size.bit_length() - 1
+    inverse = fwht(values)
+    off = inverse[perm].reshape(size, -1)
+    # 2^n signs go in the butterfly's buffer, which the gather has read, so
+    # the check allocates nothing more
+    off -= np.left_shift(signs, n, out=inverse).reshape(size, -1)
+    if np.count_nonzero(off):
+        x, j = (int(i) for i in np.argwhere(off)[0])
+        sign = int(signs.reshape(size, -1)[x, j])
+        got = int(off[x, j]) + (sign << n)
+        shown = f"{got >> n}" if got % size == 0 else f"{got}/2^{n}"
         raise VerificationError(
             f"{_where(names, j)}Walsh round-trip failed at x = {x}: inverse "
-            f"gives {int(got[x, j])}, table sign is {int(want[x, j])}"
+            f"gives {shown}, table sign is {sign}"
         )
 
 
@@ -191,6 +198,7 @@ def classify(values, n):
     elif lo == 0 and np.all((absv == 0) | (absv == hi)):
         abs_set = (0, hi)
     else:
+        # absv is this call's own array, so it is sorted in place
         abs_set = tuple(int(v) for v in _distinct(absv))
     if n % 2 == 0 and abs_set == ((1 << (n // 2)),):
         return Classification("bent", 1 << (n // 2), abs_set)
@@ -406,12 +414,12 @@ class BooleanFunction:
 
 
 def _distinct(a):
-    """Sorted distinct entries of a 1-D array.
+    """Sorted distinct entries of a 1-D array, which is sorted in place.
 
     np.unique's plain form imports numpy.ma on first use, which costs more
     than a whole small job; a sort and a neighbour comparison do not.
     """
-    a = np.sort(a)
+    a.sort()
     keep = np.empty(a.size, dtype=bool)
     keep[:1] = True
     np.not_equal(a[1:], a[:-1], out=keep[1:])

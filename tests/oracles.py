@@ -4,10 +4,17 @@ Everything here recomputes results from definitions, sharing no code path
 with the library: multiplication is schoolbook polynomial arithmetic with
 top-down long division, the Walsh transform is the literal double sum,
 the Hadamard matrix is Sylvester's doubling, and the ANF is the subset-sum
-Möbius formula.
+Möbius formula.  The VF reader and writer go one line at a time through
+Python's own `int` and `format`; they share only the header parser, the
+bad-character pattern and the `VectorialFunction` constructor with the
+library.
 """
 
 import numpy as np
+
+from bentvec.errors import FieldError, ParseError
+from bentvec.fileio import _VF_BAD_CHAR, _header_field, parse_header
+from bentvec.vectorial import VectorialFunction
 
 
 def poly_mul_mod(a, b, modulus, n):
@@ -127,3 +134,80 @@ def naive_p_tau(table, elements):
                 if g[x] ^ g[x ^ a] ^ g[x ^ b] ^ g[x ^ a ^ b]:
                     return False, (i + 1, j + 1), x
     return True, None, None
+
+
+def naive_vf_to_text(F):
+    """A VF file, one formatted line per point."""
+    header = f"VF n={F.n} m={F.m} t={F.t} field={F.field.modulus:x}"
+    lines = [header]
+    if F.t:
+        for value, extra in zip(F.values, F.extra):
+            lines.append(f"{int(value):x}.{int(extra):x}")
+    else:
+        lines.extend(f"{int(value):x}" for value in F.values)
+    return "\n".join(lines) + "\n"
+
+
+def naive_vf_from_text(text, modulus=None):
+    """A VF file read line by line, each entry through int(part, 16)."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty file", line=1, column=1)
+    header, columns = parse_header(lines[0], "VF", ("n", "m", "t", "field"))
+    n, m, t = header["n"], header["m"], header["t"]
+    spec = _header_field(header, columns, modulus)
+    bad = _VF_BAD_CHAR.search(text, len(lines[0]))
+    if bad:
+        head = text[: bad.start() + 1].splitlines()
+        raise ParseError(
+            f"bad character {bad.group()!r}", line=len(head), column=len(head[-1])
+        )
+    size = 1 << n
+    body = lines[1:]
+    if len([ln for ln in body if ln.strip()]) != size:
+        raise ParseError(
+            f"expected {size} output lines, got {len([l for l in body if l.strip()])}",
+            line=len(lines) + 1,
+            column=1,
+        )
+    values = np.zeros(size, dtype=np.int64)
+    extra = np.zeros(size, dtype=np.int64)
+    row = 0
+    for lineno, line in enumerate(body, start=2):
+        entry = line.strip()
+        if not entry:
+            continue
+        value_part, dot, extra_part = entry.partition(".")
+        if t == 0 and dot:
+            raise ParseError("t=0 entries must not carry extra bits", line=lineno, column=len(value_part) + 1)
+        if t > 0 and not dot:
+            raise ParseError("entry is missing its extra bits", line=lineno, column=len(entry) + 1)
+        try:
+            values[row] = int(value_part, 16)
+        except (ValueError, OverflowError):
+            raise ParseError(f"bad hex value {value_part!r}", line=lineno, column=1) from None
+        if t:
+            try:
+                extra[row] = int(extra_part, 16)
+            except (ValueError, OverflowError):
+                raise ParseError(
+                    f"bad hex extra bits {extra_part!r}",
+                    line=lineno,
+                    column=len(value_part) + 2,
+                ) from None
+        row += 1
+    try:
+        return VectorialFunction(spec, m, values, extra, t)
+    except FieldError as exc:
+        line, column = 2, 1
+        if exc.point is not None:
+            rows = [i for i, entry in enumerate(body, start=2) if entry.strip()]
+            line = rows[exc.point]
+            entry = lines[line - 1]
+            if exc.extra:
+                column = entry.index(".") + 2
+            else:
+                column = len(entry) - len(entry.lstrip()) + 1
+        raise ParseError(
+            f"inconsistent table: {exc}", line=line, column=column
+        ) from None

@@ -111,6 +111,32 @@ def test_round_trip_refuses_a_non_symmetric_permutation(n):
             check_round_trip(fwht(signs)[bad], signs, bad)
 
 
+def test_round_trip_refuses_an_inverse_off_by_less_than_2n(monkeypatch):
+    import bentvec.boolfun as boolfun
+
+    n = 6
+    field = FieldSpec.default(n)
+    table = np.random.default_rng(6).integers(0, 2, field.size, dtype=np.uint8)
+    fwht_ok = boolfun.fwht
+    calls = []
+
+    def inverse_plus_one(signs):
+        out = fwht_ok(signs)
+        calls.append(1)
+        if len(calls) == 2:  # walsh()'s inverse butterfly
+            out += 1
+        return out
+
+    monkeypatch.setattr(boolfun, "fwht", inverse_plus_one)
+    sign = 1 - 2 * int(table[0])
+    with pytest.raises(VerificationError) as err:
+        BooleanFunction(field, table).walsh()
+    assert str(err.value) == (
+        f"Walsh round-trip failed at x = 0: inverse gives "
+        f"{(sign << n) + 1}/2^{n}, table sign is {sign}"
+    )
+
+
 def _traced_peak(call):
     tracemalloc.start()
     try:
@@ -139,3 +165,9 @@ def test_spectrum_memory_at_n16():
     # signs, spectrum, inverse butterfly and its gather; no scatter buffer
     assert _traced_peak(f.walsh) <= 4 * column + slack
     assert f.is_bent()
+    # a random table's spectrum has many levels, which classify sorts in
+    # place, within the same bound
+    rng = np.random.default_rng(16)
+    g = BooleanFunction(field, rng.integers(0, 2, 1 << n, dtype=np.uint8))
+    assert _traced_peak(g.walsh) <= 4 * column + slack
+    assert g.classification().kind == "mixed"
