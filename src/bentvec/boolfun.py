@@ -17,7 +17,8 @@ through perm: fwht(W)[perm] = 2^n (-1)^f.
 
 The Hadamard and Möbius butterflies do two levels per pass, in place on
 one copy of their input; the Hadamard one adds a scratch buffer of half
-the array.
+the array, or above TILE_ENTRIES entries runs its passes a cache-sized
+tile at a time in a buffer of 1.5 tiles.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ from .gf2n import FieldSpec, _walsh_permutation
 # entries per operand of the buffers numpy's ufuncs use on strided quarters;
 # at numpy's default of 8192 they alone add 3/8 of an int32 column at n = 16
 PASS_BUFSIZE = 1024
+# entries above which fwht works a tile at a time, and the most a tile holds;
+# a tile of 2^17 int32 entries and its pass scratch take 768 KB, within a
+# 2 MB L2 cache, and half as many tiles as at 2^16 cost less Python overhead
+# (one n = 20 column: 14-15 ms, against 17-18 ms at 2^16 on a 2-vCPU Xeon)
+TILE_ENTRIES = 1 << 17
 
 
 def _quarters(a, h):
@@ -58,39 +64,90 @@ def fwht(signs):
     partial sum is bounded by 2^n.  Anything else is computed in int64.
     The input is not modified.
 
-    Each pass does two levels (radix 4): the quarters a, b, c, d of
-    `_quarters` become (a+b)+(c+d), (a-b)+(c-d), (a+b)-(c+d) and
-    (a-b)-(c-d), through one scratch buffer of half the array.  Odd n ends
-    with one radix-2 level.  The result, the scratch and ufunc buffers of
-    PASS_BUFSIZE entries are all the memory it takes.
+    Arrays of at most TILE_ENTRIES entries go through `_passes` whole,
+    with a scratch buffer of half the array.  Larger ones are cache-tiled
+    as H_(2^n) = H_(2^hi) (x) H_(2^lo) with lo = n // 2: `_tiled`
+    transforms the lo low index bits, then the hi high ones, a tile of T
+    entries at a time in a scratch buffer of 1.5 T, where T is at most
+    TILE_ENTRIES and a third of the array.  Either way the result, the
+    scratch and ufunc buffers of PASS_BUFSIZE entries are all the memory
+    it takes: at most the result and half of it.
     """
     a = np.asarray(signs)
     a = a.astype(np.int32 if a.dtype == np.int32 else np.int64)
     size = a.shape[0]
-    tmp = np.empty_like(a[: size // 2])
-    h = 1
+    lo = (size.bit_length() - 1) // 2
+    tile = min(TILE_ENTRIES, a.size // 3)
     with np.errstate():  # scopes setbufsize to this call
         np.setbufsize(PASS_BUFSIZE)
-        while 4 * h <= size:
-            (q0, q1, q2, q3), order = _quarters(a, h)
-            s, d = tmp.reshape(2, -1, h, *a.shape[1:])
-            if order == "C":
-                s, d = np.moveaxis(s, 0, -1), np.moveaxis(d, 0, -1)
-            np.add(q0, q1, out=s, order=order)
-            np.subtract(q0, q1, out=d, order=order)
-            np.add(q2, q3, out=q0, order=order)
-            np.subtract(q2, q3, out=q1, order=order)
-            np.subtract(s, q0, out=q2, order=order)
-            np.add(s, q0, out=q0, order=order)
-            np.subtract(d, q1, out=q3, order=order)
-            np.add(d, q1, out=q1, order=order)
-            h *= 4
+        # a tile holds whole transforms of the high bits, which at n <= 24
+        # only a TILE_ENTRIES below 2^12 can prevent
+        if a.size <= TILE_ENTRIES or size >> lo > tile:
+            _passes(a, np.empty_like(a[: size // 2]))
+        else:
+            # a power of two, so that the tiles split the array evenly
+            _tiled(a, lo, 1 << (tile.bit_length() - 1))
+    return a
+
+
+def _passes(a, tmp):
+    """The butterfly along axis 0 of `a`, in place; tmp is a[: len(a) // 2]
+    in shape.
+
+    Each pass does two levels (radix 4): the quarters a, b, c, d of
+    `_quarters` become (a+b)+(c+d), (a-b)+(c-d), (a+b)-(c+d) and
+    (a-b)-(c-d), through tmp.  Odd n ends with one radix-2 level.
+    """
+    size = a.shape[0]
+    h = 1
+    while 4 * h <= size:
+        (q0, q1, q2, q3), order = _quarters(a, h)
+        s, d = tmp.reshape(2, -1, h, *a.shape[1:])
+        if order == "C":
+            s, d = np.moveaxis(s, 0, -1), np.moveaxis(d, 0, -1)
+        np.add(q0, q1, out=s, order=order)
+        np.subtract(q0, q1, out=d, order=order)
+        np.add(q2, q3, out=q0, order=order)
+        np.subtract(q2, q3, out=q1, order=order)
+        np.subtract(s, q0, out=q2, order=order)
+        np.add(s, q0, out=q0, order=order)
+        np.subtract(d, q1, out=q3, order=order)
+        np.add(d, q1, out=q1, order=order)
+        h *= 4
     if h < size:
         low, high = a[:h], a[h:]
         np.copyto(tmp, low)
         low += high
         np.subtract(tmp, high, out=high)
-    return a
+
+
+def _tiled(a, lo, tile):
+    """The butterfly of `fwht` on `a` in place, a cache-sized tile at a time.
+
+    Viewed as (2^hi, 2^lo, cols), the low bits are transformed along axis
+    1, then the high bits along axis 0 of the (2^hi, 2^lo cols) view.  A
+    tile is up to `tile` entries of whole transforms: a transposed copy
+    into a flat scratch buffer puts the transform axis outermost, so that
+    `_passes` walks long contiguous runs, and a transposed copy puts it
+    back.  The tile and its pass scratch take 1.5 tile entries.
+    """
+    size = a.shape[0]
+    buf = np.empty(3 * tile // 2, dtype=a.dtype)
+    for outer, length in ((size >> lo, 1 << lo), (1, size >> lo)):
+        view = a.reshape(outer, length, -1)
+        inner = view.shape[2]
+        per = tile // length  # entries of the other two axes in one tile
+        rc = min(inner, per)
+        ra = per // rc
+        for i in range(0, outer, ra):
+            for j in range(0, inner, rc):
+                src = view[i : i + ra, :, j : j + rc].transpose(1, 0, 2)
+                k = src.size
+                part = buf[:k].reshape(src.shape)
+                np.copyto(part, src)
+                scratch = buf[k : k + k // 2].reshape(length // 2, -1)
+                _passes(part.reshape(length, -1), scratch)
+                np.copyto(src, part)
 
 
 def _where(names, j):

@@ -80,8 +80,10 @@ _NIBBLE = np.full(256, 255, dtype=np.uint8)
 _NIBBLE[_HEX_DIGITS] = np.arange(16)
 _NIBBLE[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
 
-# anything but hex digits, the extra-bits dot and whitespace in a VF body
+# anything but hex digits, the extra-bits dot and whitespace in a VF body,
+# as a pattern for text with wide characters and as a table for ASCII codes
 _VF_BAD_CHAR = re.compile(r"[^0-9a-fA-F.\s]")
+_VF_OK = np.array([_VF_BAD_CHAR.match(chr(c)) is None for c in range(256)])
 
 # the line breaks of str.splitlines; "\r\n" is one break starting at "\r".
 # Its first alternative keeps re from merging them all into one class,
@@ -246,16 +248,36 @@ def write_vf(path, F: VectorialFunction):
 _CHUNK = 1 << 16
 
 
-def _vf_codes(text):
-    r"""The text as uint8 codes, one per character.
+def _bad_character(text, pos):
+    """The ParseError for the bad character text[pos].  Every line break
+    is whitespace, so it ends the last line of text[: pos + 1]."""
+    lines = text[: pos + 1].splitlines()
+    return ParseError(
+        f"bad character {text[pos]!r}", line=len(lines), column=len(lines[-1])
+    )
 
-    Only whitespace is left outside ASCII once the header and the body
-    scan have passed; it becomes \x0b if it breaks lines, else a space.
-    Not \n, so that "\r" and a following "\u2028" stay two breaks, as in
+
+def _vf_codes(text, head):
+    r"""The text as uint8 codes, one per character, once the body from
+    `head` on is found to hold only hex digits, dots and whitespace.
+
+    ASCII text is checked on its codes through `_VF_OK`, a chunk at a
+    time, and other text by `_VF_BAD_CHAR`.  Only whitespace is then left
+    outside ASCII; it becomes \x0b if it breaks lines, else a space.  Not
+    \n, so that "\r" and a following "\u2028" stay two breaks, as in
     str.splitlines.
     """
-    if not text.isascii():
-        text = re.sub("[^\x00-\x7f]", " ", re.sub("\x85|\u2028|\u2029", "\x0b", text))
+    if text.isascii():
+        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        for lo in range(head, codes.size, _CHUNK):
+            ok = _VF_OK.take(codes[lo : lo + _CHUNK])
+            if not ok.all():
+                raise _bad_character(text, lo + int(ok.argmin()))
+        return codes
+    bad = _VF_BAD_CHAR.search(text, head)
+    if bad:
+        raise _bad_character(text, bad.start())
+    text = re.sub("[^\x00-\x7f]", " ", re.sub("\x85|\u2028|\u2029", "\x0b", text))
     return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
 
 
@@ -419,16 +441,8 @@ def vf_from_text(text, modulus=None):
     header, columns = parse_header(text[:header_end], "VF", ("n", "m", "t", "field"))
     n, m, t = header["n"], header["m"], header["t"]
     spec = _header_field(header, columns, modulus)
-    bad = _VF_BAD_CHAR.search(text, header_end)
-    if bad:
-        # every line break is whitespace, so the bad character ends the
-        # last line of the text up to and including it
-        head = text[: bad.start() + 1].splitlines()
-        raise ParseError(
-            f"bad character {bad.group()!r}", line=len(head), column=len(head[-1])
-        )
     size = 1 << n
-    codes = _vf_codes(text)
+    codes = _vf_codes(text, header_end)
     line, start, dot, end, fast, breaks, lines = _vf_rows(codes, header_end, t)
     if line.size != size:
         raise ParseError(

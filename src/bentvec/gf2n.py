@@ -314,7 +314,7 @@ class FieldSpec:
         tbl = np.zeros(self.size, dtype=np.uint8)
         for j in range(self.n):
             half = 1 << j
-            tbl[half : 2 * half] = tbl[:half] ^ ((w >> j) & 1)
+            np.bitwise_xor(tbl[:half], (w >> j) & 1, out=tbl[half : 2 * half])
         return tbl
 
 
@@ -424,7 +424,7 @@ def _abs_trace_table(spec):
         if t not in (0, 1):
             raise FieldError("trace form corrupt")  # unreachable on valid specs
         half = 1 << j
-        tbl[half : 2 * half] = tbl[:half] ^ t
+        np.bitwise_xor(tbl[:half], t, out=tbl[half : 2 * half])
     tbl.flags.writeable = False
     return tbl
 
@@ -438,10 +438,12 @@ def _walsh_permutation(spec):
         for j in range(spec.n):
             w |= int(tr[clmul_reduce(1 << i, 1 << j, spec.modulus, spec.n)]) << j
         base.append(w)
+    # int64, not int32: an int32 index makes every gather through perm
+    # allocate numpy's index-cast buffer
     perm = np.zeros(spec.size, dtype=np.int64)
     for i in range(spec.n):
         half = 1 << i
-        perm[half : 2 * half] = perm[:half] ^ base[i]
+        np.bitwise_xor(perm[:half], base[i], out=perm[half : 2 * half])
     perm.flags.writeable = False
     return perm
 

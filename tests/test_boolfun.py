@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bentvec import (
     BooleanFunction,
@@ -187,6 +189,25 @@ def test_from_anf_roundtrip():
         f = random_function(F64, rng)
         assert BooleanFunction.from_anf(F64, f.anf_monomials()) == f
 
+
+
+ROUND_TRIP_FIELDS = [FieldSpec.default(n) for n in range(1, 11)] + [
+    FieldSpec.with_least_generator(4, 0x19),
+    FieldSpec.with_least_generator(8, 0x11B),
+]
+
+
+@given(field=st.sampled_from(ROUND_TRIP_FIELDS), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_walsh_and_anf_round_trips(field, seed):
+    f = random_function(field, np.random.default_rng(seed))
+    values = f.walsh().values
+    # invert through a scatter, not the gather that walsh() checks itself
+    hadamard = np.empty_like(values)
+    hadamard[field.walsh_permutation()] = values
+    signs = 1 - 2 * f.table.astype(np.int64)
+    assert np.array_equal(fwht(hadamard), signs << field.n)
+    assert BooleanFunction.from_anf(field, f.anf_monomials()) == f
 
 def test_from_univariate():
     assert BooleanFunction.from_univariate(F16, []) == BooleanFunction.zero(F16)

@@ -1,12 +1,14 @@
 """The two butterflies (fwht, _mobius) and the field-paired inverse."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bentvec.boolfun as boolfun
 from bentvec import BooleanFunction, FieldSpec
 from bentvec.boolfun import PASS_BUFSIZE, _mobius, check_round_trip, fwht
 from bentvec.errors import VerificationError
@@ -18,14 +20,15 @@ TRAILING = st.one_of(
 )
 
 
-@given(
+FWHT_CASES = dict(
     n=st.integers(0, 9),
     trailing=TRAILING,
     dtype=st.sampled_from([np.int32, np.int64, np.int8, np.int16, np.uint8, np.bool_]),
     seed=st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=120, deadline=None)
-def test_fwht_is_the_sylvester_hadamard_product(n, trailing, dtype, seed):
+
+
+def _assert_sylvester_product(n, trailing, dtype, seed):
     rng = np.random.default_rng(seed)
     shape = (1 << n, *trailing)
     if dtype == np.bool_:
@@ -43,6 +46,37 @@ def test_fwht_is_the_sylvester_hadamard_product(n, trailing, dtype, seed):
     assert got.shape == shape
     assert np.array_equal(got, want)
     assert np.array_equal(signs, before) and signs.dtype == dtype
+
+
+@given(**FWHT_CASES)
+@settings(max_examples=120, deadline=None)
+def test_fwht_is_the_sylvester_hadamard_product(n, trailing, dtype, seed):
+    _assert_sylvester_product(n, trailing, dtype, seed)
+
+
+@given(**FWHT_CASES, tile=st.sampled_from([16, 64]))
+@settings(max_examples=120, deadline=None)
+def test_tiled_fwht_is_the_sylvester_hadamard_product(n, trailing, dtype, seed, tile):
+    # a small tile constant sends every array above it through the tiled
+    # butterfly, a few entries a tile
+    with mock.patch.object(boolfun, "TILE_ENTRIES", tile):
+        _assert_sylvester_product(n, trailing, dtype, seed)
+
+
+@pytest.mark.parametrize("n, trailing", [(7, ()), (8, (3,)), (9, (2, 3))])
+def test_small_tile_constant_splits_the_butterfly(monkeypatch, n, trailing):
+    monkeypatch.setattr(boolfun, "TILE_ENTRIES", 32)
+    passes, sizes = boolfun._passes, []
+
+    def counted(a, tmp):
+        sizes.append(a.size)
+        passes(a, tmp)
+
+    monkeypatch.setattr(boolfun, "_passes", counted)
+    signs = np.random.default_rng(n).integers(-8, 9, (1 << n, *trailing))
+    got = fwht(signs)
+    assert np.array_equal(got, np.tensordot(sylvester_hadamard(n), signs, axes=1))
+    assert len(sizes) > 2 and max(sizes) <= 32
 
 
 @given(
@@ -171,3 +205,34 @@ def test_spectrum_memory_at_n16():
     g = BooleanFunction(field, rng.integers(0, 2, 1 << n, dtype=np.uint8))
     assert _traced_peak(g.walsh) <= 4 * column + slack
     assert g.classification().kind == "mixed"
+
+
+def test_tiled_fwht_at_n20_matches_the_untiled_one_within_its_memory(monkeypatch):
+    n = 20
+    column = 4 << n
+    slack = 3 * 4 * PASS_BUFSIZE + 16384  # as at n = 16
+    rng = np.random.default_rng(20)
+    signs = 1 - 2 * rng.integers(0, 2, 1 << n, dtype=np.uint8).astype(np.int32)
+    assert signs.size > boolfun.TILE_ENTRIES
+    result = []
+    # the result and a scratch buffer of 1.5 tiles, within the half array
+    # that the untiled butterfly takes
+    scratch = min(column // 2, 3 * 4 * boolfun.TILE_ENTRIES // 2)
+    assert _traced_peak(lambda: result.append(fwht(signs))) <= column + scratch + slack
+    monkeypatch.setattr(boolfun, "TILE_ENTRIES", 1 << n)
+    assert np.array_equal(result[0], fwht(signs))
+
+
+@pytest.mark.parametrize("n, tile", [(17, 1 << 16), (19, boolfun.TILE_ENTRIES)])
+def test_walsh_round_trip_at_odd_n_through_tiles(monkeypatch, n, tile):
+    monkeypatch.setattr(boolfun, "TILE_ENTRIES", tile)
+    field = FieldSpec.default(n)
+    assert field.size > tile
+    rng = np.random.default_rng(n)
+    table = rng.integers(0, 2, field.size, dtype=np.uint8)
+    spectrum = BooleanFunction(field, table).walsh()  # checks the round trip
+    xs = np.arange(field.size)
+    trace = field.abs_trace_table()
+    for a in [0, 1, *rng.integers(2, field.size, 4).tolist()]:
+        mismatches = np.count_nonzero(table ^ trace[field.mul_elems(a, xs)])
+        assert spectrum[a] == field.size - 2 * mismatches

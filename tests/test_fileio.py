@@ -277,6 +277,22 @@ def test_vf_bad_character_after_blank_and_crlf_lines():
     assert (info.value.line, info.value.column) == (5, len(lines[3]) + 1)
 
 
+
+@pytest.mark.parametrize("bad", ["z", "-", "\u0663"])
+@pytest.mark.parametrize("nel", ["\x85", "\x0b"])  # ASCII text has no \x85
+@pytest.mark.parametrize("space", ["", " "])
+def test_vf_bad_character_after_crlf_nel_and_space(bad, nel, space):
+    # ASCII text is checked on its codes, other text by the pattern; both
+    # report the line and column that str.splitlines gives
+    lines = vf_to_text(kasami(F16)).splitlines()
+    text = (
+        f"{lines[0]}\n{lines[1]}\r\n{lines[2]}{nel}{lines[3]}{nel}"
+        f"{space}{bad}{lines[4]}\n" + "\n".join(lines[5:]) + "\n"
+    )
+    with pytest.raises(ParseError) as info:
+        vf_from_text(text)
+    assert str(info.value) == f"bad character {bad!r} at line 5, col {len(space) + 1}"
+
 def _mutate(text, edits):
     chars = list(text)
     for op, pos, ch in edits:

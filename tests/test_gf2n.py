@@ -128,6 +128,23 @@ def test_field_axioms(field, data):
         assert np.array_equal(field.inverse_elems(inv), nonzero)
 
 
+
+@given(field=st.sampled_from(AXIOM_FIELDS), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_pow_is_repeated_mul(field, data):
+    a = data.draw(st.integers(0, field.order))
+    e = data.draw(st.integers(0, 40))
+    product = 1
+    for _ in range(e):
+        product = field.mul(product, a)
+    assert field.pow(a, e) == product
+    assert field.pow_elems(np.array([a]), e).tolist() == [product]
+    if a:
+        # the exponent reduces mod 2^n - 1, and exponents add
+        big = data.draw(st.integers(0, 4 * field.order))
+        assert field.pow(a, big) == field.pow(a, big % field.order)
+        assert field.mul(field.pow(a, big), product) == field.pow(a, big + e)
+
 def test_pow_examples():
     for x in range(16):
         assert F16.pow(x, 1) == x
