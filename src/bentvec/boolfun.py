@@ -299,7 +299,7 @@ class WalshSpectrum:
 class BooleanFunction:
     """Immutable n-variable Boolean function bound to a field model."""
 
-    __slots__ = ("field", "table", "_walsh", "__weakref__")
+    __slots__ = ("field", "table", "_walsh")
 
     def __init__(self, field: FieldSpec, table):
         table = np.asarray(table, dtype=np.uint8)

@@ -277,13 +277,10 @@ def main(argv=None):
     except VerificationError as exc:
         print(f"verification mismatch: {exc}", file=sys.stderr)
         return 3
-    except (PreconditionError, BentvecError) as exc:
+    except BentvecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

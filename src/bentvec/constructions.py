@@ -25,6 +25,7 @@ from .vectorial import (
     BentnessCheck,
     PlateauedCheck,
     VectorialFunction,
+    _basis_tables,
     max_bent_components_bound,
 )
 
@@ -203,12 +204,12 @@ class VecPlateauedLiftResult(NamedTuple):
 
 
 def _trace_one_lambdas(field, m):
-    """Nonzero subfield selectors with absolute subfield trace 1."""
-    return tuple(
-        int(lam)
-        for lam in field.subfield(m)
-        if lam and field.subfield_abs_trace(int(lam), m) == 1
-    )
+    """Subfield selectors with Tr^m_1 = 1, ascending: Tr^m_1(lambda * 1)
+    is parity(mask(lambda) & coordinates of 1)."""
+    combos, masks = _basis_tables(field, m)
+    one = np.uint32(np.flatnonzero(combos == 1)[0])
+    odd = np.bitwise_count(masks & one) & 1
+    return tuple(np.sort(combos[odd == 1]).tolist())
 
 
 def _require_p_tau_for(G, defining, lambdas, others=()):
@@ -235,13 +236,8 @@ def _p_tau_all_lambdas(G, defining, lambdas):
     return all(check.holds for check in checks)
 
 
-def vec_bent_lift(G, defining, poly):
-    """H = G + F(traces): vectorial bent when the Tr = 1 component duals
-    satisfy (P_tau) with the given defining set.
-
-    Components with Tr^m_1(lambda) = 0 are untouched by the lift; the
-    returned check still verifies every component of H.
-    """
+def _require_pure_vectorial_bent(G):
+    """The gate both lifts put on G: pure, and vectorial bent."""
     if G.t:
         raise PreconditionError("lift expects a pure (n,m)-function")
     pre = G.is_vectorial_bent()
@@ -250,6 +246,16 @@ def vec_bent_lift(G, defining, poly):
             f"G is not vectorial bent: component {pre.selector} has "
             f"W({pre.point}) = {pre.value}"
         )
+
+
+def vec_bent_lift(G, defining, poly):
+    """H = G + F(traces): vectorial bent when the Tr = 1 component duals
+    satisfy (P_tau) with the given defining set.
+
+    Components with Tr^m_1(lambda) = 0 are untouched by the lift; the
+    returned check still verifies every component of H.
+    """
+    _require_pure_vectorial_bent(G)
     if poly.tau != defining.tau:
         raise PreconditionError(
             f"polynomial has {poly.tau} variables, defining set {defining.tau}"
@@ -264,26 +270,19 @@ def vec_bent_lift(G, defining, poly):
     return VecBentLiftResult(H, g, check, lambdas, check.ok)
 
 
-def _tail_profile(field, fs):
-    """Plateaued profile of the bundle (f_1, ..., f_t) over nonzero selectors."""
-    ok, amplitudes, witness = True, {}, None
-    for v in range(1, 1 << len(fs)):
-        table = np.zeros(field.size, dtype=np.uint8)
-        for i, f in enumerate(fs):
-            if (v >> i) & 1:
-                table ^= f.table
-        cls = BooleanFunction(field, table).classification()
-        amplitudes[v] = cls.amplitude
-        if not cls.plateaued_family and ok:
-            ok, witness = False, v
-    return ok, amplitudes, witness
+def _tail_profile(H_hat):
+    """(plateaued, amplitude per v) of the tail (f_1, ..., f_t): G is pure,
+    so its component v is H_hat's (0, v), one of the first 2^t - 1 rows."""
+    rows = H_hat.profile()[: (1 << H_hat.t) - 1]
+    amplitudes = {v: cls.amplitude for (_, v), cls, _ in rows}
+    return all(cls.plateaued_family for _, cls, _ in rows), amplitudes
 
 
 def vec_plateaued_lift(G, defining, polys):
     """H_hat = (G, f_1, ..., f_t) with f_i = F_i(traces).
 
     Records both sides of the equivalence "H_hat vectorial plateaued iff
-    the (n,t) tail is vectorial plateaued", computed independently.  The
+    the (n,t) tail is vectorial plateaued", the tail read off H_hat.  The
     bent-component count is predicted as 2^(t+m) - 2^t whenever every
     nonzero component dual of G satisfies (P_tau), the regime where the
     count provably reaches its maximum.
@@ -291,14 +290,7 @@ def vec_plateaued_lift(G, defining, polys):
     polys = tuple(polys)
     if not polys:
         raise PreconditionError("plateaued lift needs at least one tail polynomial")
-    if G.t:
-        raise PreconditionError("lift expects a pure (n,m)-function")
-    pre = G.is_vectorial_bent()
-    if not pre.ok:
-        raise PreconditionError(
-            f"G is not vectorial bent: component {pre.selector} has "
-            f"W({pre.point}) = {pre.value}"
-        )
+    _require_pure_vectorial_bent(G)
     for poly in polys:
         if poly.tau != defining.tau:
             raise PreconditionError(
@@ -309,7 +301,7 @@ def vec_plateaued_lift(G, defining, polys):
     fs = tuple(poly.compose_traces(defining) for poly in polys)
     H_hat = G.augment(fs)
     hat_check = H_hat.is_vectorial_plateaued()
-    tail_ok, tail_amps, _ = _tail_profile(G.field, fs)
+    tail_ok, tail_amps = _tail_profile(H_hat)
     iff_ok = hat_check.ok == tail_ok
     t = len(fs)
     bent_count = H_hat.bent_component_count()

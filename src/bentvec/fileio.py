@@ -106,8 +106,9 @@ def _pack_bits(table):
     return _HEX_DIGITS[nibs[: (len(table) + 3) // 4]].tobytes().decode("ascii")
 
 
-def _unpack_bits(payload, size):
-    """BF payload hex to a uint8 table of `size` bits; bad digits raise."""
+def _unpack_bits(payload, size, indent):
+    """BF payload hex, `indent` blanks into its line, to a uint8 table of
+    `size` bits; bad digits raise."""
     # one code point per character, so an index is a column
     codes = np.frombuffer(payload.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
     # code points above 255 land on entry 255, which is not a digit
@@ -116,9 +117,13 @@ def _unpack_bits(payload, size):
     bad = np.flatnonzero(nibs > 15)
     if bad.size:
         p = int(bad[0])
-        raise ParseError(f"bad hex character {payload[p]!r}", line=2, column=p + 1)
+        raise ParseError(
+            f"bad hex character {payload[p]!r}", line=2, column=indent + p + 1
+        )
     if size % 4 and nibs[-1] >> size % 4:
-        raise ParseError("padding bits must be zero", line=2, column=len(payload))
+        raise ParseError(
+            "padding bits must be zero", line=2, column=indent + len(payload)
+        )
     if nibs.size % 2:
         nibs = np.append(nibs, np.uint8(0))
     return np.unpackbits(nibs[0::2] | (nibs[1::2] << 4), count=size, bitorder="little")
@@ -191,18 +196,20 @@ def bf_from_text(text, modulus=None):
     if len(lines) < 2:
         raise ParseError("missing truth-table payload", line=2, column=1)
     payload = lines[1].strip()
+    indent = len(lines[1]) - len(lines[1].lstrip())
     size = 1 << n
     expect = (size + 3) // 4
     if len(payload) != expect:
         raise ParseError(
             f"payload must be {expect} hex characters, got {len(payload)}",
             line=2,
-            column=len(payload) + 1,
+            column=indent + len(payload) + 1,
         )
-    table = _unpack_bits(payload, size)
+    table = _unpack_bits(payload, size, indent)
     for extra, line in enumerate(lines[2:], start=3):
         if line.strip():
-            raise ParseError("unexpected trailing content", line=extra, column=1)
+            column = len(line) - len(line.lstrip()) + 1
+            raise ParseError("unexpected trailing content", line=extra, column=column)
     return BooleanFunction(spec, table)
 
 

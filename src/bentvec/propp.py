@@ -10,6 +10,8 @@ g(x + sum w_i u_i) = g(x) + sum w_i D_{u_i} g(x).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -147,7 +149,9 @@ def find_defining_sets(
     Complete clique enumeration over the graph whose edges are the
     vanishing pairs; exponential in the worst case, bounded by
     node_budget (visited extension nodes) when given.  limit truncates
-    the output to the first N sets in lexicographic value order.
+    the output to the first N sets in lexicographic value order.  A
+    node's later neighbours are found on its first extension, so both
+    bounds stop the work as well as the output.
     """
     if tau < 2:
         raise PreconditionError("search needs tau >= 2")
@@ -158,21 +162,21 @@ def find_defining_sets(
     for c in pool:
         field.check(c)
     idx = np.arange(field.size)
-    edges = {c: set() for c in pool}
-    for i, a in enumerate(pool):
-        for b in pool[i + 1 :]:
-            if not _second_derivative(g.table, idx, a, b).any():
-                edges[a].add(b)
-                edges[b].add(a)
     results = []
     nodes = 0
+
+    @cache
+    def later(c):
+        """Pool elements d > c with D_c D_d g = 0."""
+        return {
+            d
+            for d in pool[bisect_right(pool, c) :]
+            if not _second_derivative(g.table, idx, c, d).any()
+        }
 
     def extend(clique, allowed):
         nonlocal nodes
         if limit is not None and len(results) >= limit:
-            return
-        if len(clique) == tau:
-            results.append(DefiningSet(field, tuple(clique)))
             return
         for c in allowed:
             nodes += 1
@@ -180,7 +184,10 @@ def find_defining_sets(
                 raise PreconditionError(
                     f"defining-set search exceeded node budget {node_budget}"
                 )
-            extend(clique + [c], [d for d in allowed if d > c and d in edges[c]])
+            if len(clique) + 1 == tau:
+                results.append(DefiningSet(field, (*clique, c)))
+            else:
+                extend(clique + [c], [d for d in allowed if d in later(c)])
             if limit is not None and len(results) >= limit:
                 return
 

@@ -14,7 +14,6 @@ witnesses and reports are deterministic.
 
 from __future__ import annotations
 
-import weakref
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -71,9 +70,7 @@ class VectorialFunction:
     profile is computed, so that profile() can copy the parent's rows.
     """
 
-    __slots__ = (
-        "field", "m", "t", "word", "_parent", "_profile", "_dual_bits", "_duals"
-    )
+    __slots__ = ("field", "m", "t", "word", "_parent", "_profile", "_dual_bits")
 
     def __init__(self, field: FieldSpec, m, values, extra=None, t=0):
         if m < 1 or field.n % m != 0:
@@ -122,7 +119,6 @@ class VectorialFunction:
         self._parent = None
         self._profile = None
         self._dual_bits = None  # lambda -> packed dual, filled by profile()
-        self._duals = weakref.WeakValueDictionary()
 
     @property
     def n(self):
@@ -233,16 +229,11 @@ class VectorialFunction:
     def dual(self, lam):
         """Dual of the bent component (lambda, 0), unpacked from profile().
 
-        One object per lambda while a caller holds it.  Raises
-        NotBentError, as BooleanFunction.dual does, when that component is
-        not bent.
+        Raises NotBentError, as BooleanFunction.dual does, when that
+        component is not bent.
         """
-        lam = int(lam)
-        dual = self._duals.get(lam)
-        if dual is None:
-            bits = np.unpackbits(self._packed_dual(lam), count=self.field.size)
-            dual = self._duals[lam] = BooleanFunction(self.field, bits)
-        return dual
+        bits = np.unpackbits(self._packed_dual(lam), count=self.field.size)
+        return BooleanFunction(self.field, bits)
 
     def dual_planes(self, lams):
         """(2^n, ceil(k/8)) uint8 bit-planes of the k duals of `lams`.

@@ -7,11 +7,14 @@ the Hadamard matrix is Sylvester's doubling, and the ANF is the subset-sum
 Möbius formula.  The VF reader and writer go one line at a time through
 Python's own `int` and `format`; they share only the header parser, the
 bad-character pattern and the `VectorialFunction` constructor with the
-library.
+library.  The tail profile builds and transforms each tail bundle on its
+own, through `BooleanFunction`, where the library reads the bundles off
+the augmented function's profile.
 """
 
 import numpy as np
 
+from bentvec.boolfun import BooleanFunction
 from bentvec.errors import FieldError, ParseError
 from bentvec.fileio import _VF_BAD_CHAR, _header_field, parse_header
 from bentvec.vectorial import VectorialFunction
@@ -117,6 +120,23 @@ def oracle_subfield_trace(y, modulus, n, m):
         t ^= x
         x = poly_mul_mod(x, x, modulus, n)
     return t
+
+
+def naive_tail_profile(field, fs):
+    """(plateaued, amplitude per v) of the tail (f_1, ..., f_t), bundle by
+    bundle: each nonzero combination v of the tail is built as its own
+    truth table and classified from its own spectrum.
+    """
+    ok, amplitudes = True, {}
+    for v in range(1, 1 << len(fs)):
+        table = np.zeros(field.size, dtype=np.uint8)
+        for i, f in enumerate(fs):
+            if (v >> i) & 1:
+                table ^= f.table
+        cls = BooleanFunction(field, table).classification()
+        amplitudes[v] = cls.amplitude
+        ok = ok and cls.plateaued_family
+    return ok, amplitudes
 
 
 def naive_p_tau(table, elements):

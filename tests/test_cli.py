@@ -135,6 +135,13 @@ def test_verify_parse_failure(tmp_path, capsys):
     assert run(["verify", str(missing)]) == 1
 
 
+def test_verify_unreadable_path_is_an_error(tmp_path, capsys):
+    # a directory cannot be read as a file: exit 1, no traceback
+    assert run(["verify", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_verify_with_jobs(tmp_path, capsys):
     out = tmp_path / "k.vf"
     assert run(

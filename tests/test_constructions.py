@@ -25,8 +25,10 @@ from bentvec import (
     vec_bent_lift,
     vec_plateaued_lift,
 )
+from bentvec.constructions import _tail_profile, _trace_one_lambdas
 from bentvec.errors import FieldError, PreconditionError, VerificationError
 from bentvec.propp import satisfies_p_planes
+from oracles import naive_tail_profile
 
 F16 = FieldSpec.default(4)
 F64 = FieldSpec.default(6)
@@ -328,6 +330,56 @@ def test_theorem_iff_H_bent_vs_trace_one_components():
         assert lhs == rhs
         hits[lhs] += 1
     assert hits[True] >= 1 and hits[False] >= 1
+
+
+def test_trace_one_lambdas_match_the_subfield_trace():
+    fields = [FieldSpec.default(n) for n in range(1, 17)] + [
+        FieldSpec.with_least_generator(4, 0x19),
+        FieldSpec.with_least_generator(8, 0x11B),
+        FieldSpec.with_least_generator(16, 0x1002D),
+    ]
+    for field in fields:
+        for m in (m for m in range(1, field.n + 1) if field.n % m == 0):
+            sub = field.subfield(m)
+            if m <= 12:
+                traces = [field.subfield_abs_trace(int(lam), m) for lam in sub]
+            else:
+                # the same sum y + y^2 + ... + y^(2^(m-1)), elementwise
+                traces, y = np.zeros_like(sub), sub
+                for _ in range(m):
+                    traces ^= y
+                    y = field.mul_elems(y, y)
+            expected = tuple(int(lam) for lam, tr in zip(sub, traces) if tr == 1)
+            assert _trace_one_lambdas(field, m) == expected, (field, m)
+
+
+@pytest.mark.parametrize("family", ["kasami", "gold"])
+def test_tail_profile_matches_bundle_by_bundle_oracle(family):
+    field = FieldSpec.default(8)
+    if family == "kasami":
+        us = kasami_auto_u(field)
+        G = kasami_vf(field)
+    else:
+        us = gold_auto_u(field)
+        G = gold_family(field, us, ReducedPolynomial.zero(len(us))).G
+    ds = DefiningSet(field, tuple(us))
+    rng = np.random.default_rng(12)
+    verdicts = set()
+    for t in (1, 2, 3):
+        # quadratic tails are plateaued; at kasami's tau = 4 degree 4 is not
+        for degree in (2, ds.tau):
+            polys = [
+                ReducedPolynomial.random(ds.tau, degree, int(rng.integers(1 << 30)))
+                for _ in range(t)
+            ]
+            plat = vec_plateaued_lift(G, ds, polys)
+            ok, amplitudes = naive_tail_profile(field, plat.tail)
+            assert (plat.tail_plateaued, plat.tail_amplitudes) == (ok, amplitudes)
+            assert _tail_profile(plat.H_hat) == (ok, amplitudes)
+            assert plat.iff_ok
+            verdicts.add(ok)
+    if family == "kasami":
+        assert verdicts == {True, False}
 
 
 def test_vec_plateaued_lift_one_p_tau_pass(monkeypatch):

@@ -244,6 +244,24 @@ def test_bf_bad_character_column(n, data):
     assert f"bad hex character {ch!r}" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "text, message, column",
+    [
+        ("BF n=4 field=13\n  0z00\n", "bad hex character 'z'", 4),
+        ("BF n=4 field=13\n \t0z00\n", "bad hex character 'z'", 4),
+        ("BF n=4 field=13\n  000\n", "payload must be 4 hex characters, got 3", 6),
+        ("BF n=1 field=3\n \t8\n", "padding bits must be zero", 3),
+        ("BF n=4 field=13\n0000\n \t x\n", "unexpected trailing content", 4),
+        ("BF n=4 field=13\n\t0000\n\n  0\n", "unexpected trailing content", 3),
+    ],
+)
+def test_bf_columns_count_leading_blanks(text, message, column):
+    line = 2 if "trailing" not in message else len(text.splitlines())
+    with pytest.raises(ParseError) as info:
+        bf_from_text(text)
+    assert str(info.value) == f"{message} at line {line}, col {column}"
+
+
 def test_bf_rejects_unicode_digits():
     # int("\u0663", 16) == 3, but the format allows ASCII hex digits only
     for ch in ("\u0663", "\uff13", "\U0001d7d1"):

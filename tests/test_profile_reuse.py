@@ -225,5 +225,4 @@ def test_each_distinct_component_is_transformed_once(monkeypatch):
     G_rows = (1 << m) - 1
     H_rows = trace_one
     hat_rows = (1 << m) * ((1 << t) - 1)
-    tail_rows = (1 << t) - 1
-    assert sum(columns) == 2 * (G_rows + H_rows + hat_rows + tail_rows)
+    assert sum(columns) == 2 * (G_rows + H_rows + hat_rows)

@@ -191,6 +191,23 @@ def test_find_defining_sets_candidate_pool_and_budget():
         find_defining_sets(g, 1)
 
 
+def test_find_defining_sets_limit_bounds_the_work(monkeypatch):
+    import bentvec.propp as propp
+
+    calls = []
+    second_derivative = propp._second_derivative
+
+    def counting(*args):
+        calls.append(args[2:])
+        return second_derivative(*args)
+
+    monkeypatch.setattr(propp, "_second_derivative", counting)
+    g = kasami_dual(FieldSpec.default(8))
+    sets = find_defining_sets(g, 2, limit=1)
+    assert len(sets) == 1 and satisfies_p(g, sets[0]).holds
+    assert len(calls) < 255 * 254 // 2 // 50  # all pool pairs: 32,385
+
+
 def _random_set(field, rng, tau):
     us = rng.choice(field.size - 1, size=tau, replace=False) + 1
     return DefiningSet(field, tuple(int(u) for u in us))
