@@ -8,12 +8,13 @@ The Walsh transform uses the field pairing throughout:
 
     W_f(a) = sum_x (-1)^(f(x) + Tr^n_1(a x))
 
-computed as a plain fast Hadamard butterfly followed by the linear
-reindexing a -> perm[a] with Tr(a x) = parity(perm[a] & x).  Every
-spectrum is checked against Parseval's relation and round-tripped back to
-the truth table before being returned.  Since Tr(a x) = Tr(x a), perm is
-a symmetric matrix, and the inverse is the same butterfly gathered
-through perm: fwht(W)[perm] = 2^n (-1)^f.
+Since Tr(a x) = parity(perm[a] & x) for a linear reindexing perm, W_f(a)
+= S(perm[a]), where S is the plain fast Hadamard transform of (-1)^f.
+Spectra are computed and checked in that Hadamard index: Parseval's
+relation, even parity, the class and the round trip fwht(S) = 2^n (-1)^f
+do not depend on the index.  Only field-indexed values, duals and the
+points named in failure messages are reindexed through perm, when they
+are asked for.
 
 The Hadamard and Möbius butterflies do two levels per pass, in place on
 one copy of their input; the Hadamard one adds a scratch buffer of half
@@ -154,12 +155,19 @@ def _where(names, j):
     return "" if names is None else f"component {names[j]}: "
 
 
-def check_parseval_parity(values, n, names=None):
+def _field_order(spectra, field):
+    """Hadamard-indexed spectra along axis 0 reindexed by field element;
+    spectra already so indexed when field is None."""
+    return spectra if field is None else spectra[_walsh_permutation(field)]
+
+
+def check_parseval_parity(values, n, names=None, field=None):
     """Parseval's relation and even parity for spectra along axis 0.
 
-    Each column of `values` is one field-paired spectrum of an n-variable
-    function.  A failure raises VerificationError naming a point and its
-    value, prefixed by the column's entry of `names` when given.
+    Each column of `values` is one spectrum of an n-variable function,
+    indexed by field element, or in the Hadamard index of `field` when it
+    is given.  A failure raises VerificationError naming a field point and
+    its value, prefixed by the column's entry of `names` when given.
     """
     cols = values.reshape(values.shape[0], -1)
     # float64 cannot wrap: with nonnegative terms and monotone rounding the sum
@@ -168,14 +176,16 @@ def check_parseval_parity(values, n, names=None):
     bad = np.flatnonzero(sums != 1 << (2 * n))
     if bad.size:
         j = int(bad[0])
-        a = int(np.argmax(np.abs(cols[:, j])))
-        exact = sum(int(w) ** 2 for w in cols[:, j])
+        col = _field_order(cols[:, j], field)
+        a = int(np.argmax(np.abs(col)))
+        exact = sum(int(w) ** 2 for w in col)
         raise VerificationError(
             f"{_where(names, j)}Parseval check failed: sum of W(a)^2 is "
             f"{exact}, expected 2^{2 * n}; largest |W(a)| is "
-            f"W({a}) = {int(cols[a, j])}"
+            f"W({a}) = {int(col[a])}"
         )
     if np.any(cols & 1):
+        cols = _field_order(cols, field)
         a, j = (int(i) for i in np.argwhere(cols & 1)[0])
         raise VerificationError(
             f"{_where(names, j)}spectrum parity check failed: "
@@ -184,26 +194,31 @@ def check_parseval_parity(values, n, names=None):
 
 
 def check_round_trip(values, signs, perm, names=None):
-    """The inverse butterfly must give back the sign tables, per column.
+    """The inverse butterfly must give back the +-1 sign tables, per column.
 
-    `values` are the spectra of `signs` reindexed by `perm`.  perm is the
-    symmetric matrix M_ij = Tr(alpha^i alpha^j), so
+    `values` are the spectra of `signs` in the Hadamard index when perm is
+    None, so that fwht(values) = 2^n signs.  Otherwise they are reindexed
+    by perm, the symmetric matrix M_ij = Tr(alpha^i alpha^j), so
     parity(perm[a] & x) = parity(a & perm[x]), and the inverse is the
     same butterfly gathered through perm: fwht(values)[perm] = 2^n signs.
     A perm without that symmetry fails the check.  The inverse is
     compared unscaled, so an entry off by less than 2^n fails too.
     """
     size = values.shape[0]
-    n = size.bit_length() - 1
     inverse = fwht(values)
-    off = inverse[perm].reshape(size, -1)
-    # 2^n signs go in the butterfly's buffer, which the gather has read, so
-    # the check allocates nothing more
-    off -= np.left_shift(signs, n, out=inverse).reshape(size, -1)
+    if perm is not None:
+        inverse = inverse[perm]
+    off = inverse.reshape(size, -1)
+    s = signs.reshape(size, -1)
+    # a sign is +-1, so an entry is 2^n signs exactly where its product
+    # with the sign is 2^n; in place, the check allocates nothing more
+    off *= s
+    off -= size
     if np.count_nonzero(off):
         x, j = (int(i) for i in np.argwhere(off)[0])
-        sign = int(signs.reshape(size, -1)[x, j])
-        got = int(off[x, j]) + (sign << n)
+        sign = int(s[x, j])
+        n = size.bit_length() - 1
+        got = (int(off[x, j]) + size) * sign
         shown = f"{got >> n}" if got % size == 0 else f"{got}/2^{n}"
         raise VerificationError(
             f"{_where(names, j)}Walsh round-trip failed at x = {x}: inverse "
@@ -269,11 +284,17 @@ def classify(values, n):
 
 
 class WalshSpectrum:
-    """Full integer Walsh spectrum indexed by field elements, plus class."""
+    """Full integer Walsh spectrum, plus class.
 
-    __slots__ = ("field", "values", "classification")
+    Given indexed by field element, or with hadamard=True as S =
+    fwht((-1)^f), where W(a) = S(perm[a]).  The checks, the class and
+    `abs_counts` read the spectrum as given; `values`, indexed by field
+    element, is reindexed on first access and then replaces it.
+    """
 
-    def __init__(self, field, values):
+    __slots__ = ("field", "classification", "_spectrum", "_values")
+
+    def __init__(self, field, values, hadamard=False):
         values = np.asarray(values)
         # int32 holds any |W| <= 2^n <= 2^24; anything else is widened to
         # int64, never narrowed, so no value is truncated before the checks
@@ -282,11 +303,21 @@ class WalshSpectrum:
         if values.shape != (field.size,):
             raise FieldError("spectrum length must be 2^n")
         n = field.n
-        check_parseval_parity(values, n)
+        check_parseval_parity(values, n, field=field if hadamard else None)
         values.flags.writeable = False
         self.field = field
-        self.values = values
+        self._spectrum = values
+        self._values = None if hadamard else values
         self.classification = classify(values, n)
+
+    @property
+    def values(self):
+        """W(a) for every field element a."""
+        if self._values is None:
+            values = _field_order(self._spectrum, self.field)
+            values.flags.writeable = False
+            self._spectrum = self._values = values
+        return self._values
 
     @property
     def is_bent(self):
@@ -294,6 +325,10 @@ class WalshSpectrum:
 
     def __getitem__(self, a):
         return int(self.values[a])
+
+    def abs_counts(self):
+        """The distinct |W(a)|, ascending, and how many points take each."""
+        return np.unique(np.abs(self._spectrum), return_counts=True)
 
 
 class BooleanFunction:
@@ -417,15 +452,15 @@ class BooleanFunction:
         """Walsh spectrum over the field pairing, verified exactly.
 
         Parseval and the inverse-transform round trip are asserted inline
-        for every spectrum this package ever computes.  The butterfly and
-        the values are int32, exact since |W(a)| <= 2^n <= 2^24.
+        for every spectrum this package ever computes, in the Hadamard
+        index.  The butterfly and the values are int32, exact since
+        |W(a)| <= 2^n <= 2^24.
         """
         if self._walsh is None:
-            perm = _walsh_permutation(self.field)
             signs = 1 - 2 * self.table.astype(np.int32)
-            values = fwht(signs)[perm]
-            spectrum = WalshSpectrum(self.field, values)
-            check_round_trip(values, signs, perm)
+            hadamard = fwht(signs)
+            spectrum = WalshSpectrum(self.field, hadamard, hadamard=True)
+            check_round_trip(hadamard, signs, None)
             self._walsh = spectrum
         return self._walsh
 
@@ -441,9 +476,8 @@ class BooleanFunction:
         if self.n % 2:
             raise NotBentError(0, spectrum[0], "2^(n/2) with n even")
         r = 1 << (self.n // 2)
-        bad = np.nonzero(np.abs(spectrum.values) != r)[0]
-        if bad.size:
-            a = int(bad[0])
+        if not spectrum.is_bent:
+            a = int(np.flatnonzero(np.abs(spectrum.values) != r)[0])
             raise NotBentError(a, spectrum[a], r)
         return BooleanFunction(self.field, (spectrum.values < 0).astype(np.uint8))
 

@@ -13,8 +13,6 @@ import datetime
 import json
 import sys
 
-import numpy as np
-
 from . import fileio
 from .boolfun import BooleanFunction
 from .constructions import (
@@ -217,7 +215,7 @@ def cmd_verify(args):
         print(f"class: {spectrum.classification}")
         print(f"degree: {obj.degree()}")
         print(f"weight: {obj.weight()} (balanced: {obj.is_balanced()})")
-        absv, counts = np.unique(np.abs(spectrum.values), return_counts=True)
+        absv, counts = spectrum.abs_counts()
         print(
             "spectrum |W| counts: "
             + ", ".join(f"{v}: {c}" for v, c in zip(absv.tolist(), counts.tolist()))
@@ -230,6 +228,8 @@ def cmd_verify(args):
 
 
 def cmd_propp(args):
+    if args.limit is not None and args.limit < 1:
+        raise ValueError(f"--limit must be at least 1, got {args.limit}")
     f = fileio.read_bf(args.file, modulus=args.field_modulus)
     if args.search is not None:
         sets = find_defining_sets(

@@ -213,9 +213,23 @@ def bf_from_text(text, modulus=None):
     return BooleanFunction(spec, table)
 
 
+def _read_text(path):
+    """The file's text as UTF-8 whatever the locale, with universal newlines;
+    a byte that is not UTF-8 is a parse error at its line and column."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # a stand-in for the bad byte ends the text before it
+        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        message = f"byte {data[exc.start]:#04x} is not UTF-8"
+        raise ParseError(message, line=len(lines), column=len(lines[-1])) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if b"\r" in data else text
+
+
 def read_bf(path, modulus=None):
-    with open(path, "r") as handle:
-        return bf_from_text(handle.read(), modulus=modulus)
+    return bf_from_text(_read_text(path), modulus=modulus)
 
 
 def vf_to_text(F: VectorialFunction):
@@ -481,14 +495,12 @@ def vf_from_text(text, modulus=None):
 
 
 def read_vf(path, modulus=None):
-    with open(path, "r") as handle:
-        return vf_from_text(handle.read(), modulus=modulus)
+    return vf_from_text(_read_text(path), modulus=modulus)
 
 
 def read_any(path, modulus=None):
     """Read a BF or VF file, dispatching on the header tag."""
-    with open(path, "r") as handle:
-        text = handle.read()
+    text = _read_text(path)
     # the first run of non-whitespace, found without splitting the text
     tag = re.match(r"\s*(\S*)", text).group(1)
     if tag == "BF":

@@ -438,6 +438,10 @@ def _walsh_permutation(spec):
         for j in range(spec.n):
             w |= int(tr[clmul_reduce(1 << i, 1 << j, spec.modulus, spec.n)]) << j
         base.append(w)
+    # no spectrum check reads perm, so its symmetry, Tr(a x) = Tr(x a), is
+    # checked here on the basis matrix M_ij = Tr(alpha^i alpha^j)
+    if any((base[i] >> j ^ base[j] >> i) & 1 for i in range(spec.n) for j in range(i)):
+        raise FieldError(f"trace form of modulus {spec.modulus:#x} is not symmetric")
     # int64, not int32: an int32 index makes every gather through perm
     # allocate numpy's index-cast buffer
     perm = np.zeros(spec.size, dtype=np.int64)

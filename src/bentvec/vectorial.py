@@ -232,33 +232,27 @@ class VectorialFunction:
         Raises NotBentError, as BooleanFunction.dual does, when that
         component is not bent.
         """
-        bits = np.unpackbits(self._packed_dual(lam), count=self.field.size)
-        return BooleanFunction(self.field, bits)
+        return BooleanFunction(self.field, self.dual_planes([lam])[:, 0])
 
     def dual_planes(self, lams):
         """(2^n, ceil(k/8)) uint8 bit-planes of the k duals of `lams`.
 
         The dual of lams[c] is bit c % 8 of column c // 8, the layout
-        propp.satisfies_p_planes reads.
+        propp.satisfies_p_planes reads.  profile() keeps each dual packed
+        in the Hadamard index; the planes are reindexed by field element.
         """
-        size = self.field.size
-        planes = np.empty((size, -(-len(lams) // 8)), dtype=np.uint8)
-        for c in range(0, len(lams), 8):
-            column = np.zeros(size, dtype=np.uint8)
-            for bit, lam in enumerate(lams[c : c + 8]):
-                column |= np.unpackbits(self._packed_dual(lam), count=size) << bit
-            planes[:, c // 8] = column
-        return planes
-
-    def _packed_dual(self, lam):
-        """np.packbits of the dual of (lambda, 0), as profile() kept it."""
         self.profile()
-        bits = self._dual_bits.get(int(lam))
-        if bits is None:
-            # not a bent (lambda, 0) component, or not a selector: the lone
-            # function's path raises the same error
-            bits = np.packbits(self.component(lam).dual().table)
-        return bits
+        size = self.field.size
+        planes = np.zeros((size, -(-len(lams) // 8)), dtype=np.uint8)
+        for c, lam in enumerate(lams):
+            bits = self._dual_bits.get(int(lam))
+            if bits is None:
+                # not a bent (lambda, 0) component, or not a selector: the
+                # lone function's path raises the same error
+                self.component(lam).dual()
+                raise VerificationError(f"profile kept no dual for bent {lam:#x}")
+            planes[:, c // 8] |= np.unpackbits(bits, count=size) << (c % 8)
+        return planes[_walsh_permutation(self.field)]
 
     def profile(self):
         """Cached ((lambda, v), Classification, degree) per selector, in order.
@@ -269,8 +263,9 @@ class VectorialFunction:
         component comes from the coordinate word: each block of selector
         masks becomes an int32 sign matrix with one column per component,
         transformed at once along axis 0 and checked column by column
-        (Parseval, parity, round trip).  The dual of each bent (lambda, 0)
-        column is kept packed, one bit per point.  Degrees use the
+        (Parseval, parity, round trip), all in the Hadamard index.  The
+        dual of each bent (lambda, 0) column is kept packed in that index,
+        one bit per point, and reindexed when asked for.  Degrees use the
         linearity of the ANF: one Möbius transform of the word packs the
         coordinate ANFs, and a component's ANF is parity(anf_word & mask).
         No truth table or spectrum is kept.
@@ -321,7 +316,6 @@ class VectorialFunction:
         """Fill rows[i] for i in `todo` from blocked, checked transforms."""
         n = self.n
         word = self.word
-        perm = _walsh_permutation(self.field)
         # distinct (monomial degree, packed ANF coefficients) pairs
         anf = _mobius(word)
         monomials = np.flatnonzero(anf)
@@ -347,9 +341,10 @@ class VectorialFunction:
             signs = signs.view(np.int32)
             signs *= -2
             signs += 1
-            values = fwht(signs)[perm]
-            check_parseval_parity(values, n, names)
-            check_round_trip(values, signs, perm, names)
+            # W(a) = values[perm[a]]: only witnesses and duals need field points
+            values = fwht(signs)
+            check_parseval_parity(values, n, names, self.field)
+            check_round_trip(values, signs, None, names)
             odd = np.bitwise_count(mono_word[:, None] & block[None, :]) & 1
             degrees = np.max(odd * mono_deg[:, None], axis=0, initial=0)
             for j, (i, sel) in enumerate(zip(index, names)):

@@ -321,8 +321,9 @@ def test_walsh_failures_name_point_and_value(monkeypatch):
     assert str(err.value) == f"spectrum parity check failed: W({a}) = {value} is odd"
 
     def negate(out):
-        # the inverse reads Hadamard row perm[x] for table point x
-        out[perm[6]] = -out[perm[6]]
+        # the round trip runs in the Hadamard index: the inverse's row x is
+        # table point x
+        out[6] = -out[6]
 
     sign = 1 - 2 * int(f.table[6])
     with pytest.raises(VerificationError) as err:
@@ -331,6 +332,31 @@ def test_walsh_failures_name_point_and_value(monkeypatch):
         f"Walsh round-trip failed at x = 6: inverse gives {-sign}, "
         f"table sign is {sign}"
     )
+
+
+def test_parity_witness_is_the_first_odd_field_point(monkeypatch):
+    import bentvec.boolfun as boolfun
+
+    # spectra are checked in the Hadamard index; the witness is still the
+    # first odd W(a) in field order, here not the first odd Hadamard entry
+    f = kasami_component(F16)
+    good = f.walsh().values
+    perm = F16.walsh_permutation()
+    fwht_ok = boolfun.fwht
+
+    def odd_high_entries(signs):
+        out = fwht_ok(signs)
+        # seven 1s and one 11 keep the sum of squares of eight 4s
+        out[8:] = np.sign(out[8:]) * np.array([1, 1, 1, 1, 1, 1, 1, 11])
+        return out
+
+    monkeypatch.setattr(boolfun, "fwht", odd_high_entries)
+    a = int(np.flatnonzero(perm >= 8)[0])
+    assert a != 8  # the first odd entry in the Hadamard index
+    value = int(np.sign(good[a])) * (11 if perm[a] == 15 else 1)
+    with pytest.raises(VerificationError) as err:
+        BooleanFunction(F16, f.table).walsh()
+    assert str(err.value) == f"spectrum parity check failed: W({a}) = {value} is odd"
 
 
 def test_parseval_sum_does_not_wrap():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import bentvec
 
@@ -314,6 +315,74 @@ def test_propp_search(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "found 4 defining set(s)" in out
     assert "truncated" in out
+
+
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_propp_limit_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, limit):
+    import bentvec.cli as cli
+
+    path = tmp_path / "kd.bf"
+    G = VectorialFunction.from_univariate(F16, 2, [(1, 5)])
+    write_bf(path, G.component(1).dual())
+    searched = []
+    monkeypatch.setattr(cli, "find_defining_sets", lambda *a, **k: searched.append(1))
+    assert run(["propp", str(path), "--search", "2", "--limit", limit]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not searched
+    assert captured.err == f"error: --limit must be at least 1, got {int(limit)}\n"
+    monkeypatch.undo()
+    assert run(["propp", str(path), "--search", "2", "--limit", "1"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "found 1 defining set(s) of size 2 (truncated at limit; more may exist)\n"
+    )
+
+
+def test_verify_names_a_byte_that_is_not_utf8(tmp_path, capsys):
+    # universal newlines: "\r\n" and "\r" each end one line, as on read
+    for raw, where in (
+        (b"BF n=4 field=13\n00\xff0\n", "byte 0xff is not UTF-8 at line 2, col 3"),
+        (b"BF n=4 field=13\r\n \xc3\xa90\xfe\n", "byte 0xfe is not UTF-8 at line 2, col 4"),
+        (b"VF n=2 m=1 t=0 field=7\r0\n1\r\n1\n\x80\n", "byte 0x80 is not UTF-8 at line 5, col 1"),
+    ):
+        path = tmp_path / "bad"
+        path.write_bytes(raw)
+        for argv in (["verify", str(path)], ["propp", str(path), "--search", "2"]):
+            assert run(argv) == 1
+            assert capsys.readouterr().err == f"parse error: {where}\n"
+
+
+def test_verify_builds_no_field_permutation_or_trace_table(tmp_path, capsys, monkeypatch):
+    import bentvec.gf2n as gf2n
+
+    # spies on the cached table functions, rebound wherever a module imported them
+    calls = []
+    for name in ("_walsh_permutation", "_abs_trace_table"):
+        original = getattr(gf2n, name)
+
+        def spy(spec, _name=name, _original=original):
+            calls.append(_name)
+            return _original(spec)
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("bentvec"):
+                if vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, spy)
+    # a field no other test builds: n = 14 with its least generator
+    field = FieldSpec.with_least_generator(14, 0x402B)
+    x = np.arange(field.size, dtype=np.uint32)
+    half = np.uint32((1 << 7) - 1)
+    bent = (np.bitwise_count(x & half & (x >> 7)) & 1).astype(np.uint8)
+    rng = np.random.default_rng(14)
+    for table, klass in ((bent, "Bent(128)"), (rng.integers(0, 2, field.size), "Mixed")):
+        path = tmp_path / "f.bf"
+        write_bf(path, BooleanFunction(field, table))
+        assert run(["verify", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith(f"class: {klass}")
+    vf = tmp_path / "k.vf"
+    write_vf(vf, VectorialFunction.from_univariate(F16, 2, [(1, 5)]))
+    assert run(["verify", str(vf)]) == 0
+    assert "class: vectorial bent (4,2)" in capsys.readouterr().out
+    assert calls == []
 
 
 def test_propp_requires_mode(tmp_path):

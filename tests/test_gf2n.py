@@ -337,3 +337,22 @@ def test_exp_log_rejects_short_order_and_reducible_modulus():
     # modulo x^2 the powers of x are 1, x, 0: all distinct, but x^3 != 1
     with pytest.raises(FieldError, match=r"modulus 0x4 is not irreducible"):
         _exp_log(_unchecked_spec(2, 0x4, 0x2))
+
+
+def test_walsh_permutation_refuses_a_non_symmetric_trace_form(monkeypatch):
+    import bentvec.gf2n as gf2n
+
+    # Tr(alpha alpha^0) read at a corrupted product: for odd n, Tr(1) = 1, so
+    # the entry M_10 differs from M_01.  A corrupted trace table alone cannot
+    # do this, since M_ij and M_ji read the table at the same element.
+    field = FieldSpec.default(5)
+    build = gf2n._walsh_permutation.__wrapped__  # past the per-field cache
+    assert np.array_equal(build(field), field.walsh_permutation())
+    product = gf2n.clmul_reduce
+    monkeypatch.setattr(
+        gf2n,
+        "clmul_reduce",
+        lambda a, b, modulus, n: product(a, b, modulus, n) ^ ((a, b) == (2, 1)),
+    )
+    with pytest.raises(FieldError, match="trace form of modulus 0x25 is not symmetric"):
+        build(field)

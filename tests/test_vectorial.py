@@ -189,6 +189,31 @@ def test_dual_is_cached_per_lambda():
         linear_vf(F16).dual(1)
 
 
+@pytest.mark.parametrize(
+    "field", [F16, FieldSpec.with_least_generator(4, 0x19), F64], ids=["F16", "F16-19", "F64"]
+)
+def test_field_indexed_values_and_duals_match_the_naive_oracles(field):
+    # spectra are checked and duals kept in the Hadamard index; every value
+    # and dual handed out must still be indexed by field element
+    pairing = pairing_matrix(field.modulus, field.n)
+    G = kasami(field)
+    lams = [int(lam) for lam in field.subfield(G.m) if lam]
+    planes = np.unpackbits(G.dual_planes(lams)[:, :, None], axis=2, bitorder="little")
+    for c, lam in enumerate(lams):
+        table = G.component(lam).table
+        naive = naive_walsh(table, pairing)
+        f = BooleanFunction(field, table)  # fresh: nothing cached
+        spectrum = f.walsh()
+        assert np.array_equal(spectrum.values, naive)
+        assert [spectrum[a] for a in range(field.size)] == naive.tolist()
+        dual = (naive < 0).astype(np.uint8)
+        assert np.array_equal(f.dual().table, dual)
+        assert np.array_equal(G.dual(lam).table, dual)
+        assert np.array_equal(planes[:, c // 8, c % 8], dual)
+    absv, counts = BooleanFunction(field, G.component(lams[0]).table).walsh().abs_counts()
+    assert (absv.tolist(), counts.tolist()) == ([1 << (field.n // 2)], [field.size])
+
+
 def test_at_most_32_output_bits():
     with pytest.raises(FieldError, match="at most 32 output bits"):
         VectorialFunction(F16, 4, np.zeros(16), t=29)
@@ -378,10 +403,10 @@ def test_profile_failures_name_selector_point_and_value(monkeypatch):
     )
 
     def flip_column_4(out):
-        out[perm[7], 4] = -out[perm[7], 4]
+        out[7, 4] = -out[7, 4]
 
-    # the forward transform is intact; the inverse one is corrupted at the
-    # Hadamard row it reads for table point 7
+    # the forward transform is intact; the inverse one is corrupted at table
+    # point 7, which is its row 7: the round trip runs in the Hadamard index
     monkeypatch.setattr(vectorial, "fwht", boolfun.fwht)
     monkeypatch.setattr(boolfun, "fwht", _corrupting(boolfun.fwht, flip_column_4))
     sign = 1 - 2 * int(G.component(*sels[4]).table[7])
