@@ -10,11 +10,11 @@ The Walsh transform uses the field pairing throughout:
 
 Since Tr(a x) = parity(perm[a] & x) for a linear reindexing perm, W_f(a)
 = S(perm[a]), where S is the plain fast Hadamard transform of (-1)^f.
-Spectra are computed and checked in that Hadamard index: Parseval's
-relation, even parity, the class and the round trip fwht(S) = 2^n (-1)^f
-do not depend on the index.  Only field-indexed values, duals and the
-points named in failure messages are reindexed through perm, when they
-are asked for.
+Spectra are given, computed and checked only in that Hadamard index:
+Parseval's relation, even parity, the class and the round trip fwht(S) =
+2^n (-1)^f do not depend on the index.  Only field-indexed values, duals
+and the points named in failure messages are reindexed, through
+`_field_order`, when they are asked for.
 
 The Hadamard and Möbius butterflies do two levels per pass, in place on
 one copy of their input; the Hadamard one adds a scratch buffer of half
@@ -156,19 +156,19 @@ def _where(names, j):
 
 
 def _field_order(spectra, field):
-    """Hadamard-indexed spectra along axis 0 reindexed by field element;
-    spectra already so indexed when field is None."""
-    return spectra if field is None else spectra[_walsh_permutation(field)]
+    """Hadamard-indexed arrays along axis 0 reindexed by field element."""
+    return spectra[_walsh_permutation(field)]
 
 
-def check_parseval_parity(values, n, names=None, field=None):
+def check_parseval_parity(values, field, names=None):
     """Parseval's relation and even parity for spectra along axis 0.
 
-    Each column of `values` is one spectrum of an n-variable function,
-    indexed by field element, or in the Hadamard index of `field` when it
-    is given.  A failure raises VerificationError naming a field point and
-    its value, prefixed by the column's entry of `names` when given.
+    Each column of `values` is one spectrum of a function on `field`, in
+    its Hadamard index.  A failure raises VerificationError naming a field
+    point and its value, prefixed by the column's entry of `names` when
+    given.
     """
+    n = field.n
     cols = values.reshape(values.shape[0], -1)
     # float64 cannot wrap: with nonnegative terms and monotone rounding the sum
     # is exact below 2^53 and, once there, never drops back to 2^(2n) <= 2^48
@@ -193,22 +193,15 @@ def check_parseval_parity(values, n, names=None, field=None):
         )
 
 
-def check_round_trip(values, signs, perm, names=None):
+def check_round_trip(values, signs, names=None):
     """The inverse butterfly must give back the +-1 sign tables, per column.
 
-    `values` are the spectra of `signs` in the Hadamard index when perm is
-    None, so that fwht(values) = 2^n signs.  Otherwise they are reindexed
-    by perm, the symmetric matrix M_ij = Tr(alpha^i alpha^j), so
-    parity(perm[a] & x) = parity(a & perm[x]), and the inverse is the
-    same butterfly gathered through perm: fwht(values)[perm] = 2^n signs.
-    A perm without that symmetry fails the check.  The inverse is
-    compared unscaled, so an entry off by less than 2^n fails too.
+    `values` are the spectra of `signs` in the Hadamard index, so that
+    fwht(values) = 2^n signs.  The inverse is compared unscaled, so an
+    entry off by less than 2^n fails too.
     """
     size = values.shape[0]
-    inverse = fwht(values)
-    if perm is not None:
-        inverse = inverse[perm]
-    off = inverse.reshape(size, -1)
+    off = fwht(values).reshape(size, -1)
     s = signs.reshape(size, -1)
     # a sign is +-1, so an entry is 2^n signs exactly where its product
     # with the sign is 2^n; in place, the check allocates nothing more
@@ -286,29 +279,28 @@ def classify(values, n):
 class WalshSpectrum:
     """Full integer Walsh spectrum, plus class.
 
-    Given indexed by field element, or with hadamard=True as S =
-    fwht((-1)^f), where W(a) = S(perm[a]).  The checks, the class and
-    `abs_counts` read the spectrum as given; `values`, indexed by field
-    element, is reindexed on first access and then replaces it.
+    Given in the Hadamard index only, as S = fwht((-1)^f), where W(a) =
+    S(perm[a]).  The checks, the class and `abs_counts` read S; `values`,
+    indexed by field element, is reindexed on first access and then
+    replaces it.
     """
 
     __slots__ = ("field", "classification", "_spectrum", "_values")
 
-    def __init__(self, field, values, hadamard=False):
-        values = np.asarray(values)
+    def __init__(self, field, spectrum):
+        spectrum = np.asarray(spectrum)
         # int32 holds any |W| <= 2^n <= 2^24; anything else is widened to
         # int64, never narrowed, so no value is truncated before the checks
-        if values.dtype != np.int32:
-            values = values.astype(np.int64)
-        if values.shape != (field.size,):
+        if spectrum.dtype != np.int32:
+            spectrum = spectrum.astype(np.int64)
+        if spectrum.shape != (field.size,):
             raise FieldError("spectrum length must be 2^n")
-        n = field.n
-        check_parseval_parity(values, n, field=field if hadamard else None)
-        values.flags.writeable = False
+        check_parseval_parity(spectrum, field)
+        spectrum.flags.writeable = False
         self.field = field
-        self._spectrum = values
-        self._values = None if hadamard else values
-        self.classification = classify(values, n)
+        self._spectrum = spectrum
+        self._values = None
+        self.classification = classify(spectrum, field.n)
 
     @property
     def values(self):
@@ -459,8 +451,8 @@ class BooleanFunction:
         if self._walsh is None:
             signs = 1 - 2 * self.table.astype(np.int32)
             hadamard = fwht(signs)
-            spectrum = WalshSpectrum(self.field, hadamard, hadamard=True)
-            check_round_trip(hadamard, signs, None)
+            spectrum = WalshSpectrum(self.field, hadamard)
+            check_round_trip(hadamard, signs)
             self._walsh = spectrum
         return self._walsh
 
@@ -473,12 +465,10 @@ class BooleanFunction:
     def dual(self):
         """The dual f* of a bent function: W_f(a) = 2^(n/2) (-1)^(f*(a))."""
         spectrum = self.walsh()
-        if self.n % 2:
-            raise NotBentError(0, spectrum[0], "2^(n/2) with n even")
-        r = 1 << (self.n // 2)
         if not spectrum.is_bent:
-            a = int(np.flatnonzero(np.abs(spectrum.values) != r)[0])
-            raise NotBentError(a, spectrum[a], r)
+            a = _off_bent_point(spectrum)
+            expected = "2^(n/2) with n even" if self.n % 2 else 1 << (self.n // 2)
+            raise NotBentError(a, spectrum[a], expected)
         return BooleanFunction(self.field, (spectrum.values < 0).astype(np.uint8))
 
     # -- algebraic normal form ---------------------------------------------------
@@ -572,13 +562,20 @@ def check_lemma_walsh_identity(f1, f2, f3):
     return True
 
 
+def _off_bent_point(spectrum):
+    """The witness that a spectrum is not bent: the least field point a
+    with |W(a)| != 2^(n/2), or 0 for odd n, where no spectrum is bent."""
+    n = spectrum.field.n
+    if n % 2:
+        return 0
+    return int(np.flatnonzero(np.abs(spectrum.values) != 1 << (n // 2))[0])
+
+
 def bent_or_raise(f, name="input"):
     """Require bentness, re-raising with a labelled witness."""
     spectrum = f.walsh()
     if not spectrum.is_bent:
-        absv = np.abs(spectrum.values)
-        r = 1 << (f.n // 2) if f.n % 2 == 0 else None
-        a = int(np.nonzero(absv != r)[0][0]) if r is not None else 0
+        a = _off_bent_point(spectrum)
         raise PreconditionError(
             f"{name} is not bent: class {spectrum.classification}, "
             f"W({a}) = {spectrum[a]}"

@@ -13,7 +13,8 @@ class FieldError(BentvecError):
     """Invalid field parameters or element outside its domain.
 
     A bad table entry is named by `point`, its least index, and `extra`
-    tells whether its appended bits, not its value, are at fault.
+    tells whether its appended bits, not its value, are at fault; for a
+    bad output dimension, whether t, not m, is.
     """
 
     def __init__(self, message, point=None, extra=False):

@@ -30,8 +30,10 @@ token, a dot where t says there is none, an empty part, more than 15
 digits) goes alone to the one-entry parser, which gives its error or its
 value.
 
-Header values are ASCII decimal digits (hex for `field`); anything else
-is a parse error at that field's column.
+Header values are ASCII decimal digits (hex for `field`); anything else,
+or a key given twice, is a parse error at that field's column.  So are a
+VF header's m that does not divide n and m + t above 32, before the body
+is read.
 
 The field model is built from the header modulus, or a reader's `modulus`
 override: the shipped generator when the modulus matches the built-in
@@ -50,7 +52,7 @@ import numpy as np
 from .boolfun import BooleanFunction
 from .errors import FieldError, ParseError
 from .gf2n import PRIMITIVE_POLYNOMIALS, FieldSpec, _check_degree
-from .vectorial import VectorialFunction
+from .vectorial import VectorialFunction, _check_dimensions
 
 
 def field_from_modulus(n, modulus):
@@ -151,6 +153,8 @@ def parse_header(line, expected_tag, keys):
         key, _, raw = token.partition("=")
         if key not in keys:
             raise ParseError(f"unknown header field {key!r}", line=1, column=col)
+        if key in values:
+            raise ParseError(f"duplicate header field {key!r}", line=1, column=col)
         hex_value = key == "field"
         try:
             # int() alone would take signs, "_" and non-ASCII digits
@@ -214,18 +218,18 @@ def bf_from_text(text, modulus=None):
 
 
 def _read_text(path):
-    """The file's text as UTF-8 whatever the locale, with universal newlines;
-    a byte that is not UTF-8 is a parse error at its line and column."""
+    """The file's text as UTF-8 whatever the locale, line breaks kept: both
+    parsers split lines as str.splitlines does.  A byte that is not UTF-8
+    is a parse error at its line and column."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # a stand-in for the bad byte ends the text before it
         lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
         message = f"byte {data[exc.start]:#04x} is not UTF-8"
         raise ParseError(message, line=len(lines), column=len(lines[-1])) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n") if b"\r" in data else text
 
 
 def read_bf(path, modulus=None):
@@ -462,6 +466,13 @@ def vf_from_text(text, modulus=None):
     header, columns = parse_header(text[:header_end], "VF", ("n", "m", "t", "field"))
     n, m, t = header["n"], header["m"], header["t"]
     spec = _header_field(header, columns, modulus)
+    # dimensions no function has are refused before the body is read
+    try:
+        _check_dimensions(n, m, t)
+    except FieldError as exc:
+        raise ParseError(
+            str(exc), line=1, column=columns["t" if exc.extra else "m"]
+        ) from None
     size = 1 << n
     codes = _vf_codes(text, header_end)
     line, start, dot, end, fast, breaks, lines = _vf_rows(codes, header_end, t)

@@ -22,14 +22,16 @@ import numpy as np
 from .boolfun import (
     BooleanFunction,
     _distinct,
+    _field_order,
     _mobius,
+    _off_bent_point,
     check_parseval_parity,
     check_round_trip,
     classify,
     fwht,
 )
 from .errors import FieldError, VerificationError
-from .gf2n import FieldSpec, _walsh_permutation
+from .gf2n import FieldSpec
 
 # profile() transforms max(1, BLOCK_POINTS >> n) components at a time, so
 # a block's int32 sign matrix holds max(2^16, 2^n) entries.
@@ -47,6 +49,17 @@ class PlateauedCheck(NamedTuple):
     ok: bool
     amplitudes: dict  # (lambda, v) -> amplitude for plateaued, None for mixed
     witness: tuple[int, int] | None
+
+
+def _check_dimensions(n, m, t):
+    """Refuse output dimensions no (n, m [+t])-function has: m must divide
+    n and m + t fit the uint32 word.  A FieldError about t has extra set."""
+    if m < 1 or n % m != 0:
+        raise FieldError(f"output dimension {m} must divide n={n}")
+    if t < 0:
+        raise FieldError("appended coordinate count must be nonnegative", extra=True)
+    if m + t > 32:
+        raise FieldError(f"at most 32 output bits, got m + t = {m + t}", extra=True)
 
 
 def max_bent_components_bound(n, m):
@@ -73,8 +86,7 @@ class VectorialFunction:
     __slots__ = ("field", "m", "t", "word", "_parent", "_profile", "_dual_bits")
 
     def __init__(self, field: FieldSpec, m, values, extra=None, t=0):
-        if m < 1 or field.n % m != 0:
-            raise FieldError(f"output dimension {m} must divide n={field.n}")
+        _check_dimensions(field.n, m, t)
         values = np.asarray(values, dtype=np.int64)
         if values.shape != (field.size,):
             raise FieldError(f"output table must have length {field.size}")
@@ -93,10 +105,6 @@ class VectorialFunction:
             raise FieldError(
                 f"outputs must lie in the subfield F_(2^{m})", point=_first(word >> m)
             )
-        if t < 0:
-            raise FieldError("appended coordinate count must be nonnegative")
-        if m + t > 32:
-            raise FieldError(f"at most 32 output bits, got m + t = {m + t}")
         if extra is not None:
             extra = np.asarray(extra, dtype=np.int64)
             message = "extra bits out of range for t appended coordinates"
@@ -252,7 +260,7 @@ class VectorialFunction:
                 self.component(lam).dual()
                 raise VerificationError(f"profile kept no dual for bent {lam:#x}")
             planes[:, c // 8] |= np.unpackbits(bits, count=size) << (c % 8)
-        return planes[_walsh_permutation(self.field)]
+        return _field_order(planes, self.field)
 
     def profile(self):
         """Cached ((lambda, v), Classification, degree) per selector, in order.
@@ -343,8 +351,8 @@ class VectorialFunction:
             signs += 1
             # W(a) = values[perm[a]]: only witnesses and duals need field points
             values = fwht(signs)
-            check_parseval_parity(values, n, names, self.field)
-            check_round_trip(values, signs, None, names)
+            check_parseval_parity(values, self.field, names)
+            check_round_trip(values, signs, names)
             odd = np.bitwise_count(mono_word[:, None] & block[None, :]) & 1
             degrees = np.max(odd * mono_deg[:, None], axis=0, initial=0)
             for j, (i, sel) in enumerate(zip(index, names)):
@@ -363,9 +371,7 @@ class VectorialFunction:
         for (lam, v), cls, _ in self.profile():
             if cls.kind != "bent":
                 spectrum = self.component(lam, v).walsh()
-                r = 1 << (self.n // 2)
-                bad = np.nonzero(np.abs(spectrum.values) != r)[0]
-                a = int(bad[0])
+                a = _off_bent_point(spectrum)
                 return BentnessCheck(False, (lam, v), a, spectrum[a])
         if self.out_bits > self.n // 2:
             # vectorial bent (n,m)-functions exist only for m <= n/2

@@ -12,8 +12,14 @@ from bentvec import (
     VectorialFunction,
     classify,
 )
-from bentvec.boolfun import WalshSpectrum, check_lemma_walsh_identity, fwht
-from bentvec.errors import FieldError, VerificationError
+from bentvec.boolfun import (
+    WalshSpectrum,
+    bent_or_raise,
+    check_lemma_walsh_identity,
+    check_parseval_parity,
+    fwht,
+)
+from bentvec.errors import FieldError, PreconditionError, VerificationError
 
 from oracles import naive_anf, naive_degree, naive_walsh, pairing_matrix
 
@@ -128,6 +134,36 @@ def test_dual_rejects_non_bent():
     assert info.value.value == 16 and info.value.expected == 4
     with pytest.raises(NotBentError):
         BooleanFunction.zero(FieldSpec.default(3)).dual()  # odd n
+
+
+@pytest.mark.parametrize(
+    "n, bits, shown, point, value, expected",
+    [
+        (4, "0" * 16, "Plateaued(16)", 0, 16, 4),
+        # the least field point off 2^(n/2) is 4; Hadamard index 1 is the
+        # least one off in the plain transform
+        (4, "1001110011001111", "Mixed{0,4,8}", 4, -8, 4),
+        # odd n: no spectrum is bent, and the witness is W(0), here 0
+        (3, "01011010", "Plateaued(8)", 0, 0, "2^(n/2) with n even"),
+    ],
+)
+def test_off_bent_witness_is_the_least_field_point(n, bits, shown, point, value, expected):
+    field = FieldSpec.default(n)
+    f = BooleanFunction(field, [int(b) for b in bits])
+    oracle = naive_walsh(f.table, pairing_matrix(field.modulus, n))
+    assert oracle[point] == value
+    if n % 2 == 0:
+        assert point == np.flatnonzero(np.abs(oracle) != 1 << (n // 2))[0]
+    with pytest.raises(PreconditionError) as info:
+        bent_or_raise(f, "g")
+    assert str(info.value) == f"g is not bent: class {shown}, W({point}) = {value}"
+    with pytest.raises(NotBentError) as info:
+        f.dual()
+    assert (info.value.point, info.value.value, info.value.expected) == (
+        point,
+        value,
+        expected,
+    )
 
 
 def test_derivative_examples():
@@ -368,3 +404,47 @@ def test_parseval_sum_does_not_wrap():
         f"Parseval check failed: sum of W(a)^2 is {2**64 + 64}, expected 2^6; "
         f"largest |W(a)| is W(0) = {2**32}"
     )
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_walsh_spectrum_takes_the_hadamard_index(n):
+    # WalshSpectrum is given S = fwht((-1)^f); what it hands out is W(a)
+    field = FieldSpec.default(n)
+    pairing = pairing_matrix(field.modulus, n)
+    tables = [np.random.default_rng(n).integers(0, 2, field.size)]
+    if n % 2 == 0:
+        tables.append(kasami_component(field).table)
+    for table in tables:
+        spectrum = WalshSpectrum(field, fwht(1 - 2 * table.astype(np.int32)))
+        expected = naive_walsh(table, pairing)
+        assert np.array_equal(spectrum.values, expected)
+        assert spectrum.classification == classify(expected, n)
+    assert spectrum.is_bent == (n % 2 == 0)
+
+
+def test_failures_at_hadamard_index_perm5_name_w5():
+    # W(a) = S(perm[a]), and perm[5] = 10 on GF(16): a fault placed at S's
+    # entry perm[5] is the field point 5's
+    perm = F16.walsh_permutation()
+    assert perm[5] != 5
+    parseval = np.zeros(16, dtype=np.int32)
+    parseval[perm[5]] = 17
+    with pytest.raises(VerificationError) as err:
+        WalshSpectrum(F16, parseval)
+    assert str(err.value) == (
+        "Parseval check failed: sum of W(a)^2 is 289, expected 2^8; "
+        "largest |W(a)| is W(5) = 17"
+    )
+    # 15^2 + 5^2 + 2^2 + 1 + 1 = 2^8, and the other odd points follow 5
+    parity = np.zeros(16, dtype=np.int32)
+    parity[perm[[5, 9, 10, 12, 14]]] = [15, 5, 2, 1, 1]
+    with pytest.raises(VerificationError) as err:
+        WalshSpectrum(F16, parity)
+    assert str(err.value) == "spectrum parity check failed: W(5) = 15 is odd"
+    # a column's name prefixes the same witness
+    good = fwht(1 - 2 * kasami_component(F16).table.astype(np.int32))
+    for bad, message in ((parseval, "Parseval"), (parity, "spectrum parity")):
+        with pytest.raises(VerificationError) as err:
+            check_parseval_parity(np.stack([good, bad], axis=1), F16, ["f", "g"])
+        assert str(err.value).startswith(f"component g: {message} check failed")
+        assert "W(5)" in str(err.value)

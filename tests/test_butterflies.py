@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import bentvec.boolfun as boolfun
 from bentvec import BooleanFunction, FieldSpec
-from bentvec.boolfun import PASS_BUFSIZE, _mobius, check_round_trip, fwht
+from bentvec.boolfun import PASS_BUFSIZE, _mobius, fwht
 from bentvec.errors import VerificationError
 
 from oracles import naive_subset_xor, sylvester_hadamard
@@ -125,24 +125,6 @@ def test_pairing_is_symmetric_so_the_inverse_gathers(field):
     pairing = _parity(perm[a] & x)
     assert np.array_equal(pairing, _parity(a & perm[x]))
     assert np.array_equal(pairing, field.abs_trace_table()[field.mul_elems(a, x)])
-
-
-@pytest.mark.parametrize("n", [2, 3, 6])
-def test_round_trip_refuses_a_non_symmetric_permutation(n):
-    # one column per point table: a map that moves any point fails a column
-    field = FieldSpec.default(n)
-    signs = 1 - 2 * np.eye(field.size, dtype=np.int32)
-    perm = field.walsh_permutation()
-    check_round_trip(fwht(signs)[perm], signs, perm)
-    xs = np.arange(field.size)
-    swapped = perm.copy()
-    swapped[[1, 2]] = swapped[[2, 1]]
-    # skew is linear with matrix I + E_10; swapped is not linear at all
-    for bad in (xs ^ ((xs & 1) << 1), perm[xs ^ ((xs & 1) << 1)], swapped):
-        a, x = np.meshgrid(xs, xs, indexing="ij")
-        assert np.any(_parity(bad[a] & x) != _parity(a & bad[x]))
-        with pytest.raises(VerificationError, match="Walsh round-trip failed"):
-            check_round_trip(fwht(signs)[bad], signs, bad)
 
 
 def test_round_trip_refuses_an_inverse_off_by_less_than_2n(monkeypatch):

@@ -351,6 +351,32 @@ def test_verify_names_a_byte_that_is_not_utf8(tmp_path, capsys):
             assert capsys.readouterr().err == f"parse error: {where}\n"
 
 
+def test_verify_reads_lf_crlf_and_cr_lines_alike(tmp_path, capsys):
+    G = VectorialFunction.from_univariate(F16, 2, [(1, 5)])
+    tail = BooleanFunction(F16, F16.linear_form_table(3))
+    path = tmp_path / "f"
+    for write, f in ((write_bf, G.component(1)), (write_vf, G.augment([tail]))):
+        write(path, f)
+        text = path.read_bytes()
+        outs = []
+        for newline in (b"\n", b"\r\n", b"\r"):
+            path.write_bytes(text.replace(b"\n", newline))
+            assert run(["verify", str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
+    # a bad character after "\r\n" lines keeps its line and column
+    for raw, where in (
+        (b"BF n=4 field=13\r\n 0g00\r\n", "bad hex character 'g' at line 2, col 3"),
+        (
+            b"VF n=2 m=1 t=0 field=7\r\n0\r\n1\r\n 1g\r\n0\r\n",
+            "bad character 'g' at line 4, col 3",
+        ),
+    ):
+        path.write_bytes(raw)
+        assert run(["verify", str(path)]) == 1
+        assert capsys.readouterr().err == f"parse error: {where}\n"
+
+
 def test_verify_builds_no_field_permutation_or_trace_table(tmp_path, capsys, monkeypatch):
     import bentvec.gf2n as gf2n
 

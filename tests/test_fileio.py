@@ -391,3 +391,25 @@ def test_header_modulus_of_wrong_degree_is_a_parse_error(text, column):
     assert (info.value.line, info.value.column) == (1, column)
     modulus = text.split("field=")[1].split()[0]
     assert str(info.value).startswith(f"modulus 0x{modulus} does not have degree 4")
+
+
+@pytest.mark.parametrize(
+    "header, message, column",
+    [
+        ("VF n=4 m=3 t=0 field=13", "output dimension 3 must divide n=4", 8),
+        ("VF n=4 m=0 t=0 field=13", "output dimension 0 must divide n=4", 8),
+        ("VF n=4 m=2 t=40 field=13", "at most 32 output bits, got m + t = 42", 12),
+        ("VF t=31 m=2 n=4 field=13", "at most 32 output bits, got m + t = 33", 4),
+        ("BF n=4 field=13 n=4", "duplicate header field 'n'", 17),
+        ("VF n=4 m=2 t=0 field=13 field=13", "duplicate header field 'field'", 25),
+        ("VF n=4 m=2 m=2 t=0 field=13", "duplicate header field 'm'", 12),
+    ],
+)
+def test_header_dimensions_and_repeats_are_header_errors(header, message, column):
+    # refused from the header alone: the body, which is not even hex, is
+    # never read
+    read = bf_from_text if header.startswith("BF") else vf_from_text
+    for body in ("zz\n" * 16, "0.0\n" * 16):
+        with pytest.raises(ParseError) as info:
+            read(header + "\n" + body)
+        assert str(info.value) == f"{message} at line 1, col {column}"

@@ -84,6 +84,16 @@ def test_is_vectorial_bent():
         kasami(FieldSpec.default(3))  # odd n cannot even host the subfield
 
 
+def test_is_vectorial_bent_witness_is_the_least_field_point():
+    # the one component's least field point off 4 is 4, and its W(4) = -8;
+    # Hadamard index 1 is the least one off in the plain transform
+    table = np.array([int(b) for b in "1001110011001111"])
+    oracle = naive_walsh(table, pairing_matrix(F16.modulus, 4))
+    assert np.flatnonzero(np.abs(oracle) != 4)[0] == 4 and oracle[4] == -8
+    check = VectorialFunction(F16, 1, table).is_vectorial_bent()
+    assert check == (False, (1, 0), 4, -8)
+
+
 def test_is_vectorial_bent_rejects_odd_n():
     spec = FieldSpec.default(6)
     xs = np.arange(spec.size, dtype=np.int64)
