@@ -293,6 +293,10 @@ class WalshSpectrum:
         # int64, never narrowed, so no value is truncated before the checks
         if spectrum.dtype != np.int32:
             spectrum = spectrum.astype(np.int64)
+        elif spectrum.flags.writeable or spectrum.base is not None:
+            # only a read-only array that owns its data is kept uncopied:
+            # freezing any other would freeze its caller's array
+            spectrum = spectrum.copy()
         if spectrum.shape != (field.size,):
             raise FieldError("spectrum length must be 2^n")
         check_parseval_parity(spectrum, field)
@@ -451,6 +455,7 @@ class BooleanFunction:
         if self._walsh is None:
             signs = 1 - 2 * self.table.astype(np.int32)
             hadamard = fwht(signs)
+            hadamard.flags.writeable = False  # so WalshSpectrum keeps it uncopied
             spectrum = WalshSpectrum(self.field, hadamard)
             check_round_trip(hadamard, signs)
             self._walsh = spectrum

@@ -95,6 +95,8 @@ def _tau_value(text):
 
 
 def hexadecimal(text):
+    if not fileio.HEX_VALUE.fullmatch(text):
+        raise ValueError(text)
     return int(text, 16)
 
 
@@ -114,7 +116,11 @@ def _parse_u_list(field, raw):
         part = part.strip()
         if not part:
             continue
-        values.append(field.check(int(part, 16)))
+        try:
+            value = hexadecimal(part)
+        except ValueError:
+            raise ValueError(f"argument --u: invalid hexadecimal value: {part!r}") from None
+        values.append(field.check(value))
     return values
 
 
@@ -228,8 +234,9 @@ def cmd_verify(args):
 
 
 def cmd_propp(args):
-    if args.limit is not None and args.limit < 1:
-        raise ValueError(f"--limit must be at least 1, got {args.limit}")
+    for flag, value in (("--limit", args.limit), ("--node-budget", args.node_budget)):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     f = fileio.read_bf(args.file, modulus=args.field_modulus)
     if args.search is not None:
         sets = find_defining_sets(

@@ -140,6 +140,11 @@ def write_bf(path, f: BooleanFunction):
     atomic_write_text(path, bf_to_text(f))
 
 
+# a hex value, in a header or an argument: int(x, 16) alone would take
+# signs, "0x", "_" and non-ASCII digits
+HEX_VALUE = re.compile("[0-9a-fA-F]+")
+
+
 def parse_header(line, expected_tag, keys):
     tokens = line.split()
     if not tokens or tokens[0] != expected_tag:
@@ -157,8 +162,7 @@ def parse_header(line, expected_tag, keys):
             raise ParseError(f"duplicate header field {key!r}", line=1, column=col)
         hex_value = key == "field"
         try:
-            # int() alone would take signs, "_" and non-ASCII digits
-            if not re.fullmatch("[0-9a-fA-F]+" if hex_value else "[0-9]+", raw):
+            if not re.fullmatch(HEX_VALUE if hex_value else "[0-9]+", raw):
                 raise ValueError(raw)
             values[key] = int(raw, 16 if hex_value else 10)
             columns[key] = col

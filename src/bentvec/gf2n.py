@@ -17,6 +17,11 @@ Every spec is validated on construction: the generator must have order
 exactly 2^n - 1, which simultaneously certifies that the modulus is
 irreducible (the generator's powers exhaust all nonzero residues, so the
 residue ring has no zero divisors).
+
+Scalar products, subfield traces and the subfield and unit-circle lists
+use the carry-less product `clmul_reduce`.  Only `pow`, `inverse`, `trace`
+(through `pow`) and the `*_elems` array operations read the exp/log
+tables, so a VF read or `verify` builds no full-field table.
 """
 
 from __future__ import annotations
@@ -170,10 +175,7 @@ class FieldSpec:
     def mul(self, a, b):
         """Product in GF(2^n)."""
         self.check(a), self.check(b)
-        if a == 0 or b == 0:
-            return 0
-        exp, log = _exp_log(self)
-        return int(exp[(int(log[a]) + int(log[b])) % self.order])
+        return clmul_reduce(int(a), int(b), self.modulus, self.n)
 
     def pow(self, a, e):
         """a^e, exponent reduced mod 2^n - 1 for a != 0; 0^0 = 1 by convention."""
@@ -209,12 +211,13 @@ class FieldSpec:
     def subfield_abs_trace(self, y, m):
         """Absolute trace of y computed inside F_{2^m}; y must lie there."""
         self._check_subfield_degree(m)
-        if self.pow(y, 1 << m) != y:
-            raise FieldError(f"{y:#x} is not in the subfield F_(2^{m})")
         t, x = 0, y
         for _ in range(m):
             t ^= x
             x = self.mul(x, x)
+        # the m squarings end at y^(2^m), which is y exactly on F_{2^m}
+        if x != y:
+            raise FieldError(f"{y:#x} is not in the subfield F_(2^{m})")
         return t
 
     # -- subsets -------------------------------------------------------------
@@ -256,11 +259,7 @@ class FieldSpec:
         self._check_subfield_degree(m)
         if m % 2 != 0:
             raise FieldError(f"unit circle needs an even degree, got m={m}")
-        k = m // 2
-        count = (1 << k) + 1
-        stride = self.order // count
-        exp, _ = _exp_log(self)
-        return np.sort(exp[(np.arange(count, dtype=np.int64) * stride) % self.order])
+        return _subgroup(self, (1 << (m // 2)) + 1)
 
     # -- vectorized element operations ---------------------------------------
 
@@ -350,19 +349,31 @@ def _is_irreducible(modulus, n):
     return True
 
 
-def _order_is_full(g, modulus, n, order, factors):
-    def fpow(a, e):
-        r = 1
-        while e:
-            if e & 1:
-                r = clmul_reduce(r, a, modulus, n)
-            a = clmul_reduce(a, a, modulus, n)
-            e >>= 1
-        return r
+def _clpow(a, e, modulus, n):
+    """a^e by square-and-multiply with clmul_reduce."""
+    r = 1
+    while e:
+        if e & 1:
+            r = clmul_reduce(r, a, modulus, n)
+        a = clmul_reduce(a, a, modulus, n)
+        e >>= 1
+    return r
 
-    if fpow(g, order) != 1:
+
+def _order_is_full(g, modulus, n, order, factors):
+    if _clpow(g, order, modulus, n) != 1:
         return False
-    return all(fpow(g, order // q) != 1 for q in factors)
+    return all(_clpow(g, order // q, modulus, n) != 1 for q in factors)
+
+
+def _subgroup(spec, count):
+    """The multiplicative subgroup of order count (a divisor of 2^n - 1),
+    ascending: the powers of generator^((2^n - 1) / count)."""
+    step = _clpow(spec.generator, spec.order // count, spec.modulus, spec.n)
+    powers = [1]
+    for _ in range(count - 1):
+        powers.append(clmul_reduce(powers[-1], step, spec.modulus, spec.n))
+    return np.sort(np.array(powers, dtype=np.int64))
 
 
 def _clmul_reduce_elems(a, b, modulus, n):
@@ -417,10 +428,7 @@ def _abs_trace_table(spec):
     # Tr is F2-linear: fill by doubling from the traces of the basis alpha^j.
     tbl = np.zeros(spec.size, dtype=np.uint8)
     for j in range(spec.n):
-        t, x = 0, 1 << j
-        for _ in range(spec.n):
-            t ^= x
-            x = clmul_reduce(x, x, spec.modulus, spec.n)
+        t = spec.subfield_abs_trace(1 << j, spec.n)
         if t not in (0, 1):
             raise FieldError("trace form corrupt")  # unreachable on valid specs
         half = 1 << j
@@ -457,10 +465,7 @@ def _subfield(spec, m):
     if m == spec.n:
         els = np.arange(spec.size, dtype=np.int64)
     else:
-        exp, _ = _exp_log(spec)
-        stride = spec.order // ((1 << m) - 1)
-        nonzero = exp[(np.arange((1 << m) - 1, dtype=np.int64) * stride) % spec.order]
-        els = np.sort(np.concatenate([[0], nonzero]))
+        els = np.concatenate([[0], _subgroup(spec, (1 << m) - 1)])
     els.flags.writeable = False
     return els
 

@@ -219,14 +219,15 @@ class VectorialFunction:
     def component(self, lam, v=0):
         """Truth table of Tr^m_1(lambda F(x)) + <v, extra bits>."""
         self.field.check(lam)
-        if self.field.pow(lam, 1 << self.m) != lam:
+        combos, masks = _basis_tables(self.field, self.m)
+        rank = np.flatnonzero(combos == lam)
+        if not rank.size:
             raise FieldError(f"selector {lam:#x} is not in F_(2^{self.m})")
         if not 0 <= v < (1 << self.t):
             raise FieldError(f"extra-bit selector {v:#x} out of range")
         if lam == 0 and v == 0:
             raise FieldError("zero selector does not name a component")
-        combos, masks = _basis_tables(self.field, self.m)
-        mask = masks[np.flatnonzero(combos == lam)[0]] | np.uint32(v << self.m)
+        mask = masks[rank[0]] | np.uint32(v << self.m)
         table = np.bitwise_count(self.word & mask) & 1
         return BooleanFunction(self.field, table)
 

@@ -422,6 +422,20 @@ def test_walsh_spectrum_takes_the_hadamard_index(n):
     assert spectrum.is_bent == (n % 2 == 0)
 
 
+def test_walsh_spectrum_leaves_its_callers_array_writable():
+    table = kasami_component(F16).table
+    expected = naive_walsh(table, pairing_matrix(F16.modulus, 4))
+    S = fwht(1 - 2 * table.astype(np.int32))
+    # the whole array, and a column view of a writable stack
+    stack = np.stack([S, S], axis=1)
+    for given, owner in ((S, S), (stack[:, 1], stack)):
+        spectrum = WalshSpectrum(F16, given)
+        assert given.flags.writeable
+        owner[:] = 1
+        assert np.array_equal(spectrum.values, expected)
+        assert spectrum.is_bent and spectrum.classification == classify(expected, 4)
+
+
 def test_failures_at_hadamard_index_perm5_name_w5():
     # W(a) = S(perm[a]), and perm[5] = 10 on GF(16): a fault placed at S's
     # entry perm[5] is the field point 5's

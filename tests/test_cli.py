@@ -12,7 +12,8 @@ import bentvec
 
 from bentvec import BooleanFunction, FieldSpec, VectorialFunction
 from bentvec.cli import main
-from bentvec.fileio import read_vf, write_bf, write_vf
+from bentvec.errors import ParseError
+from bentvec.fileio import parse_header, read_vf, write_bf, write_vf
 
 F16 = FieldSpec.default(4)
 
@@ -337,6 +338,63 @@ def test_propp_limit_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, l
     )
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_propp_node_budget_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, budget):
+    import bentvec.cli as cli
+
+    path = tmp_path / "kd.bf"
+    G = VectorialFunction.from_univariate(F16, 2, [(1, 5)])
+    write_bf(path, G.component(1).dual())
+    searched = []
+    monkeypatch.setattr(cli, "find_defining_sets", lambda *a, **k: searched.append(1))
+    assert run(["propp", str(path), "--search", "2", "--node-budget", budget]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not searched
+    assert captured.err == f"error: --node-budget must be at least 1, got {int(budget)}\n"
+    monkeypatch.undo()
+    assert run(["propp", str(path), "--search", "2", "--node-budget", "1000"]) == 0
+    assert capsys.readouterr().out.endswith("defining set(s) of size 2\n")
+
+
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("propp", "--field-modulus", "1_3"),
+        ("propp", "--field-modulus", "0x13"),
+        ("propp", "--field-modulus", "+13"),
+        ("propp", "--field-modulus", "\u0661\u0663"),  # Arabic-Indic 13
+        ("construct", "--field-modulus", "0x1100b"),
+        ("propp", "--u", "+3"),
+        ("propp", "--u", "0x2"),
+        ("propp", "--u", "_2"),
+        ("propp", "--u", "\u0663"),
+        ("construct", "--u", "-1"),
+    ],
+)
+def test_hex_arguments_take_ascii_hex_digits_only(tmp_path, capsys, command, flag, text):
+    # int(x, 16) would read each of these; a header's field value would not
+    path = tmp_path / "f.bf"
+    write_bf(path, BooleanFunction(F16, F16.linear_form_table(7)))
+    if command == "propp":
+        argv = ["propp", str(path), "--u", "1,2"]
+    else:
+        argv = ["construct", "--family", "kasami", "--n", "4", "--tau", "2",
+                "--poly", "X1*X2", "--u", "1,2", "--out", str(tmp_path / "k.vf")]
+    if flag == "--u":
+        argv[argv.index("--u") + 1] = f"1,{text}"
+    else:
+        argv += [flag, text]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument {flag}: invalid hexadecimal value: {text!r}\n"
+    )
+    assert not (tmp_path / "k.vf").exists()
+    with pytest.raises(ParseError, match="bad value for header field 'field'"):
+        parse_header(f"BF n=4 field={text}", "BF", ("n", "field"))
+
+
 def test_verify_names_a_byte_that_is_not_utf8(tmp_path, capsys):
     # universal newlines: "\r\n" and "\r" each end one line, as on read
     for raw, where in (
@@ -409,6 +467,30 @@ def test_verify_builds_no_field_permutation_or_trace_table(tmp_path, capsys, mon
     assert run(["verify", str(vf)]) == 0
     assert "class: vectorial bent (4,2)" in capsys.readouterr().out
     assert calls == []
+
+
+def test_vf_reads_and_verify_build_no_exp_log_tables(tmp_path, capsys):
+    from bentvec.gf2n import _exp_log, _subfield
+    from bentvec.vectorial import _basis_tables
+
+    # Tr^4_1(lambda x^17) is bent for every lambda != 0, in either field
+    aes = FieldSpec.with_least_generator(8, 0x11B)
+    bent = VectorialFunction.from_univariate(FieldSpec.default(8), 4, [(1, 17)])
+    tail = BooleanFunction(aes, aes.linear_form_table(7))
+    plateaued = VectorialFunction.from_univariate(aes, 4, [(1, 17)]).augment([tail])
+    paths = [tmp_path / "bent.vf", tmp_path / "plateaued.vf"]
+    write_vf(paths[0], bent)
+    write_vf(paths[1], plateaued)
+    # every table a VF read builds is rebuilt here, not taken from a cache
+    for cache in (_exp_log, _subfield, _basis_tables):
+        cache.cache_clear()
+    for path, klass in zip(paths, ("vectorial bent (8,4)", "vectorial plateaued (8,5)")):
+        assert run(["verify", str(path)]) == 0
+        assert f"class: {klass}" in capsys.readouterr().out
+    # not bent, so the witness comes from component()
+    check = read_vf(paths[1]).is_vectorial_bent()
+    assert not check.ok and check.selector == (0, 1)
+    assert _exp_log.cache_info().misses == 0
 
 
 def test_propp_requires_mode(tmp_path):

@@ -356,3 +356,41 @@ def test_walsh_permutation_refuses_a_non_symmetric_trace_form(monkeypatch):
     )
     with pytest.raises(FieldError, match="trace form of modulus 0x25 is not symmetric"):
         build(field)
+
+
+@pytest.mark.parametrize(
+    "n, modulus", [(n, None) for n in range(1, 17)] + [(8, 0x11B), (6, 0x49)]
+)
+def test_subgroups_match_the_exp_table_enumeration(n, modulus):
+    # the overrides' least generators are 3, not alpha
+    from bentvec.gf2n import _exp_log
+
+    if modulus is None:
+        spec = FieldSpec.default(n)
+    else:
+        spec = FieldSpec.with_least_generator(n, modulus)
+        assert spec.generator == 3
+    exp, _ = _exp_log(spec)
+    for m in (m for m in range(1, n + 1) if n % m == 0):
+        count = (1 << m) - 1
+        nonzero = exp[np.arange(count) * (spec.order // count)]
+        assert np.array_equal(spec.subfield(m), np.sort(np.append(nonzero, 0)))
+        if m % 2 == 0:
+            count = (1 << (m // 2)) + 1
+            circle = np.sort(exp[np.arange(count) * (spec.order // count)])
+            got = spec.unit_circle(m)
+            assert got.dtype == np.int64 and np.array_equal(got, circle)
+
+
+def test_subfield_abs_trace_keeps_its_messages_and_their_order():
+    cases = [
+        ((2, 3), "3 does not divide n=4"),
+        ((16, 2), "element 0x10 outside GF(2^4)"),
+        ((2, 2), "0x2 is not in the subfield F_(2^2)"),
+        ((8, 1), "0x8 is not in the subfield F_(2^1)"),
+    ]
+    for args, message in cases:
+        with pytest.raises(FieldError) as err:
+            F16.subfield_abs_trace(*args)
+        assert str(err.value) == message
+    assert [F16.subfield_abs_trace(y, 2) for y in (0, 1, 6, 7)] == [0, 0, 1, 1]

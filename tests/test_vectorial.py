@@ -68,6 +68,21 @@ def test_component_selector_validation():
         G.component(1, 1)  # no appended coordinates
 
 
+def test_component_selector_messages_keep_their_order():
+    G = kasami(F16)
+    cases = [
+        ((16, 5), "element 0x10 outside GF(2^4)"),
+        ((2, 5), "selector 0x2 is not in F_(2^2)"),  # alpha is not in GF(4)
+        ((8, 0), "selector 0x8 is not in F_(2^2)"),
+        ((1, 1), "extra-bit selector 0x1 out of range"),
+        ((0, 0), "zero selector does not name a component"),
+    ]
+    for (lam, v), message in cases:
+        with pytest.raises(FieldError) as err:
+            G.component(lam, v)
+        assert str(err.value) == message
+
+
 def test_selector_enumeration_order():
     G = kasami(F16).augment([trace_form(F16, 1)])
     sels = list(G.selectors())
