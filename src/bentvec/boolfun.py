@@ -14,7 +14,8 @@ Spectra are given, computed and checked only in that Hadamard index:
 Parseval's relation, even parity, the class and the round trip fwht(S) =
 2^n (-1)^f do not depend on the index.  Only field-indexed values, duals
 and the points named in failure messages are reindexed, through
-`_field_order`, when they are asked for.
+`_field_order`, when they are asked for: a `WalshSpectrum` keeps S alone,
+a copy of the array it is given or `walsh()`'s own.
 
 The Hadamard and Möbius butterflies do two levels per pass, in place on
 one copy of their input; the Hadamard one adds a scratch buffer of half
@@ -279,48 +280,43 @@ def classify(values, n):
 class WalshSpectrum:
     """Full integer Walsh spectrum, plus class.
 
-    Given in the Hadamard index only, as S = fwht((-1)^f), where W(a) =
-    S(perm[a]).  The checks, the class and `abs_counts` read S; `values`,
-    indexed by field element, is reindexed on first access and then
-    replaces it.
+    Holds one array, S = fwht((-1)^f) in the Hadamard index, where W(a) =
+    S(perm[a]).  The checks, the class and `abs_counts` read S; `values`
+    and `[a]` reindex only what they return.  A given array is copied, so
+    no caller can change S after its checks; `walsh()` hands over its own
+    fresh S uncopied.
     """
 
-    __slots__ = ("field", "classification", "_spectrum", "_values")
+    __slots__ = ("field", "classification", "_spectrum")
 
     def __init__(self, field, spectrum):
         spectrum = np.asarray(spectrum)
         # int32 holds any |W| <= 2^n <= 2^24; anything else is widened to
         # int64, never narrowed, so no value is truncated before the checks
-        if spectrum.dtype != np.int32:
-            spectrum = spectrum.astype(np.int64)
-        elif spectrum.flags.writeable or spectrum.base is not None:
-            # only a read-only array that owns its data is kept uncopied:
-            # freezing any other would freeze its caller's array
-            spectrum = spectrum.copy()
+        dtype = np.int32 if spectrum.dtype == np.int32 else np.int64
+        self._own(field, spectrum.astype(dtype))
+
+    def _own(self, field, spectrum):
+        """Check and classify S, an array no one else refers to, and keep it."""
         if spectrum.shape != (field.size,):
             raise FieldError("spectrum length must be 2^n")
         check_parseval_parity(spectrum, field)
         spectrum.flags.writeable = False
         self.field = field
         self._spectrum = spectrum
-        self._values = None
         self.classification = classify(spectrum, field.n)
 
     @property
     def values(self):
-        """W(a) for every field element a."""
-        if self._values is None:
-            values = _field_order(self._spectrum, self.field)
-            values.flags.writeable = False
-            self._spectrum = self._values = values
-        return self._values
+        """W(a) for every field element a, as a new array."""
+        return _field_order(self._spectrum, self.field)
 
     @property
     def is_bent(self):
         return self.classification.kind == "bent"
 
     def __getitem__(self, a):
-        return int(self.values[a])
+        return int(self._spectrum[_walsh_permutation(self.field)[a]])
 
     def abs_counts(self):
         """The distinct |W(a)|, ascending, and how many points take each."""
@@ -455,8 +451,8 @@ class BooleanFunction:
         if self._walsh is None:
             signs = 1 - 2 * self.table.astype(np.int32)
             hadamard = fwht(signs)
-            hadamard.flags.writeable = False  # so WalshSpectrum keeps it uncopied
-            spectrum = WalshSpectrum(self.field, hadamard)
+            spectrum = WalshSpectrum.__new__(WalshSpectrum)
+            spectrum._own(self.field, hadamard)
             check_round_trip(hadamard, signs)
             self._walsh = spectrum
         return self._walsh
@@ -474,7 +470,8 @@ class BooleanFunction:
             a = _off_bent_point(spectrum)
             expected = "2^(n/2) with n even" if self.n % 2 else 1 << (self.n // 2)
             raise NotBentError(a, spectrum[a], expected)
-        return BooleanFunction(self.field, (spectrum.values < 0).astype(np.uint8))
+        negative = _field_order(spectrum._spectrum < 0, self.field)
+        return BooleanFunction(self.field, negative)
 
     # -- algebraic normal form ---------------------------------------------------
 
@@ -557,12 +554,10 @@ def check_lemma_walsh_identity(f1, f2, f3):
     Returns True; raises VerificationError otherwise (theorem check).
     """
     f4 = f1 ^ f2 ^ f3
-    sigma = sigma_of(f1, f2, f3)
-    lhs = sigma.walsh().values * 2
-    rhs = (
-        f1.walsh().values + f2.walsh().values + f3.walsh().values - f4.walsh().values
-    )
-    if not np.array_equal(lhs, rhs):
+    # the identity holds at every point, so in the Hadamard index too
+    functions = (sigma_of(f1, f2, f3), f1, f2, f3, f4)
+    s, s1, s2, s3, s4 = (g.walsh()._spectrum for g in functions)
+    if not np.array_equal(s * 2, s1 + s2 + s3 - s4):
         raise VerificationError("four-function Walsh identity failed")
     return True
 
@@ -573,7 +568,8 @@ def _off_bent_point(spectrum):
     n = spectrum.field.n
     if n % 2:
         return 0
-    return int(np.flatnonzero(np.abs(spectrum.values) != 1 << (n // 2))[0])
+    off = np.abs(spectrum._spectrum) != 1 << (n // 2)
+    return int(np.flatnonzero(_field_order(off, spectrum.field))[0])
 
 
 def bent_or_raise(f, name="input"):

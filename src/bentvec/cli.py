@@ -75,10 +75,11 @@ def build_parser():
 
     pro = sub.add_parser("propp", help="second-derivative property checks")
     pro.add_argument("file", help="BF truth-table file")
-    pro.add_argument("--u", help="comma-separated hex defining elements")
-    pro.add_argument(
+    mode = pro.add_mutually_exclusive_group()
+    mode.add_argument("--u", help="comma-separated hex defining elements")
+    mode.add_argument(
         "--search",
-        type=_tau_value,
+        type=tau,
         metavar="TAU",
         help="search for defining sets of this size (accepts 2 or tau=2)",
     )
@@ -88,7 +89,7 @@ def build_parser():
     return parser
 
 
-def _tau_value(text):
+def tau(text):
     if "=" in text:
         text = text.split("=", 1)[1]
     return int(text)
@@ -235,6 +236,8 @@ def cmd_verify(args):
 
 def cmd_propp(args):
     for flag, value in (("--limit", args.limit), ("--node-budget", args.node_budget)):
+        if value is not None and args.search is None:
+            raise ValueError(f"{flag} is only allowed with --search")
         if value is not None and value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
     f = fileio.read_bf(args.file, modulus=args.field_modulus)

@@ -12,6 +12,7 @@ from bentvec import (
     VectorialFunction,
     classify,
 )
+from bentvec import boolfun
 from bentvec.boolfun import (
     WalshSpectrum,
     bent_or_raise,
@@ -434,6 +435,46 @@ def test_walsh_spectrum_leaves_its_callers_array_writable():
         owner[:] = 1
         assert np.array_equal(spectrum.values, expected)
         assert spectrum.is_bent and spectrum.classification == classify(expected, 4)
+
+
+def test_walsh_spectrum_copies_a_read_only_array_its_caller_can_unfreeze():
+    # numpy lets an array's owner make it writable again, so a spectrum that
+    # kept it could be changed after its checks and its class
+    table = kasami_component(F16).table
+    expected = naive_walsh(table, pairing_matrix(F16.modulus, 4))
+    S = fwht(1 - 2 * table.astype(np.int32))
+    S.flags.writeable = False
+    spectrum = WalshSpectrum(F16, S)
+    S.flags.writeable = True
+    S[:] = 7
+    assert np.array_equal(spectrum.values, expected)
+    assert spectrum.is_bent and str(spectrum.classification) == "Bent(4)"
+    absv, counts = spectrum.abs_counts()
+    assert absv.tolist() == [4] and counts.tolist() == [16]
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_walsh_spectrum_keeps_one_array_and_reads_points_without_gathering(
+    n, monkeypatch
+):
+    field = FieldSpec.default(n)
+    f = random_function(field, np.random.default_rng(n))
+    expected = naive_walsh(f.table, pairing_matrix(field.modulus, n))
+    spectrum = f.walsh()
+    assert WalshSpectrum.__slots__ == ("field", "classification", "_spectrum")
+    calls = []
+    gather = boolfun._field_order
+    monkeypatch.setattr(
+        boolfun, "_field_order", lambda *args: calls.append(args) or gather(*args)
+    )
+    assert [spectrum[a] for a in range(field.size)] == expected.tolist()
+    assert spectrum[-1] == expected[-1]
+    assert calls == []
+    # values is a fresh field-ordered copy on each read; S is left as it was
+    values = spectrum.values
+    assert np.array_equal(values, expected) and len(calls) == 1
+    values[:] = 0
+    assert np.array_equal(spectrum.values, expected)
 
 
 def test_failures_at_hadamard_index_perm5_name_w5():

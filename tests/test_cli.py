@@ -499,6 +499,43 @@ def test_propp_requires_mode(tmp_path):
     assert run(["propp", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags, code, out, err, reads",
+    [
+        # the spelling --help documents
+        (["--search", "tau=2", "--limit", "1"], 0,
+         "found 1 defining set(s) of size 2 (truncated at limit; more may exist)\n", "", 1),
+        (["--search", "2", "--u", "+3,\u0663"], 1,
+         "", "error: argument --u: not allowed with argument --search\n", 0),
+        (["--u", "1,2", "--search", "2"], 1,
+         "", "error: argument --search: not allowed with argument --u\n", 0),
+        (["--u", "1,2", "--limit", "5"], 1,
+         "", "error: --limit is only allowed with --search\n", 0),
+        (["--u", "1,2", "--node-budget", "5"], 1,
+         "", "error: --node-budget is only allowed with --search\n", 0),
+        (["--limit", "5"], 1, "", "error: --limit is only allowed with --search\n", 0),
+        (["--search", "tau=x"], 1,
+         "", "error: argument --search: invalid tau value: 'tau=x'\n", 0),
+        ([], 2, "", "error: supply --u or --search\n", 1),
+    ],
+)
+def test_propp_refuses_options_its_mode_would_ignore(
+    tmp_path, capsys, monkeypatch, flags, code, out, err, reads
+):
+    import bentvec.fileio as fileio
+
+    path = tmp_path / "kd.bf"
+    G = VectorialFunction.from_univariate(F16, 2, [(1, 5)])
+    write_bf(path, G.component(1).dual())
+    read, calls = fileio.read_bf, []
+    monkeypatch.setattr(fileio, "read_bf", lambda *a, **k: calls.append(1) or read(*a, **k))
+    assert run(["propp", str(path), *flags]) == code
+    captured = capsys.readouterr()
+    assert captured.out.endswith(out) if out else captured.out == ""
+    assert captured.err.endswith(err)
+    assert len(calls) == reads
+
+
 def test_field_modulus_override(tmp_path, capsys):
     out = tmp_path / "alt.vf"
     code = run(

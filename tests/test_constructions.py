@@ -645,3 +645,54 @@ def test_report_json_encodes_ints_as_strings():
     assert decoded["n"] == "4"
     assert decoded["u_values"] == [f"{u}" for u in us]
     assert decoded["class_match"] is True
+
+
+# -- refused preconditions ------------------------------------------------------
+
+
+def _refusals():
+    g = kasami_vf(F16).component(1)
+    G = kasami_vf(F16)
+    two = DefiningSet(F16, (1, 2))
+    three = DefiningSet(F16, (1, 2, 4))
+    x1x2 = ReducedPolynomial.make(2, [(1, 2)])
+    x1x2x3 = ReducedPolynomial.make(3, [(1, 2, 3)])
+    impure = G.augment([g])
+    F8 = FieldSpec.default(8)
+    F32 = FieldSpec.default(5)
+    basis = niho_auto_u(F64)
+    return [
+        (lambda: bent_plus_cubic_trace(g, 1, 2, 1), "a, b, c must be pairwise distinct"),
+        (lambda: tang_bent(g, two, x1x2x3), "polynomial has 3 variables, defining set 2"),
+        (lambda: remark_multi_trace(g, 1, 2, 4, x1x2),
+         "the three-trace form needs a polynomial on X1..X3"),
+        (lambda: vec_bent_lift(impure, two, x1x2), "lift expects a pure (n,m)-function"),
+        (lambda: vec_bent_lift(VectorialFunction(F16, 2, np.zeros(16)), two, x1x2),
+         "G is not vectorial bent: component (1, 0) has W(0) = 16"),
+        (lambda: vec_bent_lift(G, two, x1x2x3), "polynomial has 3 variables, defining set 2"),
+        (lambda: vec_bent_lift(G, three, x1x2x3), "tau = 3 exceeds n/2 = 2"),
+        (lambda: vec_plateaued_lift(G, two, ()),
+         "plateaued lift needs at least one tail polynomial"),
+        (lambda: vec_plateaued_lift(G, two, [x1x2x3]),
+         "tail polynomial has 3 variables, defining set 2"),
+        # alpha = 2 generates F*_(2^8), so it lies outside F_(2^4)
+        (lambda: gold_family(F8, [2], x1x2), "u_1 = 0x2 is not in F*_(2^4)"),
+        (lambda: kasami_family(F16, kasami_auto_u(F16)[:1], x1x2),
+         "polynomial needs 2 defining elements, only 1 given"),
+        (lambda: kasami_family(F32, [], x1x2), "Kasami family needs even n"),
+        (lambda: niho_family(F32, 2, [], x1x2), "Niho family needs even n"),
+        (lambda: niho_family(F64, 2, basis[:2], x1x2),
+         "u set must be a basis of F_(2^3); expected 3 elements, got 2"),
+        (lambda: niho_family(F64, 2, [basis[0], basis[1], basis[0] ^ basis[1]], x1x2),
+         "u set is not linearly independent (basis check)"),
+    ]
+
+
+REFUSALS = _refusals()
+
+
+@pytest.mark.parametrize("call, message", REFUSALS, ids=[m for _, m in REFUSALS])
+def test_paper_preconditions_are_refused_with_their_message(call, message):
+    with pytest.raises(PreconditionError) as err:
+        call()
+    assert str(err.value) == message

@@ -491,3 +491,24 @@ def test_out_of_range_outputs_keep_their_messages():
     with pytest.raises(FieldError) as err:
         VectorialFunction(F16, 2, np.zeros(16), extra, 1)
     assert str(err.value) == "extra bits out of range for t appended coordinates"
+
+
+F32 = FieldSpec.default(5)
+REFUSALS = [
+    (lambda: VectorialFunction(F32, 1, np.zeros(32)).bent_component_count(),
+     "bent-component counting needs even n"),
+    (lambda: VectorialFunction(F16, 2, np.zeros(16), t=-1),
+     "appended coordinate count must be nonnegative"),
+    (lambda: VectorialFunction(F16, 2, np.zeros(8)), "output table must have length 16"),
+    (lambda: VectorialFunction(F16, 2, np.zeros(16), np.zeros(8), t=1),
+     "extra bits out of range for t appended coordinates"),
+    (lambda: kasami(F16).add_boolean(BooleanFunction.zero(F64)),
+     "operands live in different fields"),
+]
+
+
+@pytest.mark.parametrize("call, message", REFUSALS, ids=[m for _, m in REFUSALS])
+def test_refusals_keep_their_message(call, message):
+    with pytest.raises(FieldError) as err:
+        call()
+    assert str(err.value) == message
