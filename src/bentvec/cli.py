@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import re
 import sys
 
 from . import fileio
@@ -90,9 +91,10 @@ def build_parser():
 
 
 def tau(text):
-    if "=" in text:
-        text = text.split("=", 1)[1]
-    return int(text)
+    # ASCII digits only: int() alone would also take "1_0", " +2" or "\u0662"
+    if not re.fullmatch(r"(tau=)?[0-9]+", text):
+        raise ValueError(text)
+    return int(text.removeprefix("tau="))
 
 
 def hexadecimal(text):

@@ -227,6 +227,41 @@ def test_from_anf_roundtrip():
         assert BooleanFunction.from_anf(F64, f.anf_monomials()) == f
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_packed_anf_and_degree_match_the_subset_sum_oracle(n):
+    # below n = 6 the whole table sits in one zero-padded word
+    field = FieldSpec.default(n)
+    size = field.size
+    rng = np.random.default_rng(n)
+    sparse = np.zeros(size, dtype=np.uint8)
+    sparse[rng.choice(size, min(3, size), replace=False)] = 1
+    tables = [
+        np.zeros(size, dtype=np.uint8),  # the zero function
+        np.ones(size, dtype=np.uint8),  # the constant 1
+        (np.arange(size) == size - 1).astype(np.uint8),  # X1 X2 ... Xn
+        sparse,
+        *rng.integers(0, 2, (3, size), dtype=np.uint8),
+    ]
+    for table in tables:
+        f = BooleanFunction(field, table)
+        assert np.array_equal(f.anf_mask(), naive_anf(table, n))
+        assert f.degree() == naive_degree(table, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 10])
+def test_from_anf_gives_back_its_monomials(n):
+    field = FieldSpec.default(n)
+    rng = np.random.default_rng(100 + n)
+    for count in (0, 1, 2, 5, 40):
+        masks = rng.choice(field.size, min(count, field.size), replace=False)
+        monomials = frozenset(
+            frozenset(j + 1 for j in range(n) if mask >> j & 1)
+            for mask in masks.tolist()
+        )
+        f = BooleanFunction.from_anf(field, monomials)
+        assert f.anf_monomials() == monomials
+
+
 
 ROUND_TRIP_FIELDS = [FieldSpec.default(n) for n in range(1, 11)] + [
     FieldSpec.with_least_generator(4, 0x19),

@@ -218,3 +218,15 @@ def test_walsh_round_trip_at_odd_n_through_tiles(monkeypatch, n, tile):
     for a in [0, 1, *rng.integers(2, field.size, 4).tolist()]:
         mismatches = np.count_nonzero(table ^ trace[field.mul_elems(a, xs)])
         assert spectrum[a] == field.size - 2 * mismatches
+
+
+def test_degree_at_n20_peaks_below_one_table():
+    n = 20
+    field = FieldSpec.default(n)
+    rng = np.random.default_rng(n)
+    f = BooleanFunction(field, rng.integers(0, 2, field.size, dtype=np.uint8))
+    # the packed ANF and its scratch take an eighth of the uint8 table each
+    assert _traced_peak(f.degree) <= f.table.nbytes
+    # the byte-per-point butterfly as reference
+    masks = np.flatnonzero(_mobius(f.table)).astype(np.uint64)
+    assert f.degree() == int(np.bitwise_count(masks).max())

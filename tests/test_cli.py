@@ -517,6 +517,18 @@ def test_propp_requires_mode(tmp_path):
         (["--search", "tau=x"], 1,
          "", "error: argument --search: invalid tau value: 'tau=x'\n", 0),
         ([], 2, "", "error: supply --u or --search\n", 1),
+        # only tau= is a prefix
+        (["--search", "foo=2"], 1,
+         "", "error: argument --search: invalid tau value: 'foo=2'\n", 0),
+        (["--search", "=2"], 1,
+         "", "error: argument --search: invalid tau value: '=2'\n", 0),
+        # ASCII digits only, with no sign, space or underscore
+        (["--search", "1_0"], 1,
+         "", "error: argument --search: invalid tau value: '1_0'\n", 0),
+        (["--search", "\u0662"], 1,
+         "", "error: argument --search: invalid tau value: '\u0662'\n", 0),
+        (["--search", "tau= +2"], 1,
+         "", "error: argument --search: invalid tau value: 'tau= +2'\n", 0),
     ],
 )
 def test_propp_refuses_options_its_mode_would_ignore(
