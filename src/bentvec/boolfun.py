@@ -280,11 +280,9 @@ def classify(values, n):
     values = np.asarray(values)
     absv = np.abs(values if values.dtype == np.int32 else values.astype(np.int64))
     lo, hi = int(absv.min()), int(absv.max())
-    # exact shortcuts for the common one- and two-level spectra
+    # exact shortcut for the common one-level spectra
     if lo == hi:
         abs_set = (hi,)
-    elif lo == 0 and np.all((absv == 0) | (absv == hi)):
-        abs_set = (0, hi)
     else:
         # absv is this call's own array, so it is sorted in place
         abs_set = tuple(int(v) for v in _distinct(absv))

@@ -29,7 +29,7 @@ from .errors import BentvecError, ParseError, PreconditionError, VerificationErr
 from .gf2n import FieldSpec
 from .redpoly import DefiningSet, ReducedPolynomial
 from .propp import find_defining_sets, satisfies_p
-from .vectorial import max_bent_components_bound
+from .vectorial import _bent_components_bound_or_none
 
 FAMILIES = {
     "kasami": (kasami_family, kasami_auto_u),
@@ -53,19 +53,20 @@ def build_parser():
 
     con = sub.add_parser("construct", help="build a family instance and verify it")
     con.add_argument("--family", choices=sorted(FAMILIES), required=True)
-    con.add_argument("--n", type=int, required=True)
-    con.add_argument("--r", type=int, help="Niho exponent parameter")
-    con.add_argument("--tau", type=int, help="defining-set size for the bent lift")
-    con.add_argument("--t", type=int, default=0, help="appended plateaued coordinates")
+    con.add_argument("--n", type=decimal, required=True)
+    con.add_argument("--r", type=decimal, help="Niho exponent parameter")
+    con.add_argument("--tau", type=decimal, help="defining-set size for the bent lift")
+    con.add_argument("--t", type=decimal, default=0, help="appended plateaued coordinates")
     con.add_argument(
         "--poly",
         action="append",
         default=None,
         help="reduced polynomial; first use is the lift F, later uses are tail F_i",
     )
-    con.add_argument("--u", help="comma-separated hex defining elements")
-    con.add_argument("--auto-u", action="store_true", help="derive u from the built-in basis recipes")
-    con.add_argument("--seed", type=int, default=0, help="seed for generated tail polynomials")
+    u_source = con.add_mutually_exclusive_group()
+    u_source.add_argument("--u", help="comma-separated hex defining elements")
+    u_source.add_argument("--auto-u", action="store_true", help="derive u from the built-in basis recipes")
+    con.add_argument("--seed", type=decimal, default=0, help="seed for generated tail polynomials")
     con.add_argument("--out", required=True, help="output VF path (report goes to <out>.report.json)")
     con.add_argument("--stamp", action="store_true", help="include a timestamp in the report")
     _common_flags(con)
@@ -84,10 +85,18 @@ def build_parser():
         metavar="TAU",
         help="search for defining sets of this size (accepts 2 or tau=2)",
     )
-    pro.add_argument("--limit", type=int, help="cap the number of reported sets")
-    pro.add_argument("--node-budget", type=int, help="cap on search nodes")
+    pro.add_argument("--limit", type=decimal, help="cap the number of reported sets")
+    pro.add_argument("--node-budget", type=decimal, help="cap on search nodes")
     _common_flags(pro)
     return parser
+
+
+def decimal(text):
+    # ASCII digits and a minus sign only: int() alone would also take
+    # "1_0", " +7" or "\u0666"
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(text)
+    return int(text)
 
 
 def tau(text):
@@ -128,6 +137,10 @@ def _parse_u_list(field, raw):
 
 
 def cmd_construct(args):
+    if args.r is not None and args.family != "niho":
+        raise ValueError("--r is only allowed with --family niho")
+    if args.t < 0:
+        raise ValueError(f"--t must be at least 0, got {args.t}")
     if args.family == "niho" and args.r is None:
         raise PreconditionError("--family niho requires --r")
     field = _field_for(args.n, args)
@@ -200,14 +213,11 @@ def _classify_components(F):
     rows = F.profile()
     # counted here, not by bent_component_count, which refuses odd n
     bent = sum(1 for _, cls, _ in rows if cls.kind == "bent")
-    if F.n % 2 == 0 and F.out_bits >= F.n // 2:
-        bound = max_bent_components_bound(F.n, F.out_bits)
-    else:
-        bound = "n/a"
+    bound = _bent_components_bound_or_none(F.n, F.out_bits)
     lines = [
         f"class: {vectorial_class_string(F)}",
         f"degree: {F.degree()}",
-        f"bent components: {bent} (bound {bound})",
+        f"bent components: {bent} (bound {'n/a' if bound is None else bound})",
     ]
     lines.extend(
         f"  component lambda={lam:x} v={v:x}: {cls}, degree {deg}"

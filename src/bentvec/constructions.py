@@ -26,7 +26,7 @@ from .vectorial import (
     PlateauedCheck,
     VectorialFunction,
     _basis_tables,
-    max_bent_components_bound,
+    _bent_components_bound_or_none,
 )
 
 
@@ -129,12 +129,14 @@ def bent_plus_cubic_trace(f, a, b, c):
         raise PreconditionError("a, b, c must be pairwise distinct")
     bent_or_raise(f, "f")
     dstar = f.dual()
-    for x, y, names in ((a, b, "(a,b)"), (a, c, "(a,c)"), (b, c, "(b,c)")):
-        if dstar.second_derivative(x, y).table.any():
-            raise PreconditionError(
-                f"second derivative of the dual does not vanish on pair {names}"
-            )
     fld = f.field
+    check = satisfies_p(dstar, DefiningSet(fld, (a, b, c)))
+    if not check.holds:
+        i, j = check.pair
+        raise PreconditionError(
+            "second derivative of the dual does not vanish on pair "
+            f"({'abc'[i - 1]},{'abc'[j - 1]})"
+        )
     forms = [BooleanFunction(fld, fld.linear_form_table(u)) for u in (a, b, c)]
     sigma = f ^ (forms[0] & forms[1] & forms[2])
     gs = [dstar.derivative(u) for u in (a, b, c)]
@@ -150,12 +152,7 @@ def tang_bent(g, defining, poly):
     truth-table-exactly against the spectrum dual.
     """
     bent_or_raise(g, "g")
-    if defining.tau != poly.tau:
-        raise PreconditionError(
-            f"polynomial has {poly.tau} variables, defining set {defining.tau}"
-        )
-    if defining.tau > g.n // 2:
-        raise PreconditionError(f"tau = {defining.tau} exceeds n/2 = {g.n // 2}")
+    _require_tau(poly, defining, g.n)
     gstar = g.dual()
     check = satisfies_p(gstar, defining)
     if not check.holds:
@@ -167,6 +164,17 @@ def tang_bent(g, defining, poly):
     dual_pred = gstar ^ poly.apply_tables(g.field, derivs)
     dual_ver = f.dual()
     return BentConstruction(f, dual_pred, dual_ver, dual_pred == dual_ver)
+
+
+def _require_tau(poly, defining, n):
+    """The tau conditions both bent constructions share: F has tau
+    variables, and tau <= n/2."""
+    if defining.tau != poly.tau:
+        raise PreconditionError(
+            f"polynomial has {poly.tau} variables, defining set {defining.tau}"
+        )
+    if defining.tau > n // 2:
+        raise PreconditionError(f"tau = {defining.tau} exceeds n/2 = {n // 2}")
 
 
 def remark_multi_trace(f, a, b, c, poly3):
@@ -256,12 +264,7 @@ def vec_bent_lift(G, defining, poly):
     returned check still verifies every component of H.
     """
     _require_pure_vectorial_bent(G)
-    if poly.tau != defining.tau:
-        raise PreconditionError(
-            f"polynomial has {poly.tau} variables, defining set {defining.tau}"
-        )
-    if defining.tau > G.n // 2:
-        raise PreconditionError(f"tau = {defining.tau} exceeds n/2 = {G.n // 2}")
+    _require_tau(poly, defining, G.n)
     lambdas = _trace_one_lambdas(G.field, G.m)
     _require_p_tau_for(G, defining, lambdas)
     g = poly.compose_traces(defining)
@@ -306,11 +309,7 @@ def vec_plateaued_lift(G, defining, polys):
     t = len(fs)
     bent_count = H_hat.bent_component_count()
     predicted = ((1 << (t + G.m)) - (1 << t)) if p_tau_all else None
-    bound = (
-        max_bent_components_bound(G.n, G.m + t)
-        if G.n % 2 == 0 and G.m + t >= G.n // 2
-        else None
-    )
+    bound = _bent_components_bound_or_none(G.n, G.m + t)
     ok = iff_ok and (predicted is None or bent_count == predicted)
     return VecPlateauedLiftResult(
         H_hat,
@@ -554,8 +553,7 @@ def _run_family(
         report.bent_components_match = (
             report.bent_components_measured == report.bent_components_predicted
         )
-        if field.n % 2 == 0 and G.m >= field.n // 2:
-            report.bent_components_bound = max_bent_components_bound(field.n, G.m)
+        report.bent_components_bound = _bent_components_bound_or_none(field.n, G.m)
 
     checks = [
         report.class_match,

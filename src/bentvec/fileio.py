@@ -111,11 +111,10 @@ def _pack_bits(table):
 def _unpack_bits(payload, size, indent):
     """BF payload hex, `indent` blanks into its line, to a uint8 table of
     `size` bits; bad digits raise."""
-    # one code point per character, so an index is a column
-    codes = np.frombuffer(payload.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    # code points above 255 land on entry 255, which is not a digit
-    low = np.minimum(codes, 255, out=np.empty(codes.size, np.uint8), casting="unsafe")
-    nibs = _NIBBLE[low]
+    # one byte per character, so an index is a column; every non-ASCII
+    # character (a lone surrogate too) becomes "?", which is not a digit
+    codes = np.frombuffer(payload.encode("ascii", "replace"), dtype=np.uint8)
+    nibs = _NIBBLE[codes]
     bad = np.flatnonzero(nibs > 15)
     if bad.size:
         p = int(bad[0])

@@ -234,16 +234,10 @@ class FieldSpec:
     def subfield_basis(self, m):
         """Lexicographically least F2-basis of the subfield F_{2^m}."""
         self._check_subfield_degree(m)
-        basis, pivots = [], []
-        for x in _subfield(self, m):
-            x = int(x)
-            r = x
-            for p in pivots:
-                r = min(r, r ^ p)
-            if r:
+        basis = []
+        for x in _subfield(self, m).tolist():
+            if f2_is_independent([*basis, x]):
                 basis.append(x)
-                pivots.append(r)
-                pivots.sort(reverse=True)
                 if len(basis) == m:
                     break
         return basis

@@ -79,13 +79,9 @@ def span_closure(g: BooleanFunction, defining: DefiningSet) -> bool:
         raise PreconditionError(
             f"property (P_tau) fails on pair {check.pair} at x={check.witness}"
         )
-    span = defining.span()
-    idx = np.arange(g.field.size)
-    for a in span:
-        for b in span:
-            if _second_derivative(g.table, idx, a, b).any():
-                return False
-    return True
+    # D_0 and D_a D_a vanish and D_a D_b = D_b D_a, so the pairs of the
+    # span are every (a, b)
+    return satisfies_p(g, DefiningSet(g.field, tuple(defining.span()))).holds
 
 
 def shift_decomposition(g: BooleanFunction, defining: DefiningSet) -> ShiftCheck:

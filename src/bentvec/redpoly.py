@@ -172,7 +172,8 @@ def _parse_term(text, pos, tau, err):
             elif ch in "xX":
                 start = pos + 1
                 end = start
-                while end < size and text[end].isdigit():
+                # ASCII digits only: str.isdigit also takes "\u0661" and "\u00b2"
+                while end < size and "0" <= text[end] <= "9":
                     end += 1
                 if end == start:
                     err("variable needs an index, like X2", pos)

@@ -15,6 +15,7 @@ witnesses and reports are deterministic.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -74,6 +75,13 @@ def max_bent_components_bound(n, m):
     if m < n // 2:
         raise FieldError(f"bound formula needs m >= n/2, got m={m}, n={n}")
     return (1 << m) - (1 << (m - n // 2))
+
+
+def _bent_components_bound_or_none(n, m):
+    """max_bent_components_bound, or None outside its formula's domain."""
+    if n % 2 or m < n // 2:
+        return None
+    return max_bent_components_bound(n, m)
 
 
 class VectorialFunction:
@@ -305,18 +313,14 @@ class VectorialFunction:
         parent = self._parent
         if parent is None or parent._profile is None:
             return rows, duals
-        # flat selector index (lambda rank << t | v) - 1, child and parent
-        flat = np.arange(1, len(sels) + 1)
-        vs = flat & ((1 << self.t) - 1)
-        shared = np.flatnonzero(vs < (1 << parent.t))
-        parent_index = ((flat[shared] >> self.t) << parent.t | vs[shared]) - 1
+        parent_rows = {row[0]: row for row in parent._profile}
+        shared = [i for i, sel in enumerate(sels) if sel in parent_rows]
         low = np.uint32((1 << (self.m + parent.t)) - 1)
         diff = _distinct((self.word ^ parent.word) & low)
         odd = np.bitwise_count(diff[:, None] & masks[shared][None, :]) & 1
-        equal = ~odd.any(axis=0)
-        for i, p in zip(shared[equal].tolist(), parent_index[equal].tolist()):
-            rows[i] = parent._profile[p]
-            (lam, v), _, _ = rows[i]
+        for i in compress(shared, ~odd.any(axis=0)):
+            lam, v = sels[i]
+            rows[i] = parent_rows[lam, v]
             if v == 0 and lam in parent._dual_bits:
                 duals[lam] = parent._dual_bits[lam]
         return rows, duals

@@ -79,6 +79,28 @@ def test_classify_cases():
     assert mixed.kind == "mixed" and mixed.abs_values == (0, 4, 12)
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_classify_levels_match_np_unique(dtype):
+    rng = np.random.default_rng(21)
+    cases = []
+    for n in range(1, 11):
+        size = 1 << n
+        cases.append((random_function(FieldSpec.default(n), rng).walsh().values, n))
+        for s in range(n + 1):
+            # two levels (0, A), both present, with random signs
+            values = rng.choice([0, 1 << s, -(1 << s)], size)
+            values[:2] = 0, 1 << s
+            cases.append((values, n))
+    for values, n in cases:
+        values = np.asarray(values, dtype=dtype)
+        levels = tuple(np.unique(np.abs(values)).tolist())
+        cls = classify(values, n)
+        assert cls.abs_values == levels
+        if len(levels) == 2 and levels[0] == 0:
+            kind = "semi-bent" if n % 2 == 0 and levels[1] == 1 << (n // 2 + 1) else "plateaued"
+            assert (cls.kind, cls.amplitude) == (kind, levels[1])
+
+
 def test_semibent_instance_from_kasami_pair():
     # search for (a, b) with constant-one second derivative of the dual
     f = kasami_component(F16)

@@ -548,6 +548,70 @@ def test_propp_refuses_options_its_mode_would_ignore(
     assert len(calls) == reads
 
 
+CONSTRUCT_K4 = ["construct", "--family", "kasami", "--n", "4", "--tau", "2",
+                "--poly", "X1*X2", "--auto-u", "--out"]
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0666", " +7"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("construct", flag) for flag in ("--n", "--r", "--tau", "--t", "--seed")]
+    + [("propp", "--limit"), ("propp", "--node-budget")],
+)
+def test_integer_options_take_ascii_decimal_digits_only(tmp_path, capsys, command, flag, text):
+    # int() would read each of these
+    path = tmp_path / "f.bf"
+    write_bf(path, BooleanFunction(F16, F16.linear_form_table(7)))
+    if command == "propp":
+        argv = ["propp", str(path), "--search", "2", flag, text]
+    else:
+        argv = [*CONSTRUCT_K4, str(tmp_path / "k.vf"), flag, text]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {flag}: invalid decimal value: {text!r}\n")
+    assert not (tmp_path / "k.vf").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, err",
+    [
+        (["--u", "1,2"], "error: argument --u: not allowed with argument --auto-u\n"),
+        (["--r", "2"], "error: --r is only allowed with --family niho\n"),
+        (["--t", "-1"], "error: --t must be at least 0, got -1\n"),
+        (["--poly", "X\u0661*X\u0662"],
+         "parse error: variable needs an index, like X2 at line 1, col 1\n"),
+        (["--poly", "X1*X\u00b2"],
+         "parse error: variable needs an index, like X2 at line 1, col 4\n"),
+    ],
+)
+def test_construct_refuses_ignored_options_and_non_ascii_indices(tmp_path, capsys, flags, err):
+    out = tmp_path / "k.vf"
+    assert run([*CONSTRUCT_K4, str(out), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "n, m, t, bound",
+    [(5, 1, 0, "n/a"), (7, 7, 0, "n/a"), (8, 1, 2, "n/a"), (8, 2, 1, "n/a"),
+     (8, 2, 2, "15"), (8, 4, 0, "15"), (6, 3, 1, "14")],
+)
+def test_verify_bound_is_na_outside_the_formula_domain(tmp_path, capsys, n, m, t, bound):
+    # the Pott et al. bound needs n even and m + t >= n/2
+    field = FieldSpec.default(n)
+    rng = np.random.default_rng(n * 100 + m * 10 + t)
+    values = np.asarray(field.subfield(m))[rng.integers(0, 1 << m, field.size)]
+    extra = rng.integers(0, 1 << t, field.size)
+    path = tmp_path / "f.vf"
+    write_vf(path, VectorialFunction(field, m, values, extra=extra, t=t))
+    assert run(["verify", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3].endswith(f" (bound {bound})")
+
+
 def test_field_modulus_override(tmp_path, capsys):
     out = tmp_path / "alt.vf"
     code = run(

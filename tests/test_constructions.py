@@ -207,6 +207,29 @@ def test_cubic_trace_precondition_names_pair():
     assert "pair" in str(info.value)
 
 
+def test_cubic_trace_precondition_names_the_one_failing_pair():
+    f = kasami_vf(F16).component(1)
+    dual = f.dual()
+
+    def vanishes(x, y):
+        return not dual.second_derivative(x, y).table.any()
+
+    # x, y fail; z vanishes against both
+    x, y, z = next(
+        (x, y, z)
+        for x in range(1, 16)
+        for y in range(1, 16)
+        for z in range(1, 16)
+        if len({x, y, z}) == 3 and not vanishes(x, y) and vanishes(x, z) and vanishes(y, z)
+    )
+    for triple, name in (((x, y, z), "(a,b)"), ((x, z, y), "(a,c)"), ((z, x, y), "(b,c)")):
+        with pytest.raises(PreconditionError) as info:
+            bent_plus_cubic_trace(f, *triple)
+        assert str(info.value) == (
+            f"second derivative of the dual does not vanish on pair {name}"
+        )
+
+
 # -- Tang-style lift -----------------------------------------------------------
 
 

@@ -262,6 +262,34 @@ def test_bf_columns_count_leading_blanks(text, message, column):
     assert str(info.value) == f"{message} at line {line}, col {column}"
 
 
+@pytest.mark.parametrize(
+    "payload, ch, column",
+    [
+        ("0\u00e900", "\u00e9", 2),
+        ("  0\U0001f600\u00e90", "\U0001f600", 4),
+        ("\t00f\U0001f600", "\U0001f600", 5),
+        (" \u00e9\U0001f60000", "\u00e9", 2),
+    ],
+)
+def test_bf_non_ascii_character_is_one_column(tmp_path, payload, ch, column):
+    # each character, astral ones too, is one column in the file
+    path = tmp_path / "f.bf"
+    path.write_text(f"BF n=4 field=13\n{payload}\n", encoding="utf-8")
+    for read in (read_bf, read_any):
+        with pytest.raises(ParseError) as info:
+            read(path)
+        assert str(info.value) == f"bad hex character {ch!r} at line 2, col {column}"
+
+
+def test_bf_lone_surrogate_is_one_column():
+    # no UTF-8 file decodes to a lone surrogate, but a str can hold one
+    for payload, column in (("0\ud80000", 2), ("  00\udfff\U0001f600", 5)):
+        with pytest.raises(ParseError) as info:
+            bf_from_text(f"BF n=4 field=13\n{payload}\n")
+        ch = payload[column - 1]
+        assert str(info.value) == f"bad hex character {ch!r} at line 2, col {column}"
+
+
 def test_bf_rejects_unicode_digits():
     # int("\u0663", 16) == 3, but the format allows ASCII hex digits only
     for ch in ("\u0663", "\uff13", "\U0001d7d1"):

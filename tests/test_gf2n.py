@@ -267,6 +267,40 @@ def test_subfield_basis():
         assert basis[0] == 1  # least nonzero subfield element
 
 
+def _least_basis(elements, m):
+    """First m-subset of `elements` (ascending) in lexicographic order whose
+    span has 2^m elements, by a search over subsets that skips each prefix
+    already inside its own span."""
+
+    def extend(prefix, span, start):
+        if len(prefix) == m:
+            return prefix
+        for i in range(start, len(elements)):
+            x = elements[i]
+            if x not in span:
+                found = extend([*prefix, x], span | {s ^ x for s in span}, i + 1)
+                if found:
+                    return found
+        return None
+
+    return extend([], {0}, 0)
+
+
+def test_subfield_basis_is_the_least_basis_by_brute_force():
+    for n in range(1, 13):
+        spec = FieldSpec.default(n)
+        for m in (m for m in range(1, n + 1) if n % m == 0):
+            sub = []
+            for x in range(1, 1 << n):
+                y = x
+                for _ in range(m):
+                    y = poly_mul_mod(y, y, spec.modulus, n)
+                if y == x:  # x^(2^m) = x
+                    sub.append(x)
+            assert len(sub) == (1 << m) - 1
+            assert spec.subfield_basis(m) == _least_basis(sub, m), (n, m)
+
+
 def test_serialize_roundtrip():
     spec = FieldSpec.default(8)
     text = spec.serialize()

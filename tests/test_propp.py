@@ -17,6 +17,7 @@ from bentvec import (
     span_closure,
 )
 from bentvec.errors import PreconditionError
+from oracles import naive_p_tau
 
 F4 = FieldSpec.default(2)
 F16 = FieldSpec.default(4)
@@ -89,6 +90,26 @@ def test_span_closure_requires_precondition():
     g = BooleanFunction(F4, [0, 0, 0, 1])
     with pytest.raises(PreconditionError):
         span_closure(g, DefiningSet(F4, (1, 2)))
+
+
+def test_span_closure_agrees_with_the_naive_check_on_the_whole_span():
+    # the Kasami dual (quadratic) and a sparse cubic, each with the first
+    # few satisfying defining sets of size 2 and 3
+    rng = np.random.default_rng(12)
+    checked = 0
+    for n in (4, 6, 8):
+        field = FieldSpec.default(n)
+        cubic = BooleanFunction.from_anf(
+            field,
+            [set((rng.choice(n, size=d, replace=False) + 1).tolist()) for d in (2, 3, 3)],
+        )
+        for g in (kasami_dual(field), cubic):
+            for tau in (2, 3):
+                for ds in find_defining_sets(g, tau, limit=3):
+                    holds, pair, _ = naive_p_tau(g.table, ds.span())
+                    assert span_closure(g, ds) == holds, (n, ds.elements, pair)
+                    checked += 1
+    assert checked == 3 * 2 * 2 * 3
 
 
 def test_shift_decomposition_equals_satisfies_p():

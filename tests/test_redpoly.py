@@ -85,6 +85,17 @@ def test_parse_error_positions():
         ReducedPolynomial.parse("   ")
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [("X\u0661*X\u0662", 1), ("X\u00b2", 1), ("X1+x\uff13", 4), ("X1\u0663", 3)],
+)
+def test_parse_takes_ascii_index_digits_only(text, column):
+    # str.isdigit would take these Arabic-Indic, superscript and fullwidth digits
+    with pytest.raises(ParseError) as info:
+        ReducedPolynomial.parse(text)
+    assert info.value.column == column
+
+
 def test_random_polynomials():
     a = ReducedPolynomial.random(4, 2, seed=9)
     b = ReducedPolynomial.random(4, 2, seed=9)
