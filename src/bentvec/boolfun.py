@@ -220,8 +220,10 @@ def check_round_trip(values, signs, names=None):
     """The inverse butterfly must give back the +-1 sign tables, per column.
 
     `values` are the spectra of `signs` in the Hadamard index, so that
-    fwht(values) = 2^n signs.  The inverse is compared unscaled, so an
-    entry off by less than 2^n fails too.
+    fwht(values) = 2^n signs.  `signs` may be +-1 of any integer dtype,
+    such as the int8 ones `walsh()` and `profile()` keep; the messages do
+    not depend on it.  The inverse is compared unscaled, so an entry off
+    by less than 2^n fails too.
     """
     size = values.shape[0]
     off = fwht(values).reshape(size, -1)
@@ -473,14 +475,14 @@ class BooleanFunction:
         Parseval and the inverse-transform round trip are asserted inline
         for every spectrum this package ever computes, in the Hadamard
         index.  The butterfly and the values are int32, exact since
-        |W(a)| <= 2^n <= 2^24.
+        |W(a)| <= 2^n <= 2^24; the signs (-1)^f are kept as int8, a byte
+        a point, and widened only for the forward butterfly's input.
         """
         if self._walsh is None:
-            # (-1)^f in place, with no temporary of the table's length
-            signs = self.table.astype(np.int32)
-            signs *= -2
+            # (-1)^f in one int8 array; the table's 0/1 bytes read as int8
+            signs = self.table.view(np.int8) * -2
             signs += 1
-            hadamard = fwht(signs)
+            hadamard = fwht(signs.astype(np.int32))
             spectrum = WalshSpectrum.__new__(WalshSpectrum)
             spectrum._own(self.field, hadamard)
             check_round_trip(hadamard, signs)

@@ -139,8 +139,9 @@ def _parse_u_list(field, raw):
 def cmd_construct(args):
     if args.r is not None and args.family != "niho":
         raise ValueError("--r is only allowed with --family niho")
-    if args.t < 0:
-        raise ValueError(f"--t must be at least 0, got {args.t}")
+    for flag, value in (("--tau", args.tau), ("--t", args.t)):
+        if value is not None and value < 0:
+            raise ValueError(f"{flag} must be at least 0, got {value}")
     if args.family == "niho" and args.r is None:
         raise PreconditionError("--family niho requires --r")
     field = _field_for(args.n, args)

@@ -35,7 +35,7 @@ from .errors import FieldError, VerificationError
 from .gf2n import FieldSpec
 
 # profile() transforms max(1, BLOCK_POINTS >> n) components at a time, so
-# a block's int32 sign matrix holds max(2^16, 2^n) entries.
+# a block's int8 sign matrix holds max(2^16, 2^n) entries, a byte each.
 BLOCK_POINTS = 1 << 16
 
 
@@ -278,7 +278,7 @@ class VectorialFunction:
         add_boolean or augment when the parent's profile is computed and an
         exact test shows the two component tables are equal.  Every other
         component comes from the coordinate word: each block of selector
-        masks becomes an int32 sign matrix with one column per component,
+        masks becomes an int8 sign matrix with one column per component,
         transformed at once along axis 0 and checked column by column
         (Parseval, parity, round trip), all in the Hadamard index.  The
         dual of each bent (lambda, 0) column is kept packed in that index,
@@ -347,15 +347,22 @@ class VectorialFunction:
             index = todo[start : start + cols]
             names = [sels[i] for i in index]
             block = masks[index]
-            # (-1)^component, built in place in one buffer
-            signs = word[:, None] & block[None, :]
-            np.bitwise_count(signs, out=signs)
+            # (-1)^component as int8, mapped in place in bitwise_count's
+            # uint8 result; only the forward butterfly's input is int32
+            signs = np.bitwise_count(word[:, None] & block[None, :])
             signs &= 1
-            signs = signs.view(np.int32)
+            signs = signs.view(np.int8)
             signs *= -2
             signs += 1
+            wide = signs.astype(np.int32)
+            # the previous block's spectra are freed only here, so that the
+            # butterfly's new ones take their memory without adding to the
+            # peak (freed at the end of their block, an n = 12 profile
+            # measured 5-9% slower)
+            values = None
             # W(a) = values[perm[a]]: only witnesses and duals need field points
-            values = fwht(signs)
+            values = fwht(wide)
+            del wide
             check_parseval_parity(values, self.field, names)
             check_round_trip(values, signs, names)
             odd = np.bitwise_count(mono_word[:, None] & block[None, :]) & 1

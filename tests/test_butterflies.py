@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import bentvec.boolfun as boolfun
 from bentvec import BooleanFunction, FieldSpec
-from bentvec.boolfun import PASS_BUFSIZE, _mobius, fwht
+from bentvec.boolfun import PASS_BUFSIZE, _mobius, check_round_trip, fwht
 from bentvec.errors import VerificationError
 
 from oracles import naive_subset_xor, sylvester_hadamard
@@ -177,16 +177,55 @@ def test_spectrum_memory_at_n16():
     # the result and a scratch buffer of half the array
     assert _traced_peak(lambda: fwht(signs)) <= 1.5 * column + slack
     f = BooleanFunction(field, table)
-    # signs, spectrum, inverse butterfly and its half-array scratch; the
-    # Hadamard-indexed spectrum needs no field permutation
-    assert _traced_peak(f.walsh) <= 3.5 * column + slack
+    # spectrum, inverse butterfly, its half-array scratch and the int8
+    # signs, a quarter column; the Hadamard-indexed spectrum needs no field
+    # permutation
+    assert _traced_peak(f.walsh) <= 2.75 * column + slack
     assert f.is_bent()
     # a random table's spectrum has many levels, which classify sorts in
     # place, within the same bound
     rng = np.random.default_rng(16)
     g = BooleanFunction(field, rng.integers(0, 2, 1 << n, dtype=np.uint8))
-    assert _traced_peak(g.walsh) <= 3.5 * column + slack
+    assert _traced_peak(g.walsh) <= 2.75 * column + slack
     assert g.classification().kind == "mixed"
+
+
+def test_spectrum_memory_at_n20_through_tiles():
+    n = 20
+    field = FieldSpec.default(n)
+    column = 4 << n
+    slack = 3 * 4 * PASS_BUFSIZE + 16384  # as at n = 16
+    x = np.arange(1 << n, dtype=np.uint32)
+    half = np.uint32((1 << (n // 2)) - 1)
+    table = (np.bitwise_count(x & half & (x >> (n // 2))) & 1).astype(np.uint8)
+    f = BooleanFunction(field, table)
+    assert field.size > boolfun.TILE_ENTRIES
+    # spectrum, inverse butterfly, one byte a point for the signs and the
+    # tiled butterfly's scratch of 1.5 tiles
+    tile_scratch = 3 * 4 * boolfun.TILE_ENTRIES // 2
+    assert _traced_peak(f.walsh) <= 2 * column + (1 << n) + tile_scratch + slack
+    assert f.is_bent()
+
+
+@pytest.mark.parametrize("rows, form", [(slice(None), "whole"), (0, "fraction")])
+def test_round_trip_messages_do_not_depend_on_the_sign_dtype(rows, form):
+    n = 6
+    rng = np.random.default_rng(n)
+    signs = (1 - 2 * rng.integers(0, 2, (1 << n, 3))).astype(np.int8)
+    values = fwht(signs.astype(np.int32))
+    # 1 added to every entry of a column adds 2^n to its inverse at x = 0;
+    # 1 added at index 0 alone adds 1 at every x
+    values[rows, 1] += 1
+    sign = int(signs[0, 1])
+    shown = f"{sign + 1}" if form == "whole" else f"{(sign << n) + 1}/2^{n}"
+    want = (
+        f"component (2, 0): Walsh round-trip failed at x = 0: inverse gives "
+        f"{shown}, table sign is {sign}"
+    )
+    for dtype in (np.int8, np.int32):
+        with pytest.raises(VerificationError) as err:
+            check_round_trip(values, signs.astype(dtype), [(1, 0), (2, 0), (3, 0)])
+        assert str(err.value) == want
 
 
 def test_tiled_fwht_at_n20_matches_the_untiled_one_within_its_memory(monkeypatch):

@@ -594,6 +594,20 @@ def test_construct_refuses_ignored_options_and_non_ascii_indices(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("poly", ["X1*X2", "0"])
+def test_construct_refuses_a_negative_tau_before_reading_the_polynomial(
+    tmp_path, capsys, poly
+):
+    out = tmp_path / "k.vf"
+    argv = ["construct", "--family", "kasami", "--n", "6", "--auto-u",
+            "--tau", "-1", "--poly", poly, "--out", str(out)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --tau must be at least 0, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "n, m, t, bound",
     [(5, 1, 0, "n/a"), (7, 7, 0, "n/a"), (8, 1, 2, "n/a"), (8, 2, 1, "n/a"),
