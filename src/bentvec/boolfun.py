@@ -80,13 +80,16 @@ def _quarters(a, h):
     return q, "K"
 
 
-def fwht(signs):
+def fwht(signs, out=None):
     """Fast Walsh-Hadamard butterfly along axis 0, exact integers.
 
     Each column of a (2^n, ...) array is transformed independently in
     O(n 2^n).  int32 input stays int32, which is exact for n <= 24: every
     partial sum is bounded by 2^n.  Anything else is computed in int64.
-    The input is not modified.
+    The input is not modified, unless it is given as `out`: the result is
+    written to `out`, an int32 or int64 array of the input's shape that
+    holds its dtype safely, and returned, so `fwht(a, out=a)` transforms
+    `a` in place with no copy.
 
     Arrays of at most TILE_ENTRIES entries go through `_passes` whole,
     with a scratch buffer of half the array.  Larger ones are cache-tiled
@@ -95,10 +98,18 @@ def fwht(signs):
     entries at a time in a scratch buffer of 1.5 T, where T is at most
     TILE_ENTRIES and a third of the array.  Either way the result, the
     scratch and ufunc buffers of PASS_BUFSIZE entries are all the memory
-    it takes: at most the result and half of it.
+    it takes: at most the result and half of it, or only the scratch when
+    the result is `out`.
     """
     a = np.asarray(signs)
-    a = a.astype(np.int32 if a.dtype == np.int32 else np.int64)
+    if out is None:
+        a = a.astype(np.int32 if a.dtype == np.int32 else np.int64)
+    else:
+        if out.dtype not in (np.int32, np.int64):
+            raise TypeError(f"fwht cannot transform exactly in {out.dtype}")
+        if out is not a:
+            np.copyto(out, a, casting="safe")
+        a = out
     size = a.shape[0]
     lo = (size.bit_length() - 1) // 2
     tile = min(TILE_ENTRIES, a.size // 3)
@@ -207,7 +218,8 @@ def check_parseval_parity(values, field, names=None):
             f"{exact}, expected 2^{2 * n}; largest |W(a)| is "
             f"W({a}) = {int(col[a])}"
         )
-    if np.any(cols & 1):
+    # one reduction, where `cols & 1` would allocate a whole copy
+    if np.bitwise_or.reduce(cols, axis=None) & 1:
         cols = _field_order(cols, field)
         a, j = (int(i) for i in np.argwhere(cols & 1)[0])
         raise VerificationError(
@@ -216,17 +228,21 @@ def check_parseval_parity(values, field, names=None):
         )
 
 
-def check_round_trip(values, signs, names=None):
+def check_round_trip(values, signs, names=None, in_place=False):
     """The inverse butterfly must give back the +-1 sign tables, per column.
 
     `values` are the spectra of `signs` in the Hadamard index, so that
     fwht(values) = 2^n signs.  `signs` may be +-1 of any integer dtype,
     such as the int8 ones `walsh()` and `profile()` keep; the messages do
     not depend on it.  The inverse is compared unscaled, so an entry off
-    by less than 2^n fails too.
+    by less than 2^n fails too.  The inverse is taken of a copy, or with
+    `in_place` of the int32 or int64 `values` themselves, which it then
+    overwrites: `profile()` checks so once it has read its spectra, with
+    no memory beyond the butterfly's scratch.
     """
     size = values.shape[0]
-    off = fwht(values).reshape(size, -1)
+    inverse = fwht(values, out=values) if in_place else fwht(values)
+    off = inverse.reshape(size, -1)
     s = signs.reshape(size, -1)
     # a sign is +-1, so an entry is 2^n signs exactly where its product
     # with the sign is 2^n; in place, the check allocates nothing more
@@ -344,12 +360,17 @@ class WalshSpectrum:
         """The distinct |W(a)|, ascending, and how many points take each.
 
         A bent spectrum's class holds its one exact level, which every
-        point takes; any other spectrum is sorted.
+        point takes; any other spectrum's |W| is sorted in place, in its
+        own copy, and counted between the boundaries of its levels.
         """
         levels = self.classification.abs_values
         if len(levels) == 1:
             return np.array(levels), np.array([self.field.size])
-        return np.unique(np.abs(self._spectrum), return_counts=True)
+        absv = np.abs(self._spectrum)
+        absv.sort()
+        starts = np.flatnonzero(absv[1:] != absv[:-1]) + 1
+        starts = np.concatenate(([0], starts))
+        return absv[starts], np.diff(starts, append=absv.size)
 
 
 class BooleanFunction:

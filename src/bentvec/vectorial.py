@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .boolfun import (
+    TILE_ENTRIES,
     BooleanFunction,
     _distinct,
     _field_order,
@@ -34,9 +35,15 @@ from .boolfun import (
 from .errors import FieldError, VerificationError
 from .gf2n import FieldSpec
 
-# profile() transforms max(1, BLOCK_POINTS >> n) components at a time, so
-# a block's int8 sign matrix holds max(2^16, 2^n) entries, a byte each.
-BLOCK_POINTS = 1 << 16
+# profile() transforms min(BLOCK_COLUMNS, BLOCK_POINTS >> n) components at
+# a time while two columns fit one fwht tile, and one at a time above: 16
+# columns at n <= 15, 8 at n = 16, 1 at n >= 17.  Wide blocks give the low
+# butterfly passes long runs; at n >= 17, two-column tiled blocks measured
+# 1.4-1.7x slower per column than one.  A block takes 5 bytes per entry,
+# int32 spectra and int8 signs, in two buffers that every block reuses:
+# at most 2.5 MB for n <= 16, and 5 MB at n = 20.
+BLOCK_POINTS = 1 << 19
+BLOCK_COLUMNS = 16
 
 
 class BentnessCheck(NamedTuple):
@@ -282,10 +289,13 @@ class VectorialFunction:
         transformed at once along axis 0 and checked column by column
         (Parseval, parity, round trip), all in the Hadamard index.  The
         dual of each bent (lambda, 0) column is kept packed in that index,
-        one bit per point, and reindexed when asked for.  Degrees use the
-        linearity of the ANF: one Möbius transform of the word packs the
-        coordinate ANFs, and a component's ANF is parity(anf_word & mask).
-        No truth table or spectrum is kept.
+        one bit per point, and reindexed when asked for.  Every block runs
+        in place in one int32 and one uint8 buffer, allocated once per call
+        for the widest block: the masked word, the signs, both butterflies
+        and the checks, with the round trip last, once the spectra are
+        read.  Degrees use the linearity of the ANF: one Möbius transform
+        of the word packs the coordinate ANFs, and a component's ANF is
+        parity(anf_word & mask).  No truth table or spectrum is kept.
         """
         if self._profile is None:
             sels = list(self.selectors())
@@ -328,43 +338,36 @@ class VectorialFunction:
     def _transform_rows(self, sels, masks, todo, rows, duals):
         """Fill rows[i] for i in `todo` from blocked, checked transforms."""
         n = self.n
-        word = self.word
-        # distinct (monomial degree, packed ANF coefficients) pairs
-        anf = _mobius(word)
-        monomials = np.flatnonzero(anf)
-        keys = _distinct(
-            np.bitwise_count(monomials).astype(np.uint64) << np.uint64(32)
-            | anf[monomials]
-        )
-        mono_deg = (keys >> np.uint64(32)).astype(np.int64)
-        mono_word = keys.astype(np.uint32)
-        cols = max(1, BLOCK_POINTS >> n)
+        size = self.field.size
+        mono_deg, mono_word = _monomial_keys(self.word)
+        cols = min(BLOCK_COLUMNS, BLOCK_POINTS >> n) if 2 * size <= TILE_ENTRIES else 1
+        width = min(cols, len(todo))
+        spectra = np.empty(size * width, dtype=np.int32)
+        parities = np.empty(size * width, dtype=np.uint8)
+        word = self.word[:, None]
         # one buffer holds the packed duals: many small arrays fragmented
         # the heap enough to raise verify's peak RSS
         slot = {i: r for r, i in enumerate(i for i in todo if sels[i][1] == 0)}
-        store = np.empty((len(slot), -(-self.field.size // 8)), dtype=np.uint8)
+        store = np.empty((len(slot), -(-size // 8)), dtype=np.uint8)
         for start in range(0, len(todo), cols):
             index = todo[start : start + cols]
             names = [sels[i] for i in index]
             block = masks[index]
-            # (-1)^component as int8, mapped in place in bitwise_count's
-            # uint8 result; only the forward butterfly's input is int32
-            signs = np.bitwise_count(word[:, None] & block[None, :])
+            # contiguous prefixes, so that a last, narrower block is one too
+            values = spectra[: size * len(index)].reshape(size, len(index))
+            signs = parities[: values.size].reshape(values.shape)
+            # (-1)^component as int8, from the masked word in the spectra's
+            # buffer; the signs are kept for the round trip
+            np.bitwise_and(word, block, out=values.view(np.uint32))
+            np.bitwise_count(values.view(np.uint32), out=signs)
             signs &= 1
             signs = signs.view(np.int8)
             signs *= -2
             signs += 1
-            wide = signs.astype(np.int32)
-            # the previous block's spectra are freed only here, so that the
-            # butterfly's new ones take their memory without adding to the
-            # peak (freed at the end of their block, an n = 12 profile
-            # measured 5-9% slower)
-            values = None
+            np.copyto(values, signs)
             # W(a) = values[perm[a]]: only witnesses and duals need field points
-            values = fwht(wide)
-            del wide
+            fwht(values, out=values)
             check_parseval_parity(values, self.field, names)
-            check_round_trip(values, signs, names)
             odd = np.bitwise_count(mono_word[:, None] & block[None, :]) & 1
             degrees = np.max(odd * mono_deg[:, None], axis=0, initial=0)
             for j, (i, sel) in enumerate(zip(index, names)):
@@ -373,6 +376,8 @@ class VectorialFunction:
                 if sel[1] == 0 and cls.kind == "bent":
                     store[slot[i]] = np.packbits(values[:, j] < 0)
                     duals[sel[0]] = store[slot[i]]
+            # the inverse overwrites the spectra, so it runs last
+            check_round_trip(values, signs, names, in_place=True)
 
     # -- predicates ----------------------------------------------------------------
 
@@ -432,6 +437,23 @@ class VectorialFunction:
                 f"component degree {comp_deg} != coordinate degree {coord_deg}"
             )
         return comp_deg
+
+
+def _monomial_keys(word):
+    """Degree and packed coefficients of every distinct monomial of a word.
+
+    One Möbius transform of the coordinate word packs the ANFs of all its
+    coordinates; a component's degree is the largest degree among the
+    monomials whose coefficients have odd parity with its mask.  Distinct
+    (degree, coefficients) pairs suffice, at most (n + 1) 2^(m+t).
+    """
+    anf = _mobius(word)
+    monomials = np.flatnonzero(anf)
+    keys = _distinct(
+        np.bitwise_count(monomials).astype(np.uint64) << np.uint64(32)
+        | anf[monomials]
+    )
+    return (keys >> np.uint64(32)).astype(np.int64), keys.astype(np.uint32)
 
 
 def _first(marks):

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 import bentvec.boolfun as boolfun
 from bentvec import BooleanFunction, FieldSpec
-from bentvec.boolfun import PASS_BUFSIZE, _mobius, check_round_trip, fwht
+from bentvec.boolfun import (
+    PASS_BUFSIZE,
+    _mobius,
+    check_parseval_parity,
+    check_round_trip,
+    fwht,
+)
 from bentvec.errors import VerificationError
 
 from oracles import naive_subset_xor, sylvester_hadamard
@@ -269,3 +275,47 @@ def test_degree_at_n20_peaks_below_one_table():
     # the byte-per-point butterfly as reference
     masks = np.flatnonzero(_mobius(f.table)).astype(np.uint64)
     assert f.degree() == int(np.bitwise_count(masks).max())
+
+
+@pytest.mark.parametrize("n, cols", [(6, 3), (18, 2)])  # untiled and tiled
+def test_fwht_into_out_equals_the_copying_transform(n, cols):
+    rng = np.random.default_rng(n)
+    signs = (1 - 2 * rng.integers(0, 2, (1 << n, cols))).astype(np.int32)
+    expected = fwht(signs)
+    kept = signs.copy()
+    other = np.empty_like(signs, dtype=np.int64)
+    assert fwht(signs, out=other) is other
+    assert np.array_equal(other, expected) and np.array_equal(signs, kept)
+    assert fwht(signs, out=signs) is signs
+    assert np.array_equal(signs, expected)
+    with pytest.raises(TypeError):
+        fwht(kept, out=kept.astype(np.int8))
+
+
+def test_parity_check_at_n20_allocates_no_column():
+    n = 20
+    field = FieldSpec.default(n)
+    column = 4 * field.size
+    x = np.arange(1 << n, dtype=np.uint32)
+    half = np.uint32((1 << (n // 2)) - 1)
+    table = (np.bitwise_count(x & half & (x >> (n // 2))) & 1).astype(np.uint8)
+    S = fwht(1 - 2 * table.astype(np.int32))
+    # the Parseval sum streams through einsum and the parity is one
+    # reduction, so no whole-array temporary is made
+    assert _traced_peak(lambda: check_parseval_parity(S, field)) <= 0.1 * column
+
+
+def test_abs_counts_at_n20_sorts_one_copy():
+    n = 20
+    field = FieldSpec.default(n)
+    column = 4 * field.size
+    rng = np.random.default_rng(n)
+    spectrum = BooleanFunction(field, rng.integers(0, 2, field.size, dtype=np.uint8)).walsh()
+    assert spectrum.classification.kind == "mixed"
+    result = []
+    # |W| sorted in place and a byte a point for its level boundaries
+    assert _traced_peak(lambda: result.append(spectrum.abs_counts())) <= 1.5 * column
+    absv, counts = result[0]
+    levels, expected = np.unique(np.abs(spectrum._spectrum), return_counts=True)
+    assert np.array_equal(absv, levels) and np.array_equal(counts, expected)
+    assert absv.dtype == levels.dtype and counts.dtype == expected.dtype

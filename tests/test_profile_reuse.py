@@ -205,8 +205,8 @@ def test_each_distinct_component_is_transformed_once(monkeypatch):
     columns = []
     fwht = boolfun.fwht
 
-    def counting(signs):
-        out = fwht(signs)
+    def counting(signs, **kwargs):
+        out = fwht(signs, **kwargs)
         columns.append(out.size // out.shape[0])
         return out
 

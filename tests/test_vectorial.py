@@ -397,8 +397,8 @@ def _corrupting(fwht, edit, on_call=1):
     # fwht that passes its output through `edit` on the on_call-th call
     calls = []
 
-    def wrapped(signs):
-        out = fwht(signs)
+    def wrapped(signs, **kwargs):
+        out = fwht(signs, **kwargs)
         calls.append(1)
         if len(calls) == on_call:
             edit(out)
