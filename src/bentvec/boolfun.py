@@ -18,11 +18,12 @@ and the points named in failure messages are reindexed, through
 a copy of the array it is given or `walsh()`'s own.
 
 The Hadamard and Möbius butterflies do two levels per pass, in place on
-one copy of their input; the Hadamard one adds a scratch buffer of half
-the array, or above TILE_ENTRIES entries runs its passes a cache-sized
-tile at a time in a buffer of 1.5 tiles.  A truth table's ANF is computed
-bit-sliced, 64 points to a uint64 word (`_anf_words`), and the degree is
-read from those words.
+the caller's array, which they return; a caller that needs its input
+afterwards transforms a copy.  The Hadamard one adds a scratch buffer of
+half the array, or above TILE_ENTRIES entries runs its passes a
+cache-sized tile at a time in a buffer of 1.5 tiles.  A truth table's
+ANF is computed bit-sliced, 64 points to a uint64 word (`_anf_words`),
+and the degree is read from those words.
 """
 
 from __future__ import annotations
@@ -80,44 +81,35 @@ def _quarters(a, h):
     return q, "K"
 
 
-def fwht(signs, out=None):
-    """Fast Walsh-Hadamard butterfly along axis 0, exact integers.
+def fwht(a):
+    """Fast Walsh-Hadamard butterfly along axis 0, exact integers, in place.
 
-    Each column of a (2^n, ...) array is transformed independently in
-    O(n 2^n).  int32 input stays int32, which is exact for n <= 24: every
-    partial sum is bounded by 2^n.  Anything else is computed in int64.
-    The input is not modified, unless it is given as `out`: the result is
-    written to `out`, an int32 or int64 array of the input's shape that
-    holds its dtype safely, and returned, so `fwht(a, out=a)` transforms
-    `a` in place with no copy.
+    Each column of a (2^n, ...) int32 or int64 array is transformed
+    independently in O(n 2^n), overwriting the array, which is returned.
+    int32 is exact for n <= 24: every partial sum is bounded by 2^n.  Any
+    other input is refused with TypeError before anything is written; a
+    caller that needs its input afterwards transforms a copy.
 
     Arrays of at most TILE_ENTRIES entries go through `_passes` whole,
-    with a scratch buffer of half the array.  Larger ones are cache-tiled
-    as H_(2^n) = H_(2^hi) (x) H_(2^lo) with lo = n // 2: `_tiled`
-    transforms the lo low index bits, then the hi high ones, a tile of T
-    entries at a time in a scratch buffer of 1.5 T, where T is at most
-    TILE_ENTRIES and a third of the array.  Either way the result, the
-    scratch and ufunc buffers of PASS_BUFSIZE entries are all the memory
-    it takes: at most the result and half of it, or only the scratch when
-    the result is `out`.
+    with a scratch buffer of half the array.  Larger C-contiguous ones are
+    cache-tiled as H_(2^n) = H_(2^hi) (x) H_(2^lo) with lo = n // 2:
+    `_tiled` transforms the lo low index bits, then the hi high ones, a
+    tile of T entries at a time in a scratch buffer of 1.5 T, where T is
+    at most TILE_ENTRIES and a third of the array.  The scratch and ufunc
+    buffers of PASS_BUFSIZE entries are all the memory it takes.
     """
-    a = np.asarray(signs)
-    if out is None:
-        a = a.astype(np.int32 if a.dtype == np.int32 else np.int64)
-    else:
-        if out.dtype not in (np.int32, np.int64):
-            raise TypeError(f"fwht cannot transform exactly in {out.dtype}")
-        if out is not a:
-            np.copyto(out, a, casting="safe")
-        a = out
+    if not (isinstance(a, np.ndarray) and a.dtype in (np.int32, np.int64)):
+        dtype = getattr(a, "dtype", type(a).__name__)
+        raise TypeError(f"fwht transforms int32 or int64 arrays in place, not {dtype}")
     size = a.shape[0]
     lo = (size.bit_length() - 1) // 2
     tile = min(TILE_ENTRIES, a.size // 3)
     with np.errstate():  # scopes setbufsize to this call
         np.setbufsize(PASS_BUFSIZE)
         # a tile holds whole transforms of the high bits, which at n <= 24
-        # only a TILE_ENTRIES below 2^12 can prevent
-        if a.size <= TILE_ENTRIES or size >> lo > tile:
+        # only a TILE_ENTRIES below 2^12 can prevent; `_tiled` reshapes `a`
+        # into views only in C order, `_passes` in any order
+        if a.size <= TILE_ENTRIES or size >> lo > tile or not a.flags.c_contiguous:
             _passes(a, np.empty_like(a[: size // 2]))
         else:
             # a power of two, so that the tiles split the array evenly
@@ -228,24 +220,22 @@ def check_parseval_parity(values, field, names=None):
         )
 
 
-def check_round_trip(values, signs, names=None, in_place=False):
+def check_round_trip(values, signs, names=None):
     """The inverse butterfly must give back the +-1 sign tables, per column.
 
-    `values` are the spectra of `signs` in the Hadamard index, so that
-    fwht(values) = 2^n signs.  `signs` may be +-1 of any integer dtype,
-    such as the int8 ones `walsh()` and `profile()` keep; the messages do
-    not depend on it.  The inverse is compared unscaled, so an entry off
-    by less than 2^n fails too.  The inverse is taken of a copy, or with
-    `in_place` of the int32 or int64 `values` themselves, which it then
-    overwrites: `profile()` checks so once it has read its spectra, with
-    no memory beyond the butterfly's scratch.
+    `values` are the int32 or int64 spectra of `signs` in the Hadamard
+    index, so that fwht(values) = 2^n signs.  `signs` may be +-1 of any
+    integer dtype, such as the int8 ones `walsh()` and `profile()` keep;
+    the messages do not depend on it.  The inverse is compared unscaled,
+    so an entry off by less than 2^n fails too.  It is taken of `values`
+    in place, which it overwrites, with no memory beyond the butterfly's
+    scratch: a caller that still needs the spectra passes a copy.
     """
     size = values.shape[0]
-    inverse = fwht(values, out=values) if in_place else fwht(values)
-    off = inverse.reshape(size, -1)
+    off = fwht(values).reshape(size, -1)
     s = signs.reshape(size, -1)
     # a sign is +-1, so an entry is 2^n signs exactly where its product
-    # with the sign is 2^n; in place, the check allocates nothing more
+    # with the sign is 2^n, which the check computes in place
     off *= s
     off -= size
     if np.count_nonzero(off):
@@ -354,6 +344,7 @@ class WalshSpectrum:
         return self.classification.kind == "bent"
 
     def __getitem__(self, a):
+        self.field.check(a)
         return int(self._spectrum[_walsh_permutation(self.field)[a]])
 
     def abs_counts(self):
@@ -497,7 +488,8 @@ class BooleanFunction:
         for every spectrum this package ever computes, in the Hadamard
         index.  The butterfly and the values are int32, exact since
         |W(a)| <= 2^n <= 2^24; the signs (-1)^f are kept as int8, a byte
-        a point, and widened only for the forward butterfly's input.
+        a point.  The forward butterfly transforms their one int32 copy
+        into the spectrum, and the round trip inverts a copy of that.
         """
         if self._walsh is None:
             # (-1)^f in one int8 array; the table's 0/1 bytes read as int8
@@ -506,7 +498,7 @@ class BooleanFunction:
             hadamard = fwht(signs.astype(np.int32))
             spectrum = WalshSpectrum.__new__(WalshSpectrum)
             spectrum._own(self.field, hadamard)
-            check_round_trip(hadamard, signs)
+            check_round_trip(hadamard.copy(), signs)
             self._walsh = spectrum
         return self._walsh
 
@@ -578,16 +570,16 @@ def _second_derivative(t, idx, a, b):
     return t ^ t.take(idx ^ a, 0) ^ t.take(idx ^ b, 0) ^ t.take(idx ^ a ^ b, 0)
 
 
-def _mobius(bits):
+def _mobius(a):
     """Binary Möbius transform along axis 0 (self-inverse XOR butterfly).
 
     Unsigned integer input is transformed bitwise, so a word packing
     several truth tables yields their ANF coefficients packed the same way.
-    The dtype is kept and the input is not modified.  Each pass does two
-    levels in place, as four XORs over the quarters of `_quarters`; odd n
-    ends with one single level.
+    The array is transformed in place and returned: a caller that needs
+    its input afterwards passes a copy.  Each pass does two levels, as
+    four XORs over the quarters of `_quarters`; odd n ends with one single
+    level.
     """
-    a = np.array(bits)
     size = a.shape[0]
     h = 1
     with np.errstate():  # scopes setbufsize to this call
@@ -616,7 +608,7 @@ def _anf_words(table):
     size = table.shape[0]
     words = np.zeros(max(1, size >> 6), dtype="<u8")
     words.view(np.uint8)[: -(-size // 8)] = np.packbits(table, bitorder="little")
-    words = _mobius(words)
+    _mobius(words)
     moved = np.empty_like(words)
     for s in range(min(size.bit_length() - 1, 6)):
         np.bitwise_and(words, LOW[s], out=moved)

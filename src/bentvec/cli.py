@@ -26,7 +26,7 @@ from .constructions import (
     vectorial_class_string,
 )
 from .errors import BentvecError, ParseError, PreconditionError, VerificationError
-from .gf2n import FieldSpec
+from .gf2n import MAX_N, FieldSpec
 from .redpoly import DefiningSet, ReducedPolynomial
 from .propp import find_defining_sets, satisfies_p
 from .vectorial import _bent_components_bound_or_none
@@ -142,6 +142,8 @@ def cmd_construct(args):
     for flag, value in (("--tau", args.tau), ("--t", args.t)):
         if value is not None and value < 0:
             raise ValueError(f"{flag} must be at least 0, got {value}")
+    if not 1 <= args.n <= MAX_N:
+        raise ValueError(f"--n must be in 1..{MAX_N}, got {args.n}")
     if args.family == "niho" and args.r is None:
         raise PreconditionError("--family niho requires --r")
     field = _field_for(args.n, args)

@@ -366,7 +366,7 @@ class VectorialFunction:
             signs += 1
             np.copyto(values, signs)
             # W(a) = values[perm[a]]: only witnesses and duals need field points
-            fwht(values, out=values)
+            fwht(values)
             check_parseval_parity(values, self.field, names)
             odd = np.bitwise_count(mono_word[:, None] & block[None, :]) & 1
             degrees = np.max(odd * mono_deg[:, None], axis=0, initial=0)
@@ -377,7 +377,7 @@ class VectorialFunction:
                     store[slot[i]] = np.packbits(values[:, j] < 0)
                     duals[sel[0]] = store[slot[i]]
             # the inverse overwrites the spectra, so it runs last
-            check_round_trip(values, signs, names, in_place=True)
+            check_round_trip(values, signs, names)
 
     # -- predicates ----------------------------------------------------------------
 
@@ -447,7 +447,7 @@ def _monomial_keys(word):
     monomials whose coefficients have odd parity with its mask.  Distinct
     (degree, coefficients) pairs suffice, at most (n + 1) 2^(m+t).
     """
-    anf = _mobius(word)
+    anf = _mobius(word.copy())
     monomials = np.flatnonzero(anf)
     keys = _distinct(
         np.bitwise_count(monomials).astype(np.uint64) << np.uint64(32)

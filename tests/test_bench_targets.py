@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bentvec import FieldSpec, VectorialFunction
+from bentvec import FieldSpec, VectorialFunction, fwht
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -34,3 +34,12 @@ def test_component_counter_reads_a_vectorial_function(spans):
     count = spans._distinct_components()
     assert count((F, 1), {}, None) == {"distinct": 1}
     assert count((F, 1, 0), {}, None) == {}
+
+
+def test_fwht_counter_reads_the_in_place_result(spans):
+    # the counter reads the shape of what fwht returns: its own input
+    block = np.ones((1 << 6, 3), dtype=np.int32)
+    result = fwht(block)
+    assert result is block
+    ops = 6 * 192  # six levels over 192 entries
+    assert spans._fwht_count((block,), {}, result) == {"ops": ops, "bytes": 2 * ops * 4}

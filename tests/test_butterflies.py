@@ -46,12 +46,17 @@ def _assert_sylvester_product(n, trailing, dtype, seed):
         signs = rng.integers(max(info.min, -bound), bound, shape, endpoint=True)
         signs = signs.astype(dtype)
     before = signs.copy()
-    got = fwht(signs)
-    want = np.tensordot(sylvester_hadamard(n), signs.astype(np.int64), axes=1)
-    assert got.dtype == (np.int32 if dtype == np.int32 else np.int64)
-    assert got.shape == shape
-    assert np.array_equal(got, want)
-    assert np.array_equal(signs, before) and signs.dtype == dtype
+    if dtype not in (np.int32, np.int64):
+        # refused before anything is written
+        with pytest.raises(TypeError):
+            fwht(signs)
+        assert np.array_equal(signs, before) and signs.dtype == dtype
+        return
+    # transformed in place into the product of a copy
+    want = np.tensordot(sylvester_hadamard(n), before.astype(np.int64), axes=1)
+    assert fwht(signs) is signs
+    assert signs.dtype == dtype and signs.shape == shape
+    assert np.array_equal(signs, want)
 
 
 @given(**FWHT_CASES)
@@ -80,7 +85,7 @@ def test_small_tile_constant_splits_the_butterfly(monkeypatch, n, trailing):
 
     monkeypatch.setattr(boolfun, "_passes", counted)
     signs = np.random.default_rng(n).integers(-8, 9, (1 << n, *trailing))
-    got = fwht(signs)
+    got = fwht(signs.copy())
     assert np.array_equal(got, np.tensordot(sylvester_hadamard(n), signs, axes=1))
     assert len(sizes) > 2 and max(sizes) <= 32
 
@@ -98,12 +103,11 @@ def test_mobius_is_the_subset_sum_anf(n, trailing, dtype, seed):
     shape = (1 << n, *trailing)
     words = rng.integers(0, info.max, shape, dtype=np.uint64, endpoint=True)
     words = words.astype(dtype)
-    before = words.copy()
-    got = _mobius(words)
+    got = words.copy()
+    assert _mobius(got) is got  # in place
     assert got.dtype == dtype
     assert np.array_equal(got, naive_subset_xor(words))
-    assert np.array_equal(words, before)
-    assert np.array_equal(_mobius(got), words)  # self-inverse
+    assert np.array_equal(_mobius(got.copy()), words)  # self-inverse
 
 
 def _parity(v):
@@ -180,8 +184,8 @@ def test_spectrum_memory_at_n16():
     # Maiorana-McFarland <x_low, x_high>: bent, so classify takes no sort
     table = (np.bitwise_count(x & half & (x >> (n // 2))) & 1).astype(np.uint8)
     signs = 1 - 2 * table.astype(np.int32)
-    # the result and a scratch buffer of half the array
-    assert _traced_peak(lambda: fwht(signs)) <= 1.5 * column + slack
+    # in place: a scratch buffer of half the array
+    assert _traced_peak(lambda: fwht(signs)) <= 0.5 * column + slack
     f = BooleanFunction(field, table)
     # spectrum, inverse butterfly, its half-array scratch and the int8
     # signs, a quarter column; the Hadamard-indexed spectrum needs no field
@@ -229,8 +233,9 @@ def test_round_trip_messages_do_not_depend_on_the_sign_dtype(rows, form):
         f"{shown}, table sign is {sign}"
     )
     for dtype in (np.int8, np.int32):
+        # the inverse overwrites its input, so each dtype checks a fresh copy
         with pytest.raises(VerificationError) as err:
-            check_round_trip(values, signs.astype(dtype), [(1, 0), (2, 0), (3, 0)])
+            check_round_trip(values.copy(), signs.astype(dtype), [(1, 0), (2, 0), (3, 0)])
         assert str(err.value) == want
 
 
@@ -241,13 +246,13 @@ def test_tiled_fwht_at_n20_matches_the_untiled_one_within_its_memory(monkeypatch
     rng = np.random.default_rng(20)
     signs = 1 - 2 * rng.integers(0, 2, 1 << n, dtype=np.uint8).astype(np.int32)
     assert signs.size > boolfun.TILE_ENTRIES
-    result = []
-    # the result and a scratch buffer of 1.5 tiles, within the half array
-    # that the untiled butterfly takes
+    tiled = signs.copy()
+    # in place: a scratch buffer of 1.5 tiles, within the half array that
+    # the untiled butterfly takes
     scratch = min(column // 2, 3 * 4 * boolfun.TILE_ENTRIES // 2)
-    assert _traced_peak(lambda: result.append(fwht(signs))) <= column + scratch + slack
+    assert _traced_peak(lambda: fwht(tiled)) <= scratch + slack
     monkeypatch.setattr(boolfun, "TILE_ENTRIES", 1 << n)
-    assert np.array_equal(result[0], fwht(signs))
+    assert np.array_equal(tiled, fwht(signs))
 
 
 @pytest.mark.parametrize("n, tile", [(17, 1 << 16), (19, boolfun.TILE_ENTRIES)])
@@ -273,23 +278,35 @@ def test_degree_at_n20_peaks_below_one_table():
     # the packed ANF and its scratch take an eighth of the uint8 table each
     assert _traced_peak(f.degree) <= f.table.nbytes
     # the byte-per-point butterfly as reference
-    masks = np.flatnonzero(_mobius(f.table)).astype(np.uint64)
+    masks = np.flatnonzero(_mobius(f.table.copy())).astype(np.uint64)
     assert f.degree() == int(np.bitwise_count(masks).max())
 
 
 @pytest.mark.parametrize("n, cols", [(6, 3), (18, 2)])  # untiled and tiled
-def test_fwht_into_out_equals_the_copying_transform(n, cols):
+def test_fwht_transforms_in_place_and_refuses_other_input(n, cols):
     rng = np.random.default_rng(n)
     signs = (1 - 2 * rng.integers(0, 2, (1 << n, cols))).astype(np.int32)
-    expected = fwht(signs)
-    kept = signs.copy()
-    other = np.empty_like(signs, dtype=np.int64)
-    assert fwht(signs, out=other) is other
-    assert np.array_equal(other, expected) and np.array_equal(signs, kept)
-    assert fwht(signs, out=signs) is signs
+    expected = fwht(signs.astype(np.int64))
+    assert fwht(signs) is signs
     assert np.array_equal(signs, expected)
-    with pytest.raises(TypeError):
-        fwht(kept, out=kept.astype(np.int8))
+    for other in (signs.astype(np.int8), signs.astype(np.float64), signs.tolist()):
+        kept = np.array(other)
+        with pytest.raises(TypeError):
+            fwht(other)
+        assert np.array_equal(np.array(other), kept)
+
+
+@pytest.mark.parametrize("trailing", [(2,), (2, 3)])
+def test_fwht_of_a_fortran_ordered_array_above_a_tile(trailing):
+    # the tiled butterfly's views need C order; any other layout is
+    # transformed whole, still in place
+    n = 18
+    rng = np.random.default_rng(n)
+    signs = np.asfortranarray(1 - 2 * rng.integers(0, 2, (1 << n, *trailing)))
+    assert signs.size > boolfun.TILE_ENTRIES and not signs.flags.c_contiguous
+    expected = fwht(np.ascontiguousarray(signs))
+    assert fwht(signs) is signs
+    assert np.array_equal(signs, expected)
 
 
 def test_parity_check_at_n20_allocates_no_column():

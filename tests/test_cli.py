@@ -583,6 +583,9 @@ def test_integer_options_take_ascii_decimal_digits_only(tmp_path, capsys, comman
          "parse error: variable needs an index, like X2 at line 1, col 1\n"),
         (["--poly", "X1*X\u00b2"],
          "parse error: variable needs an index, like X2 at line 1, col 4\n"),
+        (["--n", "0"], "error: --n must be in 1..24, got 0\n"),
+        (["--n", "25"], "error: --n must be in 1..24, got 25\n"),
+        (["--n", "-2"], "error: --n must be in 1..24, got -2\n"),
     ],
 )
 def test_construct_refuses_ignored_options_and_non_ascii_indices(tmp_path, capsys, flags, err):

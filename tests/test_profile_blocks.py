@@ -70,17 +70,17 @@ def test_default_blocks_equal_one_column_blocks(gold_vf, monkeypatch, name, n, m
 
 
 def _inverse_fault(monkeypatch, on_call, x, j):
-    # the in-place inverse is the only fwht that profile() calls through
-    # boolfun; the on_call-th negates entry (x, j) of its result
+    # profile() runs its forward butterflies through vectorial.fwht, so
+    # every fwht it calls through boolfun is an in-place inverse; the
+    # on_call-th negates entry (x, j) of its result
     calls = []
     fwht = boolfun.fwht
 
-    def faulty(signs, **kwargs):
-        out = fwht(signs, **kwargs)
-        if "out" in kwargs:
-            calls.append(1)
-            if len(calls) == on_call:
-                out[x, j] = -out[x, j]
+    def faulty(signs):
+        out = fwht(signs)
+        calls.append(1)
+        if len(calls) == on_call:
+            out[x, j] = -out[x, j]
         return out
 
     monkeypatch.setattr(boolfun, "fwht", faulty)
