@@ -344,8 +344,7 @@ class WalshSpectrum:
         return self.classification.kind == "bent"
 
     def __getitem__(self, a):
-        self.field.check(a)
-        return int(self._spectrum[_walsh_permutation(self.field)[a]])
+        return int(self._spectrum[_walsh_permutation(self.field)[self.field.check(a)]])
 
     def abs_counts(self):
         """The distinct |W(a)|, ascending, and how many points take each.
@@ -394,15 +393,7 @@ class BooleanFunction:
     @classmethod
     def from_univariate(cls, field, terms):
         """x -> Tr^n_1(sum of c_i x^(d_i)) from (coefficient, exponent) pairs."""
-        acc = np.zeros(field.size, dtype=np.int64)
-        xs = np.arange(field.size, dtype=np.int64)
-        for c, d in terms:
-            field.check(c)
-            if not 0 <= d <= field.order:
-                raise FieldError(f"exponent {d} outside [0, 2^n - 1]")
-            acc ^= field.mul_elems(field.pow_elems(xs, d), c)
-        tr = field.abs_trace_table()
-        return cls(field, tr[acc])
+        return cls(field, field.abs_trace_table()[field.poly_elems(terms)])
 
     @classmethod
     def from_anf(cls, field, monomials):
@@ -459,13 +450,12 @@ class BooleanFunction:
 
     def shift(self, a):
         """x -> f(x + a) (field addition is XOR)."""
-        self.field.check(a)
-        idx = np.arange(self.field.size) ^ a
+        idx = np.arange(self.field.size) ^ self.field.check(a)
         return BooleanFunction(self.field, self.table[idx])
 
     def scale_input(self, delta):
         """x -> f(delta x) for nonzero delta."""
-        if delta == 0:
+        if self.field.check(delta) == 0:
             raise FieldError("input scaling needs a nonzero factor")
         idx = self.field.mul_elems(np.arange(self.field.size, dtype=np.int64), delta)
         return BooleanFunction(self.field, self.table[idx])

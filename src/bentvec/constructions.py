@@ -416,13 +416,16 @@ def vectorial_class_string(F):
 # ---------------------------------------------------------------------------
 
 
+def _circle_scaled_basis(field, k):
+    """rho_i v: rho the least basis of F_{2^k}, v the least element of the
+    unit circle of F_{2^(2k)} besides 1."""
+    v = min(x for x in field.unit_circle(2 * k).tolist() if x != 1)
+    return [field.mul(r, v) for r in field.subfield_basis(k)]
+
+
 def kasami_auto_u(field):
-    """u_i = rho_i v: rho a least basis of F_{2^k}, v the least unit-circle
-    element besides 1."""
-    k = field.n // 2
-    rho = field.subfield_basis(k)
-    v = int(min(x for x in field.unit_circle() if x != 1))
-    return [field.mul(r, v) for r in rho]
+    """u_i = rho_i v: rho a least basis of F_{2^k}, v in U minus 1, k = n/2."""
+    return _circle_scaled_basis(field, field.n // 2)
 
 
 def niho_auto_u(field):
@@ -432,14 +435,12 @@ def niho_auto_u(field):
 
 def gold_auto_u(field):
     """u_i = v_i sigma: v a least basis of F_{2^k}, sigma in U(2k) minus 1."""
-    k = field.n // 4
-    vs = field.subfield_basis(k)
-    sigma = int(min(x for x in field.unit_circle(2 * k) if x != 1))
-    return [field.mul(v, sigma) for v in vs]
+    return _circle_scaled_basis(field, field.n // 4)
 
 
-def _check_conjugate_condition(field, u_values, k, ambient_bits=None):
-    """u_i * u_j^(2^k) must land in F*_{2^k} for every pair i < j."""
+def _check_conjugate_condition(field, u_values, k):
+    """u_i u_j^(2^k) must land in F*_{2^k} for every pair i < j; the u_i
+    themselves are checked by `_require_in_subfield`."""
     for i in range(len(u_values)):
         for j in range(i + 1, len(u_values)):
             w = field.mul(u_values[i], field.pow(u_values[j], 1 << k))
@@ -448,12 +449,19 @@ def _check_conjugate_condition(field, u_values, k, ambient_bits=None):
                     f"u condition fails on pair ({i + 1},{j + 1}): "
                     f"u_i u_j^(2^{k}) = {w:#x} is not in F*_(2^{k})"
                 )
-    if ambient_bits is not None:
-        for i, u in enumerate(u_values):
-            if u == 0 or field.pow(u, 1 << ambient_bits) != u:
-                raise PreconditionError(
-                    f"u_{i + 1} = {u:#x} is not in F*_(2^{ambient_bits})"
-                )
+
+
+def _require_in_subfield(field, u_values, k):
+    """Every u_i must be a nonzero element of F_{2^k}: u^(2^k) = u."""
+    for i, u in enumerate(u_values):
+        if u == 0 or field.pow(u, 1 << k) != u:
+            raise PreconditionError(f"u_{i + 1} = {u:#x} is not in F*_(2^{k})")
+
+
+def _lift_degree(poly, u_values):
+    """deg F when it is at least 2 and F's u_i are independent, else None."""
+    d = poly.degree()
+    return d if d >= 2 and f2_is_independent(u_values[: poly.tau]) else None
 
 
 def _component_dual_check(G, closed_form):
@@ -542,18 +550,15 @@ def _run_family(
         report.bent_components_measured = plat.bent_count
         report.bent_components_predicted = plat.bent_count_predicted
         report.bent_components_bound = plat.bent_count_bound
-        report.bent_components_match = (
-            None
-            if plat.bent_count_predicted is None
-            else plat.bent_count == plat.bent_count_predicted
-        )
     else:
         report.bent_components_measured = lift.H.bent_component_count()
         report.bent_components_predicted = (1 << G.m) - 1
-        report.bent_components_match = (
-            report.bent_components_measured == report.bent_components_predicted
-        )
         report.bent_components_bound = _bent_components_bound_or_none(field.n, G.m)
+    report.bent_components_match = (
+        None
+        if report.bent_components_predicted is None
+        else report.bent_components_measured == report.bent_components_predicted
+    )
 
     checks = [
         report.class_match,
@@ -576,7 +581,7 @@ def kasami_family(field, u_values, poly, tail_polys=(), seed=None):
     if field.n % 2:
         raise PreconditionError("Kasami family needs even n")
     k = field.n // 2
-    u_values = [field.check(int(u)) for u in u_values]
+    u_values = [field.check(u) for u in u_values]
     _check_conjugate_condition(field, u_values, k)
     G = VectorialFunction.from_univariate(field, k, [(1, (1 << k) + 1)])
 
@@ -584,10 +589,6 @@ def kasami_family(field, u_values, poly, tail_polys=(), seed=None):
         # Tr^k_1(lambda^-1 x^(2^k+1)) is the component lambda^-1 of G
         return G.component(field.inverse(lam)).complement()
 
-    d = poly.degree()
-    degree_predicted = (
-        d if d >= 2 and f2_is_independent(u_values[: poly.tau]) else None
-    )
     return _run_family(
         "kasami",
         field,
@@ -597,7 +598,7 @@ def kasami_family(field, u_values, poly, tail_polys=(), seed=None):
         tuple(tail_polys),
         closed_form,
         "Tr^k_1(lambda^-1 x^(2^k+1)) + 1",
-        degree_predicted,
+        _lift_degree(poly, u_values),
         seed=seed,
     )
 
@@ -625,16 +626,13 @@ def niho_family(field, r, u_values, poly, tail_polys=(), seed=None):
         raise PreconditionError(f"need 1 < r < k = {k}, got r={r}")
     if math.gcd(r, k) != 1:
         raise PreconditionError(f"gcd(r, k) must be 1, got gcd({r},{k})")
-    u_values = [field.check(int(u)) for u in u_values]
+    u_values = [field.check(u) for u in u_values]
     if len(u_values) != k:
         raise PreconditionError(
             f"u set must be a basis of F_(2^{k}); expected {k} elements, "
             f"got {len(u_values)}"
         )
-    sub = set(int(x) for x in field.subfield(k))
-    for i, u in enumerate(u_values):
-        if u not in sub or u == 0:
-            raise PreconditionError(f"u_{i + 1} = {u:#x} is not in F*_(2^{k})")
+    _require_in_subfield(field, u_values, k)
     if not f2_is_independent(u_values):
         raise PreconditionError("u set is not linearly independent (basis check)")
 
@@ -704,8 +702,9 @@ def gold_family(field, u_values, poly, tail_polys=(), seed=None):
     k = field.n // 4
     if k < 2:
         raise PreconditionError("Gold-like family needs k >= 2")
-    u_values = [field.check(int(u)) for u in u_values]
-    _check_conjugate_condition(field, u_values, k, ambient_bits=2 * k)
+    u_values = [field.check(u) for u in u_values]
+    _check_conjugate_condition(field, u_values, k)
+    _require_in_subfield(field, u_values, 2 * k)
 
     e_omega = ((1 << k) - 1) * ((1 << (2 * k)) + 1)
     omega = field.pow(field.generator, e_omega)
@@ -725,13 +724,12 @@ def gold_family(field, u_values, poly, tail_polys=(), seed=None):
         if field.pow(omega, circle_order // q) == 1:
             raise VerificationError("omega does not generate the unit circle")
 
-    xs = np.arange(field.size, dtype=np.int64)
-    y = field.mul_elems(field.pow_elems(xs, (1 << k) + 1), omega)
-    acc = y.copy()
-    for _ in range(field.n // k - 1):
-        y = field.pow_elems(y, 1 << k)
-        acc ^= y
-    G = VectorialFunction(field, k, acc)
+    # Tr^(4k)_k(omega x^e) is the sum of the conjugates omega^(2^(ik)) x^(e 2^(ik))
+    e = (1 << k) + 1
+    terms = [
+        (field.pow(omega, 1 << (i * k)), (e << (i * k)) % field.order) for i in range(4)
+    ]
+    G = VectorialFunction.from_univariate(field, k, terms)
 
     lam0 = field.inverse(omega ^ obar)
     if field.pow(lam0, 1 << k) != lam0:
@@ -747,10 +745,6 @@ def gold_family(field, u_values, poly, tail_polys=(), seed=None):
             raise VerificationError("delta^(2^k+1) != lambda lambda_0^-1")
         return comp0.scale_input(field.inverse(delta))
 
-    d = poly.degree()
-    degree_predicted = (
-        d if d >= 2 and f2_is_independent(u_values[: poly.tau]) else None
-    )
     return _run_family(
         "gold",
         field,
@@ -760,7 +754,7 @@ def gold_family(field, u_values, poly, tail_polys=(), seed=None):
         tuple(tail_polys),
         closed_form,
         "G_lambda0(delta^-1 x), delta^(2^k+1) = lambda lambda_0^-1",
-        degree_predicted,
+        _lift_degree(poly, u_values),
         seed=seed,
         self_dual_selector=lam0,
     )

@@ -51,7 +51,7 @@ import numpy as np
 
 from .boolfun import BooleanFunction
 from .errors import FieldError, ParseError
-from .gf2n import PRIMITIVE_POLYNOMIALS, FieldSpec, _check_degree
+from .gf2n import MAX_N, PRIMITIVE_POLYNOMIALS, FieldSpec, _check_degree
 from .vectorial import VectorialFunction, _check_dimensions
 
 
@@ -182,7 +182,7 @@ def _header_field(header, columns, modulus):
     A header modulus of the wrong degree is a parse error at its column.
     """
     n = header["n"]
-    if not 1 <= n <= 24:
+    if not 1 <= n <= MAX_N:
         raise ParseError(f"n={n} out of range", line=1, column=1)
     if modulus is None:
         modulus = header["field"]

@@ -26,6 +26,7 @@ tables, so a VF read or `verify` builds no full-field table.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -168,14 +169,21 @@ class FieldSpec:
     # -- scalar operations ---------------------------------------------------
 
     def check(self, a):
+        """a as a Python int, if it is a Python or NumPy integer in [0, 2^n).
+
+        Anything else, 2.5, '3' or None, raises FieldError, never truncated.
+        """
+        try:
+            a = operator.index(a)
+        except TypeError:
+            raise FieldError(f"element {a!r} is not an integer") from None
         if not 0 <= a < self.size:
             raise FieldError(f"element {a:#x} outside GF(2^{self.n})")
         return a
 
     def mul(self, a, b):
         """Product in GF(2^n)."""
-        self.check(a), self.check(b)
-        return clmul_reduce(int(a), int(b), self.modulus, self.n)
+        return clmul_reduce(self.check(a), self.check(b), self.modulus, self.n)
 
     def pow(self, a, e):
         """a^e, exponent reduced mod 2^n - 1 for a != 0; 0^0 = 1 by convention."""
@@ -281,6 +289,20 @@ class FieldSpec:
         out[nz] = exp[(log[a[nz]] * (e % self.order)) % self.order]
         return out
 
+    def poly_elems(self, terms):
+        """int64 sum of c x^d over the (c, d) terms, at every element x.
+
+        Each c goes through `check`; each d must lie in [0, 2^n - 1].
+        """
+        xs = np.arange(self.size, dtype=np.int64)
+        acc = np.zeros(self.size, dtype=np.int64)
+        for c, d in terms:
+            c = self.check(c)
+            if not 0 <= d <= self.order:
+                raise FieldError(f"exponent {d} outside [0, 2^n - 1]")
+            acc ^= self.mul_elems(self.pow_elems(xs, d), c)
+        return acc
+
     def inverse_elems(self, a):
         exp, log = _exp_log(self)
         a = np.asarray(a, dtype=np.int64)
@@ -302,13 +324,8 @@ class FieldSpec:
 
     def linear_form_table(self, u):
         """uint8 truth table of x -> Tr^n_1(u x)."""
-        self.check(u)
-        w = int(_walsh_permutation(self)[u])
-        tbl = np.zeros(self.size, dtype=np.uint8)
-        for j in range(self.n):
-            half = 1 << j
-            np.bitwise_xor(tbl[:half], (w >> j) & 1, out=tbl[half : 2 * half])
-        return tbl
+        w = int(_walsh_permutation(self)[self.check(u)])
+        return _linear_table([(w >> j) & 1 for j in range(self.n)], np.uint8)
 
 
 def _check_degree(n, modulus):
@@ -417,16 +434,23 @@ def _exp_log(spec):
     return exp, log
 
 
+def _linear_table(images, dtype):
+    """Table of the F2-linear map sending basis vector j to images[j]: entry
+    c is the XOR of images[j] over the set bits j of c, filled by doubling."""
+    tbl = np.zeros(1 << len(images), dtype=dtype)
+    for j, w in enumerate(images):
+        half = 1 << j
+        np.bitwise_xor(tbl[:half], w, out=tbl[half : 2 * half])
+    return tbl
+
+
 @lru_cache(maxsize=None)
 def _abs_trace_table(spec):
-    # Tr is F2-linear: fill by doubling from the traces of the basis alpha^j.
-    tbl = np.zeros(spec.size, dtype=np.uint8)
-    for j in range(spec.n):
-        t = spec.subfield_abs_trace(1 << j, spec.n)
-        if t not in (0, 1):
-            raise FieldError("trace form corrupt")  # unreachable on valid specs
-        half = 1 << j
-        np.bitwise_xor(tbl[:half], t, out=tbl[half : 2 * half])
+    # Tr is F2-linear: its table is spanned by the traces of the basis alpha^j
+    traces = [spec.subfield_abs_trace(1 << j, spec.n) for j in range(spec.n)]
+    if any(t not in (0, 1) for t in traces):
+        raise FieldError("trace form corrupt")  # unreachable on valid specs
+    tbl = _linear_table(traces, np.uint8)
     tbl.flags.writeable = False
     return tbl
 
@@ -446,10 +470,7 @@ def _walsh_permutation(spec):
         raise FieldError(f"trace form of modulus {spec.modulus:#x} is not symmetric")
     # int64, not int32: an int32 index makes every gather through perm
     # allocate numpy's index-cast buffer
-    perm = np.zeros(spec.size, dtype=np.int64)
-    for i in range(spec.n):
-        half = 1 << i
-        np.bitwise_xor(perm[:half], base[i], out=perm[half : 2 * half])
+    perm = _linear_table(base, np.int64)
     perm.flags.writeable = False
     return perm
 
@@ -486,8 +507,10 @@ def f2_is_independent(values):
 
 
 def f2_span(values):
-    """All XOR combinations of the given elements, sorted (includes 0)."""
-    span = {0}
+    """All XOR combinations of the given elements, sorted (includes 0);
+    tabulated over an independent subset, so 2^rank distinct entries."""
+    basis = []
     for v in values:
-        span |= {x ^ int(v) for x in span}
-    return sorted(span)
+        if f2_is_independent([*basis, int(v)]):
+            basis.append(int(v))
+    return np.sort(_linear_table(basis, np.int64)).tolist()

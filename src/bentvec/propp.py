@@ -73,12 +73,7 @@ def span_closure(g: BooleanFunction, defining: DefiningSet) -> bool:
 
     This is a theorem check: given the precondition it must return True.
     """
-    _same_field(g, defining)
-    check = satisfies_p(g, defining)
-    if not check.holds:
-        raise PreconditionError(
-            f"property (P_tau) fails on pair {check.pair} at x={check.witness}"
-        )
+    _require_p(g, defining)
     # D_0 and D_a D_a vanish and D_a D_b = D_b D_a, so the pairs of the
     # span are every (a, b)
     return satisfies_p(g, DefiningSet(g.field, tuple(defining.span()))).holds
@@ -116,12 +111,7 @@ def product_shift(g: BooleanFunction, defining: DefiningSet, b) -> BooleanFuncti
 
     The preservation is asserted before returning (theorem check).
     """
-    _same_field(g, defining)
-    check = satisfies_p(g, defining)
-    if not check.holds:
-        raise PreconditionError(
-            f"property (P_tau) fails on pair {check.pair} at x={check.witness}"
-        )
+    _require_p(g, defining)
     if b not in set(defining.span()):
         raise PreconditionError(f"shift {b:#x} is outside the defining-set span")
     h = g & g.shift(b)
@@ -131,6 +121,15 @@ def product_shift(g: BooleanFunction, defining: DefiningSet, b) -> BooleanFuncti
             f"product shift broke (P_tau) on pair {after.pair}"
         )
     return h
+
+
+def _require_p(g, defining):
+    """The precondition of span_closure and product_shift: g has (P_tau)."""
+    check = satisfies_p(g, defining)
+    if not check.holds:
+        raise PreconditionError(
+            f"property (P_tau) fails on pair {check.pair} at x={check.witness}"
+        )
 
 
 def find_defining_sets(
@@ -152,11 +151,10 @@ def find_defining_sets(
     if tau < 2:
         raise PreconditionError("search needs tau >= 2")
     field = g.field
-    pool = sorted(set(int(c) for c in candidates)) if candidates is not None else list(
-        range(1, field.size)
-    )
-    for c in pool:
-        field.check(c)
+    if candidates is None:
+        pool = list(range(1, field.size))
+    else:
+        pool = sorted({field.check(c) for c in candidates})
     idx = np.arange(field.size)
     results = []
     nodes = 0

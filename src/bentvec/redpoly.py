@@ -202,9 +202,8 @@ class DefiningSet:
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(int(u) for u in self.elements))
-        for u in self.elements:
-            self.field.check(u)
+        elements = tuple(self.field.check(u) for u in self.elements)
+        object.__setattr__(self, "elements", elements)
         if len(set(self.elements)) != len(self.elements):
             raise FieldError("defining-set elements must be pairwise distinct")
 

@@ -33,7 +33,7 @@ from .boolfun import (
     fwht,
 )
 from .errors import FieldError, VerificationError
-from .gf2n import FieldSpec
+from .gf2n import FieldSpec, _linear_table
 
 # profile() transforms min(BLOCK_COLUMNS, BLOCK_POINTS >> n) components at
 # a time while two columns fit one fwht tile, and one at a time above: 16
@@ -184,11 +184,7 @@ class VectorialFunction:
     @classmethod
     def from_univariate(cls, field, m, terms):
         """Outputs sum of c_i x^(d_i); must land in the subfield F_{2^m}."""
-        acc = np.zeros(field.size, dtype=np.int64)
-        xs = np.arange(field.size, dtype=np.int64)
-        for c, d in terms:
-            acc ^= field.mul_elems(field.pow_elems(xs, d), c)
-        return cls(field, m, acc)
+        return cls(field, m, field.poly_elems(terms))
 
     def add_boolean(self, g: BooleanFunction):
         """H(x) = F(x) + g(x), the bit embedded as the subfield element 1."""
@@ -233,7 +229,7 @@ class VectorialFunction:
 
     def component(self, lam, v=0):
         """Truth table of Tr^m_1(lambda F(x)) + <v, extra bits>."""
-        self.field.check(lam)
+        lam = self.field.check(lam)
         combos, masks = _basis_tables(self.field, self.m)
         rank = np.flatnonzero(combos == lam)
         if not rank.size:
@@ -470,16 +466,14 @@ def _basis_tables(field, m):
     in c, so they are filled by doubling from the m basis elements.
     """
     basis = field.subfield_basis(m)
-    combos = np.zeros(1 << m, dtype=np.int64)
-    masks = np.zeros(1 << m, dtype=np.uint32)
-    for i, b in enumerate(basis):
+    rows = []
+    for b in basis:
         traces = [field.subfield_abs_trace(field.mul(b, bj), m) for bj in basis]
         if any(tr not in (0, 1) for tr in traces):
             raise FieldError("subfield trace left the prime field")
-        row = sum(tr << j for j, tr in enumerate(traces))
-        half = 1 << i
-        combos[half : 2 * half] = combos[:half] ^ b
-        masks[half : 2 * half] = masks[:half] ^ row
+        rows.append(sum(tr << j for j, tr in enumerate(traces)))
+    combos = _linear_table(basis, np.int64)
+    masks = _linear_table(rows, np.uint32)
     combos.flags.writeable = False
     masks.flags.writeable = False
     return combos, masks

@@ -314,6 +314,19 @@ def test_from_univariate():
     assert BooleanFunction.from_univariate(F16, [(1, 5)]).weight() == 0
     gold = BooleanFunction.from_univariate(F16, [(2, 5)])
     assert gold.classification().kind == "bent"
+    bad_terms = [
+        ((99, 3), "element 0x63 outside GF(2^4)"),
+        ((1, -1), "exponent -1 outside [0, 2^n - 1]"),
+        ((1, 16), "exponent 16 outside [0, 2^n - 1]"),
+    ]
+    for build in (
+        lambda terms: BooleanFunction.from_univariate(F16, terms),
+        lambda terms: VectorialFunction.from_univariate(F16, 4, terms),
+    ):
+        for term, message in bad_terms:
+            with pytest.raises(FieldError) as err:
+                build([(1, 1), term])
+            assert str(err.value) == message
 
 
 def test_inverse_walsh_roundtrip_explicit():

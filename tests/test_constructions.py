@@ -708,6 +708,11 @@ def _refusals():
          "u set must be a basis of F_(2^3); expected 3 elements, got 2"),
         (lambda: niho_family(F64, 2, [basis[0], basis[1], basis[0] ^ basis[1]], x1x2),
          "u set is not linearly independent (basis check)"),
+        # alpha = 2 generates F*_(2^6), so it lies outside F_(2^3)
+        (lambda: niho_family(F64, 2, [basis[0], 2, basis[2]], x1x2),
+         "u_2 = 0x2 is not in F*_(2^3)"),
+        (lambda: niho_family(F64, 2, [basis[0], basis[1], 0], x1x2),
+         "u_3 = 0x0 is not in F*_(2^3)"),
     ]
 
 

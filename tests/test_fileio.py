@@ -431,6 +431,13 @@ def test_header_modulus_of_wrong_degree_is_a_parse_error(text, column):
         ("BF n=4 field=13 n=4", "duplicate header field 'n'", 17),
         ("VF n=4 m=2 t=0 field=13 field=13", "duplicate header field 'field'", 25),
         ("VF n=4 m=2 m=2 t=0 field=13", "duplicate header field 'm'", 12),
+        ("BF n=0 field=13", "n=0 out of range", 1),
+        ("BF n=25 field=13", "n=25 out of range", 1),
+        ("VF n=0 m=2 t=0 field=13", "n=0 out of range", 1),
+        ("VF n=25 m=2 t=0 field=13", "n=25 out of range", 1),
+        # n = 24 is in range, so the next header check is the one that fails
+        ("BF n=24 field=13", "modulus 0x13 does not have degree 24", 9),
+        ("VF n=24 m=5 t=0 field=1000087", "output dimension 5 must divide n=24", 9),
     ],
 )
 def test_header_dimensions_and_repeats_are_header_errors(header, message, column):

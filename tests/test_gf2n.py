@@ -5,9 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bentvec import FieldSpec, PRIMITIVE_POLYNOMIALS, f2_is_independent, f2_rank, f2_span
+from bentvec import (
+    BooleanFunction,
+    DefiningSet,
+    FieldSpec,
+    PRIMITIVE_POLYNOMIALS,
+    ReducedPolynomial,
+    f2_is_independent,
+    f2_rank,
+    f2_span,
+    kasami_auto_u,
+    kasami_family,
+)
 from bentvec.errors import FieldError
-from bentvec.gf2n import prime_factors, clmul_reduce
+from bentvec.gf2n import _linear_table, prime_factors, clmul_reduce
 
 from oracles import oracle_pow, oracle_trace, poly_mul_mod
 
@@ -314,6 +325,7 @@ def test_f2_linear_algebra_helpers():
     assert not f2_is_independent([1, 2, 3])
     assert f2_span([1, 2]) == [0, 1, 2, 3]
     assert f2_span([]) == [0]
+    assert f2_span([3, 1, 2, 3, 1]) == [0, 1, 2, 3]  # dependent values add nothing
 
 
 def testprime_factors():
@@ -428,3 +440,59 @@ def test_subfield_abs_trace_keeps_its_messages_and_their_order():
             F16.subfield_abs_trace(*args)
         assert str(err.value) == message
     assert [F16.subfield_abs_trace(y, 2) for y in (0, 1, 6, 7)] == [0, 0, 1, 1]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.int64])
+def test_linear_table_is_the_xor_over_the_bits_of_its_index(dtype):
+    rng = np.random.default_rng(41)
+    top = np.iinfo(dtype).max
+    for count in (0, 1, 5, 9):
+        images = [int(w) for w in rng.integers(0, top, count, dtype=dtype, endpoint=True)]
+        table = _linear_table(images, dtype)
+        assert table.dtype == dtype and table.shape == (1 << count,)
+        for c in range(1 << count):
+            want = 0
+            for j, w in enumerate(images):
+                if c >> j & 1:
+                    want ^= w
+            assert int(table[c]) == want, (count, c)
+
+
+# U1 is an element every caller below takes, kasami_family's first u included
+U1, U2 = kasami_auto_u(F16)
+
+
+def _element_callers():
+    f = BooleanFunction.from_univariate(F16, [(2, 5)])
+    spectrum = f.walsh()
+    x1x2 = ReducedPolynomial.make(2, [(1, 2)])
+    return {
+        "check": F16.check,
+        "mul left": lambda a: F16.mul(a, 3),
+        "mul right": lambda a: F16.mul(3, a),
+        "WalshSpectrum": lambda a: spectrum[a],
+        "DefiningSet": lambda a: DefiningSet(F16, (1, a)).elements[1],
+        "scale_input": f.scale_input,
+        "kasami_family": lambda a: kasami_family(F16, [a, U2], x1x2).report.u_values[0],
+    }
+
+
+ELEMENT_CALLERS = _element_callers()
+
+
+@pytest.mark.parametrize("caller", ELEMENT_CALLERS)
+@pytest.mark.parametrize(
+    "bad", [2.5, np.float64(3.0), "3", None], ids=["float", "np.float64", "str", "None"]
+)
+def test_a_non_integer_element_is_refused_not_truncated(caller, bad):
+    with pytest.raises(FieldError) as err:
+        ELEMENT_CALLERS[caller](bad)
+    assert str(err.value) == f"element {bad!r} is not an integer"
+
+
+@pytest.mark.parametrize("caller", ELEMENT_CALLERS)
+def test_a_numpy_integer_element_is_taken_as_a_python_int(caller):
+    got = ELEMENT_CALLERS[caller](np.uint8(U1))
+    assert got == ELEMENT_CALLERS[caller](U1)
+    if caller != "scale_input":  # the others return the element or a value
+        assert type(got) is int
