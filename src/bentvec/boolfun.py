@@ -15,7 +15,14 @@ Parseval's relation, even parity, the class and the round trip fwht(S) =
 2^n (-1)^f do not depend on the index.  Only field-indexed values, duals
 and the points named in failure messages are reindexed, through
 `_field_order`, when they are asked for: a `WalshSpectrum` keeps S alone,
-a copy of the array it is given or `walsh()`'s own.
+as a copy.
+
+Every spectrum is computed by one engine, `transform_signs`: the signs
+of a block of columns are tab[word], a small +-1 table gathered through
+a per-point word, in chunks, into one int32 buffer that both butterflies
+then run on in place.  `walsh()` is one column whose word is the truth
+table and whose table is [1, -1]; `VectorialFunction.profile()` passes
+its coordinate word and a `sign_table` per block of selector masks.
 
 The Hadamard and Möbius butterflies do two levels per pass, in place on
 the caller's array, which they return; a caller that needs its input
@@ -29,6 +36,7 @@ and the degree is read from those words.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -44,6 +52,9 @@ PASS_BUFSIZE = 1024
 # 2 MB L2 cache, and half as many tiles as at 2^16 cost less Python overhead
 # (one n = 20 column: 14-15 ms, against 17-18 ms at 2^16 on a 2-vCPU Xeon)
 TILE_ENTRIES = 1 << 17
+# entries of sign columns gathered at a time, in whole rows: np.take copies
+# its indices as intp, which for one whole n = 20 column traced 8 MB
+GATHER_ENTRIES = 1 << 14
 # LOW[s]: the bit positions below 64 with bit s clear, for Möbius level s
 # inside a word; this and WEIGHT are plain ints, so importing builds no array
 LOW = (
@@ -220,34 +231,69 @@ def check_parseval_parity(values, field, names=None):
         )
 
 
-def check_round_trip(values, signs, names=None):
-    """The inverse butterfly must give back the +-1 sign tables, per column.
+def sign_table(values, masks):
+    """int32 (len(values), len(masks)) table of (-1)^parity(value & mask)."""
+    parity = np.bitwise_count(values[:, None] & masks[None, :]) & 1
+    return 1 - 2 * parity.astype(np.int32)
 
-    `values` are the int32 or int64 spectra of `signs` in the Hadamard
-    index, so that fwht(values) = 2^n signs.  `signs` may be +-1 of any
-    integer dtype, such as the int8 ones `walsh()` and `profile()` keep;
-    the messages do not depend on it.  The inverse is compared unscaled,
-    so an entry off by less than 2^n fails too.  It is taken of `values`
-    in place, which it overwrites, with no memory beyond the butterfly's
-    scratch: a caller that still needs the spectra passes a copy.
+
+def transform_signs(values, word, tab, field, read, names=None):
+    """The spectra of the sign columns tab[word], checked exactly.
+
+    `tab` is a (words, cols) int32 table of +-1 and `word` a row of it
+    for every point; `values`, the (2^n,) or (2^n, cols) int32 buffer,
+    receives the signs and is transformed in place.  np.take copies its
+    indices as intp, so the signs are gathered GATHER_ENTRIES entries at
+    a time, in whole rows, unchecked ("clip"): every word is a row.
+    Parseval and parity are checked, `read(values)` reads the spectra,
+    and the inverse then overwrites them for `check_round_trip`, so no
+    sign array is kept.  `names` labels the columns in failure messages.
+    """
+    rows = values.reshape(len(values), -1)
+    step = max(1, GATHER_ENTRIES // tab.shape[1])
+    for i in range(0, len(rows), step):
+        np.take(tab, word[i : i + step], axis=0, out=rows[i : i + step], mode="clip")
+    # W(a) = values[perm[a]]: only witnesses and duals need field points
+    fwht(values)
+    check_parseval_parity(values, field, names)
+    read(values)
+    check_round_trip(values, word, tab, names)
+
+
+def check_round_trip(values, word, tab, names=None):
+    """The inverse butterfly must give back the sign columns tab[word].
+
+    `values` are the int32 or int64 spectra of the +-1 columns tab[word]
+    in the Hadamard index, as in `transform_signs`, so that fwht(values)
+    = 2^n tab[word].  The inverse is taken of `values` in place, which
+    it overwrites, and compared unscaled, so an entry off by less than
+    2^n fails too.  The signs are gathered again a chunk of
+    GATHER_ENTRIES entries at a time, the only memory the check takes
+    beside the butterfly's scratch: a caller that still needs the
+    spectra passes a copy.
     """
     size = values.shape[0]
     off = fwht(values).reshape(size, -1)
-    s = signs.reshape(size, -1)
-    # a sign is +-1, so an entry is 2^n signs exactly where its product
-    # with the sign is 2^n, which the check computes in place
-    off *= s
-    off -= size
-    if np.count_nonzero(off):
-        x, j = (int(i) for i in np.argwhere(off)[0])
-        sign = int(s[x, j])
-        n = size.bit_length() - 1
-        got = (int(off[x, j]) + size) * sign
-        shown = f"{got >> n}" if got % size == 0 else f"{got}/2^{n}"
-        raise VerificationError(
-            f"{_where(names, j)}Walsh round-trip failed at x = {x}: inverse "
-            f"gives {shown}, table sign is {sign}"
-        )
+    step = max(1, GATHER_ENTRIES // tab.shape[1])
+    # one buffer for every chunk's signs, or each np.take would allocate
+    # its chunk while the last one is still referenced
+    chunk = np.empty((min(step, size), tab.shape[1]), dtype=tab.dtype)
+    for i in range(0, size, step):
+        part = off[i : i + step]
+        s = np.take(tab, word[i : i + step], axis=0, out=chunk[: len(part)], mode="clip")
+        # a sign is +-1, so an entry is 2^n signs exactly where its product
+        # with the sign is 2^n, which the check computes in place
+        part *= s
+        part -= size
+        if np.count_nonzero(part):
+            x, j = (int(k) for k in np.argwhere(part)[0])
+            sign = int(s[x, j])
+            got = (int(part[x, j]) + size) * sign
+            shown = f"{got // size}" if got % size == 0 else f"{got}/2^{size.bit_length() - 1}"
+            raise VerificationError(
+                f"{_where(names, j)}Walsh round-trip failed at x = {i + x}: "
+                f"inverse gives {shown}, table sign is {sign}"
+            )
 
 
 @dataclass(frozen=True)
@@ -268,12 +314,9 @@ class Classification:
         return self.kind != "mixed"
 
     def __str__(self):
-        if self.kind == "bent":
-            return f"Bent({self.amplitude})"
-        if self.kind == "semi-bent":
-            return f"SemiBent({self.amplitude})"
-        if self.kind == "plateaued":
-            return f"Plateaued({self.amplitude})"
+        name = {"bent": "Bent", "semi-bent": "SemiBent", "plateaued": "Plateaued"}
+        if self.kind in name:
+            return f"{name[self.kind]}({self.amplitude})"
         shown = ",".join(str(v) for v in self.abs_values[:8])
         if len(self.abs_values) > 8:
             shown += f",...({len(self.abs_values)} values)"
@@ -310,9 +353,8 @@ class WalshSpectrum:
 
     Holds one array, S = fwht((-1)^f) in the Hadamard index, where W(a) =
     S(perm[a]).  The checks, the class and `abs_counts` read S; `values`
-    and `[a]` reindex only what they return.  A given array is copied, so
-    no caller can change S after its checks; `walsh()` hands over its own
-    fresh S uncopied.
+    and `[a]` reindex only what they return.  S is a copy, made once it
+    is checked and classified, so no caller can change it afterwards.
     """
 
     __slots__ = ("field", "classification", "_spectrum")
@@ -321,18 +363,22 @@ class WalshSpectrum:
         spectrum = np.asarray(spectrum)
         # int32 holds any |W| <= 2^n <= 2^24; anything else is widened to
         # int64, never narrowed, so no value is truncated before the checks
-        dtype = np.int32 if spectrum.dtype == np.int32 else np.int64
-        self._own(field, spectrum.astype(dtype))
-
-    def _own(self, field, spectrum):
-        """Check and classify S, an array no one else refers to, and keep it."""
+        spectrum = spectrum if spectrum.dtype == np.int32 else spectrum.astype(np.int64)
         if spectrum.shape != (field.size,):
             raise FieldError("spectrum length must be 2^n")
         check_parseval_parity(spectrum, field)
-        spectrum.flags.writeable = False
+        self._own(field, spectrum)
+
+    def _own(self, field, spectrum):
+        """Classify a checked S, then keep a read-only copy of it.
+
+        In that order, classify's temporaries are freed before the copy is
+        made.
+        """
         self.field = field
-        self._spectrum = spectrum
         self.classification = classify(spectrum, field.n)
+        self._spectrum = spectrum.copy()
+        self._spectrum.flags.writeable = False
 
     @property
     def values(self):
@@ -477,18 +523,15 @@ class BooleanFunction:
         Parseval and the inverse-transform round trip are asserted inline
         for every spectrum this package ever computes, in the Hadamard
         index.  The butterfly and the values are int32, exact since
-        |W(a)| <= 2^n <= 2^24; the signs (-1)^f are kept as int8, a byte
-        a point.  The forward butterfly transforms their one int32 copy
-        into the spectrum, and the round trip inverts a copy of that.
+        |W(a)| <= 2^n <= 2^24.  One `transform_signs` column, whose word is
+        the table and whose signs are [1, -1]; the spectrum is classified,
+        then copied, before the round trip inverts the buffer.
         """
         if self._walsh is None:
-            # (-1)^f in one int8 array; the table's 0/1 bytes read as int8
-            signs = self.table.view(np.int8) * -2
-            signs += 1
-            hadamard = fwht(signs.astype(np.int32))
             spectrum = WalshSpectrum.__new__(WalshSpectrum)
-            spectrum._own(self.field, hadamard)
-            check_round_trip(hadamard.copy(), signs)
+            tab = np.array([[1], [-1]], dtype=np.int32)  # (-1)^f by the bit f
+            keep = partial(spectrum._own, self.field)
+            transform_signs(np.empty(self.field.size, np.int32), self.table, tab, self.field, keep)
             self._walsh = spectrum
         return self._walsh
 
@@ -505,8 +548,7 @@ class BooleanFunction:
             a = _off_bent_point(spectrum)
             expected = "2^(n/2) with n even" if self.n % 2 else 1 << (self.n // 2)
             raise NotBentError(a, spectrum[a], expected)
-        negative = _field_order(spectrum._spectrum < 0, self.field)
-        return BooleanFunction(self.field, negative)
+        return BooleanFunction(self.field, _field_order(spectrum._spectrum < 0, self.field))
 
     # -- algebraic normal form ---------------------------------------------------
 
@@ -516,12 +558,8 @@ class BooleanFunction:
 
     def anf_monomials(self):
         """ANF as a set of monomial supports (frozensets of 1-based indices)."""
-        coeffs = self.anf_mask()
-        out = set()
-        for mask in np.nonzero(coeffs)[0]:
-            mask = int(mask)
-            out.add(frozenset(j + 1 for j in range(self.n) if (mask >> j) & 1))
-        return frozenset(out)
+        masks = np.flatnonzero(self.anf_mask()).tolist()
+        return frozenset(frozenset(j + 1 for j in range(self.n) if mask >> j & 1) for mask in masks)
 
     def degree(self):
         """Algebraic degree; 0 for the zero function by convention.
@@ -621,14 +659,22 @@ def sigma_of(f1, f2, f3):
 def check_lemma_walsh_identity(f1, f2, f3):
     """W_sigma(a) = (W_f1 + W_f2 + W_f3 - W_f4)(a) / 2 with f4 = f1+f2+f3.
 
-    Returns True; raises VerificationError otherwise (theorem check).
+    Returns True; raises VerificationError naming the least failing field
+    point and both sides otherwise (theorem check).
     """
     f4 = f1 ^ f2 ^ f3
     # the identity holds at every point, so in the Hadamard index too
     functions = (sigma_of(f1, f2, f3), f1, f2, f3, f4)
     s, s1, s2, s3, s4 = (g.walsh()._spectrum for g in functions)
-    if not np.array_equal(s * 2, s1 + s2 + s3 - s4):
-        raise VerificationError("four-function Walsh identity failed")
+    # in field order, so that the witness is the least field point
+    sides = _field_order(np.stack([s * 2, s1 + s2 + s3 - s4], axis=1), f1.field)
+    bad = np.flatnonzero(sides[:, 0] != sides[:, 1])
+    if bad.size:
+        a = int(bad[0])
+        raise VerificationError(
+            f"four-function Walsh identity failed at a = {a}: 2 W_sigma(a) = "
+            f"{sides[a, 0]}, W_f1(a) + W_f2(a) + W_f3(a) - W_f4(a) = {sides[a, 1]}"
+        )
     return True
 
 

@@ -187,21 +187,17 @@ class FieldSpec:
 
     def pow(self, a, e):
         """a^e, exponent reduced mod 2^n - 1 for a != 0; 0^0 = 1 by convention."""
-        self.check(a)
-        if e < 0:
-            raise FieldError("negative exponent; use inverse()")
+        a, e = self.check(a), _exponent(e)
         if a == 0:
-            return 1 if e == 0 else 0
+            return int(e == 0)
         exp, log = _exp_log(self)
         return int(exp[(int(log[a]) * (e % self.order)) % self.order])
 
     def inverse(self, a):
         """Multiplicative inverse of a nonzero element."""
-        self.check(a)
-        if a == 0:
+        if self.check(a) == 0:
             raise FieldError("zero has no inverse")
-        exp, log = _exp_log(self)
-        return int(exp[(-int(log[a])) % self.order])
+        return self.pow(a, self.order - 1)
 
     def trace(self, a, m=1):
         """Relative trace to the subfield F_{2^m}: sum of a^(2^(i*m)).
@@ -279,12 +275,12 @@ class FieldSpec:
 
     def pow_elems(self, a, e):
         """Elementwise a^e with the scalar-pow conventions."""
+        e = _exponent(e)
         exp, log = _exp_log(self)
         a = np.asarray(a, dtype=np.int64)
-        out = np.zeros(a.shape, dtype=np.int64)
         if e == 0:
-            out[:] = 1
-            return out
+            return np.ones(a.shape, dtype=np.int64)
+        out = np.zeros(a.shape, dtype=np.int64)
         nz = a != 0
         out[nz] = exp[(log[a[nz]] * (e % self.order)) % self.order]
         return out
@@ -292,23 +288,21 @@ class FieldSpec:
     def poly_elems(self, terms):
         """int64 sum of c x^d over the (c, d) terms, at every element x.
 
-        Each c goes through `check`; each d must lie in [0, 2^n - 1].
+        Each c goes through `check`; each d must be an integer exponent in
+        [0, 2^n - 1].
         """
         xs = np.arange(self.size, dtype=np.int64)
         acc = np.zeros(self.size, dtype=np.int64)
         for c, d in terms:
             c = self.check(c)
-            if not 0 <= d <= self.order:
-                raise FieldError(f"exponent {d} outside [0, 2^n - 1]")
-            acc ^= self.mul_elems(self.pow_elems(xs, d), c)
+            acc ^= self.mul_elems(self.pow_elems(xs, _exponent(d, self.order)), c)
         return acc
 
     def inverse_elems(self, a):
-        exp, log = _exp_log(self)
         a = np.asarray(a, dtype=np.int64)
         if np.any(a == 0):
             raise FieldError("zero has no inverse")
-        return exp[(-log[a]) % self.order]
+        return self.pow_elems(a, self.order - 1)
 
     def abs_trace_table(self):
         """uint8 table of Tr^n_1(x) for every element x."""
@@ -326,6 +320,20 @@ class FieldSpec:
         """uint8 truth table of x -> Tr^n_1(u x)."""
         w = int(_walsh_permutation(self)[self.check(u)])
         return _linear_table([(w >> j) & 1 for j in range(self.n)], np.uint8)
+
+
+def _exponent(e, order=None):
+    """e as a Python int, if it is a nonnegative Python or NumPy integer,
+    at most `order` when that is given; every exponent is taken through it."""
+    try:
+        e = operator.index(e)
+    except TypeError:
+        raise FieldError(f"exponent {e!r} is not an integer") from None
+    if order is not None and not 0 <= e <= order:
+        raise FieldError(f"exponent {e} outside [0, 2^n - 1]")
+    if e < 0:
+        raise FieldError("negative exponent; use inverse()")
+    return e
 
 
 def _check_degree(n, modulus):

@@ -27,10 +27,9 @@ from .boolfun import (
     _field_order,
     _mobius,
     _off_bent_point,
-    check_parseval_parity,
-    check_round_trip,
     classify,
-    fwht,
+    sign_table,
+    transform_signs,
 )
 from .errors import FieldError, VerificationError
 from .gf2n import FieldSpec, _linear_table
@@ -39,9 +38,9 @@ from .gf2n import FieldSpec, _linear_table
 # a time while two columns fit one fwht tile, and one at a time above: 16
 # columns at n <= 15, 8 at n = 16, 1 at n >= 17.  Wide blocks give the low
 # butterfly passes long runs; at n >= 17, two-column tiled blocks measured
-# 1.4-1.7x slower per column than one.  A block takes 5 bytes per entry,
-# int32 spectra and int8 signs, in two buffers that every block reuses:
-# at most 2.5 MB for n <= 16, and 5 MB at n = 20.
+# 1.4-1.7x slower per column than one.  A block takes 4 bytes per entry, in
+# one int32 buffer that every block reuses, plus its sign table and one
+# gather chunk: at most 2 MB for n <= 16, and 4 MB at n = 20.
 BLOCK_POINTS = 1 << 19
 BLOCK_COLUMNS = 16
 
@@ -86,9 +85,7 @@ def max_bent_components_bound(n, m):
 
 def _bent_components_bound_or_none(n, m):
     """max_bent_components_bound, or None outside its formula's domain."""
-    if n % 2 or m < n // 2:
-        return None
-    return max_bent_components_bound(n, m)
+    return None if n % 2 or m < n // 2 else max_bent_components_bound(n, m)
 
 
 class VectorialFunction:
@@ -166,11 +163,8 @@ class VectorialFunction:
     def __eq__(self, other):
         if not isinstance(other, VectorialFunction):
             return NotImplemented
-        return (
-            self.field == other.field
-            and self.m == other.m
-            and self.t == other.t
-            and np.array_equal(self.word, other.word)
+        return (self.field, self.m, self.t) == (other.field, other.m, other.t) and (
+            np.array_equal(self.word, other.word)
         )
 
     def __hash__(self):
@@ -280,18 +274,20 @@ class VectorialFunction:
         A row is copied, with its packed dual, from the parent recorded by
         add_boolean or augment when the parent's profile is computed and an
         exact test shows the two component tables are equal.  Every other
-        component comes from the coordinate word: each block of selector
-        masks becomes an int8 sign matrix with one column per component,
-        transformed at once along axis 0 and checked column by column
-        (Parseval, parity, round trip), all in the Hadamard index.  The
-        dual of each bent (lambda, 0) column is kept packed in that index,
-        one bit per point, and reindexed when asked for.  Every block runs
-        in place in one int32 and one uint8 buffer, allocated once per call
-        for the widest block: the masked word, the signs, both butterflies
-        and the checks, with the round trip last, once the spectra are
-        read.  Degrees use the linearity of the ANF: one Möbius transform
-        of the word packs the coordinate ANFs, and a component's ANF is
-        parity(anf_word & mask).  No truth table or spectrum is kept.
+        component comes from the coordinate word through
+        `boolfun.transform_signs`: a block's signs are tab[word], where tab
+        = (-1)^parity(value & mask) has a row per value the word can take
+        and a column per selector mask of the block.  When m + t > n, the
+        word is indexed by its distinct values, so that no table has more
+        rows than points.  The signs are gathered into one int32 buffer,
+        allocated once per call for the widest block, transformed at once
+        along axis 0 and checked column by column (Parseval, parity, round
+        trip), all in the Hadamard index, the round trip last, once the
+        spectra are read.  The dual of each bent (lambda, 0) column is kept
+        packed in that index, one bit per point, and reindexed when asked
+        for.  Degrees use the linearity of the ANF: one Möbius transform of
+        the word packs the coordinate ANFs, and a component's ANF is
+        parity(anf_word & mask).  No truth table, sign or spectrum is kept.
         """
         if self._profile is None:
             sels = list(self.selectors())
@@ -323,24 +319,33 @@ class VectorialFunction:
         shared = [i for i, sel in enumerate(sels) if sel in parent_rows]
         low = np.uint32((1 << (self.m + parent.t)) - 1)
         diff = _distinct((self.word ^ parent.word) & low)
-        odd = np.bitwise_count(diff[:, None] & masks[shared][None, :]) & 1
-        for i in compress(shared, ~odd.any(axis=0)):
+        for i in compress(shared, (sign_table(diff, masks[shared]) > 0).all(axis=0)):
             lam, v = sels[i]
             rows[i] = parent_rows[lam, v]
             if v == 0 and lam in parent._dual_bits:
                 duals[lam] = parent._dual_bits[lam]
         return rows, duals
 
+    def _sign_index(self):
+        """The word as an index into the rows of a sign table, and their values.
+
+        A sign table has a row per value the word can take, 2^(m+t) of
+        them; when m + t > n, that is more than there are points, so the
+        word is indexed by its sorted distinct values instead.
+        """
+        if self.out_bits <= self.n:
+            return self.word, np.arange(1 << self.out_bits, dtype=np.uint32)
+        values = _distinct(self.word.copy())
+        return np.searchsorted(values, self.word).astype(np.uint32), values
+
     def _transform_rows(self, sels, masks, todo, rows, duals):
         """Fill rows[i] for i in `todo` from blocked, checked transforms."""
         n = self.n
         size = self.field.size
         mono_deg, mono_word = _monomial_keys(self.word)
+        word, values = self._sign_index()
         cols = min(BLOCK_COLUMNS, BLOCK_POINTS >> n) if 2 * size <= TILE_ENTRIES else 1
-        width = min(cols, len(todo))
-        spectra = np.empty(size * width, dtype=np.int32)
-        parities = np.empty(size * width, dtype=np.uint8)
-        word = self.word[:, None]
+        spectra = np.empty(size * min(cols, len(todo)), dtype=np.int32)
         # one buffer holds the packed duals: many small arrays fragmented
         # the heap enough to raise verify's peak RSS
         slot = {i: r for r, i in enumerate(i for i in todo if sels[i][1] == 0)}
@@ -349,31 +354,21 @@ class VectorialFunction:
             index = todo[start : start + cols]
             names = [sels[i] for i in index]
             block = masks[index]
-            # contiguous prefixes, so that a last, narrower block is one too
-            values = spectra[: size * len(index)].reshape(size, len(index))
-            signs = parities[: values.size].reshape(values.shape)
-            # (-1)^component as int8, from the masked word in the spectra's
-            # buffer; the signs are kept for the round trip
-            np.bitwise_and(word, block, out=values.view(np.uint32))
-            np.bitwise_count(values.view(np.uint32), out=signs)
-            signs &= 1
-            signs = signs.view(np.int8)
-            signs *= -2
-            signs += 1
-            np.copyto(values, signs)
-            # W(a) = values[perm[a]]: only witnesses and duals need field points
-            fwht(values)
-            check_parseval_parity(values, self.field, names)
-            odd = np.bitwise_count(mono_word[:, None] & block[None, :]) & 1
-            degrees = np.max(odd * mono_deg[:, None], axis=0, initial=0)
-            for j, (i, sel) in enumerate(zip(index, names)):
-                cls = classify(values[:, j], n)
-                rows[i] = (sel, cls, int(degrees[j]))
-                if sel[1] == 0 and cls.kind == "bent":
-                    store[slot[i]] = np.packbits(values[:, j] < 0)
-                    duals[sel[0]] = store[slot[i]]
-            # the inverse overwrites the spectra, so it runs last
-            check_round_trip(values, signs, names)
+
+            def read(spectra_block):
+                # called within this iteration, on this block's columns
+                odd = sign_table(mono_word, block) < 0  # parity 1
+                degrees = np.max(odd * mono_deg[:, None], axis=0, initial=0)
+                for j, (i, sel) in enumerate(zip(index, names)):
+                    cls = classify(spectra_block[:, j], n)
+                    rows[i] = (sel, cls, int(degrees[j]))
+                    if sel[1] == 0 and cls.kind == "bent":
+                        store[slot[i]] = np.packbits(spectra_block[:, j] < 0)
+                        duals[sel[0]] = store[slot[i]]
+
+            # a contiguous prefix, so that a last, narrower block is one too
+            buffer = spectra[: size * len(index)].reshape(size, len(index))
+            transform_signs(buffer, word, sign_table(values, block), self.field, read, names)
 
     # -- predicates ----------------------------------------------------------------
 
@@ -400,15 +395,10 @@ class VectorialFunction:
         Amplitudes may differ between components (the literal reading of
         the definition); the multiset is reported, not collapsed.
         """
-        amplitudes = {}
-        ok = True
-        witness = None
-        for sel, cls, _ in self.profile():
-            amplitudes[sel] = cls.amplitude
-            if not cls.plateaued_family and ok:
-                ok = False
-                witness = sel
-        return PlateauedCheck(ok, amplitudes, witness)
+        rows = self.profile()
+        witness = next((sel for sel, cls, _ in rows if not cls.plateaued_family), None)
+        amplitudes = {sel: cls.amplitude for sel, cls, _ in rows}
+        return PlateauedCheck(witness is None, amplitudes, witness)
 
     def bent_component_count(self):
         if self.n % 2:
@@ -425,12 +415,19 @@ class VectorialFunction:
         ]
 
     def degree(self):
-        """Algebraic degree: max over components, cross-checked on coordinates."""
-        comp_deg = max(deg for _, _, deg in self.profile())
-        coord_deg = max(f.degree() for f in self.coordinate_functions())
+        """Algebraic degree: max over components, cross-checked on coordinates.
+
+        A mismatch names the first selector and the first coordinate (its
+        index in `coordinate_functions`) that reach each maximum.
+        """
+        # max() keeps the first of equal rows or coordinates, the witness
+        sel, _, comp_deg = max(self.profile(), key=lambda row: row[2])
+        degrees = [f.degree() for f in self.coordinate_functions()]
+        coord_deg = max(degrees)
         if comp_deg != coord_deg:
             raise VerificationError(
-                f"component degree {comp_deg} != coordinate degree {coord_deg}"
+                f"component degree {comp_deg} (first reached by component {sel}) != coordinate "
+                f"degree {coord_deg} (first reached by coordinate {degrees.index(coord_deg)})"
             )
         return comp_deg
 

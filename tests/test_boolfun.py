@@ -349,6 +349,34 @@ def test_lemma_walsh_identity_random_triples():
             assert check_lemma_walsh_identity(*fs)
 
 
+def test_lemma_walsh_identity_names_the_least_failing_field_point(monkeypatch):
+    rng = np.random.default_rng(1)
+    f1, f2, f3 = (random_function(F64, rng) for _ in range(3))
+    majority = boolfun.sigma_of
+
+    def swapped(*fs):
+        # the majority with one 0 and one 1 swapped: W(0) stays right
+        table = majority(*fs).table.copy()
+        x0, x1 = np.flatnonzero(table == 0)[0], np.flatnonzero(table == 1)[0]
+        table[[x0, x1]] = table[[x1, x0]]
+        return BooleanFunction(F64, table)
+
+    monkeypatch.setattr(boolfun, "sigma_of", swapped)
+    f4 = f1 ^ f2 ^ f3
+    left = 2 * swapped(f1, f2, f3).walsh().values
+    right = f1.walsh().values + f2.walsh().values + f3.walsh().values - f4.walsh().values
+    bad = np.flatnonzero(left != right)
+    a = int(bad[0])
+    perm = F64.walsh_permutation()
+    assert a and perm[a] != perm[bad].min()  # not the first Hadamard entry
+    with pytest.raises(VerificationError) as err:
+        check_lemma_walsh_identity(f1, f2, f3)
+    assert str(err.value) == (
+        f"four-function Walsh identity failed at a = {a}: 2 W_sigma(a) = "
+        f"{left[a]}, W_f1(a) + W_f2(a) + W_f3(a) - W_f4(a) = {right[a]}"
+    )
+
+
 def test_scale_input_spectrum_relation():
     # h and g = h(delta x) satisfy W_h(a) = W_g(a delta)
     h = kasami_component(F16)

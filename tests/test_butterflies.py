@@ -210,10 +210,12 @@ def test_spectrum_memory_at_n20_through_tiles():
     table = (np.bitwise_count(x & half & (x >> (n // 2))) & 1).astype(np.uint8)
     f = BooleanFunction(field, table)
     assert field.size > boolfun.TILE_ENTRIES
-    # spectrum, inverse butterfly, one byte a point for the signs and the
-    # tiled butterfly's scratch of 1.5 tiles
+    # spectrum, inverse butterfly, the tiled butterfly's scratch of 1.5
+    # tiles and one gather chunk: the intp indices of its rows and the
+    # int32 signs of the round trip
     tile_scratch = 3 * 4 * boolfun.TILE_ENTRIES // 2
-    assert _traced_peak(f.walsh) <= 2 * column + (1 << n) + tile_scratch + slack
+    chunk = (8 + 4) * boolfun.GATHER_ENTRIES
+    assert _traced_peak(f.walsh) <= 2 * column + tile_scratch + chunk + slack
     assert f.is_bent()
 
 
@@ -221,7 +223,10 @@ def test_spectrum_memory_at_n20_through_tiles():
 def test_round_trip_messages_do_not_depend_on_the_sign_dtype(rows, form):
     n = 6
     rng = np.random.default_rng(n)
-    signs = (1 - 2 * rng.integers(0, 2, (1 << n, 3))).astype(np.int8)
+    # three sign columns of a table with four rows, gathered through a word
+    tab = (1 - 2 * rng.integers(0, 2, (4, 3))).astype(np.int8)
+    word = rng.integers(0, 4, 1 << n).astype(np.uint32)
+    signs = tab[word]
     values = fwht(signs.astype(np.int32))
     # 1 added to every entry of a column adds 2^n to its inverse at x = 0;
     # 1 added at index 0 alone adds 1 at every x
@@ -235,7 +240,7 @@ def test_round_trip_messages_do_not_depend_on_the_sign_dtype(rows, form):
     for dtype in (np.int8, np.int32):
         # the inverse overwrites its input, so each dtype checks a fresh copy
         with pytest.raises(VerificationError) as err:
-            check_round_trip(values.copy(), signs.astype(dtype), [(1, 0), (2, 0), (3, 0)])
+            check_round_trip(values.copy(), word, tab.astype(dtype), [(1, 0), (2, 0), (3, 0)])
         assert str(err.value) == want
 
 

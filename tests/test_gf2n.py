@@ -496,3 +496,34 @@ def test_a_numpy_integer_element_is_taken_as_a_python_int(caller):
     assert got == ELEMENT_CALLERS[caller](U1)
     if caller != "scale_input":  # the others return the element or a value
         assert type(got) is int
+
+
+EXPONENT_CALLERS = {
+    "pow": lambda e: F16.pow(3, e),
+    "pow_elems": lambda e: F16.pow_elems([1, 2], e).tolist(),
+    "poly_elems": lambda e: F16.poly_elems([(1, e)]).tolist(),
+}
+
+
+@pytest.mark.parametrize("caller", EXPONENT_CALLERS)
+@pytest.mark.parametrize("bad", [2.5, "2"], ids=["float", "str"])
+def test_a_non_integer_exponent_is_refused(caller, bad):
+    with pytest.raises(FieldError) as err:
+        EXPONENT_CALLERS[caller](bad)
+    assert str(err.value) == f"exponent {bad!r} is not an integer"
+
+
+@pytest.mark.parametrize("caller", EXPONENT_CALLERS)
+def test_a_negative_exponent_is_refused(caller):
+    # pow_elems([1, 2], -1) used to return [1, 9], 2^14 read as 2^-1
+    with pytest.raises(FieldError) as err:
+        EXPONENT_CALLERS[caller](-1)
+    if caller == "poly_elems":  # which also bounds its exponents above
+        assert str(err.value) == "exponent -1 outside [0, 2^n - 1]"
+    else:
+        assert str(err.value) == "negative exponent; use inverse()"
+
+
+@pytest.mark.parametrize("caller", EXPONENT_CALLERS)
+def test_a_numpy_integer_exponent_is_taken_as_an_int(caller):
+    assert EXPONENT_CALLERS[caller](np.int64(7)) == EXPONENT_CALLERS[caller](7)

@@ -34,16 +34,17 @@ def _random(n, m, t):
 def _profiled(F, monkeypatch):
     """F's rows and packed duals, with the width of every forward block."""
     widths = []
-    fwht = vectorial.fwht
+    fwht = boolfun.fwht
 
-    def forward(signs, **kwargs):
-        widths.append(signs.shape[1])
-        return fwht(signs, **kwargs)
+    def counted(values):
+        widths.append(values.shape[1])
+        return fwht(values)
 
-    monkeypatch.setattr(vectorial, "fwht", forward)
+    monkeypatch.setattr(boolfun, "fwht", counted)
     rows = F.profile()
-    monkeypatch.setattr(vectorial, "fwht", fwht)
-    return rows, F._dual_bits, widths
+    monkeypatch.setattr(boolfun, "fwht", fwht)
+    # each block runs its forward butterfly, then its inverse
+    return rows, F._dual_bits, widths[::2]
 
 
 @pytest.mark.parametrize(
@@ -70,16 +71,16 @@ def test_default_blocks_equal_one_column_blocks(gold_vf, monkeypatch, name, n, m
 
 
 def _inverse_fault(monkeypatch, on_call, x, j):
-    # profile() runs its forward butterflies through vectorial.fwht, so
-    # every fwht it calls through boolfun is an in-place inverse; the
-    # on_call-th negates entry (x, j) of its result
+    # profile() runs every block's forward butterfly, then its in-place
+    # inverse, through boolfun.fwht, so the on_call-th inverse is call
+    # 2 on_call; it negates entry (x, j) of its result
     calls = []
     fwht = boolfun.fwht
 
     def faulty(signs):
         out = fwht(signs)
         calls.append(1)
-        if len(calls) == on_call:
+        if len(calls) == 2 * on_call:
             out[x, j] = -out[x, j]
         return out
 
@@ -109,12 +110,16 @@ def test_a_fault_in_the_in_place_inverse_names_its_component(gold_vf, monkeypatc
 def test_profile_memory_at_n16(gold_vf):
     F = read_vf(gold_vf)
     size = F.field.size
-    # two reused buffers of 8 columns, int32 spectra and int8 signs; the
+    # one reused int32 buffer of 8 columns; one gather chunk, the intp
+    # indices of its rows and the int32 signs of the round trip; the
     # tiled butterfly's 1.5 tiles; the word's size for what a column's
     # class and dual take; the packed duals; numpy's ufunc buffers and
     # small objects, as in test_butterflies
+    rows = boolfun.GATHER_ENTRIES // 8  # rows of 8 columns in a chunk
+    chunk = 8 * rows + 4 * 8 * rows
     bound = (
-        8 * size * 5
+        8 * size * 4
+        + chunk
         + 3 * 4 * boolfun.TILE_ENTRIES // 2
         + F.word.nbytes
         + ((1 << F.m) - 1) * size // 8
@@ -127,3 +132,57 @@ def test_profile_memory_at_n16(gold_vf):
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+# (n, m, t): t > 0 with m + t <= n, and m + t > n, where the word is
+# indexed by its distinct values
+@pytest.mark.parametrize("n, m, t", [(6, 3, 2), (8, 4, 3), (4, 2, 4), (6, 3, 5), (3, 3, 9)])
+def test_sign_table_gathered_by_the_word_gives_every_component(n, m, t):
+    F = _random(n, m, t)()
+    word, values = F._sign_index()
+    assert len(values) <= F.field.size and word.dtype == np.uint32
+    tab = boolfun.sign_table(values, F._selector_masks())
+    want = np.stack([1 - 2 * F.component(lam, v).table.astype(np.int32)
+                     for lam, v in F.selectors()], axis=1)
+    assert np.array_equal(tab[word], want)
+
+
+@pytest.mark.parametrize("n, m, t", [(4, 2, 4), (6, 3, 5)])
+def test_profile_above_n_output_bits_matches_each_component(monkeypatch, n, m, t):
+    F = _random(n, m, t)()
+    assert F.out_bits > n
+    heights = []
+    transform = vectorial.transform_signs
+
+    def recorded(values, word, tab, *args):
+        heights.append(tab.shape[0])
+        return transform(values, word, tab, *args)
+
+    monkeypatch.setattr(vectorial, "transform_signs", recorded)
+    rows = F.profile()
+    assert heights and max(heights) <= F.field.size
+    for (lam, v), cls, deg in rows:
+        f = F.component(lam, v)
+        assert cls == f.classification() and deg == f.degree()
+
+
+def test_chunked_gathers_give_the_same_profile_and_witness(gold_vf, monkeypatch):
+    # 8 columns of 2^16 points, gathered 4 rows at a time: the faulty
+    # entry at x = 300 lies in the round trip's 76th chunk
+    ref = read_vf(gold_vf)
+    ref.profile()
+    monkeypatch.setattr(boolfun, "GATHER_ENTRIES", 32)
+    F = read_vf(gold_vf)
+    assert F.profile() == ref.profile()
+    for lam, bits in ref._dual_bits.items():
+        assert np.array_equal(F._dual_bits[lam], bits)
+    sels = list(read_vf(gold_vf).selectors())
+    x, k = 300, 11
+    sign = 1 - 2 * int(read_vf(gold_vf).component(*sels[k]).table[x])
+    _inverse_fault(monkeypatch, 2, x, 3)
+    with pytest.raises(VerificationError) as err:
+        read_vf(gold_vf).profile()
+    assert str(err.value) == (
+        f"component {sels[k]}: Walsh round-trip failed at x = {x}: inverse "
+        f"gives {-sign}, table sign is {sign}"
+    )

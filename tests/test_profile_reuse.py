@@ -19,7 +19,6 @@ from bentvec import (
     kasami_family,
     niho_auto_u,
     niho_family,
-    vectorial,
 )
 from bentvec.constructions import _p_tau_all_lambdas, _require_p_tau_for
 from bentvec.errors import PreconditionError
@@ -211,7 +210,6 @@ def test_each_distinct_component_is_transformed_once(monkeypatch):
         return out
 
     monkeypatch.setattr(boolfun, "fwht", counting)
-    monkeypatch.setattr(vectorial, "fwht", counting)
     field = FieldSpec.default(8)
     m, t = 4, 1
     tail = (ReducedPolynomial.make(4, [(1, 2), (3, 4)]),)

@@ -269,6 +269,26 @@ def test_degree():
     assert kasami(F16).augment([cubic]).degree() == 2
 
 
+def test_degree_mismatch_names_the_first_selector_and_coordinate(monkeypatch):
+    # a linear extra bit: the first selector, (0, 1), has degree 1, below
+    # the maximum that the Kasami part reaches
+    F = kasami(F64).augment([trace_form(F64, 1)])
+    rows = F.profile()
+    comp_deg = max(deg for _, _, deg in rows)
+    sel = next(sel for sel, _, deg in rows if deg == comp_deg)
+    assert sel != rows[0][0]
+    # the four coordinates report these degrees: the maximum is first
+    # reached by coordinate 1
+    fake = iter([1, comp_deg + 1, 0, comp_deg + 1])
+    monkeypatch.setattr(BooleanFunction, "degree", lambda self: next(fake))
+    with pytest.raises(VerificationError) as err:
+        F.degree()
+    assert str(err.value) == (
+        f"component degree {comp_deg} (first reached by component {sel}) != "
+        f"coordinate degree {comp_deg + 1} (first reached by coordinate 1)"
+    )
+
+
 def test_coordinate_functions_match_components():
     G = kasami(F64)
     coords = G.coordinate_functions()
@@ -414,11 +434,14 @@ def test_profile_failures_name_selector_point_and_value(monkeypatch):
     sels = list(G.selectors())
     perm = F64.walsh_permutation()
     a = int(np.flatnonzero(perm == 5)[0])  # spectrum point of Hadamard entry 5
+    fwht_ok = boolfun.fwht
 
     def triple_column_2(out):
         out[5, 2] *= 3
 
-    monkeypatch.setattr(vectorial, "fwht", _corrupting(boolfun.fwht, triple_column_2))
+    # G's seven components make one block: the first fwht call is its
+    # forward butterfly, the second its inverse
+    monkeypatch.setattr(boolfun, "fwht", _corrupting(fwht_ok, triple_column_2))
     with pytest.raises(VerificationError) as err:
         kasami(F64).profile()
     assert str(err.value) == (
@@ -432,8 +455,7 @@ def test_profile_failures_name_selector_point_and_value(monkeypatch):
 
     # the forward transform is intact; the inverse one is corrupted at table
     # point 7, which is its row 7: the round trip runs in the Hadamard index
-    monkeypatch.setattr(vectorial, "fwht", boolfun.fwht)
-    monkeypatch.setattr(boolfun, "fwht", _corrupting(boolfun.fwht, flip_column_4))
+    monkeypatch.setattr(boolfun, "fwht", _corrupting(fwht_ok, flip_column_4, on_call=2))
     sign = 1 - 2 * int(G.component(*sels[4]).table[7])
     with pytest.raises(VerificationError) as err:
         kasami(F64).profile()
