@@ -15,7 +15,7 @@ Parseval's relation, even parity, the class and the round trip fwht(S) =
 2^n (-1)^f do not depend on the index.  Only field-indexed values, duals
 and the points named in failure messages are reindexed, through
 `_field_order`, when they are asked for: a `WalshSpectrum` keeps S alone,
-as a copy.
+as a copy, or, when bent, as its amplitude and its packed sign bits.
 
 Every spectrum is computed by one engine, `transform_signs`: the signs
 of a block of columns are tab[word], a small +-1 table gathered through
@@ -208,8 +208,21 @@ def check_parseval_parity(values, field, names=None):
     n = field.n
     cols = values.reshape(values.shape[0], -1)
     # float64 cannot wrap: with nonnegative terms and monotone rounding the sum
-    # is exact below 2^53 and, once there, never drops back to 2^(2n) <= 2^48
-    sums = np.einsum("ij,ij->j", cols, cols, dtype=np.float64)
+    # is exact below 2^53 and, once there, never drops back to 2^(2n) <= 2^48,
+    # in any order of the additions, also when a product rounds.  einsum's
+    # cast buffers take 8192 entries per operand whatever np.setbufsize says,
+    # half a column at n = 16, so one column of at most a tile is copied
+    # PASS_BUFSIZE entries at a time into a float64 buffer for np.dot
+    if cols.shape[1] > 1 or len(cols) > TILE_ENTRIES:
+        sums = np.einsum("ij,ij->j", cols, cols, dtype=np.float64)
+    else:
+        # 2^n entries, so that every slice fills the buffer
+        col, buf = cols[:, 0], np.empty(min(PASS_BUFSIZE, len(cols)))
+        total = 0.0
+        for i in range(0, len(col), len(buf)):
+            np.copyto(buf, col[i : i + len(buf)])
+            total += np.dot(buf, buf)
+        sums = np.array([total])
     bad = np.flatnonzero(sums != 1 << (2 * n))
     if bad.size:
         j = int(bad[0])
@@ -267,14 +280,18 @@ def check_round_trip(values, word, tab, names=None):
     in the Hadamard index, as in `transform_signs`, so that fwht(values)
     = 2^n tab[word].  The inverse is taken of `values` in place, which
     it overwrites, and compared unscaled, so an entry off by less than
-    2^n fails too.  The signs are gathered again a chunk of
+    2^n fails too.  The signs are gathered again a chunk of at most
     GATHER_ENTRIES entries at a time, the only memory the check takes
     beside the butterfly's scratch: a caller that still needs the
-    spectra passes a copy.
+    spectra passes a copy.  A chunk's intp indices and signs take at
+    most half the array, the untiled butterfly's scratch, so that the
+    butterfly sets the peak at any n; above TILE_ENTRIES entries, its 1.5
+    tiles of at least 2^15 entries hold a whole chunk already.
     """
     size = values.shape[0]
+    row_bytes = np.dtype(np.intp).itemsize + tab.shape[1] * tab.itemsize
+    step = max(1, min(GATHER_ENTRIES // tab.shape[1], values.nbytes // 2 // row_bytes))
     off = fwht(values).reshape(size, -1)
-    step = max(1, GATHER_ENTRIES // tab.shape[1])
     # one buffer for every chunk's signs, or each np.take would allocate
     # its chunk while the last one is still referenced
     chunk = np.empty((min(step, size), tab.shape[1]), dtype=tab.dtype)
@@ -327,16 +344,23 @@ def classify(values, n):
     """Classify a Walsh value vector per the precedence above.
 
     int32 values stay int32, as for checked spectra, whose |W| <= 2^n.
+    |W| is read one TILE_ENTRIES slice at a time, and each slice's levels
+    are merged into those of the slices before it, so that no |W| copy of
+    a longer column is made; a column of at most one tile is one slice,
+    read in one pass.
     """
     values = np.asarray(values)
-    absv = np.abs(values if values.dtype == np.int32 else values.astype(np.int64))
-    lo, hi = int(absv.min()), int(absv.max())
-    # exact shortcut for the common one-level spectra
-    if lo == hi:
-        abs_set = (hi,)
-    else:
-        # absv is this call's own array, so it is sorted in place
-        abs_set = tuple(int(v) for v in _distinct(absv))
+    if values.dtype != np.int32:
+        values = values.astype(np.int64, copy=False)
+    levels = None
+    for i in range(0, values.size, TILE_ENTRIES):
+        absv = np.abs(values[i : i + TILE_ENTRIES])
+        # exact shortcut for the common one-level slices; otherwise absv is
+        # this call's own array, so it is sorted in place
+        part = absv[:1].copy() if absv.min() == absv.max() else _distinct(absv)
+        del absv  # before the next slice's |W| is made
+        levels = part if levels is None else _distinct(np.concatenate((levels, part)))
+    abs_set = tuple(int(v) for v in levels)
     if n % 2 == 0 and abs_set == ((1 << (n // 2)),):
         return Classification("bent", 1 << (n // 2), abs_set)
     nonzero = [v for v in abs_set if v]
@@ -348,16 +372,41 @@ def classify(values, n):
     return Classification("mixed", None, abs_set)
 
 
+def _pack_signs(values, out=None):
+    """The marks of values < 0 along a 1-D array, packed as np.packbits
+    packs them (point x is bit 7 - x % 8 of byte x // 8).
+
+    Packed a TILE_ENTRIES slice at a time, so that no whole mark array is
+    made; written into `out`, of -(-len(values) // 8) bytes, when given.
+    """
+    size = len(values)
+    if out is None:
+        out = np.empty(-(-size // 8), dtype=np.uint8)
+    step = -(-TILE_ENTRIES // 8) * 8  # whole bytes
+    for i in range(0, size, step):
+        out[i // 8 : (i + step) // 8] = np.packbits(values[i : i + step] < 0)
+    return out
+
+
+def _unpack_signs(bits, size):
+    """The uint8 marks of `_pack_signs`, one per point, for `size` points."""
+    return np.unpackbits(bits, count=size)
+
+
 class WalshSpectrum:
     """Full integer Walsh spectrum, plus class.
 
-    Holds one array, S = fwht((-1)^f) in the Hadamard index, where W(a) =
-    S(perm[a]).  The checks, the class and `abs_counts` read S; `values`
-    and `[a]` reindex only what they return.  S is a copy, made once it
-    is checked and classified, so no caller can change it afterwards.
+    Keeps one array, from which `_hadamard` reads S = fwht((-1)^f) in the
+    Hadamard index, where W(a) = S(perm[a]).  A bent S is its amplitude
+    times signs, so it is kept as its sign bits, packed by `_pack_signs`
+    in 2^n / 8 bytes, beside the amplitude in its class; any other S is
+    kept as an int32 or int64 copy.  The checks and the class read S
+    before it is kept; `values` and `[a]` reindex only what they return.
+    The kept array is made once S is checked and classified, so no
+    caller can change it afterwards.
     """
 
-    __slots__ = ("field", "classification", "_spectrum")
+    __slots__ = ("field", "classification", "_kept")
 
     def __init__(self, field, spectrum):
         spectrum = np.asarray(spectrum)
@@ -370,27 +419,54 @@ class WalshSpectrum:
         self._own(field, spectrum)
 
     def _own(self, field, spectrum):
-        """Classify a checked S, then keep a read-only copy of it.
+        """Classify a checked S, then keep it: a bent S as its packed sign
+        bits, any other as a read-only copy.
 
-        In that order, classify's temporaries are freed before the copy is
-        made.
+        In that order, classify's temporaries are freed before the kept
+        array is made.  `spectrum` itself is left as it was, for
+        `walsh()`'s round trip to overwrite.
         """
         self.field = field
         self.classification = classify(spectrum, field.n)
-        self._spectrum = spectrum.copy()
-        self._spectrum.flags.writeable = False
+        kept = _pack_signs(spectrum) if self.is_bent else spectrum.copy()
+        kept.flags.writeable = False
+        self._kept = kept
+
+    def _hadamard(self, x=None, negative=False):
+        """S, or its entry at the Hadamard index x (an int), or with
+        `negative` the uint8 marks of S < 0: the one reader of the kept
+        array.
+
+        A bent S = amplitude (-1)^bit is built only when all of it is
+        asked for: one entry reads one bit, and the marks are the bits.
+        """
+        kept = self._kept
+        if not self.is_bent:
+            s = kept if x is None else kept[x]
+            return (s < 0).view(np.uint8) if negative else s
+        amp = self.classification.amplitude
+        if x is not None:
+            bit = int(kept[x >> 3]) >> (7 - (x & 7)) & 1
+            return bit if negative else amp - 2 * amp * bit
+        bits = _unpack_signs(kept, self.field.size)
+        if negative:
+            return bits
+        s = bits.astype(np.int32)
+        s *= -2 * amp
+        s += amp
+        return s
 
     @property
     def values(self):
         """W(a) for every field element a, as a new array."""
-        return _field_order(self._spectrum, self.field)
+        return _field_order(self._hadamard(), self.field)
 
     @property
     def is_bent(self):
         return self.classification.kind == "bent"
 
     def __getitem__(self, a):
-        return int(self._spectrum[_walsh_permutation(self.field)[self.field.check(a)]])
+        return int(self._hadamard(int(_walsh_permutation(self.field)[self.field.check(a)])))
 
     def abs_counts(self):
         """The distinct |W(a)|, ascending, and how many points take each.
@@ -402,7 +478,7 @@ class WalshSpectrum:
         levels = self.classification.abs_values
         if len(levels) == 1:
             return np.array(levels), np.array([self.field.size])
-        absv = np.abs(self._spectrum)
+        absv = np.abs(self._hadamard())
         absv.sort()
         starts = np.flatnonzero(absv[1:] != absv[:-1]) + 1
         starts = np.concatenate(([0], starts))
@@ -524,8 +600,10 @@ class BooleanFunction:
         for every spectrum this package ever computes, in the Hadamard
         index.  The butterfly and the values are int32, exact since
         |W(a)| <= 2^n <= 2^24.  One `transform_signs` column, whose word is
-        the table and whose signs are [1, -1]; the spectrum is classified,
-        then copied, before the round trip inverts the buffer.
+        the table and whose signs are [1, -1]; the spectrum is classified
+        and kept, a bent one as its packed sign bits, before the round trip
+        inverts the buffer.  So one int32 array of 2^n entries is held at
+        a time, beside the butterfly's scratch or one gather chunk.
         """
         if self._walsh is None:
             spectrum = WalshSpectrum.__new__(WalshSpectrum)
@@ -548,7 +626,8 @@ class BooleanFunction:
             a = _off_bent_point(spectrum)
             expected = "2^(n/2) with n even" if self.n % 2 else 1 << (self.n // 2)
             raise NotBentError(a, spectrum[a], expected)
-        return BooleanFunction(self.field, _field_order(spectrum._spectrum < 0, self.field))
+        signs = spectrum._hadamard(negative=True)
+        return BooleanFunction(self.field, _field_order(signs, self.field))
 
     # -- algebraic normal form ---------------------------------------------------
 
@@ -665,7 +744,7 @@ def check_lemma_walsh_identity(f1, f2, f3):
     f4 = f1 ^ f2 ^ f3
     # the identity holds at every point, so in the Hadamard index too
     functions = (sigma_of(f1, f2, f3), f1, f2, f3, f4)
-    s, s1, s2, s3, s4 = (g.walsh()._spectrum for g in functions)
+    s, s1, s2, s3, s4 = (g.walsh()._hadamard() for g in functions)
     # in field order, so that the witness is the least field point
     sides = _field_order(np.stack([s * 2, s1 + s2 + s3 - s4], axis=1), f1.field)
     bad = np.flatnonzero(sides[:, 0] != sides[:, 1])
@@ -684,7 +763,7 @@ def _off_bent_point(spectrum):
     n = spectrum.field.n
     if n % 2:
         return 0
-    off = np.abs(spectrum._spectrum) != 1 << (n // 2)
+    off = np.abs(spectrum._hadamard()) != 1 << (n // 2)
     return int(np.flatnonzero(_field_order(off, spectrum.field))[0])
 
 

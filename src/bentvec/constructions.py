@@ -683,8 +683,10 @@ def _niho_dual_one(field, r, k, s, u):
     y = 1 ^ xs ^ xbar  # lies in F_{2^k}
     ur = field.pow(u, 1 << (field.n - r))
     z = field.mul_elems(field.mul_elems(y, u) ^ ur ^ xbar, field.pow_elems(y, s))
-    if np.any(field.pow_elems(z, 1 << k) != z):
-        raise VerificationError("Niho dual argument left F_(2^k)")
+    outside = np.flatnonzero(field.pow_elems(z, 1 << k) != z)
+    if outside.size:
+        x = outside[0]
+        raise VerificationError(f"Niho dual argument left F_(2^k) at x={x}: z = {z[x]:#x}")
     return VectorialFunction(field, k, z).component(1)
 
 

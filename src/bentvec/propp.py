@@ -118,7 +118,7 @@ def product_shift(g: BooleanFunction, defining: DefiningSet, b) -> BooleanFuncti
     after = satisfies_p(h, defining)
     if not after.holds:
         raise VerificationError(
-            f"product shift broke (P_tau) on pair {after.pair}"
+            f"product shift broke (P_tau) on pair {after.pair} at x={after.witness}"
         )
     return h
 

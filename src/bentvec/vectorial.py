@@ -27,6 +27,8 @@ from .boolfun import (
     _field_order,
     _mobius,
     _off_bent_point,
+    _pack_signs,
+    _unpack_signs,
     classify,
     sign_table,
     transform_signs,
@@ -265,7 +267,7 @@ class VectorialFunction:
                 # lone function's path raises the same error
                 self.component(lam).dual()
                 raise VerificationError(f"profile kept no dual for bent {lam:#x}")
-            planes[:, c // 8] |= np.unpackbits(bits, count=size) << (c % 8)
+            planes[:, c // 8] |= _unpack_signs(bits, size) << (c % 8)
         return _field_order(planes, self.field)
 
     def profile(self):
@@ -363,8 +365,7 @@ class VectorialFunction:
                     cls = classify(spectra_block[:, j], n)
                     rows[i] = (sel, cls, int(degrees[j]))
                     if sel[1] == 0 and cls.kind == "bent":
-                        store[slot[i]] = np.packbits(spectra_block[:, j] < 0)
-                        duals[sel[0]] = store[slot[i]]
+                        duals[sel[0]] = _pack_signs(spectra_block[:, j], store[slot[i]])
 
             # a contiguous prefix, so that a last, narrower block is one too
             buffer = spectra[: size * len(index)].reshape(size, len(index))

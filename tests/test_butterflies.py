@@ -338,6 +338,6 @@ def test_abs_counts_at_n20_sorts_one_copy():
     # |W| sorted in place and a byte a point for its level boundaries
     assert _traced_peak(lambda: result.append(spectrum.abs_counts())) <= 1.5 * column
     absv, counts = result[0]
-    levels, expected = np.unique(np.abs(spectrum._spectrum), return_counts=True)
+    levels, expected = np.unique(np.abs(spectrum.values), return_counts=True)
     assert np.array_equal(absv, levels) and np.array_equal(counts, expected)
     assert absv.dtype == levels.dtype and counts.dtype == expected.dtype

@@ -555,9 +555,23 @@ def test_niho_dual_rejects_argument_outside_subfield(monkeypatch):
         return mul_elems(self, a, b) ^ 2
 
     monkeypatch.setattr(FieldSpec, "mul_elems", shifted)
+    # the subfield test is the last z -> z^(2^k); the witness is the least x
+    # whose z it moves
+    seen = []
+    pow_elems = FieldSpec.pow_elems
+
+    def spied(self, a, e):
+        out = pow_elems(self, a, e)
+        seen.append((e, a, out))
+        return out
+
+    monkeypatch.setattr(FieldSpec, "pow_elems", spied)
     with pytest.raises(VerificationError) as err:
         _niho_dual_one(F64, r, k, s, u)
-    assert str(err.value) == "Niho dual argument left F_(2^k)"
+    e, z, moved = seen[-1]
+    assert e == 1 << k
+    x = int(np.flatnonzero(moved != z)[0])
+    assert str(err.value) == f"Niho dual argument left F_(2^k) at x={x}: z = {int(z[x]):#x}"
 
 
 def test_niho_dual_keeps_basis_table_error(monkeypatch):

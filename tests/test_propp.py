@@ -16,7 +16,7 @@ from bentvec import (
     shift_decomposition,
     span_closure,
 )
-from bentvec.errors import PreconditionError
+from bentvec.errors import PreconditionError, VerificationError
 from oracles import naive_p_tau
 
 F4 = FieldSpec.default(2)
@@ -156,6 +156,28 @@ def test_product_shift():
     outside = next(x for x in range(16) if x not in set(ds.span()))
     with pytest.raises(PreconditionError):
         product_shift(g, ds, outside)
+
+
+def test_product_shift_failure_names_pair_and_witness(monkeypatch):
+    # a shift that returns an unrelated function makes h lose (P_tau); the
+    # message names the first failing pair and, as _require_p does, its least x
+    g = affine(F64, 21)
+    ds = kasami_rho_set(F64)
+    other = random_function(F64, np.random.default_rng(6))
+    monkeypatch.setattr(BooleanFunction, "shift", lambda self, a: other)
+    h = (g & other).table
+    us = ds.elements
+    xs = np.arange(F64.size)
+    failures = [
+        ((i + 1, j + 1), int(np.flatnonzero(dd)[0]))
+        for i, j in itertools.combinations(range(len(us)), 2)
+        if (dd := h ^ h[xs ^ us[i]] ^ h[xs ^ us[j]] ^ h[xs ^ us[i] ^ us[j]]).any()
+    ]
+    assert failures
+    pair, x = failures[0]
+    with pytest.raises(VerificationError) as err:
+        product_shift(g, ds, 0)
+    assert str(err.value) == f"product shift broke (P_tau) on pair {pair} at x={x}"
 
 
 def test_find_defining_sets_affine_truncates():
