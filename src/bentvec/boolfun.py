@@ -208,21 +208,8 @@ def check_parseval_parity(values, field, names=None):
     n = field.n
     cols = values.reshape(values.shape[0], -1)
     # float64 cannot wrap: with nonnegative terms and monotone rounding the sum
-    # is exact below 2^53 and, once there, never drops back to 2^(2n) <= 2^48,
-    # in any order of the additions, also when a product rounds.  einsum's
-    # cast buffers take 8192 entries per operand whatever np.setbufsize says,
-    # half a column at n = 16, so one column of at most a tile is copied
-    # PASS_BUFSIZE entries at a time into a float64 buffer for np.dot
-    if cols.shape[1] > 1 or len(cols) > TILE_ENTRIES:
-        sums = np.einsum("ij,ij->j", cols, cols, dtype=np.float64)
-    else:
-        # 2^n entries, so that every slice fills the buffer
-        col, buf = cols[:, 0], np.empty(min(PASS_BUFSIZE, len(cols)))
-        total = 0.0
-        for i in range(0, len(col), len(buf)):
-            np.copyto(buf, col[i : i + len(buf)])
-            total += np.dot(buf, buf)
-        sums = np.array([total])
+    # is exact below 2^53 and, once there, never drops back to 2^(2n) <= 2^48
+    sums = np.einsum("ij,ij->j", cols, cols, dtype=np.float64)
     bad = np.flatnonzero(sums != 1 << (2 * n))
     if bad.size:
         j = int(bad[0])
@@ -432,26 +419,21 @@ class WalshSpectrum:
         kept.flags.writeable = False
         self._kept = kept
 
-    def _hadamard(self, x=None, negative=False):
-        """S, or its entry at the Hadamard index x (an int), or with
-        `negative` the uint8 marks of S < 0: the one reader of the kept
-        array.
+    def _hadamard(self, x=None):
+        """S, or its entry at the Hadamard index x (an int): the one reader
+        of the kept array.
 
         A bent S = amplitude (-1)^bit is built only when all of it is
-        asked for: one entry reads one bit, and the marks are the bits.
+        asked for: one entry reads one bit.
         """
         kept = self._kept
         if not self.is_bent:
-            s = kept if x is None else kept[x]
-            return (s < 0).view(np.uint8) if negative else s
+            return kept if x is None else kept[x]
         amp = self.classification.amplitude
         if x is not None:
             bit = int(kept[x >> 3]) >> (7 - (x & 7)) & 1
-            return bit if negative else amp - 2 * amp * bit
-        bits = _unpack_signs(kept, self.field.size)
-        if negative:
-            return bits
-        s = bits.astype(np.int32)
+            return amp - 2 * amp * bit
+        s = _unpack_signs(kept, self.field.size).astype(np.int32)
         s *= -2 * amp
         s += amp
         return s
@@ -626,7 +608,8 @@ class BooleanFunction:
             a = _off_bent_point(spectrum)
             expected = "2^(n/2) with n even" if self.n % 2 else 1 << (self.n // 2)
             raise NotBentError(a, spectrum[a], expected)
-        signs = spectrum._hadamard(negative=True)
+        # bent: the kept bits are the marks of S < 0, so no S is built
+        signs = _unpack_signs(spectrum._kept, self.field.size)
         return BooleanFunction(self.field, _field_order(signs, self.field))
 
     # -- algebraic normal form ---------------------------------------------------

@@ -135,16 +135,13 @@ def test_a_bent_point_reads_one_bit_and_a_bent_dual_builds_no_spectrum(monkeypat
     )
     assert [f.walsh()[a] for a in range(field.size)] == expected.tolist()
     assert unpacked == []
-    negative = []
+    read = []
     hadamard = WalshSpectrum._hadamard
     monkeypatch.setattr(
-        WalshSpectrum,
-        "_hadamard",
-        lambda self, *args, **kwargs: negative.append(kwargs.get("negative"))
-        or hadamard(self, *args, **kwargs),
+        WalshSpectrum, "_hadamard", lambda self, *args: read.append(args) or hadamard(self, *args)
     )
     assert np.array_equal(f.dual().table, (expected < 0).astype(np.uint8))
-    assert unpacked == [1] and negative == [True]
+    assert unpacked == [1] and read == []
 
 
 def _one_level(n):
@@ -224,6 +221,20 @@ def test_bent_walsh_at_n20_holds_one_column_and_keeps_its_bits():
     assert peak <= column + tile_scratch + chunk + bits + slack
     assert held <= bits + slack
     assert f.is_bent()
+
+
+def test_round_trip_chunk_at_n16_stays_within_the_butterflys_scratch():
+    # the untiled butterfly's scratch is half the column; a chunk of
+    # GATHER_ENTRIES rows, its intp indices and int32 signs, would be 0.75
+    n = 16
+    column = 4 << n
+    slack = 3 * 4 * PASS_BUFSIZE + 16384  # as in test_butterflies
+    assert 1 << n <= boolfun.TILE_ENTRIES
+    tab = np.array([[1], [-1]], dtype=np.int32)
+    for _, table in tables(n):
+        values = fwht(1 - 2 * table.astype(np.int32))
+        _, peak = _traced(lambda: boolfun.check_round_trip(values, table, tab))
+        assert peak <= 0.5 * column + slack
 
 
 def test_round_trip_runs_after_the_packing_on_the_same_buffer(monkeypatch):
