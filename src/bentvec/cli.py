@@ -305,6 +305,10 @@ def main(argv=None):
     except BentvecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy's message names the bytes it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -30,6 +30,11 @@ token, a dot where t says there is none, an empty part, more than 15
 digits) goes alone to the one-entry parser, which gives its error or its
 value.
 
+A parse error in either body, or a byte that is not UTF-8, is raised at
+a position of the text, and one helper turns that position into a line
+and a column.  Lines are those of str.splitlines, and every column counts
+from the first character of its line, blanks included.
+
 Header values are ASCII decimal digits (hex for `field`); anything else,
 or a key given twice, is a parse error at that field's column.  So are a
 VF header's m that does not divide n and m + t above 32, before the body
@@ -100,6 +105,17 @@ _VF_KIND = np.full(256, _SPACE, dtype=np.uint8)
 _VF_KIND[ord(".")] = _DOT
 _VF_KIND[np.frombuffer(b"\n\r\x0b\x0c\x1c\x1d\x1e", dtype=np.uint8)] = _BREAK
 
+# the first character of trailing content after a BF payload line
+_NON_BLANK = re.compile(r"\S")
+
+
+def _located(message, text, pos):
+    """The ParseError for text[pos], at the line and column that
+    str.splitlines gives it: the lines of text[:pos] and a stand-in for
+    the character at pos, which may be the end of the text."""
+    lines = (text[:pos] + "?").splitlines()
+    return ParseError(message, line=len(lines), column=len(lines[-1]))
+
 
 def _pack_bits(table):
     """Truth-table bits as BF payload hex, four bits per lowercase digit."""
@@ -108,23 +124,20 @@ def _pack_bits(table):
     return _HEX_DIGITS[nibs[: (len(table) + 3) // 4]].tobytes().decode("ascii")
 
 
-def _unpack_bits(payload, size, indent):
-    """BF payload hex, `indent` blanks into its line, to a uint8 table of
-    `size` bits; bad digits raise."""
-    # one byte per character, so an index is a column; every non-ASCII
-    # character (a lone surrogate too) becomes "?", which is not a digit
+def _unpack_bits(text, start, payload, size):
+    """BF payload hex, found at text[start], to a uint8 table of `size`
+    bits; a bad digit or nonzero padding raises at its position."""
+    # one byte per character, so an index is an offset into the payload;
+    # every non-ASCII character (a lone surrogate too) becomes "?", which
+    # is not a digit
     codes = np.frombuffer(payload.encode("ascii", "replace"), dtype=np.uint8)
     nibs = _NIBBLE[codes]
     bad = np.flatnonzero(nibs > 15)
     if bad.size:
         p = int(bad[0])
-        raise ParseError(
-            f"bad hex character {payload[p]!r}", line=2, column=indent + p + 1
-        )
+        raise _located(f"bad hex character {payload[p]!r}", text, start + p)
     if size % 4 and nibs[-1] >> size % 4:
-        raise ParseError(
-            "padding bits must be zero", line=2, column=indent + len(payload)
-        )
+        raise _located("padding bits must be zero", text, start + len(payload) - 1)
     if nibs.size % 2:
         nibs = np.append(nibs, np.uint8(0))
     return np.unpackbits(nibs[0::2] | (nibs[1::2] << 4), count=size, bitorder="little")
@@ -202,21 +215,21 @@ def bf_from_text(text, modulus=None):
     spec = _header_field(header, columns, modulus)
     if len(lines) < 2:
         raise ParseError("missing truth-table payload", line=2, column=1)
-    payload = lines[1].strip()
-    indent = len(lines[1]) - len(lines[1].lstrip())
+    # the payload line begins after the header's break, "\r\n" or one
+    # character; its digits begin after its leading blanks
+    begin = len(lines[0]) + 1 + text.startswith("\r\n", len(lines[0]))
+    payload = lines[1].lstrip()
+    start = begin + len(lines[1]) - len(payload)
+    payload = payload.rstrip()
     size = 1 << n
     expect = (size + 3) // 4
     if len(payload) != expect:
-        raise ParseError(
-            f"payload must be {expect} hex characters, got {len(payload)}",
-            line=2,
-            column=indent + len(payload) + 1,
-        )
-    table = _unpack_bits(payload, size, indent)
-    for extra, line in enumerate(lines[2:], start=3):
-        if line.strip():
-            column = len(line) - len(line.lstrip()) + 1
-            raise ParseError("unexpected trailing content", line=extra, column=column)
+        message = f"payload must be {expect} hex characters, got {len(payload)}"
+        raise _located(message, text, start + len(payload))
+    table = _unpack_bits(text, start, payload, size)
+    stray = _NON_BLANK.search(text, begin + len(lines[1]))
+    if stray:
+        raise _located("unexpected trailing content", text, stray.start())
     return BooleanFunction(spec, table)
 
 
@@ -229,10 +242,9 @@ def _read_text(path):
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # a stand-in for the bad byte ends the text before it
-        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        head = data[: exc.start].decode("utf-8")
         message = f"byte {data[exc.start]:#04x} is not UTF-8"
-        raise ParseError(message, line=len(lines), column=len(lines[-1])) from None
+        raise _located(message, head, len(head)) from None
 
 
 def read_bf(path, modulus=None):
@@ -276,15 +288,6 @@ def write_vf(path, F: VectorialFunction):
 _CHUNK = 1 << 16
 
 
-def _bad_character(text, pos):
-    """The ParseError for the bad character text[pos].  Every line break
-    is whitespace, so it ends the last line of text[: pos + 1]."""
-    lines = text[: pos + 1].splitlines()
-    return ParseError(
-        f"bad character {text[pos]!r}", line=len(lines), column=len(lines[-1])
-    )
-
-
 def _vf_codes(text, head):
     r"""The text as uint8 codes, one per character, once the body from
     `head` on is found to hold only hex digits, dots and whitespace.
@@ -300,11 +303,12 @@ def _vf_codes(text, head):
         for lo in range(head, codes.size, _CHUNK):
             ok = _VF_OK.take(codes[lo : lo + _CHUNK])
             if not ok.all():
-                raise _bad_character(text, lo + int(ok.argmin()))
+                pos = lo + int(ok.argmin())
+                raise _located(f"bad character {text[pos]!r}", text, pos)
         return codes
     bad = _VF_BAD_CHAR.search(text, head)
     if bad:
-        raise _bad_character(text, bad.start())
+        raise _located(f"bad character {bad.group()!r}", text, bad.start())
     text = re.sub("[^\x00-\x7f]", " ", re.sub("\x85|\u2028|\u2029", "\x0b", text))
     return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
 
@@ -330,13 +334,12 @@ def _vf_rows(codes, head, t):
 
     A token is the text between two whitespace separators that are not
     adjacent, and a row is the tokens of one line.  Per row, in line
-    order: its line number, the positions of its first non-whitespace
-    character, of the first separator after that (its dot, if the row is
-    well formed with t > 0) and of the end of its last token, and whether
-    it is fast: one token, a dot when t > 0 and only then, at most one,
-    and parts 1 to 15 digits long.  Then the positions of the line breaks
-    and len(text.splitlines()).  Positions are int32 while the text is
-    shorter than 2^31 characters.
+    order: the positions of its first non-whitespace character, of the
+    first separator after that (its dot, if the row is well formed with
+    t > 0) and of the end of its last token, and whether it is fast: one
+    token, a dot when t > 0 and only then, at most one, and parts 1 to 15
+    digits long.  Then len(text.splitlines()).  Positions are int32 while
+    the text is shorter than 2^31 characters.
     """
     pos_type = np.int32 if codes.size < 1 << 31 else np.int64
     seps = _separators(codes, head, pos_type)
@@ -365,7 +368,6 @@ def _vf_rows(codes, head, t):
     start = ws_pos.take(tok)
     start += 1
     end = ws_pos.take(tok + 1)
-    breaks = ws_pos[is_break]
     del ws_pos
     line = np.cumsum(is_break, dtype=pos_type)
     del is_break
@@ -386,9 +388,9 @@ def _vf_rows(codes, head, t):
         first[shared + 1] = False
         last = np.roll(first, -1)
         fast &= first & last
-        line, start, dot, fast = (a[first] for a in (line, start, dot, fast))
+        start, dot, fast = (a[first] for a in (start, dot, fast))
         end = end[last]
-    return line, start, dot, end, fast, breaks, lines
+    return start, dot, end, fast, lines
 
 
 def _hex_parts(codes, start, stop, fast):
@@ -415,27 +417,24 @@ def _hex_parts(codes, start, stop, fast):
     return acc
 
 
-def _vf_entry(entry, t, line):
-    """(value, extra) of one stripped VF entry, or its ParseError."""
-    value_part, dot, extra_part = entry.partition(".")
+def _vf_entry(text, start, end, t):
+    """(value, extra) of the VF row text[start:end], or its ParseError."""
+    value_part, dot, extra_part = text[start:end].partition(".")
+    at_dot = start + len(value_part)
     if t == 0 and dot:
-        raise ParseError(
-            "t=0 entries must not carry extra bits", line=line, column=len(value_part) + 1
-        )
+        raise _located("t=0 entries must not carry extra bits", text, at_dot)
     if t > 0 and not dot:
-        raise ParseError("entry is missing its extra bits", line=line, column=len(entry) + 1)
+        raise _located("entry is missing its extra bits", text, end)
     try:
         value = _int64_hex(value_part)
     except ValueError:
-        raise ParseError(f"bad hex value {value_part!r}", line=line, column=1) from None
+        raise _located(f"bad hex value {value_part!r}", text, start) from None
     if not t:
         return value, 0
     try:
         return value, _int64_hex(extra_part)
     except ValueError:
-        raise ParseError(
-            f"bad hex extra bits {extra_part!r}", line=line, column=len(value_part) + 2
-        ) from None
+        raise _located(f"bad hex extra bits {extra_part!r}", text, at_dot + 1) from None
 
 
 def _int64_hex(part):
@@ -444,14 +443,6 @@ def _int64_hex(part):
     if value >> 63:
         raise ValueError(part)
     return value
-
-
-def _line_at(text, breaks, line):
-    """Line `line` (2 or more) of the text, without its line break."""
-    brk = int(breaks[line - 2])
-    begin = brk + 1 + (text[brk : brk + 2] == "\r\n")
-    stop = int(breaks[line - 1]) if line - 1 < breaks.size else len(text)
-    return text[begin:stop]
 
 
 def vf_from_text(text, modulus=None):
@@ -478,34 +469,29 @@ def vf_from_text(text, modulus=None):
         ) from None
     size = 1 << n
     codes = _vf_codes(text, header_end)
-    line, start, dot, end, fast, breaks, lines = _vf_rows(codes, header_end, t)
-    if line.size != size:
+    start, dot, end, fast, lines = _vf_rows(codes, header_end, t)
+    if start.size != size:
         raise ParseError(
-            f"expected {size} output lines, got {line.size}", line=lines + 1, column=1
+            f"expected {size} output lines, got {start.size}", line=lines + 1, column=1
         )
     values = _hex_parts(codes, start, dot if t else end, fast)
     extra = _hex_parts(codes, dot + 1, end, fast) if t else None
     del codes
     for r in np.flatnonzero(~fast).tolist():
-        value, bits = _vf_entry(text[start[r] : end[r]], t, int(line[r]))
+        value, bits = _vf_entry(text, int(start[r]), int(end[r]), t)
         values[r] = value
         if t:
             extra[r] = bits
     try:
         return VectorialFunction(spec, m, values, extra, t)
     except FieldError as exc:
-        row_line, column = 2, 1
-        if exc.point is not None:
-            # the bad row's line, then its value or its extra bits
-            row_line = int(line[exc.point])
-            entry = _line_at(text, breaks, row_line)
-            if exc.extra:
-                column = entry.index(".") + 2
-            else:
-                column = len(entry) - len(entry.lstrip()) + 1
-        raise ParseError(
-            f"inconsistent table: {exc}", line=row_line, column=column
-        ) from None
+        if exc.point is None:
+            raise ParseError(f"inconsistent table: {exc}", line=2, column=1) from None
+        # the bad row's value, or the character after its dot
+        pos = int(start[exc.point])
+        if exc.extra:
+            pos = text.index(".", pos) + 1
+        raise _located(f"inconsistent table: {exc}", text, pos) from None
 
 
 def read_vf(path, modulus=None):

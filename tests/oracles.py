@@ -197,15 +197,17 @@ def naive_vf_from_text(text, modulus=None):
         entry = line.strip()
         if not entry:
             continue
+        # columns count from the start of the line, its indent included
+        indent = len(line) - len(line.lstrip())
         value_part, dot, extra_part = entry.partition(".")
         if t == 0 and dot:
-            raise ParseError("t=0 entries must not carry extra bits", line=lineno, column=len(value_part) + 1)
+            raise ParseError("t=0 entries must not carry extra bits", line=lineno, column=indent + len(value_part) + 1)
         if t > 0 and not dot:
-            raise ParseError("entry is missing its extra bits", line=lineno, column=len(entry) + 1)
+            raise ParseError("entry is missing its extra bits", line=lineno, column=indent + len(entry) + 1)
         try:
             values[row] = int(value_part, 16)
         except (ValueError, OverflowError):
-            raise ParseError(f"bad hex value {value_part!r}", line=lineno, column=1) from None
+            raise ParseError(f"bad hex value {value_part!r}", line=lineno, column=indent + 1) from None
         if t:
             try:
                 extra[row] = int(extra_part, 16)
@@ -213,7 +215,7 @@ def naive_vf_from_text(text, modulus=None):
                 raise ParseError(
                     f"bad hex extra bits {extra_part!r}",
                     line=lineno,
-                    column=len(value_part) + 2,
+                    column=indent + len(value_part) + 2,
                 ) from None
         row += 1
     try:

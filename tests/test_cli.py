@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 
 import bentvec
 
-from bentvec import BooleanFunction, FieldSpec, VectorialFunction
+from bentvec import BooleanFunction, FieldSpec, VectorialFunction, constructions
 from bentvec.cli import main
 from bentvec.errors import ParseError
 from bentvec.fileio import parse_header, read_vf, write_bf, write_vf
@@ -678,3 +679,85 @@ def test_construct_and_verify_do_not_import_numpy_ma(tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.endswith("numpy.ma imported: False\n"), (argv, proc.stderr)
     assert "Mixed{" in proc.stdout
+
+
+KASAMI_N6 = ["construct", "--family", "kasami", "--n", "6", "--tau", "2",
+             "--poly", "X1*X2", "--auto-u", "--out"]
+
+
+def test_construct_mismatch_exits_3_and_still_writes(tmp_path, capsys, monkeypatch):
+    # a predicted degree one above X1*X2's 2 fails the report's degree check
+    monkeypatch.setattr(constructions, "_lift_degree", lambda poly, u: poly.degree() + 1)
+    out = tmp_path / "k6.vf"
+    assert run(KASAMI_N6 + [str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "VERIFICATION MISMATCH\n"
+    assert "degree: predicted 3, measured 2" in captured.out
+    assert read_vf(out).n == 6
+    report = json.loads((tmp_path / "k6.vf.report.json").read_text())
+    assert report["ok"] is False and report["degree_match"] is False
+
+
+def test_verification_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    # coordinate degrees one off contradict the component degrees, which
+    # VectorialFunction.degree() reads from one packed Möbius transform
+    out = tmp_path / "k6.vf"
+    assert run(KASAMI_N6 + [str(out)]) == 0
+    capsys.readouterr()
+    degree = BooleanFunction.degree
+    monkeypatch.setattr(BooleanFunction, "degree", lambda self: degree(self) + 1)
+    assert run(["verify", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "verification mismatch: component degree 2 (first reached by component "
+        "(1, 0)) != coordinate degree 3 (first reached by coordinate 0)\n"
+    )
+
+
+def test_construct_onto_a_directory_leaves_no_temp_file(tmp_path, capsys):
+    # the temp file is made beside the target, and the rename onto a
+    # directory fails: exit 1, one line, and the temp file is removed
+    target = tmp_path / "out"
+    target.mkdir()
+    assert run(KASAMI_N6 + [str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 21] ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert list(target.iterdir()) == []
+
+
+# caps its own address space a margin above what it has mapped after
+# importing bentvec.cli, then verifies the file
+VERIFY_UNDER_A_CAP = """\
+import resource, sys
+from bentvec.cli import main
+with open("/proc/self/status") as status:
+    mapped = next(int(l.split()[1]) << 10 for l in status if l.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (64 << 20), resource.RLIM_INFINITY))
+sys.exit(main(["verify", sys.argv[1]]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_verify_out_of_memory_is_one_line_and_exit_1(tmp_path):
+    # a random n = 24 BF file: its spectrum alone is 64 MB of int32
+    n = 24
+    rng = np.random.default_rng(24)
+    nibbles = rng.integers(0, 16, 1 << (n - 2), dtype=np.uint8)
+    digits = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)[nibbles]
+    path = tmp_path / "r24.bf"
+    path.write_text(f"BF n={n} field={FieldSpec.default(n).modulus:x}\n{digits.tobytes().decode()}\n")
+    del nibbles, digits
+    src = os.path.dirname(os.path.dirname(bentvec.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", VERIFY_UNDER_A_CAP, str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    # numpy's message names the bytes it asked for
+    assert re.fullmatch(
+        r"error: out of memory: Unable to allocate [0-9.]+ [KMG]iB .*\n", proc.stderr
+    ), proc.stderr

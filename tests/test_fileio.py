@@ -253,6 +253,10 @@ def test_bf_bad_character_column(n, data):
         ("BF n=1 field=3\n \t8\n", "padding bits must be zero", 3),
         ("BF n=4 field=13\n0000\n \t x\n", "unexpected trailing content", 4),
         ("BF n=4 field=13\n\t0000\n\n  0\n", "unexpected trailing content", 3),
+        # a blank payload line: the column after its blanks, on line 2
+        ("BF n=4 field=13\n  \n", "payload must be 4 hex characters, got 0", 3),
+        ("BF n=4 field=13\n\n", "payload must be 4 hex characters, got 0", 1),
+        ("BF n=4 field=13\r\n \t\r\n", "payload must be 4 hex characters, got 0", 3),
     ],
 )
 def test_bf_columns_count_leading_blanks(text, message, column):
@@ -396,6 +400,29 @@ def test_vf_inconsistent_entry_is_reported_at_its_line(row, entry, column, messa
     assert str(info.value).startswith(f"inconsistent table: {message} at line")
 
 
+@pytest.mark.parametrize(
+    "row, t, message, column",
+    [
+        ("   1.1", 0, "t=0 entries must not carry extra bits", 5),
+        ("   1", 1, "entry is missing its extra bits", 5),
+        ("   .1", 1, "bad hex value ''", 4),
+        ("   1.", 1, "bad hex extra bits ''", 6),
+        ("   1 1", 0, "bad hex value '1 1'", 4),
+        ("   1 1", 1, "entry is missing its extra bits", 7),
+        ("\t 1\t.", 1, "bad hex extra bits ''", 6),
+        ("\xa0 f" + "0" * 16, 0, f"bad hex value {'f' + '0' * 16!r}", 3),
+    ],
+)
+def test_vf_entry_errors_count_columns_from_the_line_start(row, t, message, column):
+    # the same rule as every other error: blanks before the entry count
+    body = ["0.0" if t else "0"] * 16
+    body[3] = row
+    text = f"VF n=4 m=2 t={t} field=13\n" + "\n".join(body) + "\n"
+    with pytest.raises(ParseError) as info:
+        vf_from_text(text)
+    assert str(info.value) == f"{message} at line 5, col {column}"
+
+
 def test_vf_inconsistent_value_line_without_extra_bits():
     body = ["0"] * 16
     body[9] = "2"
@@ -438,6 +465,8 @@ def test_header_modulus_of_wrong_degree_is_a_parse_error(text, column):
         # n = 24 is in range, so the next header check is the one that fails
         ("BF n=24 field=13", "modulus 0x13 does not have degree 24", 9),
         ("VF n=24 m=5 t=0 field=1000087", "output dimension 5 must divide n=24", 9),
+        ("BF n=4 field=13 junk", "malformed header field 'junk'", 17),
+        ("VF n=4 m=2 junk t=0 field=13", "malformed header field 'junk'", 12),
     ],
 )
 def test_header_dimensions_and_repeats_are_header_errors(header, message, column):
