@@ -59,6 +59,9 @@ def _corpus():
                             "--poly", "X1*X2", "--u", "5,7", "--out", "y.vf"]
     yield "verify bad vf", ["verify", "bad.vf"]
     yield "propp search", ["propp", "dual8.bf", "--search", "2", "--limit", "5"]
+    # above n = 18, walsh() transforms its spectrum in parts
+    yield "verify bent20", ["verify", "bent20.bf"]
+    yield "verify random21", ["verify", "random21.bf"]
 
 
 def _maiorana_mcfarland(n):
@@ -88,6 +91,8 @@ def _write_inputs(work):
     for n in (12, 16):
         (work / f"bent{n}.bf").write_text(_bf_text(n, _maiorana_mcfarland(n)))
         (work / f"random{n}.bf").write_text(_bf_text(n, _lfsr(1 << n)))
+    (work / "bent20.bf").write_text(_bf_text(20, _maiorana_mcfarland(20)))
+    (work / "random21.bf").write_text(_bf_text(21, _lfsr(1 << 21)))
     # a non-hex digit on line 4, column 2
     rows = ["0"] * 16
     rows[2] = "1g"
