@@ -18,11 +18,19 @@ and the points named in failure messages are reindexed, through
 as a copy, or, when bent, as its amplitude and its packed sign bits.
 
 Every spectrum is computed by one engine, `transform_signs`: the signs
-of a block of columns are tab[word], a small +-1 table gathered through
-a per-point word, in chunks, into one int32 buffer that both butterflies
-then run on in place.  `walsh()` is one column whose word is the truth
-table and whose table is [1, -1]; `VectorialFunction.profile()` passes
-its coordinate word and a `sign_table` per block of selector masks.
+of a block of columns are tab[word], a small int32 table gathered
+through a per-point word, in chunks, into one int32 buffer that both
+butterflies then run on in place.  `VectorialFunction.profile()` passes
+its coordinate word and a +-1 `sign_table` per block of selector masks.
+`walsh()` up to n = FOLD_FROM is one column whose word is the truth
+table and whose table is [1, -1].  Above it, walsh() folds the top k =
+min(FOLD_LEVELS, n - FOLD_FROM) butterfly levels into the gather, by
+H_(2^n) = H_(2^k) (x) H_(2^(n-k)): its word packs the 2^k bits f(p
+2^(n-k) + x) of each x, and column q of its table, sums of 2^k signs,
+gives part q of S, the 2^(n-k) Hadamard indices from q 2^(n-k) on
+(`_fold`).  The parts are transformed, checked and kept one at a time in
+one buffer of a part, so that no int32 array of 2^n entries is made for
+a bent S, which is kept as its sign bits.
 
 The Hadamard and Möbius butterflies do two levels per pass, in place on
 the caller's array, which they return; a caller that needs its input
@@ -55,6 +63,11 @@ TILE_ENTRIES = 1 << 17
 # entries of sign columns gathered at a time, in whole rows: np.take copies
 # its indices as intp, which for one whole n = 20 column traced 8 MB
 GATHER_ENTRIES = 1 << 14
+# walsh() above n = FOLD_FROM folds its top min(FOLD_LEVELS, n - FOLD_FROM)
+# butterfly levels into its sign table: its parts keep at least 2^FOLD_FROM
+# entries, long enough for the tiled butterfly, and its table at most 256 rows
+FOLD_FROM = 18
+FOLD_LEVELS = 3
 # LOW[s]: the bit positions below 64 with bit s clear, for Möbius level s
 # inside a word; this and WEIGHT are plain ints, so importing builds no array
 LOW = (
@@ -240,19 +253,24 @@ def sign_table(values, masks):
 def transform_signs(values, word, tab, field, read, names=None):
     """The spectra of the sign columns tab[word], checked exactly.
 
-    `tab` is a (words, cols) int32 table of +-1 and `word` a row of it
-    for every point; `values`, the (2^n,) or (2^n, cols) int32 buffer,
-    receives the signs and is transformed in place.  np.take copies its
-    indices as intp, so the signs are gathered GATHER_ENTRIES entries at
-    a time, in whole rows, unchecked ("clip"): every word is a row.
-    Parseval and parity are checked, `read(values)` reads the spectra,
-    and the inverse then overwrites them for `check_round_trip`, so no
-    sign array is kept.  `names` labels the columns in failure messages.
+    `tab` is a (words, cols) int32 table and `word` a row of it for every
+    point; `values`, the (2^n,) or (2^n, cols) int32 buffer, receives the
+    signs and is transformed in place.  np.take copies its indices as
+    intp, so the signs are gathered GATHER_ENTRIES entries at a time, in
+    whole rows, unchecked ("clip"): every word is a row.  Parseval and
+    parity are checked, `read(values)` reads the spectra, and the inverse
+    then overwrites them for `check_round_trip`, so no sign array is
+    kept.  `names` labels the columns in failure messages.
+
+    A word of 2^(n-k) points is one spectrum folded into 2^k parts, as
+    `_fold` makes it: column q of `tab` holds the signs whose transform is
+    part q of S, the Hadamard indices q 2^(n-k) to (q+1) 2^(n-k) - 1, and
+    `values` is one part long; see `_transform_parts`.
     """
-    rows = values.reshape(len(values), -1)
-    step = max(1, GATHER_ENTRIES // tab.shape[1])
-    for i in range(0, len(rows), step):
-        np.take(tab, word[i : i + step], axis=0, out=rows[i : i + step], mode="clip")
+    if len(word) < field.size:
+        _transform_parts(values, word, tab, field, read, names)
+        return
+    _gather(values.reshape(len(values), -1), word, tab)
     # W(a) = values[perm[a]]: only witnesses and duals need field points
     fwht(values)
     check_parseval_parity(values, field, names)
@@ -260,44 +278,155 @@ def transform_signs(values, word, tab, field, read, names=None):
     check_round_trip(values, word, tab, names)
 
 
+def _gather(rows, word, tab):
+    """rows = tab[word], GATHER_ENTRIES entries at a time, in whole rows."""
+    step = max(1, GATHER_ENTRIES // tab.shape[1])
+    for i in range(0, len(rows), step):
+        np.take(tab, word[i : i + step], axis=0, out=rows[i : i + step], mode="clip")
+
+
+def _transform_parts(values, word, tab, field, read, names):
+    """`transform_signs` of one spectrum S in parts, one part at a time.
+
+    Part q is fwht(tab[word, q]) in `values`.  It is kept before its
+    inverse overwrites it: while every part is bent-level, as packed sign
+    bits in one 2^n / 8-byte buffer; from the first part that is not, in
+    an int32 copy of S, into which the bent-level parts before it are
+    rebuilt from their bits.  Bent-level parts hold Parseval and parity
+    by `_bent_level`; otherwise the copy is checked whole.  Each part's
+    round trip compares fwht(part) with 2^(n-k) tab[word, q], whatever
+    the table's values; the parts that fail keep their errors, which
+    `_unfolded_round_trip` turns into the whole column's witness.  The
+    checks raise in their whole-column order, Parseval, parity, round
+    trip, and only then does `read` get the kept S: the bits of a bent
+    one, or the copy, either of which it may keep as it is.
+    """
+    n, length = field.n, len(word)
+    amp = 1 << (n // 2)
+    bits = full = None
+    errors = {}
+    for q in range(tab.shape[1]):
+        column = np.ascontiguousarray(tab[:, q : q + 1])
+        _gather(values.reshape(length, 1), word, column)
+        fwht(values)
+        span = slice(q * length, (q + 1) * length)
+        if full is None and n % 2 == 0 and _bent_level(values, amp, length << n):
+            if bits is None:
+                bits = np.empty(field.size // 8, dtype=np.uint8)
+            _pack_signs(values, bits[q * length // 8 : (q + 1) * length // 8])
+        else:
+            if full is None:
+                full = np.empty(field.size, dtype=np.int32)
+                for r in range(q):  # bits is not None when q > 0
+                    _bent_values(bits[r * length // 8 : (r + 1) * length // 8], amp,
+                                 full[r * length : (r + 1) * length])
+                bits = None
+            full[span] = values
+        if _round_trip_errors(values, word, column) is not None:
+            errors[q] = values.copy()
+    if full is not None:
+        check_parseval_parity(full, field, names)
+    if errors:
+        x, got, sign = _unfolded_round_trip(errors, word, tab, field.size)
+        raise VerificationError(_round_trip_message(names, 0, x, got, sign, field.size))
+    read(bits if full is None else full)
+
+
+def _bent_level(values, amp, total):
+    """Whether a checked part is all +-amp: within [-amp, amp] with its sum
+    of squares `total`, its length times amp^2, which only +-amp attain.
+
+    float64 is exact here: the squares are at most amp^2, so the sum is at
+    most `total` < 2^53."""
+    if values.min() < -amp or values.max() > amp:
+        return False
+    return np.einsum("i,i->", values, values, dtype=np.float64) == total
+
+
+def _unfolded_round_trip(errors, word, tab, size):
+    """The whole column's round-trip witness from its parts' errors.
+
+    errors[q] is fwht(part q) - 2^(n-k) tab[word, q], for the parts where
+    it is not zero.  With H[p, q] = (-1)^popcount(p & q), the inverse of
+    S at point p 2^(n-k) + x is sum_q H[p, q] fwht(part q)[x], and tab =
+    signs H with H H = 2^k I, so that inverse is 2^n sign + sum_q H[p, q]
+    errors[q][x].  H is invertible, so that sum is not zero at some point
+    exactly when a part's error is not.  Returns the least such point, the
+    inverse there and its sign.
+    """
+    parts = tab.shape[1]
+    H = sign_table(np.arange(parts), np.arange(parts))
+    for p in range(parts):
+        off = sum(int(H[p, q]) * e.astype(np.int64) for q, e in errors.items())
+        bad = np.flatnonzero(off)
+        if bad.size:
+            x = int(bad[0])
+            sign = int(tab[word[x]] @ H[p]) // parts  # H is symmetric
+            return p * len(word) + x, size * sign + int(off[x]), sign
+    raise AssertionError("a part's round-trip error vanished in the whole column")
+
+
+def _round_trip_message(names, j, x, got, sign, size):
+    shown = f"{got // size}" if got % size == 0 else f"{got}/2^{size.bit_length() - 1}"
+    return (
+        f"{_where(names, j)}Walsh round-trip failed at x = {x}: "
+        f"inverse gives {shown}, table sign is {sign}"
+    )
+
+
 def check_round_trip(values, word, tab, names=None):
     """The inverse butterfly must give back the sign columns tab[word].
 
-    `values` are the int32 or int64 spectra of the +-1 columns tab[word]
-    in the Hadamard index, as in `transform_signs`, so that fwht(values)
-    = 2^n tab[word].  The inverse is taken of `values` in place, which
-    it overwrites, and compared unscaled, so an entry off by less than
-    2^n fails too.  The signs are gathered again a chunk of at most
-    GATHER_ENTRIES entries at a time, the only memory the check takes
-    beside the butterfly's scratch: a caller that still needs the
-    spectra passes a copy.  A chunk's intp indices and signs take at
-    most half the array, the untiled butterfly's scratch, so that the
-    butterfly sets the peak at any n; above TILE_ENTRIES entries, its 1.5
-    tiles of at least 2^15 entries hold a whole chunk already.
+    `values` are the int32 or int64 spectra of the columns tab[word] in
+    the Hadamard index, as in `transform_signs`, so that fwht(values) =
+    2^n tab[word].  The table's entries are any integers: +-1 for a whole
+    spectrum, sums of signs for the parts of a folded one.  The inverse is
+    taken of `values` in place, which it overwrites, and compared
+    unscaled, so an entry off by less than 2^n fails too.  A failure names
+    the least point x and the first column failing there.
     """
     size = values.shape[0]
+    first = _round_trip_errors(values, word, tab)
+    if first is not None:
+        x, j = first
+        sign = int(tab[word[x], j])
+        got = int(values.reshape(size, -1)[x, j]) + size * sign
+        raise VerificationError(_round_trip_message(names, j, x, got, sign, size))
+
+
+def _round_trip_errors(values, word, tab):
+    """Overwrite `values` with fwht(values) - 2^n tab[word]; the first
+    (x, j) where that is not zero, or None.
+
+    The signs are gathered again a chunk of at most GATHER_ENTRIES entries
+    at a time, the only memory the check takes beside the butterfly's
+    scratch: a caller that still needs the spectra passes a copy.  A
+    chunk's intp indices and signs take at most half the array, the
+    untiled butterfly's scratch, so that the butterfly sets the peak at
+    any n; above TILE_ENTRIES entries, its 1.5 tiles of at least 2^15
+    entries hold a whole chunk already.
+    """
+    size = values.shape[0]
+    # the chunk holds 2^n times the table's values, so it takes the spectra's
+    # dtype, which every table of the engine has already: only a narrower
+    # table is cast
+    tab = tab.astype(values.dtype, copy=False)
     row_bytes = np.dtype(np.intp).itemsize + tab.shape[1] * tab.itemsize
     step = max(1, min(GATHER_ENTRIES // tab.shape[1], values.nbytes // 2 // row_bytes))
     off = fwht(values).reshape(size, -1)
     # one buffer for every chunk's signs, or each np.take would allocate
     # its chunk while the last one is still referenced
     chunk = np.empty((min(step, size), tab.shape[1]), dtype=tab.dtype)
+    first = None
     for i in range(0, size, step):
         part = off[i : i + step]
         s = np.take(tab, word[i : i + step], axis=0, out=chunk[: len(part)], mode="clip")
-        # a sign is +-1, so an entry is 2^n signs exactly where its product
-        # with the sign is 2^n, which the check computes in place
-        part *= s
-        part -= size
-        if np.count_nonzero(part):
+        s *= size
+        part -= s
+        if first is None and np.count_nonzero(part):
             x, j = (int(k) for k in np.argwhere(part)[0])
-            sign = int(s[x, j])
-            got = (int(part[x, j]) + size) * sign
-            shown = f"{got // size}" if got % size == 0 else f"{got}/2^{size.bit_length() - 1}"
-            raise VerificationError(
-                f"{_where(names, j)}Walsh round-trip failed at x = {i + x}: "
-                f"inverse gives {shown}, table sign is {sign}"
-            )
+            first = (i + x, j)
+    return first
 
 
 @dataclass(frozen=True)
@@ -359,6 +488,21 @@ def classify(values, n):
     return Classification("mixed", None, abs_set)
 
 
+def _checked_class(values, n):
+    """`classify` of a spectrum whose Parseval sum is exactly 2^(2n).
+
+    Such a spectrum is bent exactly when every |W| <= 2^(n/2), since
+    2^n squares of at most 2^n that sum to 2^(2n) are all 2^n: two
+    reductions tell, where `classify` makes |W| copies.  Any other
+    spectrum is classified by `classify`.
+    """
+    if n % 2 == 0:
+        amp = 1 << (n // 2)
+        if values.min() >= -amp and values.max() <= amp:
+            return Classification("bent", amp, (amp,))
+    return classify(values, n)
+
+
 def _pack_signs(values, out=None):
     """The marks of values < 0 along a 1-D array, packed as np.packbits
     packs them (point x is bit 7 - x % 8 of byte x // 8).
@@ -378,6 +522,14 @@ def _pack_signs(values, out=None):
 def _unpack_signs(bits, size):
     """The uint8 marks of `_pack_signs`, one per point, for `size` points."""
     return np.unpackbits(bits, count=size)
+
+
+def _bent_values(bits, amp, out):
+    """out = amp (-1)^mark for the marks `bits` of `_pack_signs`, one per
+    entry of the int32 array `out`, which is returned."""
+    np.multiply(_unpack_signs(bits, len(out)), -2 * amp, out=out, dtype=np.int32)
+    out += amp
+    return out
 
 
 class WalshSpectrum:
@@ -414,8 +566,20 @@ class WalshSpectrum:
         `walsh()`'s round trip to overwrite.
         """
         self.field = field
-        self.classification = classify(spectrum, field.n)
+        self.classification = _checked_class(spectrum, field.n)
         kept = _pack_signs(spectrum) if self.is_bent else spectrum.copy()
+        kept.flags.writeable = False
+        self._kept = kept
+
+    def _take(self, field, kept):
+        """Keep, as it is, what a checked spectrum in parts hands over: the
+        packed sign bits of a bent S, or an int32 copy of any other S."""
+        self.field = field
+        if kept.dtype == np.uint8:
+            amp = 1 << (field.n // 2)
+            self.classification = Classification("bent", amp, (amp,))
+        else:
+            self.classification = classify(kept, field.n)
         kept.flags.writeable = False
         self._kept = kept
 
@@ -433,10 +597,7 @@ class WalshSpectrum:
         if x is not None:
             bit = int(kept[x >> 3]) >> (7 - (x & 7)) & 1
             return amp - 2 * amp * bit
-        s = _unpack_signs(kept, self.field.size).astype(np.int32)
-        s *= -2 * amp
-        s += amp
-        return s
+        return _bent_values(kept, amp, np.empty(self.field.size, dtype=np.int32))
 
     @property
     def values(self):
@@ -581,17 +742,24 @@ class BooleanFunction:
         Parseval and the inverse-transform round trip are asserted inline
         for every spectrum this package ever computes, in the Hadamard
         index.  The butterfly and the values are int32, exact since
-        |W(a)| <= 2^n <= 2^24.  One `transform_signs` column, whose word is
-        the table and whose signs are [1, -1]; the spectrum is classified
-        and kept, a bent one as its packed sign bits, before the round trip
-        inverts the buffer.  So one int32 array of 2^n entries is held at
-        a time, beside the butterfly's scratch or one gather chunk.
+        |W(a)| <= 2^n <= 2^24.  The spectrum is classified and kept, a bent
+        one as its packed sign bits, before the round trip inverts the
+        buffer it was computed in.
+
+        Up to n = FOLD_FROM, one `transform_signs` column, whose word is the
+        table and whose signs are [1, -1]: one int32 array of 2^n entries
+        is held at a time, beside the butterfly's scratch or one gather
+        chunk.  Above it, the top k = min(FOLD_LEVELS, n - FOLD_FROM)
+        butterfly levels are folded into the sign table (`_fold`), and the
+        2^k parts of S, 2^(n-k) entries each, are transformed, checked and
+        kept one at a time in one part-sized buffer.
         """
         if self._walsh is None:
             spectrum = WalshSpectrum.__new__(WalshSpectrum)
-            tab = np.array([[1], [-1]], dtype=np.int32)  # (-1)^f by the bit f
-            keep = partial(spectrum._own, self.field)
-            transform_signs(np.empty(self.field.size, np.int32), self.table, tab, self.field, keep)
+            k = min(FOLD_LEVELS, max(0, self.n - FOLD_FROM))
+            word, tab = _fold(self.table, k)
+            keep = partial(spectrum._take if k else spectrum._own, self.field)
+            transform_signs(np.empty(len(word), np.int32), word, tab, self.field, keep)
             self._walsh = spectrum
         return self._walsh
 
@@ -637,6 +805,27 @@ class BooleanFunction:
             if hit.size:
                 degree = max(degree, k + int(hit.max()))
         return degree
+
+
+def _fold(table, k):
+    """The word and sign table of a truth table's top k butterfly levels.
+
+    By H_(2^n) = H_(2^k) (x) H_(2^(n-k)), part q of S = fwht((-1)^f), the
+    Hadamard indices q 2^(n-k) to (q+1) 2^(n-k) - 1, is the transform of
+    the column x -> sum_p (-1)^popcount(p & q) (-1)^f(p 2^(n-k) + x).
+    That column depends on x only through the uint8 word[x] = sum_p
+    f(p 2^(n-k) + x) << p, as tab[word[x], q] with tab[w, q] = sum_p
+    (-1)^popcount(p & q) (1 - 2 bit_p(w)), an int32 table of 2^(2^k)
+    rows and 2^k columns.  At k = 0 the word is the table itself and tab
+    is [[1], [-1]].
+    """
+    parts = 1 << k
+    length = len(table) >> k
+    word = table[:length].copy() if k else table
+    for p in range(1, parts):
+        word |= table[p * length : (p + 1) * length] << p
+    signs = 1 - 2 * ((np.arange(1 << parts)[:, None] >> np.arange(parts)) & 1)
+    return word, (signs @ sign_table(np.arange(parts), np.arange(parts))).astype(np.int32)
 
 
 def _distinct(a):

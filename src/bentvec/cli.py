@@ -230,22 +230,28 @@ def _classify_components(F):
 
 
 def cmd_verify(args):
+    """Print the report of a BF or VF file, once every line of it is built,
+    so that a failed check leaves stdout empty."""
     obj = fileio.read_any(args.file, modulus=args.field_modulus)
     if isinstance(obj, BooleanFunction):
         spectrum = obj.walsh()
-        print(f"BF n={obj.n} field={obj.field.modulus:x}")
-        print(f"class: {spectrum.classification}")
-        print(f"degree: {obj.degree()}")
-        print(f"weight: {obj.weight()} (balanced: {obj.is_balanced()})")
+        lines = [
+            f"BF n={obj.n} field={obj.field.modulus:x}",
+            f"class: {spectrum.classification}",
+            f"degree: {obj.degree()}",
+            f"weight: {obj.weight()} (balanced: {obj.is_balanced()})",
+        ]
         absv, counts = spectrum.abs_counts()
-        print(
+        lines.append(
             "spectrum |W| counts: "
             + ", ".join(f"{v}: {c}" for v, c in zip(absv.tolist(), counts.tolist()))
         )
-        return 0
-    print(f"VF n={obj.n} m={obj.m} t={obj.t} field={obj.field.modulus:x}")
-    for line in _classify_components(obj):
-        print(line)
+    else:
+        lines = [
+            f"VF n={obj.n} m={obj.m} t={obj.t} field={obj.field.modulus:x}",
+            *_classify_components(obj),
+        ]
+    print("\n".join(lines))
     return 0
 
 

@@ -37,8 +37,9 @@ from the first character of its line, blanks included.
 
 Header values are ASCII decimal digits (hex for `field`); anything else,
 or a key given twice, is a parse error at that field's column.  So are a
-VF header's m that does not divide n and m + t above 32, before the body
-is read.
+header modulus that makes no field, of the wrong degree or not
+irreducible, and a VF header's m that does not divide n and m + t above
+32, before the body is read.
 
 The field model is built from the header modulus, or a reader's `modulus`
 override: the shipped generator when the modulus matches the built-in
@@ -56,7 +57,7 @@ import numpy as np
 
 from .boolfun import BooleanFunction
 from .errors import FieldError, ParseError
-from .gf2n import MAX_N, PRIMITIVE_POLYNOMIALS, FieldSpec, _check_degree
+from .gf2n import MAX_N, PRIMITIVE_POLYNOMIALS, FieldSpec
 from .vectorial import VectorialFunction, _check_dimensions
 
 
@@ -68,13 +69,20 @@ def field_from_modulus(n, modulus):
 
 
 def atomic_write_text(path, text):
-    """Write text to path atomically (same-directory temp + rename)."""
+    """Write text to path atomically (same-directory temp + rename).
+
+    A failed rename names the destination alone: the temp file's name is
+    random, and the file is removed before the error propagates.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bentvec-")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -192,18 +200,18 @@ def parse_header(line, expected_tag, keys):
 def _header_field(header, columns, modulus):
     """The field model of a parsed header, or of a reader's modulus override.
 
-    A header modulus of the wrong degree is a parse error at its column.
+    A header modulus that makes no field, of the wrong degree or not
+    irreducible, is a parse error at its column.
     """
     n = header["n"]
     if not 1 <= n <= MAX_N:
         raise ParseError(f"n={n} out of range", line=1, column=1)
-    if modulus is None:
-        modulus = header["field"]
-        try:
-            _check_degree(n, modulus)
-        except FieldError as exc:
-            raise ParseError(str(exc), line=1, column=columns["field"]) from None
-    return field_from_modulus(n, modulus)
+    if modulus is not None:
+        return field_from_modulus(n, modulus)
+    try:
+        return field_from_modulus(n, header["field"])
+    except FieldError as exc:
+        raise ParseError(str(exc), line=1, column=columns["field"]) from None
 
 
 def bf_from_text(text, modulus=None):

@@ -291,6 +291,23 @@ def test_verify_override_checks_header_n_first(tmp_path, capsys):
     assert "line 1, col 1" in capsys.readouterr().err
 
 
+def test_verify_locates_a_header_modulus_that_is_not_irreducible(tmp_path, capsys):
+    # x^4 + x^2 + 1 has degree 4 but is (x^2 + x + 1)^2
+    files = [("BF n=4 field=15\n0000\n", 8), ("VF n=2 m=1 t=0 field=5\n0\n1\n1\n0\n", 16)]
+    for text, column in files:
+        bad = tmp_path / "bad"
+        bad.write_text(text)
+        assert run(["verify", str(bad)]) == 1
+        modulus = text.split("field=")[1].split()[0]
+        assert capsys.readouterr().err == (
+            f"parse error: modulus 0x{modulus} is not irreducible at line 1, col {column}\n"
+        )
+    # an override is no position in the file: the field model's own error
+    bad.write_text("BF n=4 field=13\n0000\n")
+    assert run(["verify", str(bad), "--field-modulus", "15"]) == 2
+    assert capsys.readouterr().err == "error: modulus 0x15 is not irreducible\n"
+
+
 def test_propp_affine_holds(tmp_path, capsys):
     path = tmp_path / "affine.bf"
     write_bf(path, BooleanFunction(F16, F16.linear_form_table(7)))
@@ -707,21 +724,23 @@ def test_verification_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch)
     degree = BooleanFunction.degree
     monkeypatch.setattr(BooleanFunction, "degree", lambda self: degree(self) + 1)
     assert run(["verify", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err == (
+    captured = capsys.readouterr()
+    assert captured.err == (
         "verification mismatch: component degree 2 (first reached by component "
         "(1, 0)) != coordinate degree 3 (first reached by coordinate 0)\n"
     )
+    # no part of the report is printed before the check fails
+    assert captured.out == ""
 
 
 def test_construct_onto_a_directory_leaves_no_temp_file(tmp_path, capsys):
     # the temp file is made beside the target, and the rename onto a
-    # directory fails: exit 1, one line, and the temp file is removed
+    # directory fails: exit 1, one line naming the target alone, and the
+    # temp file is removed
     target = tmp_path / "out"
     target.mkdir()
     assert run(KASAMI_N6 + [str(target)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: [Errno 21] ") and err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{target}'\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
     assert list(target.iterdir()) == []
 

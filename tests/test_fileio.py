@@ -465,6 +465,9 @@ def test_header_modulus_of_wrong_degree_is_a_parse_error(text, column):
         # n = 24 is in range, so the next header check is the one that fails
         ("BF n=24 field=13", "modulus 0x13 does not have degree 24", 9),
         ("VF n=24 m=5 t=0 field=1000087", "output dimension 5 must divide n=24", 9),
+        # x^4 + x^2 + 1 = (x^2 + x + 1)^2 has degree 4 but makes no field
+        ("BF n=4 field=15", "modulus 0x15 is not irreducible", 8),
+        ("VF n=4 m=2 t=0 field=15", "modulus 0x15 is not irreducible", 16),
         ("BF n=4 field=13 junk", "malformed header field 'junk'", 17),
         ("VF n=4 m=2 junk t=0 field=13", "malformed header field 'junk'", 12),
     ],

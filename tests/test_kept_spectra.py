@@ -208,17 +208,20 @@ def _traced(call):
         tracemalloc.stop()
 
 
-def test_bent_walsh_at_n20_holds_one_column_and_keeps_its_bits():
+def test_bent_walsh_at_n20_holds_one_part_and_keeps_its_bits():
+    # folded into 2^2 parts of 2^18 entries, transformed one at a time in
+    # one int32 buffer beside the uint8 word that gathers their signs
     n = 20
     field = FieldSpec.default(n)
-    column = 4 << n
+    length = 1 << (n - 2)
+    part = 4 * length
     slack = 3 * 4 * PASS_BUFSIZE + 16384  # as in test_butterflies
     f = BooleanFunction(field, maiorana_mcfarland(n))
     tile_scratch = 3 * 4 * boolfun.TILE_ENTRIES // 2
     chunk = (8 + 4) * boolfun.GATHER_ENTRIES
     bits = (1 << n) // 8
     held, peak = _traced(f.walsh)
-    assert peak <= column + tile_scratch + chunk + bits + slack
+    assert peak <= part + length + tile_scratch + chunk + bits + slack
     assert held <= bits + slack
     assert f.is_bent()
 
