@@ -41,6 +41,8 @@ CONSTRUCTS = {
     "gold8": ["--family", "gold", "--n", "8", "--tau", "2", "--poly", "X1*X2", "--auto-u"],
     "kasami6": ["--family", "kasami", "--n", "6", "--tau", "3", "--poly", "X1*X2*X3",
                 "--auto-u"],
+    "niho12": ["--family", "niho", "--n", "12", "--r", "5", "--tau", "2", "--poly", "X1*X2",
+               "--t", "1", "--auto-u"],
 }
 
 
