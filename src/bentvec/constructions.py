@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .boolfun import BooleanFunction, Classification, bent_or_raise, sigma_of
+from .boolfun import BooleanFunction, Classification, _unpack_signs, bent_or_raise, sigma_of
 from .errors import PreconditionError, VerificationError
-from .gf2n import prime_factors, f2_is_independent
-from .propp import _same_field, satisfies_p, satisfies_p_planes
+from .gf2n import _walsh_permutation, prime_factors, f2_is_independent
+from .propp import _same_field, satisfies_p, satisfies_p_packed
 from .redpoly import DefiningSet
 from .vectorial import (
     BentnessCheck,
@@ -222,10 +222,11 @@ def _trace_one_lambdas(field, m):
 
 def _require_p_tau_for(G, defining, lambdas, others=()):
     """Gate (P_tau) on the `lambdas` duals and return the checks of the
-    `others` duals.  All of them are tested in one packed pass."""
+    `others` duals.  All of them are tested in one packed pass, on the
+    bits G keeps in the Hadamard index."""
     _same_field(G, defining)
-    lams = (*lambdas, *others)
-    checks = satisfies_p_planes(G.dual_planes(lams), defining, len(lams))
+    kept = [G.packed_dual(lam) for lam in (*lambdas, *others)]
+    checks = satisfies_p_packed(kept, defining, _walsh_permutation(G.field))
     for lam, check in zip(lambdas, checks):
         if not check.holds:
             raise PreconditionError(
@@ -245,9 +246,11 @@ def _p_tau_all_lambdas(G, defining, lambdas):
 
 
 def _require_pure_vectorial_bent(G):
-    """The gate both lifts put on G: pure, and vectorial bent."""
+    """The gate both lifts put on G: pure, and vectorial bent.  G's duals
+    are read by the (P_tau) gates, so its profile keeps them."""
     if G.t:
         raise PreconditionError("lift expects a pure (n,m)-function")
+    G.keep_duals()
     pre = G.is_vectorial_bent()
     if not pre.ok:
         raise PreconditionError(
@@ -464,18 +467,104 @@ def _lift_degree(poly, u_values):
     return d if d >= 2 and f2_is_independent(u_values[: poly.tau]) else None
 
 
+# the dual checks compare DUAL_BLOCK lambdas at a time over
+# CHECK_ENTRIES / DUAL_BLOCK points: a chunk holds the predicted bits and
+# their temporaries, one byte per entry for kasami's parity of a word of
+# at most 8 bits, four above, and eight for the int64 products of niho's
+# and gold's scaling (2 MB each)
+DUAL_BLOCK = 64
+CHECK_ENTRIES = 1 << 18
+
+
+class _ClosedForm(NamedTuple):
+    """A family's closed-form component duals, evaluated a block at a time.
+
+    param(lam) checks what the formula asks of lambda, raising as the
+    formula does, and returns lambda's parameter; bits(params, xs) is the
+    uint8 matrix of predicted dual bits, a row per parameter and a column
+    per field point of the int64 array xs.
+    """
+
+    param: Callable
+    bits: Callable
+
+
+def _component_bits(G, plus=0):
+    """bits(masks, xs) of the components of G with those selector masks,
+    plus the constant `plus`."""
+    # np.bitwise_count is fastest on bytes
+    unit = np.uint8 if G.out_bits <= 8 else np.uint32
+
+    def bits(masks, xs):
+        parity = np.bitwise_count(G.word[xs].astype(unit) & np.array(masks, dtype=unit)[:, None])
+        parity &= 1
+        parity ^= plus
+        return parity
+
+    return bits
+
+
+def _scaled_bits(f):
+    """bits(factors, xs) of x -> f(c x), one row per factor c."""
+
+    def bits(factors, xs):
+        return f.table[f.field.mul_elems(xs, np.array(factors, dtype=np.int64)[:, None])]
+
+    return bits
+
+
+def _dual_mismatches(G, lams, params, bits):
+    """The least field x at which G's kept dual of lams[c] and the closed
+    form bits(params[c]) differ, for every c where they differ.
+
+    The closed forms are evaluated at the field points of a chunk of the
+    Hadamard index, packed, and compared with the kept bits of DUAL_BLOCK
+    lambdas at a time.  Only a dual that differs is reindexed, to find x.
+    """
+    field = G.field
+    size = field.size
+    perm = _walsh_permutation(field)
+    points = np.empty_like(perm)  # the field point of each Hadamard index
+    points[perm] = np.arange(size)
+    kept = [G.packed_dual(lam) for lam in lams]
+    step = min(size, max(8, CHECK_ENTRIES // DUAL_BLOCK))
+    differ = []
+    for c0 in range(0, len(lams), DUAL_BLOCK):
+        block = slice(c0, c0 + DUAL_BLOCK)
+        for h in range(0, size, step):
+            predicted = np.packbits(bits(params[block], points[h : h + step]), axis=1)
+            spectral = np.stack([row[h // 8 : (h + step) // 8] for row in kept[block]])
+            differ.extend((c0 + np.flatnonzero((predicted != spectral).any(axis=1))).tolist())
+    every = np.arange(size)
+    witnesses = {}
+    for c in sorted(set(differ)):
+        spectral = _unpack_signs(kept[c], size)[perm]
+        witnesses[c] = int(np.argmax(bits(params[c : c + 1], every)[0] != spectral))
+    return witnesses
+
+
 def _component_dual_check(G, closed_form):
-    """Compare closed-form duals with spectrum duals for every selector."""
-    failures = []
-    classes = []
-    for (lam, _), cls, _ in G.profile():
-        verified = G.dual(lam)
-        predicted = closed_form(lam)
-        match = verified == predicted
-        classes.append((lam, str(cls), match))
-        if not match:
-            failures.append(lam)
-    return tuple(failures), tuple(classes)
+    """Compare closed-form duals with spectrum duals for every selector.
+
+    Lambda by lambda, in order, the spectrum dual must be kept (a
+    component that is not bent raises NotBentError) and the closed form's
+    parameter computed (raising as the formula does); then the duals are
+    compared in blocks.  A failure is (lambda, the least field point at
+    which the two duals differ).
+    """
+    G.keep_duals()
+    rows = G.profile()
+    lams, params = [], []
+    for (lam, _), _, _ in rows:
+        G.packed_dual(lam)
+        lams.append(lam)
+        params.append(closed_form.param(lam))
+    witnesses = _dual_mismatches(G, lams, params, closed_form.bits)
+    failures = tuple((lams[c], x) for c, x in witnesses.items())
+    classes = tuple(
+        (lam, str(cls), c not in witnesses) for c, ((lam, _), cls, _) in enumerate(rows)
+    )
+    return failures, classes
 
 
 def _run_family(
@@ -521,8 +610,9 @@ def _run_family(
 
     if self_dual_selector is not None:
         report.self_dual_selector = self_dual_selector
-        report.self_dual_ok = (
-            G.dual(self_dual_selector) == G.component(self_dual_selector)
+        mask = G._mask(self_dual_selector)
+        report.self_dual_ok = not _dual_mismatches(
+            G, [self_dual_selector], [mask], _component_bits(G)
         )
 
     lift = vec_bent_lift(G, defining, poly)
@@ -584,10 +674,8 @@ def kasami_family(field, u_values, poly, tail_polys=(), seed=None):
     u_values = [field.check(u) for u in u_values]
     _check_conjugate_condition(field, u_values, k)
     G = VectorialFunction.from_univariate(field, k, [(1, (1 << k) + 1)])
-
-    def closed_form(lam):
-        # Tr^k_1(lambda^-1 x^(2^k+1)) is the component lambda^-1 of G
-        return G.component(field.inverse(lam)).complement()
+    # Tr^k_1(lambda^-1 x^(2^k+1)) is the component lambda^-1 of G
+    closed_form = _ClosedForm(lambda lam: G._mask(field.inverse(lam)), _component_bits(G, 1))
 
     return _run_family(
         "kasami",
@@ -649,11 +737,13 @@ def niho_family(field, r, u_values, poly, tail_polys=(), seed=None):
     u = next(x for x in range(field.size) if field.trace(x, k) == 1)  # u + ubar = 1
     g1_dual = _niho_dual_one(field, r, k, s, u)
 
-    def closed_form(lam):
+    def delta_inverse(lam):
         delta = field.pow(lam, d_t_inv)
         if field.pow(delta, 1 << k) != delta:
             raise VerificationError(f"delta = {delta:#x} left F_(2^{k})")
-        return g1_dual.scale_input(field.inverse(delta))
+        return field.inverse(delta)
+
+    closed_form = _ClosedForm(delta_inverse, _scaled_bits(g1_dual))
 
     d = poly.degree()
     degree_predicted = k if (d == k and G.degree() != k) else None
@@ -740,12 +830,14 @@ def gold_family(field, u_values, poly, tail_polys=(), seed=None):
         raise VerificationError("Tr^k_1(lambda_0) != 1")
     comp0 = G.component(lam0)
 
-    def closed_form(lam):
+    def delta_inverse(lam):
         target = field.mul(lam, field.inverse(lam0))
         delta = field.pow(target, 1 << (k - 1))  # square root inside F_{2^k}
         if field.pow(delta, (1 << k) + 1) != target:
             raise VerificationError("delta^(2^k+1) != lambda lambda_0^-1")
-        return comp0.scale_input(field.inverse(delta))
+        return field.inverse(delta)
+
+    closed_form = _ClosedForm(delta_inverse, _scaled_bits(comp0))
 
     return _run_family(
         "gold",

@@ -34,38 +34,87 @@ class ShiftCheck(NamedTuple):
     witness: int | None              # failing x
 
 
+# satisfies_p_packed tests P_TAU_BYTES bytes of packed functions at a
+# time; a chunk holds its functions, one first and one second derivative
+# and the temporary of a shift, 1 MB in all
+P_TAU_BYTES = 1 << 18
+
+
 def satisfies_p(g: BooleanFunction, defining: DefiningSet) -> PropertyCheck:
     """Check D_{u_i} D_{u_j} g = 0 for all pairs of the defining set."""
     _same_field(g, defining)
-    return satisfies_p_planes(g.table[:, None], defining, 1)[0]
+    return satisfies_p_packed([np.packbits(g.table)], defining)[0]
 
 
-def satisfies_p_planes(planes, defining: DefiningSet, count):
-    """satisfies_p for `count` functions at once, one PropertyCheck each.
+def satisfies_p_packed(bits, defining: DefiningSet, order=None):
+    """satisfies_p for many functions at once, one PropertyCheck each.
 
-    `planes` is a (2^n, w) uint8 bit-plane matrix: function c is bit c % 8
-    of column c // 8.  One second derivative per pair tests every plane.
+    bits[c] is function c packed as np.packbits packs a truth table, point
+    y at bit 7 - y % 8 of byte y // 8, where y = order[x] for the field
+    element x, or x itself when `order` is None.  order must be F2-linear,
+    as the Walsh permutation is: then g(x) = bits(order[x]) has
+    D_u D_w g = 0 exactly when D_{order[u]} D_{order[w]} vanishes on the
+    bits, so the pairs are tested on the packed bits themselves, with the
+    defining set mapped through order, P_TAU_BYTES of functions at a time.
     Each function's witness is its first failing pair in `combinations`
-    order, then the least x, as if it were checked alone.
+    order, then the least x, as if it were checked alone in field order:
+    only that pair's derivative of that function is reindexed.
     """
-    us = defining.elements
-    idx = np.arange(planes.shape[0])
-    checks = [PropertyCheck(True, None, None)] * count
-    pending = np.ones(count, dtype=bool)
-    for i, j in combinations(range(len(us)), 2):
-        dd = _second_derivative(planes, idx, us[i], us[j])
-        if not dd.any():
-            continue
-        hit = np.bitwise_or.reduce(dd, axis=0)
-        new = np.unpackbits(hit, count=count, bitorder="little").astype(bool)
-        new &= pending
-        for c in np.flatnonzero(new):
-            x = np.flatnonzero((dd[:, c >> 3] >> (c & 7)) & 1)[0]
-            checks[c] = PropertyCheck(False, (i + 1, j + 1), int(x))
-        pending &= ~new
-        if not pending.any():
-            break
+    us = [int(u) if order is None else int(order[u]) for u in defining.elements]
+    size = defining.field.size
+    checks = [PropertyCheck(True, None, None)] * len(bits)
+    if len(us) < 2:
+        return checks
+    rows = max(1, P_TAU_BYTES // len(bits[0]))
+    for start in range(0, len(bits), rows):
+        block = np.stack(bits[start : start + rows])
+        pending = np.ones(len(block), dtype=bool)
+        for i in range(len(us) - 1):
+            first = _shifted(block, us[i])
+            first ^= block
+            for j in range(i + 1, len(us)):
+                second = _shifted(first, us[j])
+                second ^= first
+                new = pending & second.any(axis=1)
+                for c in np.flatnonzero(new):
+                    marks = np.unpackbits(second[c], count=size)
+                    x = int(np.argmax(marks if order is None else marks[order]))
+                    checks[start + c] = PropertyCheck(False, (i + 1, j + 1), x)
+                pending &= ~new
+                if not pending.any():
+                    break
+            if not pending.any():
+                break
     return checks
+
+
+def _shifted(rows, a):
+    """A copy of packed rows with the bit of every point y moved to y ^ a.
+
+    The rows are read as uint64 words when whole ones fit, else as bytes;
+    a word holds 2^w points.  The word index is XORed with a >> w by one
+    gather, and the bit p of a point within its word, whose low three
+    bits are 7 - y % 8 and whose high ones the byte's place, with
+    a mod 2^w by one swap of bit blocks per set bit: XORing y with 2^k
+    XORs p with 2^k, on either byte order.
+    """
+    unit = np.uint64 if rows.shape[1] % 8 == 0 else np.uint8
+    words = rows.view(unit)
+    w = 8 * words.itemsize
+    high = a // w
+    out = words.take(np.arange(words.shape[1]) ^ high, axis=1) if high else words.copy()
+    low = np.empty_like(out)
+    for k in range(w.bit_length() - 1):
+        if a >> k & 1:
+            # the low 2^k bits of every block of 2^(k+1)
+            mask = unit(sum(((1 << (1 << k)) - 1) << b for b in range(0, w, 2 << k)))
+            shift = unit(1 << k)
+            np.bitwise_and(out, mask, out=low)
+            out >>= shift
+            out &= mask
+            low <<= shift
+            out |= low
+    return out.view(np.uint8)
 
 
 def span_closure(g: BooleanFunction, defining: DefiningSet) -> bool:

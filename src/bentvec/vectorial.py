@@ -140,7 +140,8 @@ class VectorialFunction:
         self.word = word
         self._parent = None
         self._profile = None
-        self._dual_bits = None  # lambda -> packed dual, filled by profile()
+        # lambda -> packed dual, filled by profile() once keep_duals() asks
+        self._dual_bits = None
 
     @property
     def n(self):
@@ -225,6 +226,11 @@ class VectorialFunction:
 
     def component(self, lam, v=0):
         """Truth table of Tr^m_1(lambda F(x)) + <v, extra bits>."""
+        return BooleanFunction(self.field, np.bitwise_count(self.word & self._mask(lam, v)) & 1)
+
+    def _mask(self, lam, v=0):
+        """uint32 selector mask of the component (lambda, v); refuses a
+        selector that names no component."""
         lam = self.field.check(lam)
         combos, masks = _basis_tables(self.field, self.m)
         rank = np.flatnonzero(combos == lam)
@@ -234,41 +240,52 @@ class VectorialFunction:
             raise FieldError(f"extra-bit selector {v:#x} out of range")
         if lam == 0 and v == 0:
             raise FieldError("zero selector does not name a component")
-        mask = masks[rank[0]] | np.uint32(v << self.m)
-        table = np.bitwise_count(self.word & mask) & 1
-        return BooleanFunction(self.field, table)
+        return masks[rank[0]] | np.uint32(v << self.m)
 
     def components(self):
         for lam, v in self.selectors():
             yield (lam, v), self.component(lam, v)
 
     def dual(self, lam):
-        """Dual of the bent component (lambda, 0), unpacked from profile().
+        """Dual of the bent component (lambda, 0), in field order.
+
+        The kept bits of `packed_dual`, reindexed, once keep_duals() has
+        asked for them; otherwise the lone component's dual.  Raises
+        NotBentError, as BooleanFunction.dual does, when that component is
+        not bent.
+        """
+        if self._dual_bits is None:
+            return self.component(lam).dual()
+        signs = _unpack_signs(self.packed_dual(lam), self.field.size)
+        return BooleanFunction(self.field, _field_order(signs, self.field))
+
+    def keep_duals(self):
+        """Have profile() keep the dual of every bent (lambda, 0) component.
+
+        Only a function whose duals are read asks for them; `verify` keeps
+        none.  A profile already computed without them is computed again.
+        """
+        if self._dual_bits is None:
+            self._dual_bits = {}
+            self._profile = None
+
+    def packed_dual(self, lam):
+        """The kept dual of the bent component (lambda, 0), 2^n / 8 read-only
+        bytes in the Hadamard index: the dual at field element x is bit
+        7 - h % 8 of byte h // 8, h = perm[x], as np.packbits packs it.
 
         Raises NotBentError, as BooleanFunction.dual does, when that
         component is not bent.
         """
-        return BooleanFunction(self.field, self.dual_planes([lam])[:, 0])
-
-    def dual_planes(self, lams):
-        """(2^n, ceil(k/8)) uint8 bit-planes of the k duals of `lams`.
-
-        The dual of lams[c] is bit c % 8 of column c // 8, the layout
-        propp.satisfies_p_planes reads.  profile() keeps each dual packed
-        in the Hadamard index; the planes are reindexed by field element.
-        """
+        self.keep_duals()
         self.profile()
-        size = self.field.size
-        planes = np.zeros((size, -(-len(lams) // 8)), dtype=np.uint8)
-        for c, lam in enumerate(lams):
-            bits = self._dual_bits.get(int(lam))
-            if bits is None:
-                # not a bent (lambda, 0) component, or not a selector: the
-                # lone function's path raises the same error
-                self.component(lam).dual()
-                raise VerificationError(f"profile kept no dual for bent {lam:#x}")
-            planes[:, c // 8] |= _unpack_signs(bits, size) << (c % 8)
-        return _field_order(planes, self.field)
+        bits = self._dual_bits.get(int(lam))
+        if bits is None:
+            # not a bent (lambda, 0) component, or not a selector: the lone
+            # function's path raises the same error
+            self.component(lam).dual()
+            raise VerificationError(f"profile kept no dual for bent {lam:#x}")
+        return bits
 
     def profile(self):
         """Cached ((lambda, v), Classification, degree) per selector, in order.
@@ -285,16 +302,17 @@ class VectorialFunction:
         allocated once per call for the widest block, transformed at once
         along axis 0 and checked column by column (Parseval, parity, round
         trip), all in the Hadamard index, the round trip last, once the
-        spectra are read.  The dual of each bent (lambda, 0) column is kept
-        packed in that index, one bit per point, and reindexed when asked
-        for.  Degrees use the linearity of the ANF: one Möbius transform of
+        spectra are read.  Once keep_duals() asks, the dual of each bent
+        (lambda, 0) column is kept packed in that index, one bit per point.
+        Degrees use the linearity of the ANF: one Möbius transform of
         the word packs the coordinate ANFs, and a component's ANF is
         parity(anf_word & mask).  No truth table, sign or spectrum is kept.
         """
         if self._profile is None:
             sels = list(self.selectors())
             masks = self._selector_masks()
-            rows, duals = self._inherited_rows(sels, masks)
+            duals = None if self._dual_bits is None else {}
+            rows = self._inherited_rows(sels, masks, duals)
             todo = [i for i, row in enumerate(rows) if row is None]
             if todo:
                 self._transform_rows(sels, masks, todo, rows, duals)
@@ -303,30 +321,36 @@ class VectorialFunction:
             self._parent = None
         return self._profile
 
-    def _inherited_rows(self, sels, masks):
-        """The parent's row and packed dual wherever (lambda, v) has equal tables.
+    def _inherited_rows(self, sels, masks, duals):
+        """The parent's row wherever (lambda, v) has equal tables, and its
+        packed dual into `duals` when that is a dict.
 
         Both functions share the selector masks of the parent's t, and
         their components (lambda, v) agree exactly when
         parity((word ^ parent word) & mask) is 0 at every x.  That parity
         depends on x only through the difference, so it is tested on the
-        difference's distinct values.
+        difference's distinct values.  A bent (lambda, 0) row whose dual
+        is to be kept, and which the parent kept no dual for, is left to
+        be transformed.
         """
         rows = [None] * len(sels)
-        duals = {}
         parent = self._parent
         if parent is None or parent._profile is None:
-            return rows, duals
+            return rows
         parent_rows = {row[0]: row for row in parent._profile}
         shared = [i for i, sel in enumerate(sels) if sel in parent_rows]
         low = np.uint32((1 << (self.m + parent.t)) - 1)
         diff = _distinct((self.word ^ parent.word) & low)
+        kept = parent._dual_bits or {}
         for i in compress(shared, (sign_table(diff, masks[shared]) > 0).all(axis=0)):
             lam, v = sels[i]
-            rows[i] = parent_rows[lam, v]
-            if v == 0 and lam in parent._dual_bits:
-                duals[lam] = parent._dual_bits[lam]
-        return rows, duals
+            row = parent_rows[lam, v]
+            if duals is not None and v == 0 and row[1].kind == "bent":
+                if lam not in kept:
+                    continue
+                duals[lam] = kept[lam]
+            rows[i] = row
+        return rows
 
     def _sign_index(self):
         """The word as an index into the rows of a sign table, and their values.
@@ -341,7 +365,8 @@ class VectorialFunction:
         return np.searchsorted(values, self.word).astype(np.uint32), values
 
     def _transform_rows(self, sels, masks, todo, rows, duals):
-        """Fill rows[i] for i in `todo` from blocked, checked transforms."""
+        """Fill rows[i] for i in `todo` from blocked, checked transforms,
+        and `duals`, when it is a dict, with the packed bent duals."""
         n = self.n
         size = self.field.size
         mono_deg, mono_word = _monomial_keys(self.word)
@@ -350,7 +375,8 @@ class VectorialFunction:
         spectra = np.empty(size * min(cols, len(todo)), dtype=np.int32)
         # one buffer holds the packed duals: many small arrays fragmented
         # the heap enough to raise verify's peak RSS
-        slot = {i: r for r, i in enumerate(i for i in todo if sels[i][1] == 0)}
+        keep = [] if duals is None else [i for i in todo if sels[i][1] == 0]
+        slot = {i: r for r, i in enumerate(keep)}
         store = np.empty((len(slot), -(-size // 8)), dtype=np.uint8)
         for start in range(0, len(todo), cols):
             index = todo[start : start + cols]
@@ -364,8 +390,10 @@ class VectorialFunction:
                 for j, (i, sel) in enumerate(zip(index, names)):
                     cls = classify(spectra_block[:, j], n)
                     rows[i] = (sel, cls, int(degrees[j]))
-                    if sel[1] == 0 and cls.kind == "bent":
-                        duals[sel[0]] = _pack_signs(spectra_block[:, j], store[slot[i]])
+                    if i in slot and cls.kind == "bent":
+                        bits = _pack_signs(spectra_block[:, j], store[slot[i]])
+                        bits.flags.writeable = False
+                        duals[sel[0]] = bits
 
             # a contiguous prefix, so that a last, narrower block is one too
             buffer = spectra[: size * len(index)].reshape(size, len(index))

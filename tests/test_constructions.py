@@ -27,7 +27,7 @@ from bentvec import (
 )
 from bentvec.constructions import _tail_profile, _trace_one_lambdas
 from bentvec.errors import FieldError, PreconditionError, VerificationError
-from bentvec.propp import satisfies_p_planes
+from bentvec.propp import satisfies_p_packed
 from oracles import naive_tail_profile
 
 F16 = FieldSpec.default(4)
@@ -417,14 +417,14 @@ def test_vec_plateaued_lift_one_p_tau_pass(monkeypatch):
         vec_plateaued_lift(G, bad, polys)
     assert str(lift.value) == str(gate.value)
     # one dual check per nonzero selector, gate included: one packed pass
-    # with one column per dual
+    # with one row per dual
     calls = []
 
-    def counting(planes, defining, count):
-        calls.append(count)
-        return satisfies_p_planes(planes, defining, count)
+    def counting(bits, defining, order):
+        calls.append(len(bits))
+        return satisfies_p_packed(bits, defining, order)
 
-    monkeypatch.setattr(constructions, "satisfies_p_planes", counting)
+    monkeypatch.setattr(constructions, "satisfies_p_packed", counting)
     ds = DefiningSet(F16, tuple(kasami_auto_u(F16)))
     assert vec_plateaued_lift(G, ds, polys).p_tau_all
     assert calls == [3]

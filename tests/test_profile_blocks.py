@@ -41,6 +41,7 @@ def _profiled(F, monkeypatch):
         return fwht(values)
 
     monkeypatch.setattr(boolfun, "fwht", counted)
+    F.keep_duals()
     rows = F.profile()
     monkeypatch.setattr(boolfun, "fwht", fwht)
     # each block runs its forward butterfly, then its inverse
@@ -170,9 +171,11 @@ def test_chunked_gathers_give_the_same_profile_and_witness(gold_vf, monkeypatch)
     # 8 columns of 2^16 points, gathered 4 rows at a time: the faulty
     # entry at x = 300 lies in the round trip's 76th chunk
     ref = read_vf(gold_vf)
+    ref.keep_duals()
     ref.profile()
     monkeypatch.setattr(boolfun, "GATHER_ENTRIES", 32)
     F = read_vf(gold_vf)
+    F.keep_duals()
     assert F.profile() == ref.profile()
     for lam, bits in ref._dual_bits.items():
         assert np.array_equal(F._dual_bits[lam], bits)

@@ -1,5 +1,5 @@
 """One spectrum per distinct component: rows copied from a parent, packed
-duals, and (P_tau) checked on every dual at once."""
+duals, and (P_tau) checked on every dual at once, in the Hadamard index."""
 
 import numpy as np
 import pytest
@@ -22,7 +22,8 @@ from bentvec import (
 )
 from bentvec.constructions import _p_tau_all_lambdas, _require_p_tau_for
 from bentvec.errors import PreconditionError
-from bentvec.propp import satisfies_p_planes
+from bentvec.gf2n import _walsh_permutation
+from bentvec.propp import satisfies_p_packed
 from oracles import naive_p_tau
 
 
@@ -99,14 +100,40 @@ def test_dual_keeps_the_lone_function_errors():
         assert str(read.value) == str(direct.value)
 
 
-def test_dual_planes_layout():
+def test_packed_dual_layout():
     field = FieldSpec.default(6)
     G = VectorialFunction.from_univariate(field, 3, [(1, 9)])
-    lams = [lam for lam, _ in G.selectors()][::-1]
-    planes = G.dual_planes(lams)
-    assert planes.shape == (64, 1) and planes.dtype == np.uint8
-    for c, lam in enumerate(lams):
-        assert np.array_equal((planes[:, c // 8] >> (c % 8)) & 1, G.dual(lam).table)
+    perm = _walsh_permutation(field)
+    for lam, _ in G.selectors():
+        bits = G.packed_dual(lam)
+        assert bits.shape == (8,) and bits.dtype == np.uint8 and not bits.flags.writeable
+        # the dual at x is bit 7 - h % 8 of byte h // 8, h = perm[x]
+        marks = (bits[perm >> 3] >> (7 - (perm & 7))) & 1
+        assert np.array_equal(marks, G.component(lam).dual().table)
+        assert G.dual(lam) == G.component(lam).dual()
+
+
+def test_only_a_function_whose_duals_are_read_keeps_them():
+    field = FieldSpec.default(6)
+    G = VectorialFunction.from_univariate(field, 3, [(1, 9)])
+    G.profile()
+    assert G._dual_bits is None
+    lam = list(G.selectors())[2][0]
+    assert G.dual(lam) == G.component(lam).dual()  # the lone component's path
+    rows = G.profile()
+    G.keep_duals()  # asked late: profiled again, with the same rows
+    assert G.profile() == rows and len(G._dual_bits) == 7
+    H = G.add_boolean(BooleanFunction.constant(field, 1))
+    H.profile()
+    assert H._dual_bits is None
+    # a child that keeps duals copies its parent's, and transforms a bent
+    # row whose dual its parent did not keep
+    F = VectorialFunction.from_univariate(field, 3, [(1, 9)])
+    F.profile()
+    K = F.add_boolean(BooleanFunction.constant(field, 1))
+    K.keep_duals()
+    for lam, _ in K.selectors():
+        assert K.dual(lam) == K.component(lam).dual()
 
 
 def _planted_tables(data, n, count):
@@ -128,13 +155,17 @@ def _planted_tables(data, n, count):
     return np.array(tables)
 
 
-def _pack_planes(tables):
-    """Bit c % 8 of column c // 8 is table c, built independently."""
-    return np.packbits(tables, axis=0, bitorder="little").T.copy()
+def _pack_rows(tables, field):
+    """Each table packed in the Hadamard index: bit h is table[x], where
+    perm[x] = h, built independently of the package's packing."""
+    perm = _walsh_permutation(field)
+    hadamard = np.empty_like(tables)
+    hadamard[:, perm] = tables
+    return list(np.packbits(hadamard, axis=1))
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(2, 6), count=st.integers(1, 20), data=st.data())
+@given(n=st.integers(1, 6), count=st.integers(1, 20), data=st.data())
 def test_packed_checks_match_the_definition(n, count, data):
     field = FieldSpec.default(n)
     tau = data.draw(st.integers(0, min(5, 1 << n)))
@@ -142,8 +173,12 @@ def test_packed_checks_match_the_definition(n, count, data):
         st.lists(st.integers(0, (1 << n) - 1), min_size=tau, max_size=tau, unique=True)
     )
     tables = _planted_tables(data, n, count)
-    checks = satisfies_p_planes(_pack_planes(tables), DefiningSet(field, us), count)
-    assert [tuple(c) for c in checks] == [naive_p_tau(t, us) for t in tables]
+    want = [naive_p_tau(t, us) for t in tables]
+    defining = DefiningSet(field, us)
+    field_order = satisfies_p_packed(list(np.packbits(tables, axis=1)), defining)
+    assert [tuple(c) for c in field_order] == want
+    hadamard = satisfies_p_packed(_pack_rows(tables, field), defining, _walsh_permutation(field))
+    assert [tuple(c) for c in hadamard] == want
 
 
 class _Duals:
@@ -157,8 +192,8 @@ class _Duals:
     def selectors(self):
         return ((lam, 0) for lam in self.tables)
 
-    def dual_planes(self, lams):
-        return _pack_planes(np.array([self.tables[lam] for lam in lams]))
+    def packed_dual(self, lam):
+        return _pack_rows(self.tables[lam][None, :], self.field)[0]
 
 
 def _loop_gate(duals, defining, lambdas):
