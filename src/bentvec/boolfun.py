@@ -634,12 +634,22 @@ class BooleanFunction:
     __slots__ = ("field", "table", "_walsh")
 
     def __init__(self, field: FieldSpec, table):
-        table = np.asarray(table, dtype=np.uint8)
+        # one copy, made before the checks: the caller keeps its array
+        self._own(field, np.array(table, dtype=np.uint8))
+
+    @classmethod
+    def _adopt(cls, field, table):
+        """A function on `table`, a fresh uint8 array that nothing else
+        holds, taken as it is rather than copied."""
+        f = cls.__new__(cls)
+        f._own(field, table)
+        return f
+
+    def _own(self, field, table):
         if table.shape != (field.size,):
             raise FieldError(f"truth table must have length {field.size}")
-        if np.any(table > 1):
+        if table.max(initial=0) > 1:
             raise FieldError("truth table entries must be bits")
-        table = table.copy()
         table.flags.writeable = False
         self.field = field
         self.table = table

@@ -238,7 +238,7 @@ def bf_from_text(text, modulus=None):
     stray = _NON_BLANK.search(text, begin + len(lines[1]))
     if stray:
         raise _located("unexpected trailing content", text, stray.start())
-    return BooleanFunction(spec, table)
+    return BooleanFunction._adopt(spec, table)
 
 
 def _read_text(path):
