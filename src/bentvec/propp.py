@@ -69,20 +69,18 @@ def satisfies_p_packed(bits, defining: DefiningSet, order=None):
     for start in range(0, len(bits), rows):
         block = np.stack(bits[start : start + rows])
         pending = np.ones(len(block), dtype=bool)
-        for i in range(len(us) - 1):
-            first = _shifted(block, us[i])
-            first ^= block
-            for j in range(i + 1, len(us)):
-                second = _shifted(first, us[j])
-                second ^= first
-                new = pending & second.any(axis=1)
-                for c in np.flatnonzero(new):
-                    marks = np.unpackbits(second[c], count=size)
-                    x = int(np.argmax(marks if order is None else marks[order]))
-                    checks[start + c] = PropertyCheck(False, (i + 1, j + 1), x)
-                pending &= ~new
-                if not pending.any():
-                    break
+        for i, j in combinations(range(len(us)), 2):
+            if j == i + 1:  # D_{u_i} serves every pair (i, j)
+                first = _shifted(block, us[i])
+                first ^= block
+            second = _shifted(first, us[j])
+            second ^= first
+            new = pending & second.any(axis=1)
+            for c in np.flatnonzero(new):
+                marks = np.unpackbits(second[c], count=size)
+                x = int(np.argmax(marks if order is None else marks[order]))
+                checks[start + c] = PropertyCheck(False, (i + 1, j + 1), x)
+            pending &= ~new
             if not pending.any():
                 break
     return checks
@@ -91,25 +89,23 @@ def satisfies_p_packed(bits, defining: DefiningSet, order=None):
 def _shifted(rows, a):
     """A copy of packed rows with the bit of every point y moved to y ^ a.
 
-    The rows are read as uint64 words when whole ones fit, else as bytes;
-    a word holds 2^w points.  The word index is XORed with a >> w by one
-    gather, and the bit p of a point within its word, whose low three
-    bits are 7 - y % 8 and whose high ones the byte's place, with
-    a mod 2^w by one swap of bit blocks per set bit: XORing y with 2^k
-    XORs p with 2^k, on either byte order.
+    The rows are read as words of w = 64 bits when whole ones fit, else of
+    w = 8.  Point y lies in word y // w, at the bit p whose index bits are
+    those of y mod w, some of them complemented (which ones depends on
+    the byte order), so y ^ 2^k for 2^k < w lies at p ^ 2^k.  The words
+    are gathered at index ^ (a // w), and their bits then swapped in
+    blocks of 2^k, once per set bit k of a mod w.
     """
     unit = np.uint64 if rows.shape[1] % 8 == 0 else np.uint8
     words = rows.view(unit)
     w = 8 * words.itemsize
-    high = a // w
-    out = words.take(np.arange(words.shape[1]) ^ high, axis=1) if high else words.copy()
-    low = np.empty_like(out)
+    out = words.take(np.arange(words.shape[1]) ^ (a // w), axis=1) if a >= w else words.copy()
     for k in range(w.bit_length() - 1):
         if a >> k & 1:
             # the low 2^k bits of every block of 2^(k+1)
             mask = unit(sum(((1 << (1 << k)) - 1) << b for b in range(0, w, 2 << k)))
             shift = unit(1 << k)
-            np.bitwise_and(out, mask, out=low)
+            low = out & mask
             out >>= shift
             out &= mask
             low <<= shift

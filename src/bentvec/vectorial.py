@@ -375,7 +375,7 @@ class VectorialFunction:
         spectra = np.empty(size * min(cols, len(todo)), dtype=np.int32)
         # one buffer holds the packed duals: many small arrays fragmented
         # the heap enough to raise verify's peak RSS
-        keep = [] if duals is None else [i for i in todo if sels[i][1] == 0]
+        keep = [i for i in todo if sels[i][1] == 0] if duals is not None else []
         slot = {i: r for r, i in enumerate(keep)}
         store = np.empty((len(slot), -(-size // 8)), dtype=np.uint8)
         for start in range(0, len(todo), cols):
