@@ -513,23 +513,22 @@ def _scaled_bits(f):
     return bits
 
 
-def _dual_mismatches(G, lams, params, bits):
-    """The least field x at which G's kept dual of lams[c] and the closed
-    form bits(params[c]) differ, for every c where they differ.
+def _dual_mismatches(field, kept, params, bits):
+    """The least field x at which the kept dual bits kept[c] (as
+    `VectorialFunction.packed_dual` gives them) and the closed form
+    bits(params[c]) differ, for every c where they differ.
 
     The closed forms are evaluated at the field points of a chunk of the
     Hadamard index, packed, and compared with the kept bits of DUAL_BLOCK
-    lambdas at a time.  Only a dual that differs is reindexed, to find x.
+    duals at a time.  Only a dual that differs is reindexed, to find x.
     """
-    field = G.field
     size = field.size
     perm = _walsh_permutation(field)
     points = np.empty_like(perm)  # the field point of each Hadamard index
     points[perm] = np.arange(size)
-    kept = [G.packed_dual(lam) for lam in lams]
     step = min(size, max(8, CHECK_ENTRIES // DUAL_BLOCK))
     differ = []
-    for c0 in range(0, len(lams), DUAL_BLOCK):
+    for c0 in range(0, len(kept), DUAL_BLOCK):
         block = slice(c0, c0 + DUAL_BLOCK)
         for h in range(0, size, step):
             predicted = np.packbits(bits(params[block], points[h : h + step]), axis=1)
@@ -554,13 +553,12 @@ def _component_dual_check(G, closed_form):
     """
     G.keep_duals()
     rows = G.profile()
-    lams, params = [], []
+    kept, params = [], []
     for (lam, _), _, _ in rows:
-        G.packed_dual(lam)
-        lams.append(lam)
+        kept.append(G.packed_dual(lam))
         params.append(closed_form.param(lam))
-    witnesses = _dual_mismatches(G, lams, params, closed_form.bits)
-    failures = tuple((lams[c], x) for c, x in witnesses.items())
+    witnesses = _dual_mismatches(G.field, kept, params, closed_form.bits)
+    failures = tuple((rows[c][0][0], x) for c, x in witnesses.items())
     classes = tuple(
         (lam, str(cls), c not in witnesses) for c, ((lam, _), cls, _) in enumerate(rows)
     )
@@ -610,9 +608,11 @@ def _run_family(
 
     if self_dual_selector is not None:
         report.self_dual_selector = self_dual_selector
-        mask = G._mask(self_dual_selector)
         report.self_dual_ok = not _dual_mismatches(
-            G, [self_dual_selector], [mask], _component_bits(G)
+            field,
+            [G.packed_dual(self_dual_selector)],
+            [G._mask(self_dual_selector)],
+            _component_bits(G),
         )
 
     lift = vec_bent_lift(G, defining, poly)
