@@ -1,5 +1,5 @@
-"""G's duals checked in blocks in the Hadamard index, against the
-per-lambda, field-order definitions they replace.
+"""G's duals checked in blocks in the Hadamard index, against their
+per-lambda, field-order definitions.
 
 The closed-form check compares each family's closed forms with the bits
 profile() keeps, a block of lambdas and points at a time; the reference
@@ -55,7 +55,7 @@ class _Captured(Exception):
 
 def _family_parts(monkeypatch, name, n):
     """G and the closed form a family hands to `_run_family`, and the same
-    closed form as today's per-lambda truth tables."""
+    closed form as one whole truth table per lambda."""
     field = FieldSpec.default(n)
     captured = {}
 
@@ -78,8 +78,8 @@ def _family_parts(monkeypatch, name, n):
 
 
 def _reference_closed_form(name, field, G):
-    """lambda -> the closed-form dual as a BooleanFunction, as each family
-    defined it before the blocked check."""
+    """lambda -> the closed-form dual as a whole BooleanFunction, in field
+    order, from each family's formula."""
     k = field.n // 2
     if name == "kasami":
         return lambda lam: G.component(field.inverse(lam)).complement()
@@ -115,7 +115,7 @@ def _reference_closed_form(name, field, G):
 
 
 def _reference_check(F, closed):
-    """Today's definition: lambda by lambda, the lone component's dual, then
+    """The definition: lambda by lambda, the lone component's dual, then
     the closed form, compared whole; a failure is (lambda, least x)."""
     failures, classes = [], []
     for (lam, _), cls, _ in F.profile():
@@ -271,8 +271,7 @@ def _traced_peak(call):
 
 def test_each_p_tau_gate_at_n16_stays_within_2_mb(kasami16):
     # 255 duals of 8 KB each are kept; a gate works P_TAU_BYTES of them
-    # at a time (1.3 MB traced; 5.0 and 9.0 MB when the duals were
-    # unpacked into a field-ordered plane matrix)
+    # at a time, 1.3 MB traced
     G = kasami16
     us = kasami_auto_u(G.field)
     lambdas = _trace_one_lambdas(G.field, G.m)

@@ -42,7 +42,7 @@ def test_bf_roundtrip_bit_exact():
 
 def test_reading_an_n20_bf_file_stays_small(tmp_path):
     # one table, unpacked from the payload and taken without a copy or a
-    # whole-table mask: 2.13 MB traced, 2.50 MB with them
+    # whole-table mask: 2.13 MB traced
     n = 20
     x = np.arange(1 << n, dtype=np.uint32)
     table = (np.bitwise_count(x & 1023 & (x >> 10)) & 1).astype(np.uint8)
