@@ -532,7 +532,8 @@ def _dual_mismatches(field, kept, params, bits):
         block = slice(c0, c0 + DUAL_BLOCK)
         for h in range(0, size, step):
             predicted = np.packbits(bits(params[block], points[h : h + step]), axis=1)
-            spectral = np.stack([row[h // 8 : (h + step) // 8] for row in kept[block]])
+            # below 2^3 points the one byte is partly padding, zero on both sides
+            spectral = np.stack([row[h // 8 : -(-(h + step) // 8)] for row in kept[block]])
             differ.extend((c0 + np.flatnonzero((predicted != spectral).any(axis=1))).tolist())
     every = np.arange(size)
     witnesses = {}
@@ -540,6 +541,15 @@ def _dual_mismatches(field, kept, params, bits):
         spectral = _unpack_signs(kept[c], size)[perm]
         witnesses[c] = int(np.argmax(bits(params[c : c + 1], every)[0] != spectral))
     return witnesses
+
+
+def _family_map(field, k, terms):
+    """A family's G, made to keep its duals before anything profiles it:
+    the closed-form check and the (P_tau) gates read them, and a profile
+    computed without them (by degree(), say) would be computed again."""
+    G = VectorialFunction.from_univariate(field, k, terms)
+    G.keep_duals()
+    return G
 
 
 def _component_dual_check(G, closed_form):
@@ -673,7 +683,7 @@ def kasami_family(field, u_values, poly, tail_polys=(), seed=None):
     k = field.n // 2
     u_values = [field.check(u) for u in u_values]
     _check_conjugate_condition(field, u_values, k)
-    G = VectorialFunction.from_univariate(field, k, [(1, (1 << k) + 1)])
+    G = _family_map(field, k, [(1, (1 << k) + 1)])
     # Tr^k_1(lambda^-1 x^(2^k+1)) is the component lambda^-1 of G
     closed_form = _ClosedForm(lambda lam: G._mask(field.inverse(lam)), _component_bits(G, 1))
 
@@ -725,7 +735,7 @@ def niho_family(field, r, u_values, poly, tail_polys=(), seed=None):
         raise PreconditionError("u set is not linearly independent (basis check)")
 
     exps = niho_exponents(field.n, r)
-    G = VectorialFunction.from_univariate(field, k, [(1, d) for d in exps])
+    G = _family_map(field, k, [(1, d) for d in exps])
 
     # Closed form for the lambda = 1 dual, then the scaling law for the rest.
     t_idx = (1 << (r - 1)) - 1
@@ -821,7 +831,7 @@ def gold_family(field, u_values, poly, tail_polys=(), seed=None):
     terms = [
         (field.pow(omega, 1 << (i * k)), (e << (i * k)) % field.order) for i in range(4)
     ]
-    G = VectorialFunction.from_univariate(field, k, terms)
+    G = _family_map(field, k, terms)
 
     lam0 = field.inverse(omega ^ obar)
     if field.pow(lam0, 1 << k) != lam0:

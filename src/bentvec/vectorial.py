@@ -24,11 +24,9 @@ from .boolfun import (
     TILE_ENTRIES,
     BooleanFunction,
     _distinct,
-    _field_order,
     _mobius,
     _off_bent_point,
     _pack_signs,
-    _unpack_signs,
     classify,
     sign_table,
     transform_signs,
@@ -247,17 +245,11 @@ class VectorialFunction:
             yield (lam, v), self.component(lam, v)
 
     def dual(self, lam):
-        """Dual of the bent component (lambda, 0), in field order.
-
-        The kept bits of `packed_dual`, reindexed, once keep_duals() has
-        asked for them; otherwise the lone component's dual.  Raises
-        NotBentError, as BooleanFunction.dual does, when that component is
-        not bent.
+        """Dual of the bent component (lambda, 0), in field order: the lone
+        component's dual.  Raises NotBentError when that component is not
+        bent.  The checks read `packed_dual` instead.
         """
-        if self._dual_bits is None:
-            return self.component(lam).dual()
-        signs = _unpack_signs(self.packed_dual(lam), self.field.size)
-        return BooleanFunction(self.field, _field_order(signs, self.field))
+        return self.component(lam).dual()
 
     def keep_duals(self):
         """Have profile() keep the dual of every bent (lambda, 0) component.
@@ -270,8 +262,8 @@ class VectorialFunction:
             self._profile = None
 
     def packed_dual(self, lam):
-        """The kept dual of the bent component (lambda, 0), 2^n / 8 read-only
-        bytes in the Hadamard index: the dual at field element x is bit
+        """The kept dual of the bent component (lambda, 0), ceil(2^n / 8)
+        read-only bytes in the Hadamard index: the dual at field element x is bit
         7 - h % 8 of byte h // 8, h = perm[x], as np.packbits packs it.
 
         Raises NotBentError, as BooleanFunction.dual does, when that

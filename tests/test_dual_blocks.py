@@ -44,8 +44,9 @@ from bentvec.gf2n import _walsh_permutation
 from bentvec.propp import satisfies_p_packed
 from oracles import naive_p_tau
 
-CASES = [("kasami", 6), ("kasami", 8), ("kasami", 10), ("niho", 8), ("niho", 12),
-         ("gold", 8), ("gold", 16)]
+# kasami n = 2 and 4 have fewer points than a packed byte holds
+CASES = [("kasami", 2), ("kasami", 4), ("kasami", 6), ("kasami", 8), ("kasami", 10),
+         ("niho", 8), ("niho", 12), ("gold", 8), ("gold", 16)]
 NIHO_R = {8: 3, 12: 5}
 
 
@@ -177,8 +178,10 @@ def test_blocked_dual_check_matches_the_per_lambda_definition(monkeypatch, name,
     want = _reference_check(G, reference)
     assert not want[0]  # every family's closed form holds
     assert _component_dual_check(G, closed_form) == want
-    # planted mismatches: the least planted point is the witness
+    # planted mismatches: the least planted point is the witness (at
+    # n = 2, lambda = 1 alone, flipped at 0)
     flips = {lams[0]: [size - 1], lams[len(lams) // 2]: [7, 3, size // 2], lams[-1]: [0]}
+    flips = {lam: [x for x in xs if x < size] for lam, xs in flips.items()}
     blocked, wrong = _planted(closed_form, reference, flips, None)
     want = _reference_check(G, wrong)
     assert [lam for lam, _ in want[0]] == sorted(flips)
@@ -189,7 +192,7 @@ def test_blocked_dual_check_matches_the_per_lambda_definition(monkeypatch, name,
 @pytest.mark.parametrize("name, n", CASES)
 def test_blocked_dual_check_raises_the_first_error_of_the_definition(monkeypatch, name, n):
     G, closed_form, reference = _family_parts(monkeypatch, name, n)
-    F = _perturbed(G, 5)
+    F = _perturbed(G, 5 % G.field.size)
     lams = [lam for lam, _ in F.selectors()]
     bent = [cls.kind == "bent" for _, cls, _ in F.profile()]
     assert not all(bent)

@@ -46,6 +46,11 @@ def _parentless(F):
     return VectorialFunction(F.field, F.m, F.values, F.extra, F.t)
 
 
+def _kept_dual(F, lam):
+    """The kept dual of (lambda, 0), reindexed by field element."""
+    return np.unpackbits(F.packed_dual(lam), count=F.field.size)[_walsh_permutation(F.field)]
+
+
 @pytest.mark.parametrize(
     "name, n", [("kasami", 6), ("kasami", 8), ("niho", 8), ("niho", 10), ("gold", 8)]
 )
@@ -57,13 +62,9 @@ def test_lifted_profiles_equal_parentless_copies(name, n, t):
     for F in (result.H, result.H_hat):
         if F is None:
             continue
-        copy = _parentless(F)
-        assert F.profile() == copy.profile()
-        for (lam, v), cls, _ in copy.profile():
-            if v == 0 and cls.kind == "bent":
-                assert F.dual(lam) == copy.component(lam).dual()
+        assert F.profile() == _parentless(F).profile()
     for lam, _ in G.selectors():
-        assert G.dual(lam) == G.component(lam).dual()
+        assert np.array_equal(_kept_dual(G, lam), G.component(lam).dual().table)
 
 
 def test_rows_are_copied_only_where_tables_agree():
@@ -71,13 +72,16 @@ def test_rows_are_copied_only_where_tables_agree():
     # those are complemented: same class, degree kept, dual complemented
     field = FieldSpec.default(6)
     G = VectorialFunction.from_univariate(field, 3, [(1, 9)])
+    G.keep_duals()
     G.profile()
     H = G.add_boolean(BooleanFunction.constant(field, 1))
+    H.keep_duals()
     assert H.profile() == _parentless(H).profile()
     for lam, _ in G.selectors():
         same = field.subfield_abs_trace(lam, 3) == 0
-        assert (H.dual(lam) == G.dual(lam)) == same
-        assert (H.dual(lam) == G.dual(lam).complement()) != same
+        assert np.array_equal(H.packed_dual(lam), G.packed_dual(lam)) == same
+        assert np.array_equal(H.packed_dual(lam), ~G.packed_dual(lam)) != same
+        assert np.array_equal(_kept_dual(H, lam), H.component(lam).dual().table)
 
 
 def test_dual_keeps_the_lone_function_errors():
@@ -86,18 +90,19 @@ def test_dual_keeps_the_lone_function_errors():
 
     field = FieldSpec.default(4)
     F = VectorialFunction(field, 2, field.subfield(2)[np.arange(16) % 4])
-    for lam in (0, 2):  # zero selector; 2 is not in F_4
-        with pytest.raises(FieldError) as direct:
-            F.component(lam)
-        with pytest.raises(FieldError) as read:
-            F.dual(lam)
-        assert str(read.value) == str(direct.value)
-    for lam, _ in F.selectors():
-        with pytest.raises(NotBentError) as direct:
-            F.component(lam).dual()
-        with pytest.raises(NotBentError) as read:
-            F.dual(lam)
-        assert str(read.value) == str(direct.value)
+    for read_dual in (F.dual, F.packed_dual):
+        for lam in (0, 2):  # zero selector; 2 is not in F_4
+            with pytest.raises(FieldError) as direct:
+                F.component(lam)
+            with pytest.raises(FieldError) as read:
+                read_dual(lam)
+            assert str(read.value) == str(direct.value)
+        for lam, _ in F.selectors():
+            with pytest.raises(NotBentError) as direct:
+                F.component(lam).dual()
+            with pytest.raises(NotBentError) as read:
+                read_dual(lam)
+            assert str(read.value) == str(direct.value)
 
 
 def test_packed_dual_layout():
@@ -110,7 +115,6 @@ def test_packed_dual_layout():
         # the dual at x is bit 7 - h % 8 of byte h // 8, h = perm[x]
         marks = (bits[perm >> 3] >> (7 - (perm & 7))) & 1
         assert np.array_equal(marks, G.component(lam).dual().table)
-        assert G.dual(lam) == G.component(lam).dual()
 
 
 def test_only_a_function_whose_duals_are_read_keeps_them():
@@ -118,8 +122,6 @@ def test_only_a_function_whose_duals_are_read_keeps_them():
     G = VectorialFunction.from_univariate(field, 3, [(1, 9)])
     G.profile()
     assert G._dual_bits is None
-    lam = list(G.selectors())[2][0]
-    assert G.dual(lam) == G.component(lam).dual()  # the lone component's path
     rows = G.profile()
     G.keep_duals()  # asked late: profiled again, with the same rows
     assert G.profile() == rows and len(G._dual_bits) == 7
@@ -133,7 +135,7 @@ def test_only_a_function_whose_duals_are_read_keeps_them():
     K = F.add_boolean(BooleanFunction.constant(field, 1))
     K.keep_duals()
     for lam, _ in K.selectors():
-        assert K.dual(lam) == K.component(lam).dual()
+        assert np.array_equal(_kept_dual(K, lam), K.component(lam).dual().table)
 
 
 def _planted_tables(data, n, count):
@@ -234,8 +236,8 @@ def test_packed_gate_matches_a_per_dual_loop(n, count, data):
         )
 
 
-def test_each_distinct_component_is_transformed_once(monkeypatch):
-    # columns through fwht, forward and round trip, during one family run
+def _counted_columns(monkeypatch):
+    """The columns through fwht, forward and round trip, from now on."""
     columns = []
     fwht = boolfun.fwht
 
@@ -245,6 +247,11 @@ def test_each_distinct_component_is_transformed_once(monkeypatch):
         return out
 
     monkeypatch.setattr(boolfun, "fwht", counting)
+    return columns
+
+
+def test_each_distinct_component_is_transformed_once(monkeypatch):
+    columns = _counted_columns(monkeypatch)
     field = FieldSpec.default(8)
     m, t = 4, 1
     tail = (ReducedPolynomial.make(4, [(1, 2), (3, 4)]),)
@@ -259,3 +266,17 @@ def test_each_distinct_component_is_transformed_once(monkeypatch):
     H_rows = trace_one
     hat_rows = (1 << m) * ((1 << t) - 1)
     assert sum(columns) == 2 * (G_rows + H_rows + hat_rows)
+
+
+def test_niho_with_deg_f_k_transforms_g_once(monkeypatch):
+    # deg F = k makes niho_family read G.degree() before the dual check
+    field = FieldSpec.default(8)
+    k = 4
+    poly = ReducedPolynomial.make(k, [(1, 2, 3, 4)])
+    columns = _counted_columns(monkeypatch)
+    result = niho_family(field, 3, niho_auto_u(field), poly)
+    assert result.report.ok
+    trace_one = sum(
+        1 for lam in field.subfield(k) if lam and field.subfield_abs_trace(int(lam), k)
+    )
+    assert sum(columns) == 2 * (((1 << k) - 1) + trace_one)
