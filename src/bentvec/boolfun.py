@@ -32,6 +32,16 @@ gives part q of S, the 2^(n-k) Hadamard indices from q 2^(n-k) on
 one buffer of a part, so that no int32 array of 2^n entries is made for
 a bent S, which is kept as its sign bits.
 
+Nearly every spectrum of a vectorial bent function is bent, so each
+block of spectra, or part of one, is first given one exact verdict
+(`_bent_class`): for even n, the entries equal to 2^(n/2) and to
+-2^(n/2) are counted, and when the two counts make up the block, every
+column is Bent(2^(n/2)).  That decides Parseval (2^n squares of 2^n sum
+to 2^(2n)), parity (2^(n/2) is even) and the class at once.  Any other
+block is checked by `check_parseval_parity` and classified column by
+column by `classify`.  The round trip, which is exact only once Parseval
+holds (`check_round_trip`), runs on every block either way.
+
 The Hadamard and Möbius butterflies do two levels per pass, in place on
 the caller's array, which they return; a caller that needs its input
 afterwards transforms a copy.  The Hadamard one adds a scratch buffer of
@@ -110,9 +120,14 @@ def fwht(a):
 
     Each column of a (2^n, ...) int32 or int64 array is transformed
     independently in O(n 2^n), overwriting the array, which is returned.
-    int32 is exact for n <= 24: every partial sum is bounded by 2^n.  Any
-    other input is refused with TypeError before anything is written; a
-    caller that needs its input afterwards transforms a copy.
+    Integer arrays wrap on overflow, so int32 is exact only while every
+    partial sum stays within it.  The engine's sign columns hold entries
+    of at most 2^k over 2^(n-k) points (k = 0 for a whole column), so
+    their partial sums are bounded by 2^n, and int32 is exact for n <= 24.
+    The inverse of a wrong spectrum has no such bound and may wrap:
+    `check_round_trip` says why its verdict is still exact.  Any other
+    input is refused with TypeError before anything is written; a caller
+    that needs its input afterwards transforms a copy.
 
     Arrays of at most TILE_ENTRIES entries go through `_passes` whole,
     with a scratch buffer of half the array.  Larger C-contiguous ones are
@@ -257,10 +272,16 @@ def transform_signs(values, word, tab, field, read, names=None):
     point; `values`, the (2^n,) or (2^n, cols) int32 buffer, receives the
     signs and is transformed in place.  np.take copies its indices as
     intp, so the signs are gathered GATHER_ENTRIES entries at a time, in
-    whole rows, unchecked ("clip"): every word is a row.  Parseval and
-    parity are checked, `read(values)` reads the spectra, and the inverse
-    then overwrites them for `check_round_trip`, so no sign array is
-    kept.  `names` labels the columns in failure messages.
+    whole rows, unchecked ("clip"): every word is a row.
+
+    The block is then decided by `_checked_block`: when every entry is
+    +-2^(n/2), the bent-level verdict holds Parseval, parity and the
+    class Bent(2^(n/2)) of every column; otherwise Parseval and parity
+    are checked.  `read(values, bent)` reads the spectra, with `bent` the
+    verdict's class, or None when each column is still to be classified.
+    The inverse then overwrites the spectra for `check_round_trip`, exact
+    because Parseval was decided first, so no sign array is kept.
+    `names` labels the columns in failure messages.
 
     A word of 2^(n-k) points is one spectrum folded into 2^k parts, as
     `_fold` makes it: column q of `tab` holds the signs whose transform is
@@ -273,8 +294,7 @@ def transform_signs(values, word, tab, field, read, names=None):
     _gather(values.reshape(len(values), -1), word, tab)
     # W(a) = values[perm[a]]: only witnesses and duals need field points
     fwht(values)
-    check_parseval_parity(values, field, names)
-    read(values)
+    read(values, _checked_block(values, field, names))
     check_round_trip(values, word, tab, names)
 
 
@@ -289,17 +309,18 @@ def _transform_parts(values, word, tab, field, read, names):
     """`transform_signs` of one spectrum S in parts, one part at a time.
 
     Part q is fwht(tab[word, q]) in `values`.  It is kept before its
-    inverse overwrites it: while every part is bent-level, as packed sign
-    bits in one 2^n / 8-byte buffer; from the first part that is not, in
-    an int32 copy of S, into which the bent-level parts before it are
-    rebuilt from their bits.  Bent-level parts hold Parseval and parity
-    by `_bent_level`; otherwise the copy is checked whole.  Each part's
-    round trip compares fwht(part) with 2^(n-k) tab[word, q], whatever
-    the table's values; the parts that fail keep their errors, which
-    `_unfolded_round_trip` turns into the whole column's witness.  The
-    checks raise in their whole-column order, Parseval, parity, round
-    trip, and only then does `read` get the kept S: the bits of a bent
-    one, or the copy, either of which it may keep as it is.
+    inverse overwrites it: while every part is bent-level by
+    `_bent_class`, as packed sign bits in one 2^n / 8-byte buffer; from
+    the first part that is not, in an int32 copy of S, into which the
+    bent-level parts before it are rebuilt from their bits.  When every
+    part is bent-level, Parseval and parity hold for S by the verdict;
+    otherwise the copy is checked whole.  Each part's round trip compares
+    fwht(part) with 2^(n-k) tab[word, q], whatever the table's values;
+    the parts that fail keep their errors, which `_unfolded_round_trip`
+    turns into the whole column's witness.  The checks raise in their
+    whole-column order, Parseval, parity, round trip, and only then does
+    `read` get the kept S: the bits of a bent one with its class, or the
+    copy with None, either of which it may keep as it is.
     """
     n, length = field.n, len(word)
     amp = 1 << (n // 2)
@@ -310,7 +331,7 @@ def _transform_parts(values, word, tab, field, read, names):
         _gather(values.reshape(length, 1), word, column)
         fwht(values)
         span = slice(q * length, (q + 1) * length)
-        if full is None and n % 2 == 0 and _bent_level(values, amp, length << n):
+        if full is None and (bent := _bent_class(values, n)) is not None:
             if bits is None:
                 bits = np.empty(field.size // 8, dtype=np.uint8)
             _pack_signs(values, bits[q * length // 8 : (q + 1) * length // 8])
@@ -329,18 +350,10 @@ def _transform_parts(values, word, tab, field, read, names):
     if errors:
         x, got, sign = _unfolded_round_trip(errors, word, tab, field.size)
         raise VerificationError(_round_trip_message(names, 0, x, got, sign, field.size))
-    read(bits if full is None else full)
-
-
-def _bent_level(values, amp, total):
-    """Whether a checked part is all +-amp: within [-amp, amp] with its sum
-    of squares `total`, its length times amp^2, which only +-amp attain.
-
-    float64 is exact here: the squares are at most amp^2, so the sum is at
-    most `total` < 2^53."""
-    if values.min() < -amp or values.max() > amp:
-        return False
-    return np.einsum("i,i->", values, values, dtype=np.float64) == total
+    if full is None:
+        read(bits, bent)
+    else:
+        read(full, None)
 
 
 def _unfolded_round_trip(errors, word, tab, size):
@@ -384,6 +397,27 @@ def check_round_trip(values, word, tab, names=None):
     taken of `values` in place, which it overwrites, and compared
     unscaled, so an entry off by less than 2^n fails too.  A failure names
     the least point x and the first column failing there.
+
+    The check is exact only for spectra whose Parseval sum is 2^(2n), so
+    Parseval must be decided first, by `check_parseval_parity` or by the
+    bent-level verdict, as every caller in the engine does.  The inverse
+    runs in the spectra's dtype and wraps: in int32, a spectrum S' of a
+    column s passes when fwht(S') = 2^n s + 2^32 w for an integer vector
+    w, that is, when S' = S + 2^(32-n) H w, with S = H s the true spectrum
+    and H the Hadamard matrix (H H = 2^n I).  Then
+
+        |S'|^2 = |S|^2 + 2^33 <s, w> + 2^(64-n) |w|^2,
+
+    and Parseval, |S'|^2 = |S|^2 = 2^(2n), needs <s, w> = -2^(31-n)
+    |w|^2.  As |<s, w>| <= sum |w_x| <= |w|^2 for +-1 signs, that holds
+    for n <= 30 only at w = 0, where S' = S.  Alone, the check would
+    accept S' = S + 2^(32-n) chi_a at n >= 16, chi_a a character.  For a
+    spectrum folded into 2^k parts (`_transform_parts`), part q is
+    checked against 2^(n-k) t_q, with t_q = tab[word, q] and |t_q| <= 2^k,
+    so a pass needs P'_q = P_q + 2^(32-n+k) H w_q; Parseval over the whole
+    S' then needs sum_q <t_q, w_q> = -2^(31-n+k) sum_q |w_q|^2, while
+    |sum_q <t_q, w_q>| <= 2^k sum_q |w_q|^2, so again every w_q = 0 for
+    n <= 30.  int64 spectra wrap at 2^64, which the same sums rule out.
     """
     size = values.shape[0]
     first = _round_trip_errors(values, word, tab)
@@ -398,31 +432,31 @@ def _round_trip_errors(values, word, tab):
     """Overwrite `values` with fwht(values) - 2^n tab[word]; the first
     (x, j) where that is not zero, or None.
 
-    The signs are gathered again a chunk of at most GATHER_ENTRIES entries
-    at a time, the only memory the check takes beside the butterfly's
-    scratch: a caller that still needs the spectra passes a copy.  A
-    chunk's intp indices and signs take at most half the array, the
-    untiled butterfly's scratch, so that the butterfly sets the peak at
-    any n; above TILE_ENTRIES entries, its 1.5 tiles of at least 2^15
+    Sound only once Parseval holds for the whole spectrum, part or not:
+    the differences are taken modulo 2^32 in int32, as `check_round_trip`
+    states and proves.  The table is scaled by 2^n once, in the spectra's
+    dtype; its entries stay within 2^n, and so within int32 at n <= 24,
+    parts included, whose entries of at most 2^k are scaled by 2^(n-k).
+    Its rows are then gathered again a chunk of at most GATHER_ENTRIES
+    entries at a time, the only memory the check takes beside the
+    butterfly's scratch: a caller that still needs the spectra passes a
+    copy.  A chunk's intp indices and rows take at most half the array,
+    the untiled butterfly's scratch, so that the butterfly sets the peak
+    at any n; above TILE_ENTRIES entries, its 1.5 tiles of at least 2^15
     entries hold a whole chunk already.
     """
     size = values.shape[0]
-    # the chunk holds 2^n times the table's values, so it takes the spectra's
-    # dtype, which every table of the engine has already: only a narrower
-    # table is cast
-    tab = tab.astype(values.dtype, copy=False)
-    row_bytes = np.dtype(np.intp).itemsize + tab.shape[1] * tab.itemsize
-    step = max(1, min(GATHER_ENTRIES // tab.shape[1], values.nbytes // 2 // row_bytes))
+    scaled = tab.astype(values.dtype) * size
+    row_bytes = np.dtype(np.intp).itemsize + scaled.shape[1] * scaled.itemsize
+    step = max(1, min(GATHER_ENTRIES // scaled.shape[1], values.nbytes // 2 // row_bytes))
     off = fwht(values).reshape(size, -1)
-    # one buffer for every chunk's signs, or each np.take would allocate
+    # one buffer for every chunk's rows, or each np.take would allocate
     # its chunk while the last one is still referenced
-    chunk = np.empty((min(step, size), tab.shape[1]), dtype=tab.dtype)
+    chunk = np.empty((min(step, size), scaled.shape[1]), dtype=scaled.dtype)
     first = None
     for i in range(0, size, step):
         part = off[i : i + step]
-        s = np.take(tab, word[i : i + step], axis=0, out=chunk[: len(part)], mode="clip")
-        s *= size
-        part -= s
+        part -= np.take(scaled, word[i : i + step], axis=0, out=chunk[: len(part)], mode="clip")
         if first is None and np.count_nonzero(part):
             x, j = (int(k) for k in np.argwhere(part)[0])
             first = (i + x, j)
@@ -488,19 +522,38 @@ def classify(values, n):
     return Classification("mixed", None, abs_set)
 
 
-def _checked_class(values, n):
-    """`classify` of a spectrum whose Parseval sum is exactly 2^(2n).
+def _bent_class(values, n):
+    """Class Bent(2^(n/2)) when every entry of a block of spectra is
+    +-2^(n/2), else None: the one exact bent-level verdict.
 
-    Such a spectrum is bent exactly when every |W| <= 2^(n/2), since
-    2^n squares of at most 2^n that sum to 2^(2n) are all 2^n: two
-    reductions tell, where `classify` makes |W| copies.  Any other
-    spectrum is classified by `classify`.
+    For even n, the entries equal to amp = 2^(n/2) and to -amp are
+    counted, a TILE_ENTRIES slice of rows at a time, so that the bool
+    temporaries take at most TILE_ENTRIES bytes, and the first slice whose
+    counts fall short ends the count.  When they make up the block, every
+    column is bent, and Parseval and parity hold with it: 2^n squares of
+    amp^2 = 2^n sum to 2^(2n), and amp is even for n >= 2.  Odd n has no
+    bent spectrum.
     """
-    if n % 2 == 0:
-        amp = 1 << (n // 2)
-        if values.min() >= -amp and values.max() <= amp:
-            return Classification("bent", amp, (amp,))
-    return classify(values, n)
+    if n % 2:
+        return None
+    amp = 1 << (n // 2)
+    rows = values.reshape(values.shape[0], -1)
+    step = max(1, TILE_ENTRIES // rows.shape[1])
+    for i in range(0, len(rows), step):
+        part = rows[i : i + step]
+        if np.count_nonzero(part == amp) + np.count_nonzero(part == -amp) < part.size:
+            return None
+    return Classification("bent", amp, (amp,))
+
+
+def _checked_block(values, field, names=None):
+    """Parseval and parity of a block of spectra, decided by the
+    bent-level verdict when it holds, by `check_parseval_parity`
+    otherwise; the verdict's class, or None."""
+    bent = _bent_class(values, field.n)
+    if bent is None:
+        check_parseval_parity(values, field, names)
+    return bent
 
 
 def _pack_signs(values, out=None):
@@ -554,32 +607,29 @@ class WalshSpectrum:
         spectrum = spectrum if spectrum.dtype == np.int32 else spectrum.astype(np.int64)
         if spectrum.shape != (field.size,):
             raise FieldError("spectrum length must be 2^n")
-        check_parseval_parity(spectrum, field)
-        self._own(field, spectrum)
+        self._own(field, spectrum, _checked_block(spectrum, field))
 
-    def _own(self, field, spectrum):
+    def _own(self, field, spectrum, bent):
         """Classify a checked S, then keep it: a bent S as its packed sign
         bits, any other as a read-only copy.
 
         In that order, classify's temporaries are freed before the kept
-        array is made.  `spectrum` itself is left as it was, for
-        `walsh()`'s round trip to overwrite.
+        array is made.  `bent` is the bent-level verdict's class, or None,
+        when `classify` gives the class.  `spectrum` itself is left as it
+        was, for `walsh()`'s round trip to overwrite.
         """
         self.field = field
-        self.classification = _checked_class(spectrum, field.n)
+        self.classification = bent or classify(spectrum, field.n)
         kept = _pack_signs(spectrum) if self.is_bent else spectrum.copy()
         kept.flags.writeable = False
         self._kept = kept
 
-    def _take(self, field, kept):
+    def _take(self, field, kept, bent):
         """Keep, as it is, what a checked spectrum in parts hands over: the
-        packed sign bits of a bent S, or an int32 copy of any other S."""
+        packed sign bits of a bent S with its class, or an int32 copy of
+        any other S, with None, which `classify` classifies."""
         self.field = field
-        if kept.dtype == np.uint8:
-            amp = 1 << (field.n // 2)
-            self.classification = Classification("bent", amp, (amp,))
-        else:
-            self.classification = classify(kept, field.n)
+        self.classification = bent or classify(kept, field.n)
         kept.flags.writeable = False
         self._kept = kept
 

@@ -292,9 +292,12 @@ class VectorialFunction:
         word is indexed by its distinct values, so that no table has more
         rows than points.  The signs are gathered into one int32 buffer,
         allocated once per call for the widest block, transformed at once
-        along axis 0 and checked column by column (Parseval, parity, round
-        trip), all in the Hadamard index, the round trip last, once the
-        spectra are read.  Once keep_duals() asks, the dual of each bent
+        along axis 0 and checked (Parseval, parity, round trip), all in
+        the Hadamard index, the round trip last, once the spectra are read.
+        A block whose entries are all +-2^(n/2) is decided whole by the
+        bent-level verdict, which holds Parseval, parity and the class of
+        every column; only the columns of any other block are classified
+        one by one.  Once keep_duals() asks, the dual of each bent
         (lambda, 0) column is kept packed in that index, one bit per point.
         Degrees use the linearity of the ANF: one Möbius transform of
         the word packs the coordinate ANFs, and a component's ANF is
@@ -375,12 +378,13 @@ class VectorialFunction:
             names = [sels[i] for i in index]
             block = masks[index]
 
-            def read(spectra_block):
-                # called within this iteration, on this block's columns
+            def read(spectra_block, bent):
+                # called within this iteration, on this block's columns;
+                # `bent` is the class of a block that is bent in every column
                 odd = sign_table(mono_word, block) < 0  # parity 1
                 degrees = np.max(odd * mono_deg[:, None], axis=0, initial=0)
                 for j, (i, sel) in enumerate(zip(index, names)):
-                    cls = classify(spectra_block[:, j], n)
+                    cls = bent or classify(spectra_block[:, j], n)
                     rows[i] = (sel, cls, int(degrees[j]))
                     if i in slot and cls.kind == "bent":
                         bits = _pack_signs(spectra_block[:, j], store[slot[i]])

@@ -241,7 +241,7 @@ def test_round_trip_chunk_at_n16_stays_within_the_butterflys_scratch():
 
 
 def test_round_trip_runs_after_the_packing_on_the_same_buffer(monkeypatch):
-    n = 18  # the signs are packed in two tiles, and classify reads two slices
+    n = 18  # the signs are packed in two tiles, and the verdict counts two slices
     field = FieldSpec.default(n)
     table = maiorana_mcfarland(n)
     assert field.size > boolfun.TILE_ENTRIES
@@ -253,9 +253,9 @@ def test_round_trip_runs_after_the_packing_on_the_same_buffer(monkeypatch):
         events.append(("fwht", values))
         return fwht_ok(values)
 
-    def recorded_own(self, field, spectrum):
+    def recorded_own(self, field, spectrum, bent):
         events.append(("own", spectrum))
-        own(self, field, spectrum)
+        own(self, field, spectrum, bent)
 
     monkeypatch.setattr(boolfun, "fwht", recorded_fwht)
     monkeypatch.setattr(WalshSpectrum, "_own", recorded_own)

@@ -14,7 +14,7 @@ from bentvec import BooleanFunction, FieldSpec
 from bentvec import boolfun
 from bentvec.boolfun import (
     WalshSpectrum,
-    _checked_class,
+    _checked_block,
     _fold,
     check_parseval_parity,
     check_round_trip,
@@ -177,7 +177,8 @@ def _whole_check_message(S, field):
 
 @pytest.mark.parametrize("value", [lambda v: v + 2, lambda v: 0], ids=["above", "within"])
 def test_a_parseval_fault_in_a_part_names_the_whole_columns_witness(monkeypatch, value):
-    # a part within [-2^(n/2), 2^(n/2)] is bent-level only by its sum too
+    # one entry off the two levels, above them or within them, and the part
+    # is not bent-level
     n = 20
     field = FieldSpec.default(n)
     table = maiorana_mcfarland(n)
@@ -338,7 +339,12 @@ def test_the_checked_class_is_classify_on_checked_spectra(n):
     ]
     if n % 2 == 0:
         tables.append(maiorana_mcfarland(n))
+    field = FieldSpec.default(n)
     for table in tables:
         S = unfolded(table)
         for values in (S, S.astype(np.int64)):
-            assert _checked_class(values, n) == classify(values, n)
+            # the verdict's class where it holds, classify's everywhere else
+            bent = _checked_block(values, field)
+            want = classify(values, n)
+            assert (bent or want) == want
+            assert (bent is not None) == (want.kind == "bent")
