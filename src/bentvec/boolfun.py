@@ -17,20 +17,20 @@ and the points named in failure messages are reindexed, through
 `_field_order`, when they are asked for: a `WalshSpectrum` keeps S alone,
 as a copy, or, when bent, as its amplitude and its packed sign bits.
 
-Every spectrum is computed by one engine, `transform_signs`: the signs
-of a block of columns are tab[word], a small int32 table gathered
-through a per-point word, in chunks, into one int32 buffer that both
-butterflies then run on in place.  `VectorialFunction.profile()` passes
-its coordinate word and a +-1 `sign_table` per block of selector masks.
-`walsh()` up to n = FOLD_FROM is one column whose word is the truth
-table and whose table is [1, -1].  Above it, walsh() folds the top k =
-min(FOLD_LEVELS, n - FOLD_FROM) butterfly levels into the gather, by
-H_(2^n) = H_(2^k) (x) H_(2^(n-k)): its word packs the 2^k bits f(p
-2^(n-k) + x) of each x, and column q of its table, sums of 2^k signs,
-gives part q of S, the 2^(n-k) Hadamard indices from q 2^(n-k) on
-(`_fold`).  The parts are transformed, checked and kept one at a time in
-one buffer of a part, so that no int32 array of 2^n entries is made for
-a bent S, which is kept as its sign bits.
+Every spectrum goes through one gather, butterfly and round trip: the
+signs of a column are tab[word], a small int32 table gathered through a
+per-point word, in chunks, into one int32 buffer that both butterflies
+then run on in place.  `VectorialFunction.profile()` passes its
+coordinate word and a +-1 `sign_table` per block of selector masks to
+`transform_signs`.  `walsh()` folds the top k = min(FOLD_LEVELS, max(0,
+n - FOLD_FROM)) butterfly levels into the gather, by H_(2^n) = H_(2^k)
+(x) H_(2^(n-k)): its word packs the 2^k bits f(p 2^(n-k) + x) of each x,
+and column q of its table, sums of 2^k signs, gives part q of S, the
+2^(n-k) Hadamard indices from q 2^(n-k) on (`_fold`).  At n <= FOLD_FROM,
+k = 0: the word is the truth table, the table [1, -1], and the one part
+is S.  `_transform_parts` transforms, checks and keeps the parts one at
+a time in one buffer of a part, so that above FOLD_FROM no int32 array
+of 2^n entries is made for a bent S, which is kept as its sign bits.
 
 Nearly every spectrum of a vectorial bent function is bent, so each
 block of spectra, or part of one, is first given one exact verdict
@@ -54,7 +54,6 @@ and the degree is read from those words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -269,10 +268,10 @@ def transform_signs(values, word, tab, field, read, names=None):
     """The spectra of the sign columns tab[word], checked exactly.
 
     `tab` is a (words, cols) int32 table and `word` a row of it for every
-    point; `values`, the (2^n,) or (2^n, cols) int32 buffer, receives the
-    signs and is transformed in place.  np.take copies its indices as
-    intp, so the signs are gathered GATHER_ENTRIES entries at a time, in
-    whole rows, unchecked ("clip"): every word is a row.
+    point; `values`, the (2^n, cols) int32 buffer, receives the signs and
+    is transformed in place.  np.take copies its indices as intp, so the
+    signs are gathered GATHER_ENTRIES entries at a time, in whole rows,
+    unchecked ("clip"): every word is a row.
 
     The block is then decided by `_checked_block`: when every entry is
     +-2^(n/2), the bent-level verdict holds Parseval, parity and the
@@ -282,15 +281,7 @@ def transform_signs(values, word, tab, field, read, names=None):
     The inverse then overwrites the spectra for `check_round_trip`, exact
     because Parseval was decided first, so no sign array is kept.
     `names` labels the columns in failure messages.
-
-    A word of 2^(n-k) points is one spectrum folded into 2^k parts, as
-    `_fold` makes it: column q of `tab` holds the signs whose transform is
-    part q of S, the Hadamard indices q 2^(n-k) to (q+1) 2^(n-k) - 1, and
-    `values` is one part long; see `_transform_parts`.
     """
-    if len(word) < field.size:
-        _transform_parts(values, word, tab, field, read, names)
-        return
     _gather(values.reshape(len(values), -1), word, tab)
     # W(a) = values[perm[a]]: only witnesses and duals need field points
     fwht(values)
@@ -305,55 +296,55 @@ def _gather(rows, word, tab):
         np.take(tab, word[i : i + step], axis=0, out=rows[i : i + step], mode="clip")
 
 
-def _transform_parts(values, word, tab, field, read, names):
-    """`transform_signs` of one spectrum S in parts, one part at a time.
+def _transform_parts(values, word, tab, field):
+    """The spectrum S of `walsh()`, checked exactly, one part at a time.
 
-    Part q is fwht(tab[word, q]) in `values`.  It is kept before its
-    inverse overwrites it: while every part is bent-level by
-    `_bent_class`, as packed sign bits in one 2^n / 8-byte buffer; from
-    the first part that is not, in an int32 copy of S, into which the
-    bent-level parts before it are rebuilt from their bits.  When every
-    part is bent-level, Parseval and parity hold for S by the verdict;
-    otherwise the copy is checked whole.  Each part's round trip compares
-    fwht(part) with 2^(n-k) tab[word, q], whatever the table's values;
-    the parts that fail keep their errors, which `_unfolded_round_trip`
-    turns into the whole column's witness.  The checks raise in their
-    whole-column order, Parseval, parity, round trip, and only then does
-    `read` get the kept S: the bits of a bent one with its class, or the
-    copy with None, either of which it may keep as it is.
+    `word` and `tab` are those of `_fold`: part q of S is fwht(tab[word,
+    q]), 2^(n-k) entries, in `values`; at k = 0 the one part is S.  It is
+    kept before its inverse overwrites it: while every part is bent-level
+    by `_bent_class`, as packed sign bits in one buffer of ceil(2^n / 8)
+    bytes; from the first part that is not, in an int32 copy of S, into
+    which the bent-level parts before it are rebuilt from their bits.
+    When every part is bent-level, Parseval and parity hold for S by the
+    verdict; otherwise the copy is checked whole.  Each part's round trip
+    compares fwht(part) with 2^(n-k) tab[word, q], whatever the table's
+    values; the parts that fail keep their errors, which
+    `_unfolded_round_trip` turns into the whole column's witness.  The
+    checks raise in their whole-column order, Parseval, parity, round
+    trip, and only then is the kept S returned: (bits, class) for a bent
+    one, (copy, None) for any other.
     """
     n, length = field.n, len(word)
     amp = 1 << (n // 2)
     bits = full = None
     errors = {}
+
+    def part_bytes(r):  # a ceiling end: at n <= 2 the one byte is partly padding
+        return bits[r * length // 8 : -(-(r + 1) * length // 8)]
+
     for q in range(tab.shape[1]):
         column = np.ascontiguousarray(tab[:, q : q + 1])
         _gather(values.reshape(length, 1), word, column)
         fwht(values)
-        span = slice(q * length, (q + 1) * length)
         if full is None and (bent := _bent_class(values, n)) is not None:
             if bits is None:
-                bits = np.empty(field.size // 8, dtype=np.uint8)
-            _pack_signs(values, bits[q * length // 8 : (q + 1) * length // 8])
+                bits = np.empty(-(-field.size // 8), dtype=np.uint8)
+            _pack_signs(values, part_bytes(q))
         else:
             if full is None:
                 full = np.empty(field.size, dtype=np.int32)
                 for r in range(q):  # bits is not None when q > 0
-                    _bent_values(bits[r * length // 8 : (r + 1) * length // 8], amp,
-                                 full[r * length : (r + 1) * length])
+                    _bent_values(part_bytes(r), amp, full[r * length : (r + 1) * length])
                 bits = None
-            full[span] = values
+            full[q * length : (q + 1) * length] = values
         if _round_trip_errors(values, word, column) is not None:
             errors[q] = values.copy()
     if full is not None:
-        check_parseval_parity(full, field, names)
+        check_parseval_parity(full, field)
     if errors:
         x, got, sign = _unfolded_round_trip(errors, word, tab, field.size)
-        raise VerificationError(_round_trip_message(names, 0, x, got, sign, field.size))
-    if full is None:
-        read(bits, bent)
-    else:
-        read(full, None)
+        raise VerificationError(_round_trip_message(None, 0, x, got, sign, field.size))
+    return (bits, bent) if full is None else (full, None)
 
 
 def _unfolded_round_trip(errors, word, tab, size):
@@ -591,11 +582,11 @@ class WalshSpectrum:
     Keeps one array, from which `_hadamard` reads S = fwht((-1)^f) in the
     Hadamard index, where W(a) = S(perm[a]).  A bent S is its amplitude
     times signs, so it is kept as its sign bits, packed by `_pack_signs`
-    in 2^n / 8 bytes, beside the amplitude in its class; any other S is
-    kept as an int32 or int64 copy.  The checks and the class read S
-    before it is kept; `values` and `[a]` reindex only what they return.
-    The kept array is made once S is checked and classified, so no
-    caller can change it afterwards.
+    in ceil(2^n / 8) bytes, beside the amplitude in its class; any other
+    S is kept as an int32 or int64 copy.  The checks read S before it is
+    kept; `values` and `[a]` reindex only what they return.  The kept
+    array is the spectrum's own and read-only, so no caller can change
+    it afterwards.
     """
 
     __slots__ = ("field", "classification", "_kept")
@@ -607,27 +598,13 @@ class WalshSpectrum:
         spectrum = spectrum if spectrum.dtype == np.int32 else spectrum.astype(np.int64)
         if spectrum.shape != (field.size,):
             raise FieldError("spectrum length must be 2^n")
-        self._own(field, spectrum, _checked_block(spectrum, field))
-
-    def _own(self, field, spectrum, bent):
-        """Classify a checked S, then keep it: a bent S as its packed sign
-        bits, any other as a read-only copy.
-
-        In that order, classify's temporaries are freed before the kept
-        array is made.  `bent` is the bent-level verdict's class, or None,
-        when `classify` gives the class.  `spectrum` itself is left as it
-        was, for `walsh()`'s round trip to overwrite.
-        """
-        self.field = field
-        self.classification = bent or classify(spectrum, field.n)
-        kept = _pack_signs(spectrum) if self.is_bent else spectrum.copy()
-        kept.flags.writeable = False
-        self._kept = kept
+        bent = _checked_block(spectrum, field)
+        self._take(field, _pack_signs(spectrum) if bent else spectrum.copy(), bent)
 
     def _take(self, field, kept, bent):
-        """Keep, as it is, what a checked spectrum in parts hands over: the
-        packed sign bits of a bent S with its class, or an int32 copy of
-        any other S, with None, which `classify` classifies."""
+        """Keep `kept` as it is: the packed sign bits of a checked bent S,
+        with its class `bent`, or a copy of any other checked S, with None,
+        which `classify` classifies."""
         self.field = field
         self.classification = bent or classify(kept, field.n)
         kept.flags.writeable = False
@@ -806,20 +783,22 @@ class BooleanFunction:
         one as its packed sign bits, before the round trip inverts the
         buffer it was computed in.
 
-        Up to n = FOLD_FROM, one `transform_signs` column, whose word is the
-        table and whose signs are [1, -1]: one int32 array of 2^n entries
-        is held at a time, beside the butterfly's scratch or one gather
-        chunk.  Above it, the top k = min(FOLD_LEVELS, n - FOLD_FROM)
-        butterfly levels are folded into the sign table (`_fold`), and the
-        2^k parts of S, 2^(n-k) entries each, are transformed, checked and
-        kept one at a time in one part-sized buffer.
+        The top k = min(FOLD_LEVELS, max(0, n - FOLD_FROM)) butterfly
+        levels are folded into the sign table (`_fold`), and the 2^k parts
+        of S, 2^(n-k) entries each, are transformed, checked and kept one
+        at a time in one part-sized buffer (`_transform_parts`).  At n <=
+        FOLD_FROM, k = 0 and the one part is S: one int32 array of 2^n
+        entries is held at a time, beside the butterfly's scratch or one
+        gather chunk, and a copy of S when it is not bent.
         """
         if self._walsh is None:
-            spectrum = WalshSpectrum.__new__(WalshSpectrum)
             k = min(FOLD_LEVELS, max(0, self.n - FOLD_FROM))
             word, tab = _fold(self.table, k)
-            keep = partial(spectrum._take if k else spectrum._own, self.field)
-            transform_signs(np.empty(len(word), np.int32), word, tab, self.field, keep)
+            spectrum = WalshSpectrum.__new__(WalshSpectrum)
+            # no name holds the part buffer, so it is freed before `_take`
+            # classifies a copy of S
+            kept = _transform_parts(np.empty(len(word), np.int32), word, tab, self.field)
+            spectrum._take(self.field, *kept)
             self._walsh = spectrum
         return self._walsh
 

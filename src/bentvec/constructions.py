@@ -247,7 +247,9 @@ def _p_tau_all_lambdas(G, defining, lambdas):
 
 def _require_pure_vectorial_bent(G):
     """The gate both lifts put on G: pure, and vectorial bent.  G's duals
-    are read by the (P_tau) gates, so its profile keeps them."""
+    are read by the (P_tau) gates, so its profile keeps them.  A G profiled
+    without them is profiled again, whole: each of its rows is a bent
+    (lambda, 0) row, whose dual is missing."""
     if G.t:
         raise PreconditionError("lift expects a pure (n,m)-function")
     G.keep_duals()

@@ -255,7 +255,9 @@ class VectorialFunction:
         """Have profile() keep the dual of every bent (lambda, 0) component.
 
         Only a function whose duals are read asks for them; `verify` keeps
-        none.  A profile already computed without them is computed again.
+        none.  A profile already computed without them is computed again,
+        whole: a lift's G is pure and vectorial bent, so every row is a bent
+        (lambda, 0) row and its missing duals are its whole profile.
         """
         if self._dual_bits is None:
             self._dual_bits = {}
