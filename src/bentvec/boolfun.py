@@ -69,8 +69,8 @@ PASS_BUFSIZE = 1024
 # 2 MB L2 cache, and half as many tiles as at 2^16 cost less Python overhead
 # (one n = 20 column: 14-15 ms, against 17-18 ms at 2^16 on a 2-vCPU Xeon)
 TILE_ENTRIES = 1 << 17
-# entries of sign columns gathered at a time, in whole rows: np.take copies
-# its indices as intp, which for one whole n = 20 column traced 8 MB
+# rows gathered at a time: np.take copies its indices as intp, 128 KB a chunk
+# (a whole n = 20 column traced 8 MB); the round trip's chunk holds entries
 GATHER_ENTRIES = 1 << 14
 # walsh() above n = FOLD_FROM folds its top min(FOLD_LEVELS, n - FOLD_FROM)
 # butterfly levels into its sign table: its parts keep at least 2^FOLD_FROM
@@ -270,8 +270,8 @@ def transform_signs(values, word, tab, field, read, names=None):
     `tab` is a (words, cols) int32 table and `word` a row of it for every
     point; `values`, the (2^n, cols) int32 buffer, receives the signs and
     is transformed in place.  np.take copies its indices as intp, so the
-    signs are gathered GATHER_ENTRIES entries at a time, in whole rows,
-    unchecked ("clip"): every word is a row.
+    signs are gathered GATHER_ENTRIES rows at a time, unchecked ("clip"):
+    every word is a row.
 
     The block is then decided by `_checked_block`: when every entry is
     +-2^(n/2), the bent-level verdict holds Parseval, parity and the
@@ -290,10 +290,10 @@ def transform_signs(values, word, tab, field, read, names=None):
 
 
 def _gather(rows, word, tab):
-    """rows = tab[word], GATHER_ENTRIES entries at a time, in whole rows."""
-    step = max(1, GATHER_ENTRIES // tab.shape[1])
-    for i in range(0, len(rows), step):
-        np.take(tab, word[i : i + step], axis=0, out=rows[i : i + step], mode="clip")
+    """rows = tab[word], GATHER_ENTRIES rows at a time."""
+    for i in range(0, len(rows), GATHER_ENTRIES):
+        chunk = slice(i, i + GATHER_ENTRIES)
+        np.take(tab, word[chunk], axis=0, out=rows[chunk], mode="clip")
 
 
 def _transform_parts(values, word, tab, field):

@@ -428,19 +428,30 @@ def _circle_scaled_basis(field, k):
     return [field.mul(r, v) for r in field.subfield_basis(k)]
 
 
+# each family's k = n / parts, and what it needs of n, for the family and its u recipe
+_N_RULES = {"Kasami": (2, "even n"), "Niho": (2, "even n"), "Gold-like": (4, "n = 4k")}
+
+
+def _family_k(field, family):
+    parts, needs = _N_RULES[family]
+    if field.n % parts:
+        raise PreconditionError(f"{family} family needs {needs}")
+    return field.n // parts
+
+
 def kasami_auto_u(field):
     """u_i = rho_i v: rho a least basis of F_{2^k}, v in U minus 1, k = n/2."""
-    return _circle_scaled_basis(field, field.n // 2)
+    return _circle_scaled_basis(field, _family_k(field, "Kasami"))
 
 
 def niho_auto_u(field):
     """Least-value polynomial basis of the subfield F_{2^k}."""
-    return field.subfield_basis(field.n // 2)
+    return field.subfield_basis(_family_k(field, "Niho"))
 
 
 def gold_auto_u(field):
     """u_i = v_i sigma: v a least basis of F_{2^k}, sigma in U(2k) minus 1."""
-    return _circle_scaled_basis(field, field.n // 4)
+    return _circle_scaled_basis(field, _family_k(field, "Gold-like"))
 
 
 def _check_conjugate_condition(field, u_values, k):
@@ -680,9 +691,7 @@ def kasami_family(field, u_values, poly, tail_polys=(), seed=None):
     Component duals have the closed form Tr^k_1(lambda^(-1) x^(2^k+1)) + 1,
     verified against spectrum duals for every nonzero subfield selector.
     """
-    if field.n % 2:
-        raise PreconditionError("Kasami family needs even n")
-    k = field.n // 2
+    k = _family_k(field, "Kasami")
     u_values = [field.check(u) for u in u_values]
     _check_conjugate_condition(field, u_values, k)
     G = _family_map(field, k, [(1, (1 << k) + 1)])
@@ -719,9 +728,7 @@ def niho_family(field, r, u_values, poly, tail_polys=(), seed=None):
     lambda = delta^(d_t) and d_t = (2^k - 1)(t 2^(k-r) + 1) + 1 with
     t = 2^(r-1) - 1.
     """
-    if field.n % 2:
-        raise PreconditionError("Niho family needs even n")
-    k = field.n // 2
+    k = _family_k(field, "Niho")
     if not 1 < r < k:
         raise PreconditionError(f"need 1 < r < k = {k}, got r={r}")
     if math.gcd(r, k) != 1:
@@ -801,9 +808,7 @@ def gold_family(field, u_values, poly, tail_polys=(), seed=None):
     matched against G_{lambda_0}(delta^(-1) x) with
     delta^(2^k+1) = lambda lambda_0^(-1).
     """
-    if field.n % 4:
-        raise PreconditionError("Gold-like family needs n = 4k")
-    k = field.n // 4
+    k = _family_k(field, "Gold-like")
     if k < 2:
         raise PreconditionError("Gold-like family needs k >= 2")
     u_values = [field.check(u) for u in u_values]

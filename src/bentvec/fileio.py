@@ -69,7 +69,8 @@ def field_from_modulus(n, modulus):
 
 
 def atomic_write_text(path, text):
-    """Write text to path atomically (same-directory temp + rename).
+    """Write text to path atomically (same-directory temp + rename), as
+    UTF-8 with no newline translation: the same bytes on every OS.
 
     A failed rename names the destination alone: the temp file's name is
     random, and the file is removed before the error propagates.
@@ -77,7 +78,7 @@ def atomic_write_text(path, text):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bentvec-")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         try:
             os.replace(tmp, path)

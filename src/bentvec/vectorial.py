@@ -91,8 +91,8 @@ def _bent_components_bound_or_none(n, m):
 class VectorialFunction:
     """Immutable (n, m [+t])-function; `word` is its only per-point table.
 
-    A function made by add_boolean or augment keeps its parent until its
-    profile is computed, so that profile() can copy the parent's rows.
+    A function made by add_boolean or augment keeps its parent, whose rows
+    profile() can copy, until its profile is computed or it keeps duals.
     """
 
     __slots__ = ("field", "m", "t", "word", "_parent", "_profile", "_dual_bits")
@@ -257,11 +257,13 @@ class VectorialFunction:
         Only a function whose duals are read asks for them; `verify` keeps
         none.  A profile already computed without them is computed again,
         whole: a lift's G is pure and vectorial bent, so every row is a bent
-        (lambda, 0) row and its missing duals are its whole profile.
+        (lambda, 0) row and its missing duals are its whole profile.  Its
+        parent goes too: a kept dual comes from this function's transform.
         """
         if self._dual_bits is None:
             self._dual_bits = {}
             self._profile = None
+            self._parent = None
 
     def packed_dual(self, lam):
         """The kept dual of the bent component (lambda, 0), ceil(2^n / 8)
@@ -284,18 +286,19 @@ class VectorialFunction:
     def profile(self):
         """Cached ((lambda, v), Classification, degree) per selector, in order.
 
-        A row is copied, with its packed dual, from the parent recorded by
-        add_boolean or augment when the parent's profile is computed and an
-        exact test shows the two component tables are equal.  Every other
-        component comes from the coordinate word through
-        `boolfun.transform_signs`: a block's signs are tab[word], where tab
-        = (-1)^parity(value & mask) has a row per value the word can take
-        and a column per selector mask of the block.  When m + t > n, the
-        word is indexed by its distinct values, so that no table has more
-        rows than points.  The signs are gathered into one int32 buffer,
-        allocated once per call for the widest block, transformed at once
-        along axis 0 and checked (Parseval, parity, round trip), all in
-        the Hadamard index, the round trip last, once the spectra are read.
+        A row is copied from the parent recorded by add_boolean or augment
+        when the parent's profile is computed and an exact test shows the
+        two component tables are equal; a function that keeps duals has no
+        parent, so it copies none.  Every other component comes from the
+        coordinate word through `boolfun.transform_signs`: a block's signs
+        are tab[word], where tab = (-1)^parity(value & mask) has a row per
+        value the word can take and a column per selector mask of the
+        block.  When m + t > n, the word is indexed by its distinct values,
+        so that no table has more rows than points.  The signs are gathered
+        into one int32 buffer, allocated once per call for the widest
+        block, transformed at once along axis 0 and checked (Parseval,
+        parity, round trip), all in the Hadamard index, the round trip
+        last, once the spectra are read.
         A block whose entries are all +-2^(n/2) is decided whole by the
         bent-level verdict, which holds Parseval, parity and the class of
         every column; only the columns of any other block are classified
@@ -309,7 +312,7 @@ class VectorialFunction:
             sels = list(self.selectors())
             masks = self._selector_masks()
             duals = None if self._dual_bits is None else {}
-            rows = self._inherited_rows(sels, masks, duals)
+            rows = self._inherited_rows(sels, masks)
             todo = [i for i, row in enumerate(rows) if row is None]
             if todo:
                 self._transform_rows(sels, masks, todo, rows, duals)
@@ -318,17 +321,14 @@ class VectorialFunction:
             self._parent = None
         return self._profile
 
-    def _inherited_rows(self, sels, masks, duals):
-        """The parent's row wherever (lambda, v) has equal tables, and its
-        packed dual into `duals` when that is a dict.
+    def _inherited_rows(self, sels, masks):
+        """The parent's row wherever (lambda, v) has equal tables, else None.
 
         Both functions share the selector masks of the parent's t, and
         their components (lambda, v) agree exactly when
         parity((word ^ parent word) & mask) is 0 at every x.  That parity
         depends on x only through the difference, so it is tested on the
-        difference's distinct values.  A bent (lambda, 0) row whose dual
-        is to be kept, and which the parent kept no dual for, is left to
-        be transformed.
+        difference's distinct values.
         """
         rows = [None] * len(sels)
         parent = self._parent
@@ -338,15 +338,8 @@ class VectorialFunction:
         shared = [i for i, sel in enumerate(sels) if sel in parent_rows]
         low = np.uint32((1 << (self.m + parent.t)) - 1)
         diff = _distinct((self.word ^ parent.word) & low)
-        kept = parent._dual_bits or {}
         for i in compress(shared, (sign_table(diff, masks[shared]) > 0).all(axis=0)):
-            lam, v = sels[i]
-            row = parent_rows[lam, v]
-            if duals is not None and v == 0 and row[1].kind == "bent":
-                if lam not in kept:
-                    continue
-                duals[lam] = kept[lam]
-            rows[i] = row
+            rows[i] = parent_rows[sels[i]]
         return rows
 
     def _sign_index(self):

@@ -62,6 +62,27 @@ def test_construct_precondition_exit():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "family, n, message",
+    [
+        (["kasami"], 3, "Kasami family needs even n"),
+        (["kasami"], 1, "Kasami family needs even n"),
+        (["niho", "--r", "2"], 5, "Niho family needs even n"),
+        (["gold"], 5, "Gold-like family needs n = 4k"),
+        (["gold"], 2, "Gold-like family needs n = 4k"),
+    ],
+    ids=["kasami-n3", "kasami-n1", "niho-n5", "gold-n5", "gold-n2"],
+)
+def test_auto_u_reports_the_family_precondition_on_n(tmp_path, capsys, family, n, message):
+    # the recipe refuses n as the family does, before choosing any u
+    out = str(tmp_path / "z.vf")
+    for us in (["--auto-u"], ["--u", "1"]):
+        argv = ["construct", "--family", *family, "--n", str(n), *us, "--out", out]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(out)
+
+
 def test_construct_verify_roundtrip(tmp_path, capsys):
     out = tmp_path / "n6.vf"
     code = run(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bentvec import BooleanFunction, FieldSpec, VectorialFunction
+from bentvec import BooleanFunction, FieldSpec, VectorialFunction, fileio
 from bentvec.errors import BentvecError, FieldError, ParseError
 from bentvec.fileio import (
     bf_from_text,
@@ -211,6 +211,26 @@ def test_write_is_deterministic(tmp_path):
     write_vf(p1, G)
     write_vf(p2, G)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_written_bytes_are_the_same_on_every_os(tmp_path, monkeypatch):
+    # the temp file is opened as UTF-8 with no newline translation, so no
+    # platform's line separator or locale reaches the bytes
+    opened = []
+    fdopen = fileio.os.fdopen
+
+    def recording(fd, *args, **kwargs):
+        opened.append((args, kwargs))
+        return fdopen(fd, *args, **kwargs)
+
+    monkeypatch.setattr(fileio.os, "fdopen", recording)
+    G = kasami(F16).augment([BooleanFunction(F16, F16.linear_form_table(3))])
+    path = tmp_path / "g.vf"
+    write_vf(path, G)
+    monkeypatch.undo()
+    [(args, kwargs)] = opened
+    assert args == ("w",) and kwargs == {"encoding": "utf-8", "newline": ""}
+    assert path.read_bytes() == vf_to_text(G).encode("ascii")
 
 
 def test_field_from_modulus():

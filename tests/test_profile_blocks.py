@@ -167,9 +167,30 @@ def test_profile_above_n_output_bits_matches_each_component(monkeypatch, n, m, t
         assert cls == f.classification() and deg == f.degree()
 
 
+def test_gather_chunks_count_rows(monkeypatch):
+    # 8 columns of 2^16 rows: 4 chunks of GATHER_ENTRIES rows, each with an
+    # intp index of 128 KB, however wide the table
+    rng = np.random.default_rng(8)
+    tab = rng.integers(-1, 2, size=(64, 8), dtype=np.int32)
+    word = rng.integers(0, 64, size=1 << 16).astype(np.uint32)
+    takes = []
+    take = np.take
+
+    def counting(*args, **kwargs):
+        takes.append(len(args[1]))
+        return take(*args, **kwargs)
+
+    monkeypatch.setattr(np, "take", counting)
+    rows = np.empty((1 << 16, 8), dtype=np.int32)
+    boolfun._gather(rows, word, tab)
+    monkeypatch.undo()
+    assert takes == [boolfun.GATHER_ENTRIES] * 4
+    assert np.array_equal(rows, tab[word])
+
+
 def test_chunked_gathers_give_the_same_profile_and_witness(gold_vf, monkeypatch):
-    # 8 columns of 2^16 points, gathered 4 rows at a time: the faulty
-    # entry at x = 300 lies in the round trip's 76th chunk
+    # 8 columns of 2^16 points, gathered 32 rows and checked 4 rows at a
+    # time: the faulty entry at x = 300 lies in the round trip's 76th chunk
     ref = read_vf(gold_vf)
     ref.keep_duals()
     ref.profile()

@@ -67,16 +67,38 @@ def test_lifted_profiles_equal_parentless_copies(name, n, t):
         assert np.array_equal(_kept_dual(G, lam), G.component(lam).dual().table)
 
 
-def test_rows_are_copied_only_where_tables_agree():
-    # G + g with g = 1 changes exactly the Tr(lambda) = 1 components, and
-    # those are complemented: same class, degree kept, dual complemented
+def _n6_child(keep_duals):
+    """G = x^9 over GF(2^6) into F_8, profiled, and its child G + 1."""
     field = FieldSpec.default(6)
     G = VectorialFunction.from_univariate(field, 3, [(1, 9)])
     G.keep_duals()
     G.profile()
     H = G.add_boolean(BooleanFunction.constant(field, 1))
-    H.keep_duals()
-    assert H.profile() == _parentless(H).profile()
+    if keep_duals:
+        H.keep_duals()
+    return G, H
+
+
+def test_rows_are_copied_only_where_tables_agree(monkeypatch):
+    # G + g with g = 1 changes exactly the Tr(lambda) = 1 components, and
+    # those are complemented: only their 4 rows are transformed, forward
+    # and inverse
+    _, H = _n6_child(keep_duals=False)
+    columns = _counted_columns(monkeypatch)
+    rows = H.profile()
+    assert sum(columns) == 8
+    assert rows == _parentless(H).profile()
+
+
+def test_a_child_that_keeps_duals_transforms_every_row(monkeypatch):
+    # no dual is copied: all 7 rows are transformed, and the duals of the
+    # Tr(lambda) = 1 components come out complemented, the others equal
+    G, H = _n6_child(keep_duals=True)
+    columns = _counted_columns(monkeypatch)
+    rows = H.profile()
+    assert sum(columns) == 14
+    assert rows == _parentless(H).profile()
+    field = H.field
     for lam, _ in G.selectors():
         same = field.subfield_abs_trace(lam, 3) == 0
         assert np.array_equal(H.packed_dual(lam), G.packed_dual(lam)) == same
@@ -128,8 +150,8 @@ def test_only_a_function_whose_duals_are_read_keeps_them():
     H = G.add_boolean(BooleanFunction.constant(field, 1))
     H.profile()
     assert H._dual_bits is None
-    # a child that keeps duals copies its parent's, and transforms a bent
-    # row whose dual its parent did not keep
+    # a child that keeps duals transforms its own rows, whatever its
+    # parent kept
     F = VectorialFunction.from_univariate(field, 3, [(1, 9)])
     F.profile()
     K = F.add_boolean(BooleanFunction.constant(field, 1))
