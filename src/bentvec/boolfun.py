@@ -42,6 +42,15 @@ block is checked by `check_parseval_parity` and classified column by
 column by `classify`.  The round trip, which is exact only once Parseval
 holds (`check_round_trip`), runs on every block either way.
 
+A block of `transform_signs` at even n whose every S(0) is +-2^(n/2),
+as bentness requires, is first tried in int16, in the low half of its
+own int32 buffer: its spectra modulo 2^16 are given the verdict and
+read, shifted in place to candidate signs eps = +-1, and transformed
+again; fwht(eps) = 2^(n/2) tab[word] modulo 2^16 makes 2^(n/2) eps the
+exact spectrum for n <= 28 (`check_round_trip` proves it), so that every
+check holds.  Any other block, and one that fails there, takes the int32
+path above, which alone classifies non-bent columns and raises.
+
 The Hadamard and Möbius butterflies do two levels per pass, in place on
 the caller's array, which they return; a caller that needs its input
 afterwards transforms a copy.  The Hadamard one adds a scratch buffer of
@@ -117,16 +126,18 @@ def _quarters(a, h):
 def fwht(a):
     """Fast Walsh-Hadamard butterfly along axis 0, exact integers, in place.
 
-    Each column of a (2^n, ...) int32 or int64 array is transformed
+    Each column of a (2^n, ...) int16, int32 or int64 array is transformed
     independently in O(n 2^n), overwriting the array, which is returned.
     Integer arrays wrap on overflow, so int32 is exact only while every
     partial sum stays within it.  The engine's sign columns hold entries
     of at most 2^k over 2^(n-k) points (k = 0 for a whole column), so
     their partial sums are bounded by 2^n, and int32 is exact for n <= 24.
     The inverse of a wrong spectrum has no such bound and may wrap:
-    `check_round_trip` says why its verdict is still exact.  Any other
-    input is refused with TypeError before anything is written; a caller
-    that needs its input afterwards transforms a copy.
+    `check_round_trip` says why its verdict is still exact.  int16 gives
+    the transform modulo 2^16 only, which the narrow path of
+    `transform_signs` certifies by its own round trip.  Any other input is
+    refused with TypeError before anything is written; a caller that
+    needs its input afterwards transforms a copy.
 
     Arrays of at most TILE_ENTRIES entries go through `_passes` whole,
     with a scratch buffer of half the array.  Larger C-contiguous ones are
@@ -136,9 +147,9 @@ def fwht(a):
     at most TILE_ENTRIES and a third of the array.  The scratch and ufunc
     buffers of PASS_BUFSIZE entries are all the memory it takes.
     """
-    if not (isinstance(a, np.ndarray) and a.dtype in (np.int32, np.int64)):
+    if not (isinstance(a, np.ndarray) and a.dtype in (np.int16, np.int32, np.int64)):
         dtype = getattr(a, "dtype", type(a).__name__)
-        raise TypeError(f"fwht transforms int32 or int64 arrays in place, not {dtype}")
+        raise TypeError(f"fwht transforms int16, int32 or int64 arrays in place, not {dtype}")
     size = a.shape[0]
     lo = (size.bit_length() - 1) // 2
     tile = min(TILE_ENTRIES, a.size // 3)
@@ -264,29 +275,71 @@ def sign_table(values, masks):
     return 1 - 2 * parity.astype(np.int32)
 
 
-def transform_signs(values, word, tab, field, read, names=None):
+def transform_signs(values, word, tab, field, read, names=None, counts=None):
     """The spectra of the sign columns tab[word], checked exactly.
 
     `tab` is a (words, cols) int32 table and `word` a row of it for every
     point; `values`, the (2^n, cols) int32 buffer, receives the signs and
     is transformed in place.  np.take copies its indices as intp, so the
     signs are gathered GATHER_ENTRIES rows at a time, unchecked ("clip"):
-    every word is a row.
+    every word is a row.  `counts` is np.bincount(word, minlength=words),
+    which a caller with many blocks of one word counts once.
 
-    The block is then decided by `_checked_block`: when every entry is
-    +-2^(n/2), the bent-level verdict holds Parseval, parity and the
-    class Bent(2^(n/2)) of every column; otherwise Parseval and parity
-    are checked.  `read(values, bent)` reads the spectra, with `bent` the
-    verdict's class, or None when each column is still to be classified.
-    The inverse then overwrites the spectra for `check_round_trip`, exact
-    because Parseval was decided first, so no sign array is kept.
-    `names` labels the columns in failure messages.
+    A block at even n is first tried in int16 (`_narrow_bent`); one that
+    passes there is bent in every column, read and checked.  Any other
+    is gathered and transformed in int32 and decided by `_checked_block`:
+    when every entry is +-2^(n/2), the bent-level verdict holds Parseval,
+    parity and the class Bent(2^(n/2)) of every column; otherwise
+    Parseval and parity are checked.  `read(values, bent)` reads the
+    spectra, with `bent` the verdict's class, or None when each column is
+    still to be classified; it may be called twice for one block, int16
+    then int32, and the second reading stands.  The inverse then
+    overwrites the spectra for `check_round_trip`, exact because Parseval
+    was decided first, so no sign array is kept.  `names` labels the
+    columns in failure messages.
     """
+    if _narrow_bent(values, word, tab, field.n, read, counts):
+        return
     _gather(values.reshape(len(values), -1), word, tab)
     # W(a) = values[perm[a]]: only witnesses and duals need field points
     fwht(values)
     read(values, _checked_block(values, field, names))
     check_round_trip(values, word, tab, names)
+
+
+def _narrow_bent(values, word, tab, n, read, counts):
+    """Decide a bent block of `transform_signs` in int16: True when done.
+
+    The columns s = tab[word] are signs +-1, as `sign_table` gives them.
+    Bentness needs S(0) = sum_x s(x) = +-2^(n/2) in every column, read
+    exactly as counts @ tab; a block where that fails, and any block at
+    odd n, is left to the int32 path at once.  Otherwise the signs are
+    gathered into an int16 view of the low half of `values` and
+    transformed modulo 2^16.  When every entry is then +-2^(n/2)
+    (`_bent_class`), `read` gets the int16 spectra with the class
+    Bent(2^(n/2)), needing only the class and the signs; they are shifted
+    in place to eps = +-1 and transformed again, and fwht(eps) must be
+    2^(n/2) tab[word] modulo 2^16.  That makes 2^(n/2) eps the exact
+    spectrum for n <= 28, right or wrong as the first transform was
+    (`check_round_trip`), so Parseval, parity, the class and the round
+    trip all hold.  False, with `values` overwritten, when a test fails.
+    """
+    if n % 2:
+        return False
+    amp = 1 << (n // 2)
+    if counts is None:
+        counts = np.bincount(word, minlength=len(tab))
+    if np.any(np.abs(counts @ tab) != amp):
+        return False
+    narrow = values.reshape(-1).view(np.int16)[: values.size].reshape(values.shape)
+    _gather(narrow.reshape(len(narrow), -1), word, tab.astype(np.int16))
+    fwht(narrow)  # modulo 2^16
+    bent = _bent_class(narrow, n)
+    if bent is None:
+        return False
+    read(narrow, bent)
+    narrow >>= n // 2  # +-amp to the candidate signs +-1
+    return _round_trip_errors(narrow, word, tab, amp) is None
 
 
 def _gather(rows, word, tab):
@@ -409,6 +462,19 @@ def check_round_trip(values, word, tab, names=None):
     S' then needs sum_q <t_q, w_q> = -2^(31-n+k) sum_q |w_q|^2, while
     |sum_q <t_q, w_q>| <= 2^k sum_q |w_q|^2, so again every w_q = 0 for
     n <= 30.  int64 spectra wrap at 2^64, which the same sums rule out.
+
+    The int16 round trip of `_narrow_bent` needs no Parseval, and no
+    right forward transform: it inverts candidate signs eps = +-1, whose
+    |H eps|^2 = 2^n |eps|^2 = 2^(2n) holds by construction.  A pass
+    modulo 2^M means H eps = 2^(n/2) s + 2^M w for an integer vector w,
+    and then
+
+        2^(2n) = |H eps|^2 = 2^(2n) + 2^(M+1+n/2) <s, w> + 2^(2M) |w|^2
+
+    needs <s, w> = -2^(M-1-n/2) |w|^2, which |<s, w>| <= |w|^2 allows
+    only at w = 0 once M >= n/2 + 2.  So at M = 16 for n <= 28, H eps =
+    2^(n/2) s, and 2^(n/2) eps = H s is the true spectrum: bent, with
+    Parseval, parity and the round trip.
     """
     size = values.shape[0]
     first = _round_trip_errors(values, word, tab)
@@ -419,15 +485,17 @@ def check_round_trip(values, word, tab, names=None):
         raise VerificationError(_round_trip_message(names, j, x, got, sign, size))
 
 
-def _round_trip_errors(values, word, tab):
-    """Overwrite `values` with fwht(values) - 2^n tab[word]; the first
-    (x, j) where that is not zero, or None.
+def _round_trip_errors(values, word, tab, scale=None):
+    """Overwrite `values` with fwht(values) - scale tab[word]; the first
+    (x, j) where that is not zero, or None.  `scale` is 2^n by default.
 
     Sound only once Parseval holds for the whole spectrum, part or not:
     the differences are taken modulo 2^32 in int32, as `check_round_trip`
-    states and proves.  The table is scaled by 2^n once, in the spectra's
-    dtype; its entries stay within 2^n, and so within int32 at n <= 24,
-    parts included, whose entries of at most 2^k are scaled by 2^(n-k).
+    states and proves; the int16 candidate signs of `_narrow_bent`, with
+    scale 2^(n/2), are proved there too.  The table is scaled once, in
+    the spectra's dtype; its entries stay within 2^n, and so within int32
+    at n <= 24, parts included, whose entries of at most 2^k are scaled
+    by 2^(n-k), and within int16 at scale 2^(n/2) <= 2^12.
     Its rows are then gathered again a chunk of at most GATHER_ENTRIES
     entries at a time, the only memory the check takes beside the
     butterfly's scratch: a caller that still needs the spectra passes a
@@ -437,7 +505,7 @@ def _round_trip_errors(values, word, tab):
     entries hold a whole chunk already.
     """
     size = values.shape[0]
-    scaled = tab.astype(values.dtype) * size
+    scaled = tab.astype(values.dtype) * (size if scale is None else scale)
     row_bytes = np.dtype(np.intp).itemsize + scaled.shape[1] * scaled.itemsize
     step = max(1, min(GATHER_ENTRIES // scaled.shape[1], values.nbytes // 2 // row_bytes))
     off = fwht(values).reshape(size, -1)

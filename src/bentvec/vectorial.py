@@ -40,7 +40,8 @@ from .gf2n import FieldSpec, _linear_table
 # butterfly passes long runs; at n >= 17, two-column tiled blocks measured
 # 1.4-1.7x slower per column than one.  A block takes 4 bytes per entry, in
 # one int32 buffer that every block reuses, plus its sign table and one
-# gather chunk: at most 2 MB for n <= 16, and 4 MB at n = 20.
+# gather chunk: at most 2 MB for n <= 16, and 4 MB at n = 20.  A block
+# tried at the bent level takes 2 bytes per entry, inside that buffer.
 BLOCK_POINTS = 1 << 19
 BLOCK_COLUMNS = 16
 
@@ -302,7 +303,10 @@ class VectorialFunction:
         A block whose entries are all +-2^(n/2) is decided whole by the
         bent-level verdict, which holds Parseval, parity and the class of
         every column; only the columns of any other block are classified
-        one by one.  Once keep_duals() asks, the dual of each bent
+        one by one.  At even n, a block is first tried in int16 inside the
+        same buffer, and exactly (`boolfun.transform_signs`), once the
+        word's value counts show each S(0) is +-2^(n/2).  Once
+        keep_duals() asks, the dual of each bent
         (lambda, 0) column is kept packed in that index, one bit per point.
         Degrees use the linearity of the ANF: one Möbius transform of
         the word packs the coordinate ANFs, and a component's ANF is
@@ -361,6 +365,8 @@ class VectorialFunction:
         size = self.field.size
         mono_deg, mono_word = _monomial_keys(self.word)
         word, values = self._sign_index()
+        # every block's S(0) test of transform_signs reads the word's counts
+        counts = np.bincount(word, minlength=len(values)) if n % 2 == 0 else None
         cols = min(BLOCK_COLUMNS, BLOCK_POINTS >> n) if 2 * size <= TILE_ENTRIES else 1
         spectra = np.empty(size * min(cols, len(todo)), dtype=np.int32)
         # one buffer holds the packed duals: many small arrays fragmented
@@ -385,10 +391,13 @@ class VectorialFunction:
                         bits = _pack_signs(spectra_block[:, j], store[slot[i]])
                         bits.flags.writeable = False
                         duals[sel[0]] = bits
+                    elif i in slot:  # a second reading of the block stands
+                        duals.pop(sel[0], None)
 
             # a contiguous prefix, so that a last, narrower block is one too
             buffer = spectra[: size * len(index)].reshape(size, len(index))
-            transform_signs(buffer, word, sign_table(values, block), self.field, read, names)
+            tab = sign_table(values, block)
+            transform_signs(buffer, word, tab, self.field, read, names, counts)
 
     # -- predicates ----------------------------------------------------------------
 

@@ -118,14 +118,16 @@ def test_a_block_gets_the_rows_of_per_column_classify(n, kinds, seed):
 
 
 def _planted_fwht(monkeypatch, edits):
-    """Wrap fwht so that edits[i](out) changes the output of call i."""
+    """Wrap fwht so that edits[i](out) changes the output of call i of
+    each dtype.  A bent block is tried in int16 first: its narrow forward
+    gets the edit too, and fails there, so that the int32 path's own
+    forward, edited alike, reaches the checks a plant is aimed at."""
     fwht_ok = boolfun.fwht
-    calls = []
+    calls = {}
 
     def wrapped(values):
         out = fwht_ok(values)
-        i = len(calls)
-        calls.append(i)
+        i = calls[out.dtype] = calls.get(out.dtype, -1) + 1
         if i in edits:
             edits[i](out)
         return out

@@ -46,14 +46,16 @@ def _assert_sylvester_product(n, trailing, dtype, seed):
         signs = rng.integers(max(info.min, -bound), bound, shape, endpoint=True)
         signs = signs.astype(dtype)
     before = signs.copy()
-    if dtype not in (np.int32, np.int64):
+    if dtype not in (np.int16, np.int32, np.int64):
         # refused before anything is written
         with pytest.raises(TypeError):
             fwht(signs)
         assert np.array_equal(signs, before) and signs.dtype == dtype
         return
-    # transformed in place into the product of a copy
+    # transformed in place into the product of a copy; int16 holds it
+    # modulo 2^16, which the cast to int16 wraps to as well
     want = np.tensordot(sylvester_hadamard(n), before.astype(np.int64), axes=1)
+    want = want.astype(dtype)
     assert fwht(signs) is signs
     assert signs.dtype == dtype and signs.shape == shape
     assert np.array_equal(signs, want)

@@ -32,20 +32,22 @@ def _random(n, m, t):
 
 
 def _profiled(F, monkeypatch):
-    """F's rows and packed duals, with the width of every forward block."""
+    """F's rows and packed duals, with the width of every block."""
     widths = []
-    fwht = boolfun.fwht
+    transform = vectorial.transform_signs
 
-    def counted(values):
+    def counted(values, *args):
         widths.append(values.shape[1])
-        return fwht(values)
+        return transform(values, *args)
 
-    monkeypatch.setattr(boolfun, "fwht", counted)
+    # a block's butterflies are two in int32, or in int16 when it is bent,
+    # and three or four when an int16 attempt fails, so blocks are counted
+    # where profile() hands them over
+    monkeypatch.setattr(vectorial, "transform_signs", counted)
     F.keep_duals()
     rows = F.profile()
-    monkeypatch.setattr(boolfun, "fwht", fwht)
-    # each block runs its forward butterfly, then its inverse
-    return rows, F._dual_bits, widths[::2]
+    monkeypatch.setattr(vectorial, "transform_signs", transform)
+    return rows, F._dual_bits, widths
 
 
 @pytest.mark.parametrize(
@@ -73,18 +75,28 @@ def test_default_blocks_equal_one_column_blocks(gold_vf, monkeypatch, name, n, m
 
 def _inverse_fault(monkeypatch, on_call, x, j):
     # profile() runs every block's forward butterfly, then its in-place
-    # inverse, through boolfun.fwht, so the on_call-th inverse is call
-    # 2 on_call; it negates entry (x, j) of its result
-    calls = []
+    # inverse, through boolfun.fwht: in int16 first for a block that may be
+    # bent, then in int32 when that fails.  The inverses of the on_call-th
+    # block, each the second call of its dtype there, negate entry (x, j)
+    # of their results: the int16 round trip fails, and the int32 one names
+    # the fault
+    blocks = []
+    transform = vectorial.transform_signs
     fwht = boolfun.fwht
+
+    def counted(*args):
+        blocks.append([])
+        return transform(*args)
 
     def faulty(signs):
         out = fwht(signs)
-        calls.append(1)
-        if len(calls) == 2 * on_call:
+        dtypes = blocks[-1]
+        dtypes.append(out.dtype)
+        if len(blocks) == on_call and dtypes.count(out.dtype) == 2:
             out[x, j] = -out[x, j]
         return out
 
+    monkeypatch.setattr(vectorial, "transform_signs", counted)
     monkeypatch.setattr(boolfun, "fwht", faulty)
 
 

@@ -414,13 +414,15 @@ def test_profile_blocks_match_per_component_reference(n, m_index, t, cols, seed)
 
 
 def _corrupting(fwht, edit, on_call=1):
-    # fwht that passes its output through `edit` on the on_call-th call
-    calls = []
+    # fwht that passes its output through `edit` on the on_call-th call of
+    # each dtype: a bent block is tried in int16 first, where the edit makes
+    # it fail, and then in int32, where the edit reaches the checks
+    calls = {}
 
     def wrapped(signs, **kwargs):
         out = fwht(signs, **kwargs)
-        calls.append(1)
-        if len(calls) == on_call:
+        calls[out.dtype] = calls.get(out.dtype, 0) + 1
+        if calls[out.dtype] == on_call:
             edit(out)
         return out
 
