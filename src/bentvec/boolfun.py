@@ -44,12 +44,18 @@ holds (`check_round_trip`), runs on every block either way.
 
 A block of `transform_signs` at even n whose every S(0) is +-2^(n/2),
 as bentness requires, is first tried in int16, in the low half of its
-own int32 buffer: its spectra modulo 2^16 are given the verdict and
-read, shifted in place to candidate signs eps = +-1, and transformed
-again; fwht(eps) = 2^(n/2) tab[word] modulo 2^16 makes 2^(n/2) eps the
-exact spectrum for n <= 28 (`check_round_trip` proves it), so that every
-check holds.  Any other block, and one that fails there, takes the int32
-path above, which alone classifies non-bent columns and raises.
+own int32 buffer (`_narrow_bent`): its spectra modulo 2^16 are given the
+verdict and read, shifted in place to candidate signs eps = +-1, and
+transformed again; fwht(eps) = 2^(n/2) tab[word] modulo 2^16 makes
+2^(n/2) eps the exact spectrum for n <= 28 (`check_round_trip` proves
+it), so that every check holds.  `walsh()` at even n tries every part
+of its fold so, when the S(0) of every part is +-2^(n/2)
+(`_narrow_parts`): each in the low half of the one part buffer, its
+signs packed into the part's bytes of one bit buffer, and part q
+compared with 2^(n/2-k) t_q.  That certificate sums over the parts, so
+it holds only once every part passes.  Any other block or column, and
+one that fails there, takes the int32 path above, which alone
+classifies non-bent columns and raises.
 
 The Hadamard and Möbius butterflies do two levels per pass, in place on
 the caller's array, which they return; a caller that needs its input
@@ -134,10 +140,10 @@ def fwht(a):
     their partial sums are bounded by 2^n, and int32 is exact for n <= 24.
     The inverse of a wrong spectrum has no such bound and may wrap:
     `check_round_trip` says why its verdict is still exact.  int16 gives
-    the transform modulo 2^16 only, which the narrow path of
-    `transform_signs` certifies by its own round trip.  Any other input is
-    refused with TypeError before anything is written; a caller that
-    needs its input afterwards transforms a copy.
+    the transform modulo 2^16 only, which the narrow paths of
+    `transform_signs` and `walsh()` certify by their own round trips.
+    Any other input is refused with TypeError before anything is written;
+    a caller that needs its input afterwards transforms a copy.
 
     Arrays of at most TILE_ENTRIES entries go through `_passes` whole,
     with a scratch buffer of half the array.  Larger C-contiguous ones are
@@ -298,7 +304,7 @@ def transform_signs(values, word, tab, field, read, names=None, counts=None):
     was decided first, so no sign array is kept.  `names` labels the
     columns in failure messages.
     """
-    if _narrow_bent(values, word, tab, field.n, read, counts):
+    if _narrow_bent(values, word, tab, field.n, read, None if counts is None else counts @ tab):
         return
     _gather(values.reshape(len(values), -1), word, tab)
     # W(a) = values[perm[a]]: only witnesses and duals need field points
@@ -307,29 +313,36 @@ def transform_signs(values, word, tab, field, read, names=None, counts=None):
     check_round_trip(values, word, tab, names)
 
 
-def _narrow_bent(values, word, tab, n, read, counts):
-    """Decide a bent block of `transform_signs` in int16: True when done.
+def _narrow_bent(values, word, tab, n, read, s0=None):
+    """Decide a bent block of `transform_signs`, or a part of `walsh()`,
+    in int16: True when done.
 
-    The columns s = tab[word] are signs +-1, as `sign_table` gives them.
-    Bentness needs S(0) = sum_x s(x) = +-2^(n/2) in every column, read
-    exactly as counts @ tab; a block where that fails, and any block at
-    odd n, is left to the int32 path at once.  Otherwise the signs are
-    gathered into an int16 view of the low half of `values` and
-    transformed modulo 2^16.  When every entry is then +-2^(n/2)
-    (`_bent_class`), `read` gets the int16 spectra with the class
-    Bent(2^(n/2)), needing only the class and the signs; they are shifted
-    in place to eps = +-1 and transformed again, and fwht(eps) must be
-    2^(n/2) tab[word] modulo 2^16.  That makes 2^(n/2) eps the exact
-    spectrum for n <= 28, right or wrong as the first transform was
-    (`check_round_trip`), so Parseval, parity, the class and the round
-    trip all hold.  False, with `values` overwritten, when a test fails.
+    The columns s = tab[word] are signs +-1, as `sign_table` gives them,
+    or, for a part of `_fold`, its one column of sums of 2^k signs.
+    Bentness needs S(0) = sum_x s(x) = +-2^(n/2) in every column, and in
+    every part of a folded column, as those are entries of its S: `s0`
+    gives them exactly, every part's at each part, or they are read as
+    np.bincount(word) @ tab when it is None.  A block where that fails,
+    and any block at odd n, is left to the int32 path at once.
+    Otherwise the columns are gathered into an int16 view of the low half
+    of `values` and transformed modulo 2^16.  When every entry is then
+    +-2^(n/2) (`_bent_class`), `read` gets the int16 spectra with the
+    class Bent(2^(n/2)), needing only the class and the signs; they are
+    shifted in place to eps = +-1 and transformed again, and fwht(eps)
+    must be 2^(n/2) len(word) / 2^n tab[word] modulo 2^16: 2^(n/2)
+    tab[word] for whole columns, 2^(n/2-k) t_q for part q.  That makes
+    2^(n/2) eps the exact spectrum for n <= 28, right or wrong as the
+    first transform was (`check_round_trip`), so Parseval, parity, the
+    class and the round trip all hold; for a part, only once every part
+    of its column passes.  False, with `values` overwritten, when a test
+    fails.
     """
     if n % 2:
         return False
     amp = 1 << (n // 2)
-    if counts is None:
-        counts = np.bincount(word, minlength=len(tab))
-    if np.any(np.abs(counts @ tab) != amp):
+    if s0 is None:
+        s0 = np.bincount(word, minlength=len(tab)) @ tab
+    if np.any(np.abs(s0) != amp):
         return False
     narrow = values.reshape(-1).view(np.int16)[: values.size].reshape(values.shape)
     _gather(narrow.reshape(len(narrow), -1), word, tab.astype(np.int16))
@@ -339,7 +352,7 @@ def _narrow_bent(values, word, tab, n, read, counts):
         return False
     read(narrow, bent)
     narrow >>= n // 2  # +-amp to the candidate signs +-1
-    return _round_trip_errors(narrow, word, tab, amp) is None
+    return _round_trip_errors(narrow, word, tab, amp * len(word) >> n) is None
 
 
 def _gather(rows, word, tab):
@@ -347,6 +360,49 @@ def _gather(rows, word, tab):
     for i in range(0, len(rows), GATHER_ENTRIES):
         chunk = slice(i, i + GATHER_ENTRIES)
         np.take(tab, word[chunk], axis=0, out=rows[chunk], mode="clip")
+
+
+def _part_bytes(bits, q, length):
+    """The bytes of part q of `length` points in a packed sign buffer; a
+    ceiling end, since at n <= 2 the one byte is partly padding.  Parts of
+    fewer than 8 points would share a byte, which each part's packing
+    overwrites whole: `walsh()` folds into parts of at least 2^FOLD_FROM."""
+    return bits[q * length // 8 : -(-(q + 1) * length // 8)]
+
+
+def _narrow_parts(values, word, tab, table, n):
+    """The spectrum of `walsh()` decided bent in int16, or None.
+
+    `word` and `tab` are those of `_fold` for the truth table `table`, and
+    `values` the int32 buffer of a part.  Part q goes through
+    `_narrow_bent` as the one-column table tab[:, q], with the S(0) of
+    every part, so that the first part already tests them all.  S(0) of
+    part q is S(q 2^(n-k)) = sum_p H[p, q] (2^(n-k) - 2 c_p), read from the
+    weights c_p of the 2^k blocks of the table that the word packs as bit
+    planes (np.bincount would copy the word as intp).  Its signs are
+    packed into the part's bytes of one bit buffer.  When every part
+    passes, 2^(n/2) eps is the true S (`check_round_trip`): (bits, class
+    Bent(2^(n/2))).
+    At the first part that fails, the bits are dropped and None returned,
+    so that `_transform_parts` checks the whole column again in int32.
+    """
+    length, parts = len(word), tab.shape[1]
+    H = sign_table(np.arange(parts), np.arange(parts))
+    weights = [np.count_nonzero(table[p * length : (p + 1) * length]) for p in range(parts)]
+    s0 = (length - 2 * np.array(weights)) @ H
+    bits = np.empty(-(-len(table) // 8), dtype=np.uint8)
+    bent = None
+
+    def read(narrow, verdict):
+        nonlocal bent
+        bent = verdict
+        _pack_signs(narrow, _part_bytes(bits, q, length))
+
+    for q in range(parts):
+        column = np.ascontiguousarray(tab[:, q : q + 1])
+        if not _narrow_bent(values, word, column, n, read, s0):
+            return None
+    return bits, bent
 
 
 def _transform_parts(values, word, tab, field):
@@ -372,9 +428,6 @@ def _transform_parts(values, word, tab, field):
     bits = full = None
     errors = {}
 
-    def part_bytes(r):  # a ceiling end: at n <= 2 the one byte is partly padding
-        return bits[r * length // 8 : -(-(r + 1) * length // 8)]
-
     for q in range(tab.shape[1]):
         column = np.ascontiguousarray(tab[:, q : q + 1])
         _gather(values.reshape(length, 1), word, column)
@@ -382,12 +435,13 @@ def _transform_parts(values, word, tab, field):
         if full is None and (bent := _bent_class(values, n)) is not None:
             if bits is None:
                 bits = np.empty(-(-field.size // 8), dtype=np.uint8)
-            _pack_signs(values, part_bytes(q))
+            _pack_signs(values, _part_bytes(bits, q, length))
         else:
             if full is None:
                 full = np.empty(field.size, dtype=np.int32)
                 for r in range(q):  # bits is not None when q > 0
-                    _bent_values(part_bytes(r), amp, full[r * length : (r + 1) * length])
+                    part = full[r * length : (r + 1) * length]
+                    _bent_values(_part_bytes(bits, r, length), amp, part)
                 bits = None
             full[q * length : (q + 1) * length] = values
         if _round_trip_errors(values, word, column) is not None:
@@ -475,6 +529,21 @@ def check_round_trip(values, word, tab, names=None):
     only at w = 0 once M >= n/2 + 2.  So at M = 16 for n <= 28, H eps =
     2^(n/2) s, and 2^(n/2) eps = H s is the true spectrum: bent, with
     Parseval, parity and the round trip.
+
+    `walsh()` tries the 2^k parts of a folded column so in int16
+    (`_narrow_parts`): part q, of 2^(n-k) entries, passes when H eps_q =
+    2^(n/2-k) t_q + 2^16 w_q, t_q = tab[word, q].  No part's own sum
+    decides it, but their total does: sum_q |H eps_q|^2 = 2^(n-k) 2^n =
+    2^(2n-k), and so is sum_q |2^(n/2-k) t_q|^2, because sum_q |t_q|^2 =
+    2^(n+k) (each x gives the 2^k entries of H_(2^k) times 2^k signs).
+    So a pass of every part needs
+
+        sum_q <t_q, w_q> = -2^(15-n/2+k) sum_q |w_q|^2,
+
+    while |sum_q <t_q, w_q>| <= 2^k sum_q |w_q|^2 as |t_q| <= 2^k: only
+    w = 0 allows both for n <= 28, and then 2^(n/2) eps is the true S.
+    A pass of some parts alone proves nothing, so a column is taken from
+    int16 only once every part passes.
     """
     size = values.shape[0]
     first = _round_trip_errors(values, word, tab)
@@ -492,10 +561,11 @@ def _round_trip_errors(values, word, tab, scale=None):
     Sound only once Parseval holds for the whole spectrum, part or not:
     the differences are taken modulo 2^32 in int32, as `check_round_trip`
     states and proves; the int16 candidate signs of `_narrow_bent`, with
-    scale 2^(n/2), are proved there too.  The table is scaled once, in
-    the spectra's dtype; its entries stay within 2^n, and so within int32
-    at n <= 24, parts included, whose entries of at most 2^k are scaled
-    by 2^(n-k), and within int16 at scale 2^(n/2) <= 2^12.
+    scale 2^(n/2), or 2^(n/2-k) for a part, are proved there too.  The
+    table is scaled once, in the spectra's dtype; its entries stay within
+    2^n, and so within int32 at n <= 24, parts included, whose entries of
+    at most 2^k are scaled by 2^(n-k), and within 2^(n/2) <= 2^12, and so
+    within int16, at the int16 scales.
     Its rows are then gathered again a chunk of at most GATHER_ENTRIES
     entries at a time, the only memory the check takes beside the
     butterfly's scratch: a caller that still needs the spectra passes a
@@ -858,14 +928,23 @@ class BooleanFunction:
         FOLD_FROM, k = 0 and the one part is S: one int32 array of 2^n
         entries is held at a time, beside the butterfly's scratch or one
         gather chunk, and a copy of S when it is not bent.
+
+        At even n, when the S(0) of every part is +-2^(n/2), every part is
+        first tried in int16 in the low half of that buffer
+        (`_narrow_parts`): a column whose every part passes is bent, and
+        its bits are kept without an int32 butterfly.  At the first part
+        that fails, the whole column, its earlier parts too, goes the
+        int32 way above, which alone classifies and raises.
         """
         if self._walsh is None:
             k = min(FOLD_LEVELS, max(0, self.n - FOLD_FROM))
             word, tab = _fold(self.table, k)
+            values = np.empty(len(word), np.int32)
+            kept = _narrow_parts(values, word, tab, self.table, self.n) or _transform_parts(
+                values, word, tab, self.field
+            )
+            del values  # freed before `_take` classifies a copy of S
             spectrum = WalshSpectrum.__new__(WalshSpectrum)
-            # no name holds the part buffer, so it is freed before `_take`
-            # classifies a copy of S
-            kept = _transform_parts(np.empty(len(word), np.int32), word, tab, self.field)
             spectrum._take(self.field, *kept)
             self._walsh = spectrum
         return self._walsh

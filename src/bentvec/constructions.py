@@ -685,6 +685,18 @@ def _run_family(
     return FamilyResult(G, lift.H, H_hat, report, g=lift.g)
 
 
+def _inverse_masks(G):
+    """{lambda: G._mask(lambda^-1)} for every nonzero lambda of F_(2^m):
+    one vectorised inverse of the subfield and one sorted lookup of the
+    masks, in place of a scalar inverse and a scan of the subfield per
+    lambda."""
+    combos, masks = _basis_tables(G.field, G.m)
+    order = np.argsort(combos)
+    ascending = combos[order]  # ascending[0] is 0, which has no inverse
+    inverse_masks = masks[order[np.searchsorted(ascending, G.field.inverse_elems(ascending[1:]))]]
+    return dict(zip(ascending[1:].tolist(), inverse_masks.tolist()))
+
+
 def kasami_family(field, u_values, poly, tail_polys=(), seed=None):
     """H = x^(2^k+1) + F(traces) over GF(2^n), n = 2k.
 
@@ -696,7 +708,7 @@ def kasami_family(field, u_values, poly, tail_polys=(), seed=None):
     _check_conjugate_condition(field, u_values, k)
     G = _family_map(field, k, [(1, (1 << k) + 1)])
     # Tr^k_1(lambda^-1 x^(2^k+1)) is the component lambda^-1 of G
-    closed_form = _ClosedForm(lambda lam: G._mask(field.inverse(lam)), _component_bits(G, 1))
+    closed_form = _ClosedForm(_inverse_masks(G).__getitem__, _component_bits(G, 1))
 
     return _run_family(
         "kasami",

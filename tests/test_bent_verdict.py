@@ -205,7 +205,9 @@ def test_an_entry_between_the_levels_fails_parseval_in_a_block(monkeypatch):
 
 def test_a_wrapping_fault_on_a_whole_column_fails_parseval(monkeypatch):
     # n = 16: S' = S + 2^16 chi_a inverts to 2^16 s + 2^32 e_a, which int32
-    # wraps to the right signs
+    # wraps to the right signs.  In int16 the plant vanishes modulo 2^16, so
+    # the int16 attempt rightly certifies the true S; it is made to fail
+    # for the plant to reach the int32 checks
     n = 16
     field = FieldSpec.default(n)
     table = maiorana_mcfarland(n)
@@ -220,6 +222,9 @@ def test_a_wrapping_fault_on_a_whole_column_fails_parseval(monkeypatch):
         out += delta
 
     _planted_fwht(monkeypatch, {0: plant})
+    true_S = fwht(1 - 2 * table.astype(np.int32))
+    assert np.array_equal(BooleanFunction(field, table).walsh()._hadamard(), true_S)
+    monkeypatch.setattr(boolfun, "_narrow_bent", lambda *args: False)
     with pytest.raises(VerificationError) as err:
         BooleanFunction(field, table).walsh()
     assert str(err.value) == want

@@ -25,7 +25,7 @@ from bentvec import (
     vec_bent_lift,
     vec_plateaued_lift,
 )
-from bentvec.constructions import _tail_profile, _trace_one_lambdas
+from bentvec.constructions import _inverse_masks, _tail_profile, _trace_one_lambdas
 from bentvec.errors import FieldError, PreconditionError, VerificationError
 from bentvec.propp import satisfies_p_packed
 from oracles import naive_tail_profile
@@ -572,6 +572,18 @@ def test_niho_dual_rejects_argument_outside_subfield(monkeypatch):
     assert e == 1 << k
     x = int(np.flatnonzero(moved != z)[0])
     assert str(err.value) == f"Niho dual argument left F_(2^k) at x={x}: z = {int(z[x]):#x}"
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_the_kasami_parameter_lookup_is_the_mask_of_each_inverse(n):
+    # the closed form's parameter of lambda, one lookup for every lambda
+    field = FieldSpec.default(n)
+    G = kasami_vf(field)
+    lookup = _inverse_masks(G)
+    lambdas = [lam for lam, _ in G.selectors()]
+    assert sorted(lookup) == sorted(lambdas) and len(lambdas) == (1 << (n // 2)) - 1
+    for lam in lambdas:
+        assert lookup[lam] == G._mask(field.inverse(lam))
 
 
 def test_niho_dual_keeps_basis_table_error(monkeypatch):

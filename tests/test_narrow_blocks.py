@@ -1,4 +1,5 @@
-"""Bent blocks of profile() decided in int16, modulo 2^16.
+"""Bent blocks of profile() and bent parts of walsh() decided in int16,
+modulo 2^16.
 
 A block whose every S(0) is +-2^(n/2) is transformed in an int16 view of
 its buffer, given the bent-level verdict and read; its candidate signs
@@ -6,14 +7,22 @@ eps = +-1 are then transformed again and compared with 2^(n/2) tab[word]
 modulo 2^16, which makes 2^(n/2) eps the exact spectrum for n <= 28
 (`boolfun.check_round_trip`).  A block that fails any of these goes the
 int32 way, which alone classifies non-bent columns and raises.
+
+`walsh()` at even n tries every part q of its fold so, when S(0) of
+every part is +-2^(n/2): part q is compared with 2^(n/2-k) t_q, its signs
+packed into its bytes of the bit buffer, and the column is taken from
+int16 only when every part passes, as the certificate sums over the
+parts; otherwise the whole column goes the int32 way.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from bentvec import FieldSpec, VectorialFunction, boolfun, vectorial
+from bentvec import BooleanFunction, FieldSpec, VectorialFunction, boolfun, vectorial
+from bentvec.boolfun import _fold, _narrow_parts, _transform_parts, fwht
 from bentvec.cli import main
 from bentvec.errors import NotBentError, VerificationError
 from bentvec.fileio import read_vf
@@ -188,3 +197,117 @@ def test_a_block_with_an_off_level_s0_sends_no_int16_array(gold_lift, monkeypatc
     with mock.patch.object(vectorial, "BLOCK_COLUMNS", 4):
         assert read_vf(gold_lift).profile() == ref
     assert calls == [np.int32, np.int32] + [np.int16, np.int16] * 3
+
+
+def maiorana_mcfarland(n):
+    """<x_low, x_high> on the index bits: bent for even n."""
+    x = np.arange(1 << n, dtype=np.uint32)
+    half = np.uint32((1 << (n // 2)) - 1)
+    return (np.bitwise_count(x & half & (x >> (n // 2))) & 1).astype(np.uint8)
+
+
+def unfolded(table):
+    """S = fwht((-1)^f) of the whole column."""
+    return fwht(1 - 2 * table.astype(np.int32))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_every_n4_table_folded_is_accepted_exactly_when_bent(k):
+    n = 4
+    amp = 1 << (n // 2)
+    field = FieldSpec.default(n)
+    tables = ((np.arange(1 << (1 << n))[:, None] >> np.arange(1 << n)) & 1).astype(np.uint8)
+    spectra = (1 - 2 * tables.astype(np.int64)) @ sylvester_hadamard(n)
+    bent = np.all(np.abs(spectra) == amp, axis=1)
+    assert np.count_nonzero(bent) == 896
+    # _fold runs along axis 0: one word column per table, and one sign table
+    words, tab = _fold(np.ascontiguousarray(tables.T), k)
+    values = np.empty(len(words), np.int32)
+    accepted = []
+    for v in range(len(tables)):
+        word = np.ascontiguousarray(words[:, v])
+        kept = _narrow_parts(values, word, tab, tables[v], n)
+        if kept is not None:
+            accepted.append(v)
+            bits, cls = kept
+            assert cls.kind == "bent" and cls.amplitude == amp
+            # the same bits and class as the int32 path's
+            want_bits, want = _transform_parts(values, word, tab, field)
+            assert np.array_equal(bits, want_bits) and cls == want
+            if len(word) >= 8:  # parts of 4 points share a byte (`_part_bytes`)
+                assert np.array_equal(np.unpackbits(bits, count=1 << n), spectra[v] < 0)
+    assert accepted == np.flatnonzero(bent).tolist()
+
+
+def test_a_bent_column_at_n20_is_decided_by_int16_butterflies_alone(monkeypatch):
+    n = 20
+    table = maiorana_mcfarland(n)
+    S = unfolded(table)
+    calls = _fwht_calls(monkeypatch)
+    spectrum = BooleanFunction(FieldSpec.default(n), table).walsh()
+    # a forward and an inverse for each of the 4 parts
+    assert calls == [np.int16] * 8
+    assert spectrum.is_bent
+    assert np.array_equal(spectrum._hadamard(), S)
+
+
+def _negate_at(x):
+    def edit(out):
+        out[x] = -out[x]
+
+    return edit
+
+
+@pytest.mark.parametrize("call", [7, 8], ids=["forward", "inverse"])
+def test_a_fault_in_the_last_int16_part_sends_the_column_to_int32(monkeypatch, call):
+    # a sign flipped in the last part's int16 forward keeps it bent-level,
+    # so its wrong bits are packed; a corrupted inverse leaves the bits
+    # right.  Either fails the last part's compare alone, and the column,
+    # the earlier parts' bits too, is then decided again in int32
+    n = 20
+    table = maiorana_mcfarland(n)
+    S = unfolded(table)
+    calls = _fwht_calls(monkeypatch, {(np.int16, call): _negate_at(1000)})
+    spectrum = BooleanFunction(FieldSpec.default(n), table).walsh()
+    assert calls == [np.int16] * 8 + [np.int32] * 8
+    assert spectrum.is_bent
+    assert np.array_equal(spectrum._hadamard(), S)
+
+
+@pytest.mark.parametrize("n", [16, 19, 20])
+def test_a_column_off_level_at_s0_or_at_odd_n_sends_no_int16_array(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    tables = [rng.integers(0, 2, 1 << n, dtype=np.uint8)]
+    if n % 2:
+        # plateaued, and at odd n no part is ever tried in int16
+        tables.append(maiorana_mcfarland(n - 1).repeat(2))
+    else:
+        assert abs(int(unfolded(tables[0])[0])) != 1 << (n // 2)
+    for table in tables:
+        S = unfolded(table)
+        calls = _fwht_calls(monkeypatch)
+        spectrum = BooleanFunction(FieldSpec.default(n), table).walsh()
+        monkeypatch.undo()
+        assert np.int16 not in calls and len(calls) == 2 << min(3, max(0, n - 18))
+        assert np.array_equal(spectrum._hadamard(), S)
+
+
+def _traced_walsh(table, n):
+    f = BooleanFunction(FieldSpec.default(n), table)
+    tracemalloc.start()
+    try:
+        f.walsh()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_bent_walsh_at_n20_traces_less_than_the_int32_path(monkeypatch):
+    # no intp copy of a part's word: the S(0) test counts the table's bit
+    # planes, and the int16 butterflies take half the int32 ones' scratch
+    n = 20
+    table = maiorana_mcfarland(n)
+    narrow = _traced_walsh(table, n)
+    monkeypatch.setattr(boolfun, "_narrow_bent", lambda *args: False)
+    wide = _traced_walsh(table, n)
+    assert narrow < wide

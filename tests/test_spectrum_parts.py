@@ -150,7 +150,12 @@ def test_the_kinds_of_the_fold_tables():
 def _faulted(monkeypatch, edits):
     """Wrap fwht so that edits[i](out) changes the output of call i; part
     q's forward butterfly is call 2 q and its inverse call 2 q + 1.
-    Returns the list that collects a copy of every inverse's output."""
+    Returns the list that collects a copy of every inverse's output.
+
+    The int16 attempt of a bent column is made to fail, so that every
+    call is one of the int32 path, where the plants are aimed: in int16 a
+    plant of 2^16 or more would vanish, and one of 2^15 or more overflow."""
+    monkeypatch.setattr(boolfun, "_narrow_bent", lambda *args: False)
     fwht_ok = boolfun.fwht
     calls = []
     inverses = []
