@@ -42,26 +42,27 @@ block is checked by `check_parseval_parity` and classified column by
 column by `classify`.  The round trip, which is exact only once Parseval
 holds (`check_round_trip`), runs on every block either way.
 
-A block of `transform_signs` at even n whose every S(0) is +-2^(n/2),
-as bentness requires, is first tried in int16, in the low half of its
-own int32 buffer (`_narrow_bent`): its spectra modulo 2^16 are given the
-verdict and read, shifted in place to candidate signs eps = +-1, and
-transformed again; fwht(eps) = 2^(n/2) tab[word] modulo 2^16 makes
-2^(n/2) eps the exact spectrum for n <= 28 (`check_round_trip` proves
-it), so that every check holds.  `walsh()` at even n tries every part
-of its fold so, when the S(0) of every part is +-2^(n/2)
-(`_narrow_parts`): each in the low half of the one part buffer, its
-signs packed into the part's bytes of one bit buffer, and part q
-compared with 2^(n/2-k) t_q.  That certificate sums over the parts, so
-it holds only once every part passes.  Any other block or column, and
-one that fails there, takes the int32 path above, which alone
-classifies non-bent columns and raises.
+`profile()` hands `transform_signs` an int16 block of the columns whose
+S(0) is +-2^(n/2) at even n, as bentness requires, and an int32 block
+of any others.  An int16 block is decided bent or not at all
+(`_narrow_bent`): its spectra modulo 2^16 are given the verdict and
+read, shifted in place to candidate signs eps = +-1, and transformed
+again; fwht(eps) = 2^(n/2) tab[word] modulo 2^16 makes 2^(n/2) eps the
+exact spectrum for n <= 28 (`check_round_trip` proves it), so that every
+check holds.  `walsh()` at even n tries every part of its fold so, when
+the S(0) of every part is +-2^(n/2) (`_narrow_parts`): each in the low
+half of the one part buffer, its signs packed into the part's bits of
+one bit buffer, and part q compared with 2^(n/2-k) t_q.  That
+certificate sums over the parts, so it holds only once every part
+passes.  Any other block or column, and one that fails there, takes the
+int32 path above, which alone classifies non-bent columns and raises.
 
 The Hadamard and Möbius butterflies do two levels per pass, in place on
 the caller's array, which they return; a caller that needs its input
 afterwards transforms a copy.  The Hadamard one adds a scratch buffer of
-half the array, or above TILE_ENTRIES entries runs its passes a
-cache-sized tile at a time in a buffer of 1.5 tiles.  A truth table's
+half the array, or above TILE_BYTES (512 KB) runs its passes a
+cache-sized tile of at most TILE_BYTES at a time, in a buffer of 1.5
+tiles: 2^17 entries in int32, 2^18 in int16.  A truth table's
 ANF is computed bit-sliced, 64 points to a uint64 word (`_anf_words`),
 and the degree is read from those words.
 """
@@ -79,11 +80,14 @@ from .gf2n import FieldSpec, _walsh_permutation
 # entries per operand of the buffers numpy's ufuncs use on strided quarters;
 # at numpy's default of 8192 they alone add 3/8 of an int32 column at n = 16
 PASS_BUFSIZE = 1024
-# entries above which fwht works a tile at a time, and the most a tile holds;
-# a tile of 2^17 int32 entries and its pass scratch take 768 KB, within a
-# 2 MB L2 cache, and half as many tiles as at 2^16 cost less Python overhead
-# (one n = 20 column: 14-15 ms, against 17-18 ms at 2^16 on a 2-vCPU Xeon)
-TILE_ENTRIES = 1 << 17
+# bytes above which fwht works a tile at a time, and the most a tile holds,
+# whatever the dtype: 2^17 int32 or 2^18 int16 entries, which with their
+# pass scratch take 768 KB, within a 2 MB L2 cache.  Half as many tiles as
+# at 256 KB cost less Python overhead (one int32 n = 20 column: 14-15 ms,
+# against 17-18 ms; one int16 one: 6.0 ms, against 6.8-9.4 ms in 2^17-entry
+# tiles, on a 2-vCPU Xeon).  classify, the verdict and the packing read a
+# spectrum in slices of an int32 tile's entries
+TILE_BYTES = 1 << 19
 # rows gathered at a time: np.take copies its indices as intp, 128 KB a chunk
 # (a whole n = 20 column traced 8 MB); the round trip's chunk holds entries
 GATHER_ENTRIES = 1 << 14
@@ -145,26 +149,27 @@ def fwht(a):
     Any other input is refused with TypeError before anything is written;
     a caller that needs its input afterwards transforms a copy.
 
-    Arrays of at most TILE_ENTRIES entries go through `_passes` whole,
-    with a scratch buffer of half the array.  Larger C-contiguous ones are
+    Arrays of at most TILE_BYTES go through `_passes` whole, with a
+    scratch buffer of half the array.  Larger C-contiguous ones are
     cache-tiled as H_(2^n) = H_(2^hi) (x) H_(2^lo) with lo = n // 2:
     `_tiled` transforms the lo low index bits, then the hi high ones, a
     tile of T entries at a time in a scratch buffer of 1.5 T, where T is
-    at most TILE_ENTRIES and a third of the array.  The scratch and ufunc
-    buffers of PASS_BUFSIZE entries are all the memory it takes.
+    at most TILE_BYTES / itemsize entries (2^17 in int32, 2^18 in int16)
+    and a third of the array.  The scratch and ufunc buffers of
+    PASS_BUFSIZE entries are all the memory it takes.
     """
     if not (isinstance(a, np.ndarray) and a.dtype in (np.int16, np.int32, np.int64)):
         dtype = getattr(a, "dtype", type(a).__name__)
         raise TypeError(f"fwht transforms int16, int32 or int64 arrays in place, not {dtype}")
     size = a.shape[0]
     lo = (size.bit_length() - 1) // 2
-    tile = min(TILE_ENTRIES, a.size // 3)
+    tile = min(TILE_BYTES // a.itemsize, a.size // 3)
     with np.errstate():  # scopes setbufsize to this call
         np.setbufsize(PASS_BUFSIZE)
         # a tile holds whole transforms of the high bits, which at n <= 24
-        # only a TILE_ENTRIES below 2^12 can prevent; `_tiled` reshapes `a`
+        # only a tile below 2^12 entries can prevent; `_tiled` reshapes `a`
         # into views only in C order, `_passes` in any order
-        if a.size <= TILE_ENTRIES or size >> lo > tile or not a.flags.c_contiguous:
+        if a.nbytes <= TILE_BYTES or size >> lo > tile or not a.flags.c_contiguous:
             _passes(a, np.empty_like(a[: size // 2]))
         else:
             # a power of two, so that the tiles split the array evenly
@@ -281,70 +286,60 @@ def sign_table(values, masks):
     return 1 - 2 * parity.astype(np.int32)
 
 
-def transform_signs(values, word, tab, field, read, names=None, counts=None):
-    """The spectra of the sign columns tab[word], checked exactly.
+def transform_signs(values, word, tab, field, read, names=None):
+    """The spectra of the sign columns tab[word], checked exactly: True
+    when decided, False for an int16 block that is not bent.
 
     `tab` is a (words, cols) int32 table and `word` a row of it for every
-    point; `values`, the (2^n, cols) int32 buffer, receives the signs and
-    is transformed in place.  np.take copies its indices as intp, so the
-    signs are gathered GATHER_ENTRIES rows at a time, unchecked ("clip"):
-    every word is a row.  `counts` is np.bincount(word, minlength=words),
-    which a caller with many blocks of one word counts once.
+    point; `values`, the (2^n, cols) int16 or int32 buffer, receives the
+    signs and is transformed in place.  np.take copies its indices as
+    intp, so the signs are gathered GATHER_ENTRIES rows at a time,
+    unchecked ("clip"): every word is a row.
 
-    A block at even n is first tried in int16 (`_narrow_bent`); one that
-    passes there is bent in every column, read and checked.  Any other
-    is gathered and transformed in int32 and decided by `_checked_block`:
-    when every entry is +-2^(n/2), the bent-level verdict holds Parseval,
-    parity and the class Bent(2^(n/2)) of every column; otherwise
-    Parseval and parity are checked.  `read(values, bent)` reads the
-    spectra, with `bent` the verdict's class, or None when each column is
-    still to be classified; it may be called twice for one block, int16
-    then int32, and the second reading stands.  The inverse then
-    overwrites the spectra for `check_round_trip`, exact because Parseval
-    was decided first, so no sign array is kept.  `names` labels the
-    columns in failure messages.
+    An int16 block is decided bent in every column, read and checked, or
+    not at all (`_narrow_bent`); its caller, which sends only columns
+    whose S(0) is +-2^(n/2) at even n, then transforms them again in
+    int32.  An int32 block is gathered, transformed and decided by
+    `_checked_block`: when every entry is +-2^(n/2), the bent-level
+    verdict holds Parseval, parity and the class Bent(2^(n/2)) of every
+    column; otherwise Parseval and parity are checked.  `read(values,
+    bent)` reads the spectra, with `bent` the verdict's class, or None
+    when each column is still to be classified; a column may be read
+    twice, int16 then int32, and the second reading stands.  The inverse
+    then overwrites the spectra for `check_round_trip`, exact because
+    Parseval was decided first, so no sign array is kept.  `names`
+    labels the columns in failure messages.
     """
-    if _narrow_bent(values, word, tab, field.n, read, None if counts is None else counts @ tab):
-        return
+    if values.dtype == np.int16:
+        return _narrow_bent(values, word, tab, field.n, read)
     _gather(values.reshape(len(values), -1), word, tab)
     # W(a) = values[perm[a]]: only witnesses and duals need field points
     fwht(values)
     read(values, _checked_block(values, field, names))
     check_round_trip(values, word, tab, names)
+    return True
 
 
-def _narrow_bent(values, word, tab, n, read, s0=None):
-    """Decide a bent block of `transform_signs`, or a part of `walsh()`,
-    in int16: True when done.
+def _narrow_bent(narrow, word, tab, n, read):
+    """Decide an int16 block of `transform_signs`, or a part of `walsh()`,
+    bent: True when done.
 
     The columns s = tab[word] are signs +-1, as `sign_table` gives them,
-    or, for a part of `_fold`, its one column of sums of 2^k signs.
-    Bentness needs S(0) = sum_x s(x) = +-2^(n/2) in every column, and in
-    every part of a folded column, as those are entries of its S: `s0`
-    gives them exactly, every part's at each part, or they are read as
-    np.bincount(word) @ tab when it is None.  A block where that fails,
-    and any block at odd n, is left to the int32 path at once.
-    Otherwise the columns are gathered into an int16 view of the low half
-    of `values` and transformed modulo 2^16.  When every entry is then
-    +-2^(n/2) (`_bent_class`), `read` gets the int16 spectra with the
-    class Bent(2^(n/2)), needing only the class and the signs; they are
-    shifted in place to eps = +-1 and transformed again, and fwht(eps)
-    must be 2^(n/2) len(word) / 2^n tab[word] modulo 2^16: 2^(n/2)
-    tab[word] for whole columns, 2^(n/2-k) t_q for part q.  That makes
-    2^(n/2) eps the exact spectrum for n <= 28, right or wrong as the
-    first transform was (`check_round_trip`), so Parseval, parity, the
-    class and the round trip all hold; for a part, only once every part
-    of its column passes.  False, with `values` overwritten, when a test
-    fails.
+    or, for a part of `_fold`, its one column of sums of 2^k signs.  The
+    caller sends only columns whose S(0) = sum_x s(x) is +-2^(n/2) at
+    even n, as bentness needs, and `narrow` is their int16 buffer.  The
+    columns are gathered into it and transformed modulo 2^16.  When every
+    entry is then +-2^(n/2) (`_bent_class`), `read` gets the int16
+    spectra with the class Bent(2^(n/2)), needing only the class and the
+    signs; they are shifted in place to eps = +-1 and transformed again,
+    and fwht(eps) must be 2^(n/2) len(word) / 2^n tab[word] modulo 2^16:
+    2^(n/2) tab[word] for whole columns, 2^(n/2-k) t_q for part q.  That
+    makes 2^(n/2) eps the exact spectrum for n <= 28, right or wrong as
+    the first transform was (`check_round_trip`), so Parseval, parity,
+    the class and the round trip all hold; for a part, only once every
+    part of its column passes.  False, with `narrow` overwritten, when a
+    test fails, as the verdict does at odd n, where nothing is bent.
     """
-    if n % 2:
-        return False
-    amp = 1 << (n // 2)
-    if s0 is None:
-        s0 = np.bincount(word, minlength=len(tab)) @ tab
-    if np.any(np.abs(s0) != amp):
-        return False
-    narrow = values.reshape(-1).view(np.int16)[: values.size].reshape(values.shape)
     _gather(narrow.reshape(len(narrow), -1), word, tab.astype(np.int16))
     fwht(narrow)  # modulo 2^16
     bent = _bent_class(narrow, n)
@@ -352,7 +347,7 @@ def _narrow_bent(values, word, tab, n, read, s0=None):
         return False
     read(narrow, bent)
     narrow >>= n // 2  # +-amp to the candidate signs +-1
-    return _round_trip_errors(narrow, word, tab, amp * len(word) >> n) is None
+    return _round_trip_errors(narrow, word, tab, bent.amplitude * len(word) >> n) is None
 
 
 def _gather(rows, word, tab):
@@ -362,27 +357,47 @@ def _gather(rows, word, tab):
         np.take(tab, word[chunk], axis=0, out=rows[chunk], mode="clip")
 
 
-def _part_bytes(bits, q, length):
-    """The bytes of part q of `length` points in a packed sign buffer; a
-    ceiling end, since at n <= 2 the one byte is partly padding.  Parts of
-    fewer than 8 points would share a byte, which each part's packing
-    overwrites whole: `walsh()` folds into parts of at least 2^FOLD_FROM."""
-    return bits[q * length // 8 : -(-(q + 1) * length // 8)]
+def _pack_part(values, bits, q):
+    """Pack the marks of part q of a folded S, the len(values) entries of
+    `values`, into its bits of `bits`, where np.packbits puts them.
+
+    A part of a multiple of 8 points has whole bytes of its own.  A
+    shorter one, a power of two, shares a byte with its neighbours, and S
+    then has at most 32 points: its bits are set in the unpacked marks of
+    the whole buffer, which is packed again, so no neighbour's bit or the
+    zero padding changes.
+    """
+    length = len(values)
+    if length % 8 == 0:
+        _pack_signs(values, bits[q * length // 8 : (q + 1) * length // 8])
+    else:
+        marks = np.unpackbits(bits)
+        marks[q * length : (q + 1) * length] = values < 0
+        bits[:] = np.packbits(marks)
+
+
+def _part_bits(bits, q, length):
+    """The marks of part q of `length` points in `bits`, packed from its
+    first point on: its own bytes, or, for a part shorter than a byte,
+    one new byte."""
+    if length % 8 == 0:
+        return bits[q * length // 8 : (q + 1) * length // 8]
+    return np.packbits(np.unpackbits(bits)[q * length : (q + 1) * length])
 
 
 def _narrow_parts(values, word, tab, table, n):
     """The spectrum of `walsh()` decided bent in int16, or None.
 
     `word` and `tab` are those of `_fold` for the truth table `table`, and
-    `values` the int32 buffer of a part.  Part q goes through
-    `_narrow_bent` as the one-column table tab[:, q], with the S(0) of
-    every part, so that the first part already tests them all.  S(0) of
-    part q is S(q 2^(n-k)) = sum_p H[p, q] (2^(n-k) - 2 c_p), read from the
-    weights c_p of the 2^k blocks of the table that the word packs as bit
-    planes (np.bincount would copy the word as intp).  Its signs are
-    packed into the part's bytes of one bit buffer.  When every part
-    passes, 2^(n/2) eps is the true S (`check_round_trip`): (bits, class
-    Bent(2^(n/2))).
+    `values` the int32 buffer of a part, whose low half takes each part's
+    int16 block.  Part q goes through `_narrow_bent` as the one-column
+    table tab[:, q], once the S(0) of every part is +-2^(n/2), at even
+    n.  S(0) of part q is S(q 2^(n-k)) = sum_p H[p, q] (2^(n-k) - 2 c_p),
+    read from the weights c_p of the 2^k blocks of the table that the word
+    packs as bit planes (np.bincount would copy the word as intp).  Its
+    signs are packed into the part's bits of one zeroed bit buffer
+    (`_pack_part`).  When every part passes, 2^(n/2) eps is the true S
+    (`check_round_trip`): (bits, class Bent(2^(n/2))).
     At the first part that fails, the bits are dropped and None returned,
     so that `_transform_parts` checks the whole column again in int32.
     """
@@ -390,17 +405,20 @@ def _narrow_parts(values, word, tab, table, n):
     H = sign_table(np.arange(parts), np.arange(parts))
     weights = [np.count_nonzero(table[p * length : (p + 1) * length]) for p in range(parts)]
     s0 = (length - 2 * np.array(weights)) @ H
-    bits = np.empty(-(-len(table) // 8), dtype=np.uint8)
+    if n % 2 or np.any(np.abs(s0) != 1 << (n // 2)):
+        return None
+    narrow = values.view(np.int16)[:length]
+    bits = np.zeros(-(-len(table) // 8), dtype=np.uint8)
     bent = None
 
-    def read(narrow, verdict):
+    def read(spectra, verdict):
         nonlocal bent
         bent = verdict
-        _pack_signs(narrow, _part_bytes(bits, q, length))
+        _pack_part(spectra, bits, q)
 
     for q in range(parts):
         column = np.ascontiguousarray(tab[:, q : q + 1])
-        if not _narrow_bent(values, word, column, n, read, s0):
+        if not _narrow_bent(narrow, word, column, n, read):
             return None
     return bits, bent
 
@@ -434,14 +452,14 @@ def _transform_parts(values, word, tab, field):
         fwht(values)
         if full is None and (bent := _bent_class(values, n)) is not None:
             if bits is None:
-                bits = np.empty(-(-field.size // 8), dtype=np.uint8)
-            _pack_signs(values, _part_bytes(bits, q, length))
+                bits = np.zeros(-(-field.size // 8), dtype=np.uint8)
+            _pack_part(values, bits, q)
         else:
             if full is None:
                 full = np.empty(field.size, dtype=np.int32)
                 for r in range(q):  # bits is not None when q > 0
                     part = full[r * length : (r + 1) * length]
-                    _bent_values(_part_bytes(bits, r, length), amp, part)
+                    _bent_values(_part_bits(bits, r, length), amp, part)
                 bits = None
             full[q * length : (q + 1) * length] = values
         if _round_trip_errors(values, word, column) is not None:
@@ -571,8 +589,8 @@ def _round_trip_errors(values, word, tab, scale=None):
     butterfly's scratch: a caller that still needs the spectra passes a
     copy.  A chunk's intp indices and rows take at most half the array,
     the untiled butterfly's scratch, so that the butterfly sets the peak
-    at any n; above TILE_ENTRIES entries, its 1.5 tiles of at least 2^15
-    entries hold a whole chunk already.
+    at any n; above TILE_BYTES, its 1.5 tiles of at least 2^15 entries
+    hold a whole chunk already.
     """
     size = values.shape[0]
     scaled = tab.astype(values.dtype) * (size if scale is None else scale)
@@ -623,7 +641,7 @@ def classify(values, n):
     """Classify a Walsh value vector per the precedence above.
 
     int32 values stay int32, as for checked spectra, whose |W| <= 2^n.
-    |W| is read one TILE_ENTRIES slice at a time, and each slice's levels
+    |W| is read one slice of TILE_BYTES at a time, and each slice's levels
     are merged into those of the slices before it, so that no |W| copy of
     a longer column is made; a column of at most one tile is one slice,
     read in one pass.
@@ -632,8 +650,9 @@ def classify(values, n):
     if values.dtype != np.int32:
         values = values.astype(np.int64, copy=False)
     levels = None
-    for i in range(0, values.size, TILE_ENTRIES):
-        absv = np.abs(values[i : i + TILE_ENTRIES])
+    step = TILE_BYTES // values.itemsize
+    for i in range(0, values.size, step):
+        absv = np.abs(values[i : i + step])
         # exact shortcut for the common one-level slices; otherwise absv is
         # this call's own array, so it is sorted in place
         part = absv[:1].copy() if absv.min() == absv.max() else _distinct(absv)
@@ -656,18 +675,18 @@ def _bent_class(values, n):
     +-2^(n/2), else None: the one exact bent-level verdict.
 
     For even n, the entries equal to amp = 2^(n/2) and to -amp are
-    counted, a TILE_ENTRIES slice of rows at a time, so that the bool
-    temporaries take at most TILE_ENTRIES bytes, and the first slice whose
-    counts fall short ends the count.  When they make up the block, every
-    column is bent, and Parseval and parity hold with it: 2^n squares of
-    amp^2 = 2^n sum to 2^(2n), and amp is even for n >= 2.  Odd n has no
-    bent spectrum.
+    counted, a slice of an int32 tile's entries at a time, so that the
+    bool temporaries take at most TILE_BYTES / 4, and the first slice
+    whose counts fall short ends the count.  When they make up the block,
+    every column is bent, and Parseval and parity hold with it: 2^n
+    squares of amp^2 = 2^n sum to 2^(2n), and amp is even for n >= 2.
+    Odd n has no bent spectrum.
     """
     if n % 2:
         return None
     amp = 1 << (n // 2)
     rows = values.reshape(values.shape[0], -1)
-    step = max(1, TILE_ENTRIES // rows.shape[1])
+    step = max(1, TILE_BYTES // 4 // rows.shape[1])
     for i in range(0, len(rows), step):
         part = rows[i : i + step]
         if np.count_nonzero(part == amp) + np.count_nonzero(part == -amp) < part.size:
@@ -689,13 +708,14 @@ def _pack_signs(values, out=None):
     """The marks of values < 0 along a 1-D array, packed as np.packbits
     packs them (point x is bit 7 - x % 8 of byte x // 8).
 
-    Packed a TILE_ENTRIES slice at a time, so that no whole mark array is
-    made; written into `out`, of -(-len(values) // 8) bytes, when given.
+    Packed a slice of an int32 tile's entries at a time, so that no whole
+    mark array is made; written into `out`, of -(-len(values) // 8)
+    bytes, when given.
     """
     size = len(values)
     if out is None:
         out = np.empty(-(-size // 8), dtype=np.uint8)
-    step = -(-TILE_ENTRIES // 8) * 8  # whole bytes
+    step = -(-TILE_BYTES // 4 // 8) * 8  # whole bytes
     for i in range(0, size, step):
         out[i // 8 : (i + step) // 8] = np.packbits(values[i : i + step] < 0)
     return out

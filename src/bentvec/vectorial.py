@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .boolfun import (
-    TILE_ENTRIES,
+    TILE_BYTES,
     BooleanFunction,
     _distinct,
     _mobius,
@@ -34,16 +34,17 @@ from .boolfun import (
 from .errors import FieldError, VerificationError
 from .gf2n import FieldSpec, _linear_table
 
-# profile() transforms min(BLOCK_COLUMNS, BLOCK_POINTS >> n) components at
-# a time while two columns fit one fwht tile, and one at a time above: 16
-# columns at n <= 15, 8 at n = 16, 1 at n >= 17.  Wide blocks give the low
-# butterfly passes long runs; at n >= 17, two-column tiled blocks measured
-# 1.4-1.7x slower per column than one.  A block takes 4 bytes per entry, in
-# one int32 buffer that every block reuses, plus its sign table and one
-# gather chunk: at most 2 MB for n <= 16, and 4 MB at n = 20.  A block
-# tried at the bent level takes 2 bytes per entry, inside that buffer.
-BLOCK_POINTS = 1 << 19
-BLOCK_COLUMNS = 16
+# profile() transforms its components in blocks of at most ROW_BYTES a row
+# and BLOCK_BYTES in all while two int32 columns fit one fwht tile (n <= 16),
+# and of one column above, in either dtype: int32, 16 columns at n <= 15 and
+# 8 at n = 16; int16, twice as many, 32 and 16.  Wide blocks give the low
+# butterfly passes long runs; at n >= 17, blocks of two columns measured
+# slower per column than one, 1.4-1.7x in int32 and slower in int16 too.
+# Every block runs in one int32 buffer of the widest int32 block, which an
+# int16 block fills with twice the columns: at most 2 MB for n <= 16, and
+# 4 MB at n = 20, beside its sign table and one gather chunk.
+BLOCK_BYTES = 1 << 21
+ROW_BYTES = 64
 
 
 class BentnessCheck(NamedTuple):
@@ -303,9 +304,10 @@ class VectorialFunction:
         A block whose entries are all +-2^(n/2) is decided whole by the
         bent-level verdict, which holds Parseval, parity and the class of
         every column; only the columns of any other block are classified
-        one by one.  At even n, a block is first tried in int16 inside the
-        same buffer, and exactly (`boolfun.transform_signs`), once the
-        word's value counts show each S(0) is +-2^(n/2).  Once
+        one by one.  At even n, the columns whose S(0) is +-2^(n/2), by the
+        word's value counts, go in int16 blocks twice as wide inside the
+        same buffer, decided bent exactly or sent to int32 whole
+        (`boolfun.transform_signs`); the others go in int32 blocks.  Once
         keep_duals() asks, the dual of each bent
         (lambda, 0) column is kept packed in that index, one bit per point.
         Degrees use the linearity of the ANF: one Möbius transform of
@@ -360,27 +362,43 @@ class VectorialFunction:
 
     def _transform_rows(self, sels, masks, todo, rows, duals):
         """Fill rows[i] for i in `todo` from blocked, checked transforms,
-        and `duals`, when it is a dict, with the packed bent duals."""
+        and `duals`, when it is a dict, with the packed bent duals.
+
+        At even n, the columns whose S(0) is +-2^(n/2), read once from the
+        word's value counts, go to int16 blocks, which decide bent columns
+        alone, and all others to int32 blocks.  An int16 block that is not
+        decided is transformed again at once in int32 blocks of int32
+        width.  Blocks run in the order of their first column and fill rows
+        by index, so the rows keep selector order.
+        """
         n = self.n
         size = self.field.size
         mono_deg, mono_word = _monomial_keys(self.word)
         word, values = self._sign_index()
-        # every block's S(0) test of transform_signs reads the word's counts
-        counts = np.bincount(word, minlength=len(values)) if n % 2 == 0 else None
-        cols = min(BLOCK_COLUMNS, BLOCK_POINTS >> n) if 2 * size <= TILE_ENTRIES else 1
-        spectra = np.empty(size * min(cols, len(todo)), dtype=np.int32)
+        wide = _block_columns(n, 4)
+        level = [False] * len(todo)
+        if n % 2 == 0:
+            counts = np.bincount(word, minlength=len(values))
+            s0 = [counts @ sign_table(values, masks[c]) for c in _chunks(todo, wide)]
+            level = np.abs(np.concatenate(s0)) == 1 << (n // 2)
+        narrow = list(compress(todo, level))
+        others = [i for i, ok in zip(todo, level) if not ok]
+        blocks = [(c, np.int16) for c in _chunks(narrow, _block_columns(n, 2))]
+        blocks += [(c, np.int32) for c in _chunks(others, wide)]
+        blocks.sort(key=lambda block: block[0][0])
+        spectra = np.empty(size * min(wide, len(todo)), dtype=np.int32)
         # one buffer holds the packed duals: many small arrays fragmented
         # the heap enough to raise verify's peak RSS
         keep = [i for i in todo if sels[i][1] == 0] if duals is not None else []
         slot = {i: r for r, i in enumerate(keep)}
         store = np.empty((len(slot), -(-size // 8)), dtype=np.uint8)
-        for start in range(0, len(todo), cols):
-            index = todo[start : start + cols]
+
+        def transform(index, dtype):
             names = [sels[i] for i in index]
             block = masks[index]
 
             def read(spectra_block, bent):
-                # called within this iteration, on this block's columns;
+                # called within this transform, on this block's columns;
                 # `bent` is the class of a block that is bent in every column
                 odd = sign_table(mono_word, block) < 0  # parity 1
                 degrees = np.max(odd * mono_deg[:, None], axis=0, initial=0)
@@ -395,9 +413,14 @@ class VectorialFunction:
                         duals.pop(sel[0], None)
 
             # a contiguous prefix, so that a last, narrower block is one too
-            buffer = spectra[: size * len(index)].reshape(size, len(index))
+            buffer = spectra.view(dtype)[: size * len(index)].reshape(size, len(index))
             tab = sign_table(values, block)
-            transform_signs(buffer, word, tab, self.field, read, names, counts)
+            return transform_signs(buffer, word, tab, self.field, read, names)
+
+        for index, dtype in blocks:
+            if not transform(index, dtype):
+                for part in _chunks(index, wide):
+                    transform(part, np.int32)
 
     # -- predicates ----------------------------------------------------------------
 
@@ -459,6 +482,18 @@ class VectorialFunction:
                 f"degree {coord_deg} (first reached by coordinate {degrees.index(coord_deg)})"
             )
         return comp_deg
+
+
+def _block_columns(n, itemsize):
+    """Columns of a profile() block of `itemsize`-byte entries at n."""
+    if 8 << n > TILE_BYTES:  # two int32 columns would be tiled
+        return 1
+    return max(1, min(ROW_BYTES, BLOCK_BYTES >> n) // itemsize)
+
+
+def _chunks(items, width):
+    """Consecutive runs of `width` items, the last one shorter."""
+    return [items[i : i + width] for i in range(0, len(items), width)]
 
 
 def _monomial_keys(word):

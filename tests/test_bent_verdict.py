@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from bentvec import BooleanFunction, FieldSpec
 from bentvec import boolfun
 from bentvec.boolfun import (
-    TILE_ENTRIES,
+    TILE_BYTES,
     _bent_class,
     _fold,
     _round_trip_errors,
@@ -276,4 +276,4 @@ def test_the_verdicts_temporaries_stay_within_a_tile_of_bools():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= TILE_ENTRIES + 16384
+    assert peak <= TILE_BYTES // 4 + 16384

@@ -67,18 +67,18 @@ def test_fwht_is_the_sylvester_hadamard_product(n, trailing, dtype, seed):
     _assert_sylvester_product(n, trailing, dtype, seed)
 
 
-@given(**FWHT_CASES, tile=st.sampled_from([16, 64]))
+@given(**FWHT_CASES, tile=st.sampled_from([64, 256]))
 @settings(max_examples=120, deadline=None)
 def test_tiled_fwht_is_the_sylvester_hadamard_product(n, trailing, dtype, seed, tile):
     # a small tile constant sends every array above it through the tiled
-    # butterfly, a few entries a tile
-    with mock.patch.object(boolfun, "TILE_ENTRIES", tile):
+    # butterfly, a few entries a tile: 8 to 128, by the dtype's bytes
+    with mock.patch.object(boolfun, "TILE_BYTES", tile):
         _assert_sylvester_product(n, trailing, dtype, seed)
 
 
 @pytest.mark.parametrize("n, trailing", [(7, ()), (8, (3,)), (9, (2, 3))])
 def test_small_tile_constant_splits_the_butterfly(monkeypatch, n, trailing):
-    monkeypatch.setattr(boolfun, "TILE_ENTRIES", 32)
+    monkeypatch.setattr(boolfun, "TILE_BYTES", 32 * 8)  # 32 int64 entries
     passes, sizes = boolfun._passes, []
 
     def counted(a, tmp):
@@ -211,11 +211,11 @@ def test_spectrum_memory_at_n20_through_tiles():
     half = np.uint32((1 << (n // 2)) - 1)
     table = (np.bitwise_count(x & half & (x >> (n // 2))) & 1).astype(np.uint8)
     f = BooleanFunction(field, table)
-    assert field.size > boolfun.TILE_ENTRIES
+    assert 4 * field.size > boolfun.TILE_BYTES
     # spectrum, inverse butterfly, the tiled butterfly's scratch of 1.5
     # tiles and one gather chunk: the intp indices of its rows and the
     # int32 signs of the round trip
-    tile_scratch = 3 * 4 * boolfun.TILE_ENTRIES // 2
+    tile_scratch = 3 * boolfun.TILE_BYTES // 2
     chunk = (8 + 4) * boolfun.GATHER_ENTRIES
     assert _traced_peak(f.walsh) <= 2 * column + tile_scratch + chunk + slack
     assert f.is_bent()
@@ -252,19 +252,20 @@ def test_tiled_fwht_at_n20_matches_the_untiled_one_within_its_memory(monkeypatch
     slack = 3 * 4 * PASS_BUFSIZE + 16384  # as at n = 16
     rng = np.random.default_rng(20)
     signs = 1 - 2 * rng.integers(0, 2, 1 << n, dtype=np.uint8).astype(np.int32)
-    assert signs.size > boolfun.TILE_ENTRIES
+    assert signs.nbytes > boolfun.TILE_BYTES
     tiled = signs.copy()
     # in place: a scratch buffer of 1.5 tiles, within the half array that
     # the untiled butterfly takes
-    scratch = min(column // 2, 3 * 4 * boolfun.TILE_ENTRIES // 2)
+    scratch = min(column // 2, 3 * boolfun.TILE_BYTES // 2)
     assert _traced_peak(lambda: fwht(tiled)) <= scratch + slack
-    monkeypatch.setattr(boolfun, "TILE_ENTRIES", 1 << n)
+    monkeypatch.setattr(boolfun, "TILE_BYTES", 4 << n)
     assert np.array_equal(tiled, fwht(signs))
 
 
-@pytest.mark.parametrize("n, tile", [(17, 1 << 16), (19, boolfun.TILE_ENTRIES)])
+# tiles of int32 entries, as every odd n transforms in int32
+@pytest.mark.parametrize("n, tile", [(17, 1 << 16), (19, boolfun.TILE_BYTES // 4)])
 def test_walsh_round_trip_at_odd_n_through_tiles(monkeypatch, n, tile):
-    monkeypatch.setattr(boolfun, "TILE_ENTRIES", tile)
+    monkeypatch.setattr(boolfun, "TILE_BYTES", 4 * tile)
     field = FieldSpec.default(n)
     assert field.size > tile
     rng = np.random.default_rng(n)
@@ -310,7 +311,7 @@ def test_fwht_of_a_fortran_ordered_array_above_a_tile(trailing):
     n = 18
     rng = np.random.default_rng(n)
     signs = np.asfortranarray(1 - 2 * rng.integers(0, 2, (1 << n, *trailing)))
-    assert signs.size > boolfun.TILE_ENTRIES and not signs.flags.c_contiguous
+    assert signs.nbytes > boolfun.TILE_BYTES and not signs.flags.c_contiguous
     expected = fwht(np.ascontiguousarray(signs))
     assert fwht(signs) is signs
     assert np.array_equal(signs, expected)

@@ -3,7 +3,7 @@
 A bent S = 2^(n/2) (-1)^bits is kept as its amplitude (in its class) and
 its sign bits, 2^n / 8 bytes; any other S as a copy.  Every reader goes
 through one accessor, so each is checked here against the literal double
-sum, and `classify`, which reads |W| one TILE_ENTRIES slice at a time, is
+sum, and `classify`, which reads |W| one slice of TILE_BYTES at a time, is
 checked against its one-slice pass.
 """
 
@@ -172,8 +172,8 @@ def _semi_bent(n):
 def test_tiled_classify_matches_the_single_pass(monkeypatch, make, n):
     values = make(n)
     whole = classify(values, n)
-    assert values.size <= boolfun.TILE_ENTRIES
-    monkeypatch.setattr(boolfun, "TILE_ENTRIES", 4)
+    assert values.nbytes <= boolfun.TILE_BYTES
+    monkeypatch.setattr(boolfun, "TILE_BYTES", 16)  # 4 int32 entries
     for given in (values, values.astype(np.int64), values.tolist()):
         tiled = classify(given, n)
         assert tiled == whole
@@ -218,7 +218,7 @@ def test_bent_walsh_at_n20_holds_one_part_and_keeps_its_bits():
     part = 4 * length
     slack = 3 * 4 * PASS_BUFSIZE + 16384  # as in test_butterflies
     f = BooleanFunction(field, maiorana_mcfarland(n))
-    tile_scratch = 3 * 4 * boolfun.TILE_ENTRIES // 2
+    tile_scratch = 3 * boolfun.TILE_BYTES // 2
     chunk = (8 + 4) * boolfun.GATHER_ENTRIES
     bits = (1 << n) // 8
     held, peak = _traced(f.walsh)
@@ -233,7 +233,7 @@ def test_round_trip_chunk_at_n16_stays_within_the_butterflys_scratch():
     n = 16
     column = 4 << n
     slack = 3 * 4 * PASS_BUFSIZE + 16384  # as in test_butterflies
-    assert 1 << n <= boolfun.TILE_ENTRIES
+    assert 4 << n <= boolfun.TILE_BYTES
     tab = np.array([[1], [-1]], dtype=np.int32)
     for _, table in tables(n):
         values = fwht(1 - 2 * table.astype(np.int32))
@@ -245,7 +245,7 @@ def test_round_trip_runs_after_the_packing_on_the_same_buffer(monkeypatch):
     n = 18  # the signs are packed in two tiles, and the verdict counts two slices
     field = FieldSpec.default(n)
     table = maiorana_mcfarland(n)
-    assert field.size > boolfun.TILE_ENTRIES
+    assert 4 * field.size > boolfun.TILE_BYTES
     events = []
     fwht_ok = boolfun.fwht
     pack = boolfun._pack_signs

@@ -153,7 +153,7 @@ def test_a_fault_that_fakes_a_bent_column_in_int16_keeps_no_dual(monkeypatch):
 
     assert abs(int((1 - 2 * fresh().component(1).table.astype(np.int64)).sum())) == 16
     assert not fresh().component(1).is_bent()
-    with mock.patch.object(vectorial, "BLOCK_COLUMNS", 1):
+    with mock.patch.object(vectorial, "_block_columns", return_value=1):
         ref_rows, ref_duals = _profile_and_duals(fresh())
 
         def all_bent_level(out):
@@ -190,13 +190,14 @@ def test_a_block_with_an_off_level_s0_sends_no_int16_array(gold_lift, monkeypatc
     ref = read_vf(gold_lift).profile()
     calls = _fwht_calls(monkeypatch)
     assert read_vf(gold_lift).profile() == ref
-    assert calls == [np.int32, np.int32]
-    # four columns a block: the tail's block goes the int32 way at once, the
-    # bent blocks after it in int16
+    # the tail's three columns go the int32 way at once, as one block, and
+    # the twelve bent ones in one int16 block after it
+    assert calls == [np.int32, np.int32, np.int16, np.int16]
+    # rows of 16 bytes: int32 blocks of four columns and int16 ones of eight
     calls.clear()
-    with mock.patch.object(vectorial, "BLOCK_COLUMNS", 4):
+    with mock.patch.object(vectorial, "BLOCK_BYTES", 16 << F.n):
         assert read_vf(gold_lift).profile() == ref
-    assert calls == [np.int32, np.int32] + [np.int16, np.int16] * 3
+    assert calls == [np.int32, np.int32] + [np.int16, np.int16] * 2
 
 
 def maiorana_mcfarland(n):
@@ -234,8 +235,13 @@ def test_every_n4_table_folded_is_accepted_exactly_when_bent(k):
             # the same bits and class as the int32 path's
             want_bits, want = _transform_parts(values, word, tab, field)
             assert np.array_equal(bits, want_bits) and cls == want
-            if len(word) >= 8:  # parts of 4 points share a byte (`_part_bytes`)
-                assert np.array_equal(np.unpackbits(bits, count=1 << n), spectra[v] < 0)
+            # every bit, at k = 2 too, where parts of 4 points share a byte
+            assert np.array_equal(np.unpackbits(bits), spectra[v] < 0)
+        elif v % 64 == 0:
+            # int32 rebuilds bent-level parts before the first other one
+            # from their bits: S whole, at k = 2 from bits sharing a byte
+            full, cls = _transform_parts(values, word, tab, field)
+            assert cls is None and np.array_equal(full, spectra[v])
     assert accepted == np.flatnonzero(bent).tolist()
 
 

@@ -13,6 +13,13 @@ from bentvec.errors import VerificationError
 from bentvec.fileio import read_vf
 
 
+def norm(n):
+    """x -> x^(2^k + 1) into F_(2^k), k = n/2: every component is bent."""
+    field = FieldSpec.default(n)
+    k = n // 2
+    return VectorialFunction.from_univariate(field, k, [(1, (1 << k) + 1)])
+
+
 @pytest.fixture(scope="module")
 def gold_vf(tmp_path_factory):
     # the verify-vf benchmark's file: a gold (16, 4+2)-function
@@ -31,40 +38,71 @@ def _random(n, m, t):
     return lambda: VectorialFunction(field, m, values, extra, t)
 
 
-def _profiled(F, monkeypatch):
-    """F's rows and packed duals, with the width of every block."""
-    widths = []
+def _blocks(monkeypatch):
+    """Record (dtype, selectors) of every block that profile() hands to
+    transform_signs, in order.  A block's butterflies are two, in int16 or
+    in int32, so blocks are counted where profile() hands them over."""
+    blocks = []
     transform = vectorial.transform_signs
 
-    def counted(values, *args):
-        widths.append(values.shape[1])
-        return transform(values, *args)
+    def counted(values, word, tab, field, read, names=None):
+        blocks.append((values.dtype, list(names)))
+        return transform(values, word, tab, field, read, names)
 
-    # a block's butterflies are two in int32, or in int16 when it is bent,
-    # and three or four when an int16 attempt fails, so blocks are counted
-    # where profile() hands them over
     monkeypatch.setattr(vectorial, "transform_signs", counted)
-    F.keep_duals()
-    rows = F.profile()
-    monkeypatch.setattr(vectorial, "transform_signs", transform)
-    return rows, F._dual_bits, widths
+    return blocks
+
+
+def _profiled(F, monkeypatch, one_column=False):
+    """F's rows and packed duals, with the blocks of `_blocks`; in blocks
+    of one column of either dtype, the oracle, when `one_column`."""
+    with monkeypatch.context() as patch:
+        blocks = _blocks(patch)
+        if one_column:
+            patch.setattr(vectorial, "_block_columns", lambda n, itemsize: 1)
+        F.keep_duals()
+        rows = F.profile()
+    return rows, F._dual_bits, blocks
+
+
+def _widths(blocks, dtype, level=()):
+    """The widths of the blocks of a dtype, leaving out the int32 blocks
+    that redo the `level` columns of an int16 block that was not bent."""
+    return [len(names) for kind, names in blocks if kind == dtype and not set(level) & set(names)]
+
+
+def _level(F):
+    """Whether each component's S(0) is +-2^(n/2), from its truth table."""
+    return [
+        F.n % 2 == 0 and abs(int((1 - 2 * f.table.astype(np.int64)).sum())) == 1 << (F.n // 2)
+        for _, f in F.components()
+    ]
+
+
+def _runs(count, width):
+    return [width] * (count // width) + [count % width] * (count % width > 0)
 
 
 @pytest.mark.parametrize(
-    "name, n, m, t, width",
+    "name, n, m, t, wide",
     [("gold", 16, 4, 2, 8), ("random", 16, 4, 2, 8), ("random", 15, 5, 1, 16),
      ("random", 14, 7, 1, 16)],
 )
-def test_default_blocks_equal_one_column_blocks(gold_vf, monkeypatch, name, n, m, t, width):
+def test_default_blocks_equal_one_column_blocks(gold_vf, monkeypatch, name, n, m, t, wide):
+    narrow = 2 * wide  # int16 blocks fill the int32 blocks' bytes
     fresh = (lambda: read_vf(gold_vf)) if name == "gold" else _random(n, m, t)
     F = fresh()
     assert (F.n, F.m, F.t) == (n, m, t)
-    rows, duals, widths = _profiled(F, monkeypatch)
+    level = {sel for sel, ok in zip(F.selectors(), _level(F)) if ok}
+    rows, duals, blocks = _profiled(F, monkeypatch)
     count = (1 << (m + t)) - 1
-    assert widths == [width] * (count // width) + [count % width] * (count % width > 0)
-    with mock.patch.object(vectorial, "BLOCK_COLUMNS", 1):
-        ref_rows, ref_duals, ref_widths = _profiled(fresh(), monkeypatch)
-    assert ref_widths == [1] * count
+    assert _widths(blocks, np.int16) == _runs(len(level), narrow)
+    # an int32 block holds off-level columns alone, or redoes level ones
+    # whose int16 block was not bent (one at n = 14)
+    assert all(set(names) <= level for kind, names in blocks if level & set(names))
+    assert _widths(blocks, np.int32, level) == _runs(count - len(level), wide)
+    ref_rows, ref_duals, ref_blocks = _profiled(fresh(), monkeypatch, one_column=True)
+    assert {len(names) for _, names in ref_blocks} == {1}
     assert rows == ref_rows
     assert duals.keys() == ref_duals.keys()
     for lam, bits in duals.items():
@@ -73,27 +111,118 @@ def test_default_blocks_equal_one_column_blocks(gold_vf, monkeypatch, name, n, m
         assert len(duals) == (1 << m) - 1  # G is vectorial bent
 
 
-def _inverse_fault(monkeypatch, on_call, x, j):
+def _bent_pair(n):
+    """An (n, 1+1)-function of three bent components at even n: f = <x, y>
+    and g = <x, alpha y> on the low and high halves x, y of the index, with
+    the product in GF(2^(n/2)), so that f + g = <x, (1 + alpha) y> too."""
+    half = FieldSpec.default(n // 2)
+    points = np.arange(1 << n)
+    x, y = points & (half.size - 1), points >> (n // 2)
+
+    def inner(u, v):
+        return (np.bitwise_count(u & v) & 1).astype(np.int64)
+
+    field = FieldSpec.default(n)
+    return VectorialFunction(field, 1, inner(x, y), inner(x, half.mul_elems(y, 2)), 1)
+
+
+def test_block_widths_are_pinned_per_dtype(gold_vf, monkeypatch):
+    # int16 blocks fill the bytes of the int32 ones with twice the columns
+    # while two int32 columns fit one fwht tile, and both are one column
+    # wide above
+    widths = {12: (32, 16), 16: (16, 8), 17: (1, 1), 18: (1, 1)}
+    for n, pair in widths.items():
+        assert (vectorial._block_columns(n, 2), vectorial._block_columns(n, 4)) == pair
+    cases = [
+        (norm(12), [32, 31], []),  # 63 bent components
+        # one column at the level S(0), not bent, is redone in int32
+        (_random(12, 6, 0)(), [1], [16, 16, 16, 14]),
+        (read_vf(gold_vf), [16, 16, 16, 12], [3]),
+        (_random(17, 1, 1)(), [], [1, 1, 1]),
+        (_bent_pair(18), [1, 1, 1], []),
+        (_random(18, 1, 1)(), [], [1, 1, 1]),
+    ]
+    for F, narrow, wide in cases:
+        with monkeypatch.context() as patch:
+            blocks = _blocks(patch)
+            F.profile()
+        level = [sel for sel, ok in zip(F.selectors(), _level(F)) if ok]
+        assert _widths(blocks, np.int16) == narrow
+        assert _widths(blocks, np.int32, level) == wide
+        if F.m == 4:
+            # the gold file's three lambda = 0 columns are off-level, Mixed,
+            # and form the one int32 block; no int16 block holds one
+            assert [names for kind, names in blocks if kind == np.int32] == [
+                [(0, 1), (0, 2), (0, 3)]
+            ]
+            assert all(sel[0] for kind, names in blocks if kind == np.int16 for sel in names)
+            assert all(cls.kind == "mixed" for _, cls, _ in F.profile()[:3])
+
+
+def test_an_int16_block_that_is_not_bent_is_redone_once_in_int32(monkeypatch):
+    # two points of the norm at n = 12 moved so that component (1, 0) keeps
+    # S(0) = 2^(n/2) but is not bent: its int16 block of 32 columns fails
+    # the verdict and goes to int32 at int32 width, 16 and 16, once
+    G = norm(12)
+    field, m = G.field, G.m
+    delta = next(int(d) for d in field.subfield(m) if field.subfield_abs_trace(int(d), m))
+    bits = G.component(1).table
+    values = G.values.copy()
+    values[[np.flatnonzero(bits == 0)[0], np.flatnonzero(bits == 1)[0]]] ^= delta
+
+    def fresh():
+        return VectorialFunction(field, m, values)
+
+    F = fresh()
+    assert not F.component(1).is_bent() and _level(F)[0]
+    level = [sel for sel, ok in zip(F.selectors(), _level(F)) if ok]
+    rows, duals, blocks = _profiled(F, monkeypatch)
+    first = level[:32]
+    assert blocks[:3] == [(np.int16, first), (np.int32, first[:16]), (np.int32, first[16:])]
+    assert not set(first) & {sel for _, names in blocks[3:] for sel in names}
+    assert rows[0][1].kind != "bent" and 1 not in duals
+    ref_rows, ref_duals, _ = _profiled(fresh(), monkeypatch, one_column=True)
+    assert rows == ref_rows
+    assert duals.keys() == ref_duals.keys()
+    assert all(np.array_equal(bits, ref_duals[lam]) for lam, bits in duals.items())
+    # a fault in the redone inverse of a bent column of that block gives
+    # the one-column oracle's message
+    x, sel = 300, first[5]
+    messages = []
+    for one_column in (False, True):
+        with monkeypatch.context() as patch:
+            _inverse_fault(patch, sel, x)
+            if one_column:
+                patch.setattr(vectorial, "_block_columns", lambda n, itemsize: 1)
+            with pytest.raises(VerificationError) as err:
+                fresh().profile()
+        messages.append(str(err.value))
+    sign = 1 - 2 * int(F.component(*sel).table[x])
+    assert messages == [
+        f"component {sel}: Walsh round-trip failed at x = {x}: inverse gives "
+        f"{-sign}, table sign is {sign}"
+    ] * 2
+
+
+def _inverse_fault(monkeypatch, sel, x):
     # profile() runs every block's forward butterfly, then its in-place
-    # inverse, through boolfun.fwht: in int16 first for a block that may be
-    # bent, then in int32 when that fails.  The inverses of the on_call-th
-    # block, each the second call of its dtype there, negate entry (x, j)
-    # of their results: the int16 round trip fails, and the int32 one names
-    # the fault
-    blocks = []
+    # inverse, through boolfun.fwht, all in the block's one dtype.  In each
+    # block that holds component `sel`, the inverse, its second call,
+    # negates entry x of sel's column: an int16 round trip then fails, and
+    # the int32 one names the fault
+    block = {"column": None, "calls": 0}
     transform = vectorial.transform_signs
     fwht = boolfun.fwht
 
-    def counted(*args):
-        blocks.append([])
-        return transform(*args)
+    def counted(values, word, tab, field, read, names=None):
+        block.update(column=names.index(sel) if sel in names else None, calls=0)
+        return transform(values, word, tab, field, read, names)
 
     def faulty(signs):
         out = fwht(signs)
-        dtypes = blocks[-1]
-        dtypes.append(out.dtype)
-        if len(blocks) == on_call and dtypes.count(out.dtype) == 2:
-            out[x, j] = -out[x, j]
+        block["calls"] += 1
+        if block["column"] is not None and block["calls"] == 2:
+            out[x, block["column"]] = -out[x, block["column"]]
         return out
 
     monkeypatch.setattr(vectorial, "transform_signs", counted)
@@ -101,19 +230,20 @@ def _inverse_fault(monkeypatch, on_call, x, j):
 
 
 def test_a_fault_in_the_in_place_inverse_names_its_component(gold_vf, monkeypatch):
-    x, k = 300, 11  # component k is column 3 of the second 8-column block
+    x, k = 300, 11  # component k is column 8 of the first int16 block
     sels = list(read_vf(gold_vf).selectors())
     sign = 1 - 2 * int(read_vf(gold_vf).component(*sels[k]).table[x])
     want = (
         f"component {sels[k]}: Walsh round-trip failed at x = {x}: inverse "
         f"gives {-sign}, table sign is {sign}"
     )
-    for on_call, j, columns in ((2, 3, vectorial.BLOCK_COLUMNS), (k + 1, 0, 1)):
+    for one_column in (False, True):
         F = read_vf(gold_vf)
-        _inverse_fault(monkeypatch, on_call, x, j)
-        with mock.patch.object(vectorial, "BLOCK_COLUMNS", columns):
-            with pytest.raises(VerificationError) as err:
-                F.profile()
+        _inverse_fault(monkeypatch, sels[k], x)
+        if one_column:
+            monkeypatch.setattr(vectorial, "_block_columns", lambda n, itemsize: 1)
+        with pytest.raises(VerificationError) as err:
+            F.profile()
         assert str(err.value) == want
         assert F._profile is None and F._dual_bits is None
         monkeypatch.undo()
@@ -123,7 +253,8 @@ def test_a_fault_in_the_in_place_inverse_names_its_component(gold_vf, monkeypatc
 def test_profile_memory_at_n16(gold_vf):
     F = read_vf(gold_vf)
     size = F.field.size
-    # one reused int32 buffer of 8 columns; one gather chunk, the intp
+    # one reused int32 buffer of 8 columns, or 16 int16 ones; one gather
+    # chunk, the intp
     # indices of its rows and the int32 signs of the round trip; the
     # tiled butterfly's 1.5 tiles; the word's size for what a column's
     # class and dual take; the packed duals; numpy's ufunc buffers and
@@ -133,7 +264,7 @@ def test_profile_memory_at_n16(gold_vf):
     bound = (
         8 * size * 4
         + chunk
-        + 3 * 4 * boolfun.TILE_ENTRIES // 2
+        + 3 * boolfun.TILE_BYTES // 2
         + F.word.nbytes
         + ((1 << F.m) - 1) * size // 8
         + 3 * 4 * PASS_BUFSIZE + 16384
@@ -201,8 +332,9 @@ def test_gather_chunks_count_rows(monkeypatch):
 
 
 def test_chunked_gathers_give_the_same_profile_and_witness(gold_vf, monkeypatch):
-    # 8 columns of 2^16 points, gathered 32 rows and checked 4 rows at a
-    # time: the faulty entry at x = 300 lies in the round trip's 76th chunk
+    # int16 blocks of 16 columns and int32 ones of 8, of 2^16 points,
+    # gathered and checked 32 entries at a time: the faulty entry at x =
+    # 300 lies in the int32 round trip's 76th chunk of 4 rows
     ref = read_vf(gold_vf)
     ref.keep_duals()
     ref.profile()
@@ -215,7 +347,7 @@ def test_chunked_gathers_give_the_same_profile_and_witness(gold_vf, monkeypatch)
     sels = list(read_vf(gold_vf).selectors())
     x, k = 300, 11
     sign = 1 - 2 * int(read_vf(gold_vf).component(*sels[k]).table[x])
-    _inverse_fault(monkeypatch, 2, x, 3)
+    _inverse_fault(monkeypatch, sels[k], x)
     with pytest.raises(VerificationError) as err:
         read_vf(gold_vf).profile()
     assert str(err.value) == (

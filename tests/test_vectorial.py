@@ -393,8 +393,9 @@ def _reference_component(F, lam, v):
     cols=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n=4, m_index=1, t=1, cols=3, seed=0)  # 7 selectors: blocks of 3, 3, 1
-@example(n=6, m_index=2, t=2, cols=4, seed=1)  # 31 selectors: last block holds 3
+# int32 blocks of `cols` columns, and int16 ones of 2 cols
+@example(n=4, m_index=1, t=1, cols=3, seed=0)  # 7 selectors
+@example(n=6, m_index=2, t=2, cols=4, seed=1)  # 31 selectors
 def test_profile_blocks_match_per_component_reference(n, m_index, t, cols, seed):
     field = FieldSpec.default(n)
     divisors = [m for m in range(1, n + 1) if n % m == 0]
@@ -403,7 +404,7 @@ def test_profile_blocks_match_per_component_reference(n, m_index, t, cols, seed)
     values = rng.choice(field.subfield(m), size=field.size)
     extra = rng.integers(0, 1 << t, size=field.size)
     F = VectorialFunction(field, m, values, extra, t)
-    with mock.patch.object(vectorial, "BLOCK_POINTS", cols << n):
+    with mock.patch.object(vectorial, "BLOCK_BYTES", (4 * cols) << n):
         rows = F.profile()
     assert [sel for sel, _, _ in rows] == list(F.selectors())
     for (lam, v), cls, deg in rows:
