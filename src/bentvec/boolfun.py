@@ -44,27 +44,36 @@ holds (`check_round_trip`), runs on every block either way.
 
 `profile()` hands `transform_signs` an int16 block of the columns whose
 S(0) is +-2^(n/2) at even n, as bentness requires, and an int32 block
-of any others.  An int16 block is decided bent or not at all
-(`_narrow_bent`): its spectra modulo 2^16 are given the verdict and
-read, shifted in place to candidate signs eps = +-1, and transformed
-again; fwht(eps) = 2^(n/2) tab[word] modulo 2^16 makes 2^(n/2) eps the
-exact spectrum for n <= 28 (`check_round_trip` proves it), so that every
-check holds.  `walsh()` at even n tries every part of its fold so, when
+of any others.  An int16 block is decided bent column by column
+(`_narrow_bent`): its spectra modulo 2^16 are given the verdict per
+column, the bent-level columns are read, and the block is shifted in
+place to candidate signs eps = +-1 and transformed again; fwht(eps) =
+2^(n/2) tab[word] modulo 2^16 makes 2^(n/2) eps the exact spectrum of a
+column for n <= 28 (`check_round_trip` proves it), so that every check
+holds for it.  `walsh()` at even n tries every part of its fold so, when
 the S(0) of every part is +-2^(n/2) (`_narrow_parts`): each in the low
 half of the one part buffer, its signs packed into the part's bits of
 one bit buffer, and part q compared with 2^(n/2-k) t_q.  That
 certificate sums over the parts, so it holds only once every part
-passes.  Any other block or column, and one that fails there, takes the
-int32 path above, which alone classifies non-bent columns and raises.
+passes.  Any other block or column, and a column or a part that fails
+there, takes the int32 path above, which alone classifies non-bent
+columns and raises: `profile()` redoes only the failed columns.
 
 The Hadamard and Möbius butterflies do two levels per pass, in place on
 the caller's array, which they return; a caller that needs its input
-afterwards transforms a copy.  The Hadamard one adds a scratch buffer of
-half the array, or above TILE_BYTES (512 KB) runs its passes a
-cache-sized tile of at most TILE_BYTES at a time, in a buffer of 1.5
-tiles: 2^17 entries in int32, 2^18 in int16.  A truth table's
-ANF is computed bit-sliced, 64 points to a uint64 word (`_anf_words`),
-and the degree is read from those words.
+afterwards transforms a copy.  The Hadamard one splits H_(2^n) =
+H_(2^hi) (x) H_(2^lo) wherever that runs faster, and adds at most a
+scratch buffer of half the array.  A whole array of up to TILE_BYTES
+(512 KB) runs its passes in place, unless its rows are narrow: one or
+two int16 or int32 columns (or four int16 ones), from half a tile on,
+which the passes would walk a few entries at a time.  Those run the
+low bits on transposed quarters and the high bits in place, on a view
+whose rows are longer than ROW_BYTES: a (2^18,) int16 part of `walsh()`
+took 1.21 against 1.62 ms on a 2-vCPU Xeon.  Above TILE_BYTES, a
+C-contiguous array runs both halves a cache-sized tile of at most
+TILE_BYTES at a time, in a buffer of 1.5 tiles: 2^17 entries in int32,
+2^18 in int16.  A truth table's ANF is computed bit-sliced, 64 points to
+a uint64 word (`_anf_words`), and the degree is read from those words.
 """
 
 from __future__ import annotations
@@ -88,6 +97,10 @@ PASS_BUFSIZE = 1024
 # tiles, on a 2-vCPU Xeon).  classify, the verdict and the packing read a
 # spectrum in slices of an int32 tile's entries
 TILE_BYTES = 1 << 19
+# bytes of the shortest row worth a butterfly pass of its own: profile()
+# blocks are at most this wide, and fwht runs the high bits of an array of
+# narrower rows on a view whose rows are longer than this
+ROW_BYTES = 64
 # rows gathered at a time: np.take copies its indices as intp, 128 KB a chunk
 # (a whole n = 20 column traced 8 MB); the round trip's chunk holds entries
 GATHER_ENTRIES = 1 << 14
@@ -149,32 +162,69 @@ def fwht(a):
     Any other input is refused with TypeError before anything is written;
     a caller that needs its input afterwards transforms a copy.
 
-    Arrays of at most TILE_BYTES go through `_passes` whole, with a
-    scratch buffer of half the array.  Larger C-contiguous ones are
-    cache-tiled as H_(2^n) = H_(2^hi) (x) H_(2^lo) with lo = n // 2:
-    `_tiled` transforms the lo low index bits, then the hi high ones, a
-    tile of T entries at a time in a scratch buffer of 1.5 T, where T is
-    at most TILE_BYTES / itemsize entries (2^17 in int32, 2^18 in int16)
-    and a third of the array.  The scratch and ufunc buffers of
-    PASS_BUFSIZE entries are all the memory it takes.
+    The levels are split as H_(2^n) = H_(2^hi) (x) H_(2^lo), and `_tiled`
+    transforms the lo low index bits, then the hi high ones (`_split`
+    picks the split).  Integer butterflies agree bit for bit in any order
+    of levels, int16 modulo 2^16 included, so every path gives the same
+    array:
+    - Arrays of at most TILE_BYTES whose rows are narrow, 2, 4 or 8 bytes
+      of int16 or int32 entries, from half a tile on: lo is the least
+      that makes the rows of the (2^hi, 2^lo cols) view longer than
+      ROW_BYTES.  The low bits run on transposed copies of a quarter of
+      the array, the high bits in place on that view, all in a scratch
+      buffer of half the array.  In place, the first two passes would
+      run on stretches of one to four rows.
+    - Larger C-contiguous ones are cache-tiled with lo = n // 2: both
+      halves run a tile of T entries at a time in a scratch buffer of
+      1.5 T, where T is at most TILE_BYTES / itemsize entries (2^17 in
+      int32, 2^18 in int16) and a third of the array.
+    - Any other array goes through `_passes` whole, with a scratch buffer
+      of half the array.
+    The scratch and ufunc buffers of PASS_BUFSIZE entries are all the
+    memory it takes.
     """
     if not (isinstance(a, np.ndarray) and a.dtype in (np.int16, np.int32, np.int64)):
         dtype = getattr(a, "dtype", type(a).__name__)
         raise TypeError(f"fwht transforms int16, int32 or int64 arrays in place, not {dtype}")
-    size = a.shape[0]
-    lo = (size.bit_length() - 1) // 2
-    tile = min(TILE_BYTES // a.itemsize, a.size // 3)
     with np.errstate():  # scopes setbufsize to this call
         np.setbufsize(PASS_BUFSIZE)
-        # a tile holds whole transforms of the high bits, which at n <= 24
-        # only a tile below 2^12 entries can prevent; `_tiled` reshapes `a`
-        # into views only in C order, `_passes` in any order
-        if a.nbytes <= TILE_BYTES or size >> lo > tile or not a.flags.c_contiguous:
-            _passes(a, np.empty_like(a[: size // 2]))
+        split = _split(a)
+        if split is None:
+            _passes(a, np.empty_like(a[: a.shape[0] // 2]))
         else:
-            # a power of two, so that the tiles split the array evenly
-            _tiled(a, lo, 1 << (tile.bit_length() - 1))
+            _tiled(a, *split)
     return a
+
+
+def _split(a):
+    """(lo, scratch buffer) of `_tiled` for the array `a` of `fwht`, or
+    None when `_passes` transforms it whole.
+
+    `_tiled` reshapes `a` into views, which needs C order.  Below half a
+    tile, the transposed copies cost more than the short stretches
+    (arrays of 2^15 int16 or int32 entries took 1.1-1.4x as long split),
+    and rows of other sizes gained nothing or lost: 3 int16 columns, whose
+    rows no unsigned integer moves whole, 4 int32 ones and int64 ones.
+    """
+    size = a.shape[0]
+    row = a.nbytes // size
+    if not a.flags.c_contiguous or a.nbytes < TILE_BYTES // 2:
+        return None
+    if a.nbytes <= TILE_BYTES:
+        if a.itemsize > 4 or row not in (2, 4, 8):
+            return None
+        lo = (ROW_BYTES // row).bit_length()
+        # a quarter of the rows must hold whole transforms of the low bits
+        return (lo, np.empty(a.size // 2, a.dtype)) if 4 << lo <= size else None
+    lo = (size.bit_length() - 1) // 2
+    # a tile holds whole transforms of the high bits, which at n <= 24
+    # only a tile below 2^12 entries can prevent
+    tile = min(TILE_BYTES // a.itemsize, a.size // 3)
+    if size >> lo > tile:
+        return None
+    # a power of two, so that the tiles split the array evenly
+    tile = 1 << (tile.bit_length() - 1)
+    return lo, np.empty(3 * tile // 2, a.dtype)
 
 
 def _passes(a, tmp):
@@ -208,20 +258,28 @@ def _passes(a, tmp):
         np.subtract(tmp, high, out=high)
 
 
-def _tiled(a, lo, tile):
-    """The butterfly of `fwht` on `a` in place, a cache-sized tile at a time.
+def _tiled(a, lo, buf):
+    """The butterfly of `fwht` on `a` in place, in strips that fit `buf`.
 
     Viewed as (2^hi, 2^lo, cols), the low bits are transformed along axis
     1, then the high bits along axis 0 of the (2^hi, 2^lo cols) view.  A
-    tile is up to `tile` entries of whole transforms: a transposed copy
-    into a flat scratch buffer puts the transform axis outermost, so that
-    `_passes` walks long contiguous runs, and a transposed copy puts it
-    back.  The tile and its pass scratch take 1.5 tile entries.
+    strip is up to `tile` entries of whole transforms, the largest power
+    of two that fits `buf` with its pass scratch, 1.5 tile: a transposed
+    copy into `buf` puts the transform axis outermost, so that `_passes`
+    walks long contiguous runs, and a transposed copy puts it back.  When
+    `buf` holds half of an array of at most TILE_BYTES, the high bits'
+    strip is the whole view, contiguous already: it is transformed in
+    place, with `buf` as its pass scratch, and not copied.
     """
     size = a.shape[0]
-    buf = np.empty(3 * tile // 2, dtype=a.dtype)
+    tile = 1 << ((2 * len(buf) // 3).bit_length() - 1)
     for outer, length in ((size >> lo, 1 << lo), (1, size >> lo)):
+        if length == 1:  # no level, and no pass scratch to shape
+            continue
         view = a.reshape(outer, length, -1)
+        if outer == 1 and 2 * len(buf) >= a.size and a.nbytes <= TILE_BYTES:
+            _passes(view[0], buf[: a.size // 2].reshape(length // 2, -1))
+            continue
         inner = view.shape[2]
         per = tile // length  # entries of the other two axes in one tile
         rc = min(inner, per)
@@ -231,10 +289,19 @@ def _tiled(a, lo, tile):
                 src = view[i : i + ra, :, j : j + rc].transpose(1, 0, 2)
                 k = src.size
                 part = buf[:k].reshape(src.shape)
-                np.copyto(part, src)
+                np.copyto(_rows(part), _rows(src))
                 scratch = buf[k : k + k // 2].reshape(length // 2, -1)
                 _passes(part.reshape(length, -1), scratch)
-                np.copyto(src, part)
+                np.copyto(_rows(src), _rows(part))
+
+
+def _rows(x):
+    """`x` with its last axis as one unsigned entry when that axis holds
+    more than one entry in 2, 4 or 8 contiguous bytes, so that a
+    transposed copy moves whole rows: 5x faster for a quarter of a
+    (2^17, 2) int16 array, 0.03 against 0.15 ms on a 2-vCPU Xeon."""
+    run = x.shape[-1] * x.itemsize
+    return x.view(f"u{run}") if x.shape[-1] > 1 and run in (2, 4, 8) else x
 
 
 def _where(names, j):
@@ -287,8 +354,8 @@ def sign_table(values, masks):
 
 
 def transform_signs(values, word, tab, field, read, names=None):
-    """The spectra of the sign columns tab[word], checked exactly: True
-    when decided, False for an int16 block that is not bent.
+    """The spectra of the sign columns tab[word], checked exactly: the
+    positions of the columns left undecided, which only an int16 block has.
 
     `tab` is a (words, cols) int32 table and `word` a row of it for every
     point; `values`, the (2^n, cols) int16 or int32 buffer, receives the
@@ -296,58 +363,65 @@ def transform_signs(values, word, tab, field, read, names=None):
     intp, so the signs are gathered GATHER_ENTRIES rows at a time,
     unchecked ("clip"): every word is a row.
 
-    An int16 block is decided bent in every column, read and checked, or
-    not at all (`_narrow_bent`); its caller, which sends only columns
-    whose S(0) is +-2^(n/2) at even n, then transforms them again in
-    int32.  An int32 block is gathered, transformed and decided by
-    `_checked_block`: when every entry is +-2^(n/2), the bent-level
-    verdict holds Parseval, parity and the class Bent(2^(n/2)) of every
-    column; otherwise Parseval and parity are checked.  `read(values,
-    bent)` reads the spectra, with `bent` the verdict's class, or None
-    when each column is still to be classified; a column may be read
-    twice, int16 then int32, and the second reading stands.  The inverse
-    then overwrites the spectra for `check_round_trip`, exact because
-    Parseval was decided first, so no sign array is kept.  `names`
-    labels the columns in failure messages.
+    An int16 block is decided bent, read and checked column by column
+    (`_narrow_bent`); its caller, which sends only columns whose S(0) is
+    +-2^(n/2) at even n, then transforms the columns left in int32.  An
+    int32 block is gathered, transformed and decided by `_checked_block`:
+    when every entry is +-2^(n/2), the bent-level verdict holds Parseval,
+    parity and the class Bent(2^(n/2)) of every column; otherwise Parseval
+    and parity are checked.  `read(values, bent[, columns])` reads the
+    spectra, with `bent` the verdict's class, or None when each column is
+    still to be classified, and `columns` the positions read, when not
+    all; a column may be read twice, int16 then int32, and the second
+    reading stands.  The inverse then overwrites the spectra for
+    `check_round_trip`, exact because Parseval was decided first, so no
+    sign array is kept.  `names` labels the columns in failure messages.
     """
     if values.dtype == np.int16:
-        return _narrow_bent(values, word, tab, field.n, read)
+        decided = _narrow_bent(values, word, tab, field.n, read)
+        return np.flatnonzero(~np.broadcast_to(decided, tab.shape[1:])).tolist()
     _gather(values.reshape(len(values), -1), word, tab)
     # W(a) = values[perm[a]]: only witnesses and duals need field points
     fwht(values)
     read(values, _checked_block(values, field, names))
     check_round_trip(values, word, tab, names)
-    return True
+    return []
 
 
 def _narrow_bent(narrow, word, tab, n, read):
-    """Decide an int16 block of `transform_signs`, or a part of `walsh()`,
-    bent: True when done.
+    """Decide the columns of an int16 block of `transform_signs`, or of a
+    part of `walsh()`, bent: which ones it decided, a bool per column, or
+    False for none.
 
     The columns s = tab[word] are signs +-1, as `sign_table` gives them,
     or, for a part of `_fold`, its one column of sums of 2^k signs.  The
     caller sends only columns whose S(0) = sum_x s(x) is +-2^(n/2) at
     even n, as bentness needs, and `narrow` is their int16 buffer.  The
-    columns are gathered into it and transformed modulo 2^16.  When every
-    entry is then +-2^(n/2) (`_bent_class`), `read` gets the int16
-    spectra with the class Bent(2^(n/2)), needing only the class and the
-    signs; they are shifted in place to eps = +-1 and transformed again,
-    and fwht(eps) must be 2^(n/2) len(word) / 2^n tab[word] modulo 2^16:
-    2^(n/2) tab[word] for whole columns, 2^(n/2-k) t_q for part q.  That
-    makes 2^(n/2) eps the exact spectrum for n <= 28, right or wrong as
-    the first transform was (`check_round_trip`), so Parseval, parity,
-    the class and the round trip all hold; for a part, only once every
-    part of its column passes.  False, with `narrow` overwritten, when a
-    test fails, as the verdict does at odd n, where nothing is bent.
+    columns are gathered into it and transformed modulo 2^16.  The
+    columns whose every entry is then +-2^(n/2) (`_bent_columns`) are
+    given to `read` with the class Bent(2^(n/2)), needing only the class
+    and the signs; the block is shifted in place to eps = +-1 and
+    transformed again, and fwht(eps) must be 2^(n/2) len(word) / 2^n
+    tab[word] modulo 2^16: 2^(n/2) tab[word] for whole columns, 2^(n/2-k)
+    t_q for part q.  That makes 2^(n/2) eps the exact spectrum of such a
+    column for n <= 28, right or wrong as the first transform was
+    (`check_round_trip`), so Parseval, parity, the class and the round
+    trip all hold for it; for a part, only once every part of its column
+    passes.  A column that fails either test is left undecided, with
+    `narrow` overwritten, as every column is at odd n, where nothing is
+    bent.
     """
     _gather(narrow.reshape(len(narrow), -1), word, tab.astype(np.int16))
     fwht(narrow)  # modulo 2^16
-    bent = _bent_class(narrow, n)
-    if bent is None:
+    bent = _bent_columns(narrow, n)
+    if not bent.any():
         return False
-    read(narrow, bent)
+    amp = 1 << (n // 2)
+    read(narrow, Classification("bent", amp, (amp,)), np.flatnonzero(bent))
     narrow >>= n // 2  # +-amp to the candidate signs +-1
-    return _round_trip_errors(narrow, word, tab, bent.amplitude * len(word) >> n) is None
+    if _round_trip_errors(narrow, word, tab, amp * len(word) >> n) is None:
+        return bent
+    return bent & (_column_counts(narrow, 0) == len(narrow))
 
 
 def _gather(rows, word, tab):
@@ -411,14 +485,14 @@ def _narrow_parts(values, word, tab, table, n):
     bits = np.zeros(-(-len(table) // 8), dtype=np.uint8)
     bent = None
 
-    def read(spectra, verdict):
+    def read(spectra, verdict, columns):
         nonlocal bent
         bent = verdict
         _pack_part(spectra, bits, q)
 
     for q in range(parts):
         column = np.ascontiguousarray(tab[:, q : q + 1])
-        if not _narrow_bent(narrow, word, column, n, read):
+        if not np.all(_narrow_bent(narrow, word, column, n, read)):
             return None
     return bits, bent
 
@@ -692,6 +766,33 @@ def _bent_class(values, n):
         if np.count_nonzero(part == amp) + np.count_nonzero(part == -amp) < part.size:
             return None
     return Classification("bent", amp, (amp,))
+
+
+def _bent_columns(values, n):
+    """Which columns of a block of spectra are all +-2^(n/2), a bool per
+    column: the verdict of `_bent_class` column by column.  A block bent
+    throughout is decided by its one count, any other counted again."""
+    rows = values.reshape(values.shape[0], -1)
+    if _bent_class(rows, n) is not None:
+        return np.ones(rows.shape[1], dtype=bool)
+    if n % 2:
+        return np.zeros(rows.shape[1], dtype=bool)
+    amp = 1 << (n // 2)
+    return _column_counts(rows, amp, -amp) == len(rows)
+
+
+def _column_counts(values, *levels):
+    """How many entries of each column of a block equal one of `levels`,
+    counted a slice of an int32 tile's entries at a time, so that the bool
+    temporaries take at most TILE_BYTES / 4."""
+    rows = values.reshape(values.shape[0], -1)
+    counts = np.zeros(rows.shape[1], dtype=np.intp)
+    step = max(1, TILE_BYTES // 4 // rows.shape[1])
+    for i in range(0, len(rows), step):
+        part = rows[i : i + step]
+        for level in levels:
+            counts += np.count_nonzero(part == level, axis=0)
+    return counts
 
 
 def _checked_block(values, field, names=None):

@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .boolfun import (
+    ROW_BYTES,
     TILE_BYTES,
     BooleanFunction,
     _distinct,
@@ -38,13 +39,15 @@ from .gf2n import FieldSpec, _linear_table
 # and BLOCK_BYTES in all while two int32 columns fit one fwht tile (n <= 16),
 # and of one column above, in either dtype: int32, 16 columns at n <= 15 and
 # 8 at n = 16; int16, twice as many, 32 and 16.  Wide blocks give the low
-# butterfly passes long runs; at n >= 17, blocks of two columns measured
-# slower per column than one, 1.4-1.7x in int32 and slower in int16 too.
+# butterfly passes long runs, and fwht splits a one- or two-column array of
+# up to one tile so that its passes run on long rows too.  int16 fwht per
+# column, medians of alternated calls on a 2-vCPU Xeon, for 1, 2 and 8
+# columns: 0.68, 0.49 and 0.61 ms at n = 17 (split, split, tiled); 1.21,
+# 1.10 and 0.97 ms at n = 18 (split, tiled, tiled).
 # Every block runs in one int32 buffer of the widest int32 block, which an
 # int16 block fills with twice the columns: at most 2 MB for n <= 16, and
 # 4 MB at n = 20, beside its sign table and one gather chunk.
 BLOCK_BYTES = 1 << 21
-ROW_BYTES = 64
 
 
 class BentnessCheck(NamedTuple):
@@ -306,7 +309,7 @@ class VectorialFunction:
         every column; only the columns of any other block are classified
         one by one.  At even n, the columns whose S(0) is +-2^(n/2), by the
         word's value counts, go in int16 blocks twice as wide inside the
-        same buffer, decided bent exactly or sent to int32 whole
+        same buffer, each column decided bent exactly or sent to int32 alone
         (`boolfun.transform_signs`); the others go in int32 blocks.  Once
         keep_duals() asks, the dual of each bent
         (lambda, 0) column is kept packed in that index, one bit per point.
@@ -366,10 +369,10 @@ class VectorialFunction:
 
         At even n, the columns whose S(0) is +-2^(n/2), read once from the
         word's value counts, go to int16 blocks, which decide bent columns
-        alone, and all others to int32 blocks.  An int16 block that is not
-        decided is transformed again at once in int32 blocks of int32
-        width.  Blocks run in the order of their first column and fill rows
-        by index, so the rows keep selector order.
+        alone, and all others to int32 blocks.  The columns an int16 block
+        leaves undecided are transformed again at once in int32 blocks of
+        int32 width.  Blocks run in the order of their first column and
+        fill rows by index, so the rows keep selector order.
         """
         n = self.n
         size = self.field.size
@@ -397,12 +400,14 @@ class VectorialFunction:
             names = [sels[i] for i in index]
             block = masks[index]
 
-            def read(spectra_block, bent):
-                # called within this transform, on this block's columns;
-                # `bent` is the class of a block that is bent in every column
+            def read(spectra_block, bent, columns=None):
+                # called within this transform, on this block's columns, or
+                # those of `columns`; `bent` is the class of the columns read
+                # when each of them is bent
                 odd = sign_table(mono_word, block) < 0  # parity 1
                 degrees = np.max(odd * mono_deg[:, None], axis=0, initial=0)
-                for j, (i, sel) in enumerate(zip(index, names)):
+                for j in range(len(index)) if columns is None else columns:
+                    i, sel = index[j], names[j]
                     cls = bent or classify(spectra_block[:, j], n)
                     rows[i] = (sel, cls, int(degrees[j]))
                     if i in slot and cls.kind == "bent":
@@ -418,9 +423,9 @@ class VectorialFunction:
             return transform_signs(buffer, word, tab, self.field, read, names)
 
         for index, dtype in blocks:
-            if not transform(index, dtype):
-                for part in _chunks(index, wide):
-                    transform(part, np.int32)
+            undecided = [index[j] for j in transform(index, dtype)]
+            for part in _chunks(undecided, wide):
+                transform(part, np.int32)
 
     # -- predicates ----------------------------------------------------------------
 

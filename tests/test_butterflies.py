@@ -1,11 +1,12 @@
 """The two butterflies (fwht, _mobius) and the field-paired inverse."""
 
 import tracemalloc
+from functools import lru_cache
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bentvec.boolfun as boolfun
@@ -68,6 +69,8 @@ def test_fwht_is_the_sylvester_hadamard_product(n, trailing, dtype, seed):
 
 
 @given(**FWHT_CASES, tile=st.sampled_from([64, 256]))
+# n = 1 above a tile: lo = 0 leaves the low bits a transform of length 1
+@example(n=1, trailing=(2, 3), dtype=np.int64, seed=0, tile=64)
 @settings(max_examples=120, deadline=None)
 def test_tiled_fwht_is_the_sylvester_hadamard_product(n, trailing, dtype, seed, tile):
     # a small tile constant sends every array above it through the tiled
@@ -90,6 +93,88 @@ def test_small_tile_constant_splits_the_butterfly(monkeypatch, n, trailing):
     got = fwht(signs.copy())
     assert np.array_equal(got, np.tensordot(sylvester_hadamard(n), signs, axes=1))
     assert len(sizes) > 2 and max(sizes) <= 32
+
+
+@lru_cache(maxsize=None)
+def _hadamard(n):
+    return sylvester_hadamard(n)
+
+
+def _split_taken(shape, dtype, tile_bytes):
+    """Whether fwht should split an array of `shape` and `dtype` as
+    H_(2^hi) (x) H_(2^lo) within one tile, at TILE_BYTES = tile_bytes:
+    rows of 2, 4 or 8 bytes of int16 or int32, from half a tile to a
+    tile, and lo, the least whose 2^lo rows are longer than ROW_BYTES,
+    low enough that a quarter of the rows holds its transforms."""
+    itemsize = np.dtype(dtype).itemsize
+    size = int(np.prod(shape))
+    row = size // shape[0] * itemsize
+    if itemsize > 4 or row not in (2, 4, 8) or not tile_bytes // 2 <= size * itemsize <= tile_bytes:
+        return False
+    return 4 << (boolfun.ROW_BYTES // row).bit_length() <= shape[0]
+
+
+@given(
+    n=st.integers(8, 11),
+    cols=st.sampled_from([(), (1,), (2,), (3,)]),
+    dtype=st.sampled_from([np.int16, np.int32, np.int64]),
+    # the tile as a multiple of the array's bytes: half a tile sends it to
+    # the tiled butterfly, one or two tiles to the split one when its rows
+    # are narrow, four below half a tile to plain passes
+    tiles=st.sampled_from([0.5, 1, 2, 4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_split_fwht_is_the_sylvester_hadamard_product(n, cols, dtype, tiles, seed):
+    # entries over the whole dtype's range, so that every partial sum may
+    # wrap: the int64 product wraps modulo 2^64 as the butterfly does, and
+    # casting it wraps to the dtype
+    info = np.iinfo(dtype)
+    shape = (1 << n, *cols)
+    rng = np.random.default_rng(seed)
+    signs = rng.integers(info.min, info.max, shape, dtype=np.int64, endpoint=True).astype(dtype)
+    tile_bytes = int(signs.nbytes * tiles)
+    tiled, calls = boolfun._tiled, []
+
+    def counted(a, lo, buf):
+        calls.append(a.nbytes <= tile_bytes)
+        tiled(a, lo, buf)
+
+    want = np.tensordot(_hadamard(n), signs.astype(np.int64), axes=1).astype(dtype)
+    with mock.patch.object(boolfun, "TILE_BYTES", tile_bytes):
+        with mock.patch.object(boolfun, "_tiled", counted):
+            assert fwht(signs) is signs
+    assert np.array_equal(signs, want)
+    # within a tile only the split reaches `_tiled`; above, the tiles do
+    assert calls == ([True] if _split_taken(shape, dtype, tile_bytes) else [False] * (tiles < 1))
+
+
+@pytest.mark.parametrize(
+    "dtype, n, cols",
+    [(np.int16, 18, ()), (np.int16, 17, ()), (np.int16, 17, (1,)), (np.int16, 16, (2,)),
+     (np.int16, 15, (4,)), (np.int32, 17, ()), (np.int32, 16, (1,)), (np.int32, 16, (2,)),
+     (np.int32, 15, (2,))],
+)
+def test_split_fwht_matches_plain_passes_at_engine_sizes(dtype, n, cols):
+    # bit for bit, int16 modulo 2^16 included, against the butterfly run
+    # whole as below half a tile
+    rng = np.random.default_rng(n)
+    signs = rng.integers(-(1 << 14), 1 << 14, (1 << n, *cols)).astype(dtype)
+    assert _split_taken(signs.shape, dtype, boolfun.TILE_BYTES)
+    want = signs.copy()
+    boolfun._passes(want, np.empty_like(want[: len(want) // 2]))
+    assert np.array_equal(fwht(signs), want)
+
+
+def test_split_fwht_of_a_walsh_part_at_n20_takes_half_the_array():
+    # a (2^18,) int16 part, 512 KB: its low bits in transposed quarters
+    # with their pass scratch, 3/8 of the array, then its high bits in
+    # place with half the array, one buffer for both
+    n = 18
+    signs = (1 - 2 * np.random.default_rng(n).integers(0, 2, 1 << n)).astype(np.int16)
+    assert signs.nbytes == boolfun.TILE_BYTES
+    slack = 3 * 4 * PASS_BUFSIZE + 16384  # as at n = 16
+    assert _traced_peak(lambda: fwht(signs)) <= signs.nbytes // 2 + slack
 
 
 @given(

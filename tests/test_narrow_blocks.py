@@ -119,7 +119,9 @@ def test_a_narrow_fault_fails_the_narrow_round_trip_and_int32_decides(monkeypatc
 
 def test_a_fault_in_both_forwards_gives_the_int32_message(monkeypatch):
     def triple(out):
-        out[5, 2] *= 3
+        # column 2 of a block of all 15 columns, or the one column of the
+        # int32 block that redoes it alone once its int16 forward fails
+        out[5, 2 % out.shape[1]] *= 3
 
     # the int32 path alone, as before the int16 attempt existed
     _fwht_calls(monkeypatch, {(np.int32, 1): triple})
@@ -133,7 +135,9 @@ def test_a_fault_in_both_forwards_gives_the_int32_message(monkeypatch):
     with pytest.raises(VerificationError) as err:
         F.profile()
     assert str(err.value) == want
-    assert calls == [np.int16, np.int32]  # the int16 verdict fails first
+    # the int16 verdict fails column 2 alone, whose int32 forward fails
+    # after the other 14 columns' int16 round trip
+    assert calls == [np.int16, np.int16, np.int32]
     assert F._profile is None
 
 

@@ -6,8 +6,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from bentvec import FieldSpec, VectorialFunction, boolfun, vectorial
-from bentvec.boolfun import PASS_BUFSIZE
+from bentvec import BooleanFunction, FieldSpec, VectorialFunction, boolfun, vectorial
+from bentvec.boolfun import PASS_BUFSIZE, ROW_BYTES
 from bentvec.cli import main
 from bentvec.errors import VerificationError
 from bentvec.fileio import read_vf
@@ -159,10 +159,72 @@ def test_block_widths_are_pinned_per_dtype(gold_vf, monkeypatch):
             assert all(cls.kind == "mixed" for _, cls, _ in F.profile()[:3])
 
 
+def _butterflies(monkeypatch):
+    """Record (shape, dtype, shapes of its `_passes` calls) for every fwht
+    call, which `_tiled` and the plain butterfly make through `_passes`."""
+    calls = []
+    fwht, passes = boolfun.fwht, boolfun._passes
+
+    def counted_fwht(a):
+        calls.append((a.shape, a.dtype, []))
+        return fwht(a)
+
+    def counted_passes(a, tmp):
+        calls[-1][2].append(a.shape)
+        passes(a, tmp)
+
+    monkeypatch.setattr(boolfun, "fwht", counted_fwht)
+    monkeypatch.setattr(boolfun, "_passes", counted_passes)
+    return calls
+
+
+def _maiorana_mcfarland(n):
+    x = np.arange(1 << n, dtype=np.uint32)
+    half = np.uint32((1 << (n // 2)) - 1)
+    return (np.bitwise_count(x & half & (x >> (n // 2))) & 1).astype(np.uint8)
+
+
+def test_one_column_spectra_take_the_split_butterfly(monkeypatch):
+    # a walsh() part of 2^18 int16 entries (n = 20: four parts, forward and
+    # certificate each) and one-column profile() blocks at n = 17 (int32)
+    # and 18 (int16): four passes on transposed quarters for the low bits,
+    # then one on the whole array viewed with rows longer than ROW_BYTES
+    f = BooleanFunction(FieldSpec.default(20), _maiorana_mcfarland(20))
+    cases = [
+        (f.walsh, (1 << 18,), np.int16, 8),
+        (_random(17, 1, 1)().profile, (1 << 17, 1), np.int32, 6),
+        (_bent_pair(18).profile, (1 << 18, 1), np.int16, 6),
+    ]
+    for run, shape, dtype, count in cases:
+        with monkeypatch.context() as patch:
+            calls = _butterflies(patch)
+            run()
+        assert [(s, d) for s, d, _ in calls] == [(shape, dtype)] * count
+        entries = int(np.prod(shape))
+        for _, _, passes in calls:
+            *quarters, (hi, row) = passes
+            assert [int(np.prod(q)) for q in quarters] == [entries // 4] * 4
+            assert hi * row == entries and row * np.dtype(dtype).itemsize > ROW_BYTES
+    assert f.is_bent()
+
+
+def test_wide_blocks_keep_plain_passes(monkeypatch):
+    # n = 12 blocks of 32 int16 or 16 int32 columns have ROW_BYTES rows: one
+    # `_passes` call on the whole block, as before the split
+    for F, dtype in ((norm(12), np.int16), (_random(12, 6, 0)(), np.int32)):
+        with monkeypatch.context() as patch:
+            calls = _butterflies(patch)
+            F.profile()
+        wide = [(shape, passes) for shape, kind, passes in calls if kind == dtype]
+        assert wide and all(passes == [shape] for shape, passes in wide)
+        assert {shape[1] for shape, _ in wide} >= {ROW_BYTES // np.dtype(dtype).itemsize}
+
+
 def test_an_int16_block_that_is_not_bent_is_redone_once_in_int32(monkeypatch):
     # two points of the norm at n = 12 moved so that component (1, 0) keeps
-    # S(0) = 2^(n/2) but is not bent: its int16 block of 32 columns fails
-    # the verdict and goes to int32 at int32 width, 16 and 16, once
+    # S(0) = 2^(n/2) but is not bent, and with it 10 more of its int16 block
+    # of 32 columns: those 11 alone are redone, in one int32 block, once,
+    # and the 21 bent ones are decided in int16
     G = norm(12)
     field, m = G.field, G.m
     delta = next(int(d) for d in field.subfield(m) if field.subfield_abs_trace(int(d), m))
@@ -177,17 +239,21 @@ def test_an_int16_block_that_is_not_bent_is_redone_once_in_int32(monkeypatch):
     assert not F.component(1).is_bent() and _level(F)[0]
     level = [sel for sel, ok in zip(F.selectors(), _level(F)) if ok]
     rows, duals, blocks = _profiled(F, monkeypatch)
-    first = level[:32]
-    assert blocks[:3] == [(np.int16, first), (np.int32, first[:16]), (np.int32, first[16:])]
-    assert not set(first) & {sel for _, names in blocks[3:] for sel in names}
-    assert rows[0][1].kind != "bent" and 1 not in duals
     ref_rows, ref_duals, _ = _profiled(fresh(), monkeypatch, one_column=True)
+    first = level[:32]
+    off = [sel for sel, cls, _ in ref_rows if sel in first and cls.kind != "bent"]
+    assert off[0] == (1, 0) and len(off) == 11
+    assert blocks[:2] == [(np.int16, first), (np.int32, off)]
+    assert not set(first) & {sel for _, names in blocks[2:] for sel in names}
+    assert rows[0][1].kind != "bent" and 1 not in duals
     assert rows == ref_rows
     assert duals.keys() == ref_duals.keys()
     assert all(np.array_equal(bits, ref_duals[lam]) for lam, bits in duals.items())
-    # a fault in the redone inverse of a bent column of that block gives
-    # the one-column oracle's message
-    x, sel = 300, first[5]
+    # a fault in the inverse of a bent column of that block fails its int16
+    # round trip alone: it is redone beside the 11, and its int32 round
+    # trip gives the one-column oracle's message
+    x, sel = 300, first[2]
+    assert sel not in off
     messages = []
     for one_column in (False, True):
         with monkeypatch.context() as patch:
@@ -196,6 +262,11 @@ def test_an_int16_block_that_is_not_bent_is_redone_once_in_int32(monkeypatch):
                 patch.setattr(vectorial, "_block_columns", lambda n, itemsize: 1)
             with pytest.raises(VerificationError) as err:
                 fresh().profile()
+            if not one_column:
+                faulted = _blocks(patch)
+                with pytest.raises(VerificationError):
+                    fresh().profile()
+                assert faulted == [(np.int16, first), (np.int32, sorted(off + [sel], key=first.index))]
         messages.append(str(err.value))
     sign = 1 - 2 * int(F.component(*sel).table[x])
     assert messages == [

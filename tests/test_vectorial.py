@@ -440,7 +440,9 @@ def test_profile_failures_name_selector_point_and_value(monkeypatch):
     fwht_ok = boolfun.fwht
 
     def triple_column_2(out):
-        out[5, 2] *= 3
+        # column 2 of the int16 block of all seven, then the one column of
+        # the int32 block that redoes it alone
+        out[5, 2 % out.shape[1]] *= 3
 
     # G's seven components make one block: the first fwht call is its
     # forward butterfly, the second its inverse
@@ -454,7 +456,8 @@ def test_profile_failures_name_selector_point_and_value(monkeypatch):
     )
 
     def flip_column_4(out):
-        out[7, 4] = -out[7, 4]
+        j = 4 % out.shape[1]  # as for column 2
+        out[7, j] = -out[7, j]
 
     # the forward transform is intact; the inverse one is corrupted at table
     # point 7, which is its row 7: the round trip runs in the Hadamard index
