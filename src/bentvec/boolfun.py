@@ -28,36 +28,38 @@ n - FOLD_FROM)) butterfly levels into the gather, by H_(2^n) = H_(2^k)
 and column q of its table, sums of 2^k signs, gives part q of S, the
 2^(n-k) Hadamard indices from q 2^(n-k) on (`_fold`).  At n <= FOLD_FROM,
 k = 0: the word is the truth table, the table [1, -1], and the one part
-is S.  `_transform_parts` transforms, checks and keeps the parts one at
-a time in one buffer of a part, so that above FOLD_FROM no int32 array
-of 2^n entries is made for a bent S, which is kept as its sign bits.
+is S.
 
-Nearly every spectrum of a vectorial bent function is bent, so each
-block of spectra, or part of one, is first given one exact verdict
-(`_bent_class`): for even n, the entries equal to 2^(n/2) and to
--2^(n/2) are counted, and when the two counts make up the block, every
-column is Bent(2^(n/2)).  That decides Parseval (2^n squares of 2^n sum
-to 2^(2n)), parity (2^(n/2) is even) and the class at once.  Any other
-block is checked by `check_parseval_parity` and classified column by
-column by `classify`.  The round trip, which is exact only once Parseval
-holds (`check_round_trip`), runs on every block either way.
+Nearly every spectrum of a vectorial bent function is bent, and bent
+spectra at even n are decided in int16, below.  Everything else takes
+the int32 path, one for every block: transform, `check_parseval_parity`,
+`classify` per column, and the round trip, which is exact only once
+Parseval holds (`check_round_trip`); it alone classifies columns that
+are not bent and raises.  `_transform_parts` runs it on the parts of
+`walsh()` one at a time in one buffer of a part, each copied into one
+int32 copy of S, which is checked whole.
 
 `profile()` hands `transform_signs` an int16 block of the columns whose
 S(0) is +-2^(n/2) at even n, as bentness requires, and an int32 block
 of any others.  An int16 block is decided bent column by column
-(`_narrow_bent`): its spectra modulo 2^16 are given the verdict per
-column, the bent-level columns are read, and the block is shifted in
-place to candidate signs eps = +-1 and transformed again; fwht(eps) =
-2^(n/2) tab[word] modulo 2^16 makes 2^(n/2) eps the exact spectrum of a
-column for n <= 28 (`check_round_trip` proves it), so that every check
-holds for it.  `walsh()` at even n tries every part of its fold so, when
-the S(0) of every part is +-2^(n/2) (`_narrow_parts`): each in the low
-half of the one part buffer, its signs packed into the part's bits of
-one bit buffer, and part q compared with 2^(n/2-k) t_q.  That
-certificate sums over the parts, so it holds only once every part
-passes.  Any other block or column, and a column or a part that fails
-there, takes the int32 path above, which alone classifies non-bent
-columns and raises: `profile()` redoes only the failed columns.
+(`_narrow_bent`): its spectra modulo 2^16 are given the one bent-level
+verdict, `_bent_class` for the whole block and `_bent_columns` per
+column, which counts the entries equal to 2^(n/2) and to -2^(n/2).  The
+bent-level columns are read, and the block is shifted in place to
+candidate signs eps = +-1 and transformed again; fwht(eps) = 2^(n/2)
+tab[word] modulo 2^16 makes 2^(n/2) eps the exact spectrum of a column
+for n <= 28 (`check_round_trip` proves it), so that Parseval (2^n
+squares of 2^n sum to 2^(2n)), parity (2^(n/2) is even), the class
+Bent(2^(n/2)) and the round trip all hold for it.  `walsh()` at even n
+tries every part of its fold so, when the S(0) of every part is
++-2^(n/2) (`_narrow_parts`): each in the low half of the one part
+buffer, its signs packed into the part's bits of one bit buffer, and
+part q compared with 2^(n/2-k) t_q.  That certificate sums over the
+parts, so it holds only once every part passes, and then no int32
+array of 2^n entries is made for S.  Any other block or column, and a
+column or a part that fails there, takes the int32 path: `profile()`
+redoes only the failed columns, and a bent S found there is packed to
+its sign bits when it is kept.
 
 The Hadamard and Möbius butterflies do two levels per pass, in place on
 the caller's array, which they return; a caller that needs its input
@@ -72,7 +74,8 @@ whose rows are longer than ROW_BYTES: a (2^18,) int16 part of `walsh()`
 took 1.21 against 1.62 ms on a 2-vCPU Xeon.  Above TILE_BYTES, a
 C-contiguous array runs both halves a cache-sized tile of at most
 TILE_BYTES at a time, in a buffer of 1.5 tiles: 2^17 entries in int32,
-2^18 in int16.  A truth table's ANF is computed bit-sliced, 64 points to
+2^18 in int16; its high bits run in place whenever that buffer holds
+half the array.  A truth table's ANF is computed bit-sliced, 64 points to
 a uint64 word (`_anf_words`), and the degree is read from those words.
 """
 
@@ -177,7 +180,9 @@ def fwht(a):
     - Larger C-contiguous ones are cache-tiled with lo = n // 2: both
       halves run a tile of T entries at a time in a scratch buffer of
       1.5 T, where T is at most TILE_BYTES / itemsize entries (2^17 in
-      int32, 2^18 in int16) and a third of the array.
+      int32, 2^18 in int16) and a third of the array.  When 1.5 T is
+      half the array, as for (2^16, 3) int32 or (2^16, 12) int16, the
+      high bits run in place, as in the case above.
     - Any other array goes through `_passes` whole, with a scratch buffer
       of half the array.
     The scratch and ufunc buffers of PASS_BUFSIZE entries are all the
@@ -266,10 +271,10 @@ def _tiled(a, lo, buf):
     strip is up to `tile` entries of whole transforms, the largest power
     of two that fits `buf` with its pass scratch, 1.5 tile: a transposed
     copy into `buf` puts the transform axis outermost, so that `_passes`
-    walks long contiguous runs, and a transposed copy puts it back.  When
-    `buf` holds half of an array of at most TILE_BYTES, the high bits'
-    strip is the whole view, contiguous already: it is transformed in
-    place, with `buf` as its pass scratch, and not copied.
+    walks long contiguous runs, and a transposed copy puts it back.
+    Whenever `buf` holds half the array, the high bits' strip is the whole
+    view, contiguous already: it is transformed in place, with `buf` as
+    its pass scratch, and not copied.
     """
     size = a.shape[0]
     tile = 1 << ((2 * len(buf) // 3).bit_length() - 1)
@@ -277,7 +282,7 @@ def _tiled(a, lo, buf):
         if length == 1:  # no level, and no pass scratch to shape
             continue
         view = a.reshape(outer, length, -1)
-        if outer == 1 and 2 * len(buf) >= a.size and a.nbytes <= TILE_BYTES:
+        if outer == 1 and 2 * len(buf) >= a.size:
             _passes(view[0], buf[: a.size // 2].reshape(length // 2, -1))
             continue
         inner = view.shape[2]
@@ -366,14 +371,12 @@ def transform_signs(values, word, tab, field, read, names=None):
     An int16 block is decided bent, read and checked column by column
     (`_narrow_bent`); its caller, which sends only columns whose S(0) is
     +-2^(n/2) at even n, then transforms the columns left in int32.  An
-    int32 block is gathered, transformed and decided by `_checked_block`:
-    when every entry is +-2^(n/2), the bent-level verdict holds Parseval,
-    parity and the class Bent(2^(n/2)) of every column; otherwise Parseval
-    and parity are checked.  `read(values, bent[, columns])` reads the
-    spectra, with `bent` the verdict's class, or None when each column is
-    still to be classified, and `columns` the positions read, when not
-    all; a column may be read twice, int16 then int32, and the second
-    reading stands.  The inverse then overwrites the spectra for
+    int32 block is gathered, transformed and checked by
+    `check_parseval_parity`.  `read(values, bent[, columns])` reads the
+    spectra: int16 gives `bent`, the class Bent(2^(n/2)) of the columns
+    read, at positions `columns`; int32 gives None, for every column to
+    be classified.  A column may be read twice, int16 then int32, and the
+    second reading stands.  The inverse then overwrites the spectra for
     `check_round_trip`, exact because Parseval was decided first, so no
     sign array is kept.  `names` labels the columns in failure messages.
     """
@@ -383,7 +386,8 @@ def transform_signs(values, word, tab, field, read, names=None):
     _gather(values.reshape(len(values), -1), word, tab)
     # W(a) = values[perm[a]]: only witnesses and duals need field points
     fwht(values)
-    read(values, _checked_block(values, field, names))
+    check_parseval_parity(values, field, names)
+    read(values, None)
     check_round_trip(values, word, tab, names)
     return []
 
@@ -450,15 +454,6 @@ def _pack_part(values, bits, q):
         bits[:] = np.packbits(marks)
 
 
-def _part_bits(bits, q, length):
-    """The marks of part q of `length` points in `bits`, packed from its
-    first point on: its own bytes, or, for a part shorter than a byte,
-    one new byte."""
-    if length % 8 == 0:
-        return bits[q * length // 8 : (q + 1) * length // 8]
-    return np.packbits(np.unpackbits(bits)[q * length : (q + 1) * length])
-
-
 def _narrow_parts(values, word, tab, table, n):
     """The spectrum of `walsh()` decided bent in int16, or None.
 
@@ -498,52 +493,33 @@ def _narrow_parts(values, word, tab, table, n):
 
 
 def _transform_parts(values, word, tab, field):
-    """The spectrum S of `walsh()`, checked exactly, one part at a time.
+    """The spectrum S of `walsh()`, checked exactly, one part at a time:
+    an int32 copy of S.
 
     `word` and `tab` are those of `_fold`: part q of S is fwht(tab[word,
-    q]), 2^(n-k) entries, in `values`; at k = 0 the one part is S.  It is
-    kept before its inverse overwrites it: while every part is bent-level
-    by `_bent_class`, as packed sign bits in one buffer of ceil(2^n / 8)
-    bytes; from the first part that is not, in an int32 copy of S, into
-    which the bent-level parts before it are rebuilt from their bits.
-    When every part is bent-level, Parseval and parity hold for S by the
-    verdict; otherwise the copy is checked whole.  Each part's round trip
-    compares fwht(part) with 2^(n-k) tab[word, q], whatever the table's
-    values; the parts that fail keep their errors, which
-    `_unfolded_round_trip` turns into the whole column's witness.  The
-    checks raise in their whole-column order, Parseval, parity, round
-    trip, and only then is the kept S returned: (bits, class) for a bent
-    one, (copy, None) for any other.
+    q]), 2^(n-k) entries, in `values`; at k = 0 the one part is S.  Each
+    part is copied into its entries of one int32 copy of S before its
+    inverse overwrites it, and the copy is checked whole by
+    `check_parseval_parity`.  Each part's round trip compares fwht(part)
+    with 2^(n-k) tab[word, q], whatever the table's values; the parts that
+    fail keep their errors, which `_unfolded_round_trip` turns into the
+    whole column's witness.  The checks raise in their whole-column order,
+    Parseval, parity, round trip, and only then is the copy returned.
     """
-    n, length = field.n, len(word)
-    amp = 1 << (n // 2)
-    bits = full = None
+    length = len(word)
+    full = np.empty(field.size, dtype=np.int32)
     errors = {}
-
     for q in range(tab.shape[1]):
         column = np.ascontiguousarray(tab[:, q : q + 1])
         _gather(values.reshape(length, 1), word, column)
-        fwht(values)
-        if full is None and (bent := _bent_class(values, n)) is not None:
-            if bits is None:
-                bits = np.zeros(-(-field.size // 8), dtype=np.uint8)
-            _pack_part(values, bits, q)
-        else:
-            if full is None:
-                full = np.empty(field.size, dtype=np.int32)
-                for r in range(q):  # bits is not None when q > 0
-                    part = full[r * length : (r + 1) * length]
-                    _bent_values(_part_bits(bits, r, length), amp, part)
-                bits = None
-            full[q * length : (q + 1) * length] = values
+        full[q * length : (q + 1) * length] = fwht(values)
         if _round_trip_errors(values, word, column) is not None:
             errors[q] = values.copy()
-    if full is not None:
-        check_parseval_parity(full, field)
+    check_parseval_parity(full, field)
     if errors:
         x, got, sign = _unfolded_round_trip(errors, word, tab, field.size)
         raise VerificationError(_round_trip_message(None, 0, x, got, sign, field.size))
-    return (bits, bent) if full is None else (full, None)
+    return full
 
 
 def _unfolded_round_trip(errors, word, tab, size):
@@ -589,8 +565,8 @@ def check_round_trip(values, word, tab, names=None):
     the least point x and the first column failing there.
 
     The check is exact only for spectra whose Parseval sum is 2^(2n), so
-    Parseval must be decided first, by `check_parseval_parity` or by the
-    bent-level verdict, as every caller in the engine does.  The inverse
+    Parseval must be checked first, by `check_parseval_parity`, as every
+    int32 caller in the engine does.  The inverse
     runs in the spectra's dtype and wraps: in int32, a spectrum S' of a
     column s passes when fwht(S') = 2^n s + 2^32 w for an integer vector
     w, that is, when S' = S + 2^(32-n) H w, with S = H s the true spectrum
@@ -795,16 +771,6 @@ def _column_counts(values, *levels):
     return counts
 
 
-def _checked_block(values, field, names=None):
-    """Parseval and parity of a block of spectra, decided by the
-    bent-level verdict when it holds, by `check_parseval_parity`
-    otherwise; the verdict's class, or None."""
-    bent = _bent_class(values, field.n)
-    if bent is None:
-        check_parseval_parity(values, field, names)
-    return bent
-
-
 def _pack_signs(values, out=None):
     """The marks of values < 0 along a 1-D array, packed as np.packbits
     packs them (point x is bit 7 - x % 8 of byte x // 8).
@@ -841,9 +807,10 @@ class WalshSpectrum:
     Keeps one array, from which `_hadamard` reads S = fwht((-1)^f) in the
     Hadamard index, where W(a) = S(perm[a]).  A bent S is its amplitude
     times signs, so it is kept as its sign bits, packed by `_pack_signs`
-    in ceil(2^n / 8) bytes, beside the amplitude in its class; any other
-    S is kept as an int32 or int64 copy.  The checks read S before it is
-    kept; `values` and `[a]` reindex only what they return.  The kept
+    in ceil(2^n / 8) bytes, beside the amplitude in its class, whether
+    int16 certified it or `classify` found it bent; any other S is kept
+    as an int32 or int64 copy.  The checks read S before it is kept;
+    `values` and `[a]` reindex only what they return.  The kept
     array is the spectrum's own and read-only, so no caller can change
     it afterwards.
     """
@@ -853,19 +820,24 @@ class WalshSpectrum:
     def __init__(self, field, spectrum):
         spectrum = np.asarray(spectrum)
         # int32 holds any |W| <= 2^n <= 2^24; anything else is widened to
-        # int64, never narrowed, so no value is truncated before the checks
-        spectrum = spectrum if spectrum.dtype == np.int32 else spectrum.astype(np.int64)
+        # int64, never narrowed, so no value is truncated before the checks,
+        # which read this spectrum's own copy
+        spectrum = spectrum.astype(np.int32 if spectrum.dtype == np.int32 else np.int64)
         if spectrum.shape != (field.size,):
             raise FieldError("spectrum length must be 2^n")
-        bent = _checked_block(spectrum, field)
-        self._take(field, _pack_signs(spectrum) if bent else spectrum.copy(), bent)
+        check_parseval_parity(spectrum, field)
+        self._take(field, spectrum)
 
-    def _take(self, field, kept, bent):
-        """Keep `kept` as it is: the packed sign bits of a checked bent S,
-        with its class `bent`, or a copy of any other checked S, with None,
-        which `classify` classifies."""
+    def _take(self, field, kept, bent=None):
+        """Keep a checked S: the packed sign bits of a bent S with its
+        class `bent`, or an array of S that nothing else holds, with None,
+        kept as it is, not copied, once `classify` has classified it.  An
+        S that `classify` finds bent is packed then, so that every bent S
+        is kept as its bits, whichever path decided it."""
         self.field = field
         self.classification = bent or classify(kept, field.n)
+        if bent is None and self.is_bent:
+            kept = _pack_signs(kept)
         kept.flags.writeable = False
         self._kept = kept
 
@@ -1038,31 +1010,31 @@ class BooleanFunction:
         Parseval and the inverse-transform round trip are asserted inline
         for every spectrum this package ever computes, in the Hadamard
         index.  The butterfly and the values are int32, exact since
-        |W(a)| <= 2^n <= 2^24.  The spectrum is classified and kept, a bent
-        one as its packed sign bits, before the round trip inverts the
-        buffer it was computed in.
+        |W(a)| <= 2^n <= 2^24.  The spectrum is read before the round trip
+        inverts the buffer it was computed in, and kept, a bent one as its
+        packed sign bits.
 
         The top k = min(FOLD_LEVELS, max(0, n - FOLD_FROM)) butterfly
         levels are folded into the sign table (`_fold`), and the 2^k parts
-        of S, 2^(n-k) entries each, are transformed, checked and kept one
-        at a time in one part-sized buffer (`_transform_parts`).  At n <=
-        FOLD_FROM, k = 0 and the one part is S: one int32 array of 2^n
-        entries is held at a time, beside the butterfly's scratch or one
-        gather chunk, and a copy of S when it is not bent.
-
-        At even n, when the S(0) of every part is +-2^(n/2), every part is
-        first tried in int16 in the low half of that buffer
-        (`_narrow_parts`): a column whose every part passes is bent, and
-        its bits are kept without an int32 butterfly.  At the first part
-        that fails, the whole column, its earlier parts too, goes the
-        int32 way above, which alone classifies and raises.
+        of S, 2^(n-k) entries each, are transformed and checked one at a
+        time in one part-sized buffer.  At even n, when the S(0) of every
+        part is +-2^(n/2), every part is first tried in int16 in the low
+        half of that buffer (`_narrow_parts`): a column whose every part
+        passes is bent, and its bits are kept without an int32 butterfly.
+        Any other column, and one with a part that fails there, goes the
+        int32 way (`_transform_parts`), which alone classifies and raises:
+        each part is copied into one int32 copy of S, which is kept as it
+        is, or packed to its bits when found bent.  At n <= FOLD_FROM, k =
+        0 and the one part is S: beside the butterfly's scratch or one
+        gather chunk, one int32 array of 2^n entries is held at a time,
+        and that copy of S on the int32 way.
         """
         if self._walsh is None:
             k = min(FOLD_LEVELS, max(0, self.n - FOLD_FROM))
             word, tab = _fold(self.table, k)
             values = np.empty(len(word), np.int32)
-            kept = _narrow_parts(values, word, tab, self.table, self.n) or _transform_parts(
-                values, word, tab, self.field
+            kept = _narrow_parts(values, word, tab, self.table, self.n) or (
+                _transform_parts(values, word, tab, self.field),
             )
             del values  # freed before `_take` classifies a copy of S
             spectrum = WalshSpectrum.__new__(WalshSpectrum)

@@ -304,15 +304,13 @@ class VectorialFunction:
         block, transformed at once along axis 0 and checked (Parseval,
         parity, round trip), all in the Hadamard index, the round trip
         last, once the spectra are read.
-        A block whose entries are all +-2^(n/2) is decided whole by the
-        bent-level verdict, which holds Parseval, parity and the class of
-        every column; only the columns of any other block are classified
-        one by one.  At even n, the columns whose S(0) is +-2^(n/2), by the
-        word's value counts, go in int16 blocks twice as wide inside the
-        same buffer, each column decided bent exactly or sent to int32 alone
-        (`boolfun.transform_signs`); the others go in int32 blocks.  Once
-        keep_duals() asks, the dual of each bent
-        (lambda, 0) column is kept packed in that index, one bit per point.
+        At even n, the columns whose S(0) is +-2^(n/2), by the word's value
+        counts, go in int16 blocks twice as wide inside the same buffer,
+        each column decided bent exactly or sent to int32 alone
+        (`boolfun.transform_signs`); the others go in int32 blocks, whose
+        columns are classified one by one.  Once keep_duals() asks, the
+        dual of each bent (lambda, 0) column is kept packed in that index,
+        one bit per point.
         Degrees use the linearity of the ANF: one Möbius transform of
         the word packs the coordinate ANFs, and a component's ANF is
         parity(anf_word & mask).  No truth table, sign or spectrum is kept.
@@ -403,7 +401,7 @@ class VectorialFunction:
             def read(spectra_block, bent, columns=None):
                 # called within this transform, on this block's columns, or
                 # those of `columns`; `bent` is the class of the columns read
-                # when each of them is bent
+                # when int16 decided each of them bent, else None
                 odd = sign_table(mono_word, block) < 0  # parity 1
                 degrees = np.max(odd * mono_deg[:, None], axis=0, initial=0)
                 for j in range(len(index)) if columns is None else columns:

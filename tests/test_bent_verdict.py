@@ -1,11 +1,13 @@
-"""The bent-level verdict, and the precondition of the int32 round trip.
+"""The int32 path, the bent-level verdict, and the precondition of the
+int32 round trip.
 
-A block of spectra whose entries are all +-2^(n/2) is decided whole:
-Parseval, parity and the class Bent(2^(n/2)) of every column.  Any other
-block takes the general path, `check_parseval_parity` and then `classify`
-per column.  Blocks of every kind are compared with per-column
-`classify`, and faults planted after the forward butterfly must fail with
-the messages the general checks give.
+Every int32 block takes one path: `check_parseval_parity`, `classify` per
+column, then the round trip.  The bent-level verdict, which counts
+whether every entry of a block is +-2^(n/2), is given only to int16
+spectra, before their certificate; here it is shown to reject each plant
+and to stay within a tile of temporaries.  Blocks of every kind are
+compared with per-column `classify`, and faults planted after the
+forward butterfly must fail with the messages the general checks give.
 
 The round trip inverts in int32, where a wrong spectrum can wrap: S' = S
 + 2^(32-n) chi_a passes it alone.  Parseval rejects every such S' (see
@@ -111,10 +113,8 @@ def test_a_block_gets_the_rows_of_per_column_classify(n, kinds, seed):
     values = np.empty(tab.shape, dtype=np.int32)
     transform_signs(values, word, tab, field, recording_read(n, seen))
     want = [classify(fwht(1 - 2 * t.astype(np.int32)), n) for t in tables]
-    [(bent, rows)] = seen
+    [(_, rows)] = seen
     assert rows == want
-    # the verdict holds exactly for a block that is bent in every column
-    assert (bent is not None) == all(c.kind == "bent" for c in want)
 
 
 def _planted_fwht(monkeypatch, edits):
@@ -235,7 +235,7 @@ def test_a_wrapping_fault_on_a_whole_column_fails_parseval(monkeypatch):
     [
         # odd n: every part goes to the int32 copy of S
         (19, "random", 1),
-        # a bent S: parts 0 to 2 are kept as bits, then rebuilt in the copy
+        # a bent S: part 3 fails in int16, and every part goes to the copy
         (20, "bent", 3),
     ],
 )

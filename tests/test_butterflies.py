@@ -169,12 +169,24 @@ def test_split_fwht_matches_plain_passes_at_engine_sizes(dtype, n, cols):
 def test_split_fwht_of_a_walsh_part_at_n20_takes_half_the_array():
     # a (2^18,) int16 part, 512 KB: its low bits in transposed quarters
     # with their pass scratch, 3/8 of the array, then its high bits in
-    # place with half the array, one buffer for both
-    n = 18
-    signs = (1 - 2 * np.random.default_rng(n).integers(0, 2, 1 << n)).astype(np.int16)
-    assert signs.nbytes == boolfun.TILE_BYTES
+    # place with half the array, one buffer for both.  verify-vf's (2^16,
+    # 3) int32 and (2^16, 12) int16 blocks, 1.5 and 3 tiles, are tiled in
+    # 1.5 tiles of a third of the array, half of it: their high bits too
+    # run in place in that buffer.  Each bit for bit as the plain passes
     slack = 3 * 4 * PASS_BUFSIZE + 16384  # as at n = 16
-    assert _traced_peak(lambda: fwht(signs)) <= signs.nbytes // 2 + slack
+    passes, rng = boolfun._passes, np.random.default_rng(18)
+    for shape, dtype, tiles in [((1 << 18,), np.int16, 1), ((1 << 16, 3), np.int32, 1.5),
+                                ((1 << 16, 12), np.int16, 3)]:
+        signs = (1 - 2 * rng.integers(0, 2, shape)).astype(dtype)
+        assert signs.nbytes == tiles * boolfun.TILE_BYTES
+        want = signs.copy()
+        passes(want, np.empty_like(want[: len(want) // 2]))
+        sizes = []
+        with mock.patch.object(boolfun, "_passes", lambda a, tmp: sizes.append(a.size)):
+            fwht(signs.copy())
+        assert max(sizes) == signs.size  # the high bits, in place
+        assert _traced_peak(lambda: fwht(signs)) <= signs.nbytes // 2 + slack
+        assert np.array_equal(signs, want)
 
 
 @given(

@@ -99,19 +99,29 @@ def test_every_reader_matches_the_double_sum(n):
                     f.dual()
 
 
-@pytest.mark.parametrize("n", [2, 4, 10])
-def test_a_bent_spectrum_keeps_its_packed_signs_and_nothing_else(n):
+@pytest.mark.parametrize("n", [2, 4, 10, 20])
+def test_a_bent_spectrum_keeps_its_packed_signs_and_nothing_else(monkeypatch, n):
     field = FieldSpec.default(n)
-    spectrum = BooleanFunction(field, maiorana_mcfarland(n)).walsh()
-    kept = [getattr(spectrum, name) for name in WalshSpectrum.__slots__]
-    arrays = [value for value in kept if isinstance(value, np.ndarray)]
-    assert len(arrays) == 1
-    bits = arrays[0]
-    # at n = 2 one byte, partly padding
-    assert bits.dtype == np.uint8 and bits.nbytes == -(-(1 << n) // 8)
-    assert not bits.flags.writeable
     S = fwht(1 - 2 * maiorana_mcfarland(n).astype(np.int32))
-    assert np.array_equal(np.unpackbits(bits, count=1 << n), (S < 0).astype(np.uint8))
+    duals, tried = [], []
+    # decided in int16, then with every int16 try failing, so that the int32
+    # path finds it bent (at n = 20 in 4 folded parts) and keeps it the same
+    for narrow in (True, False):
+        if not narrow:
+            monkeypatch.setattr(boolfun, "_narrow_bent", lambda *args: tried.append(1) or False)
+        f = BooleanFunction(field, maiorana_mcfarland(n))
+        spectrum = f.walsh()
+        kept = [getattr(spectrum, name) for name in WalshSpectrum.__slots__]
+        arrays = [value for value in kept if isinstance(value, np.ndarray)]
+        assert len(arrays) == 1
+        bits = arrays[0]
+        # at n = 2 one byte, partly padding
+        assert bits.dtype == np.uint8 and bits.nbytes == -(-(1 << n) // 8)
+        assert not bits.flags.writeable
+        assert np.array_equal(np.unpackbits(bits, count=1 << n), (S < 0).astype(np.uint8))
+        duals.append(f.dual().table)
+    assert tried and np.array_equal(duals[0], duals[1])
+    monkeypatch.undo()
     # a spectrum that is not bent keeps its int32 copy
     rng = np.random.default_rng(n)
     other = BooleanFunction(field, rng.integers(0, 2, 1 << n, dtype=np.uint8)).walsh()

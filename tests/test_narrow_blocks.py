@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from bentvec import BooleanFunction, FieldSpec, VectorialFunction, boolfun, vectorial
-from bentvec.boolfun import _fold, _narrow_parts, _transform_parts, fwht
+from bentvec.boolfun import _fold, _narrow_parts, _transform_parts, classify, fwht
 from bentvec.cli import main
 from bentvec.errors import NotBentError, VerificationError
 from bentvec.fileio import read_vf
@@ -236,16 +236,14 @@ def test_every_n4_table_folded_is_accepted_exactly_when_bent(k):
             accepted.append(v)
             bits, cls = kept
             assert cls.kind == "bent" and cls.amplitude == amp
-            # the same bits and class as the int32 path's
-            want_bits, want = _transform_parts(values, word, tab, field)
-            assert np.array_equal(bits, want_bits) and cls == want
+            # the signs and the class of the int32 path's copy of S
+            full = _transform_parts(values, word, tab, field)
+            assert np.array_equal(np.unpackbits(bits), full < 0)
+            assert cls == classify(full, n)
             # every bit, at k = 2 too, where parts of 4 points share a byte
             assert np.array_equal(np.unpackbits(bits), spectra[v] < 0)
         elif v % 64 == 0:
-            # int32 rebuilds bent-level parts before the first other one
-            # from their bits: S whole, at k = 2 from bits sharing a byte
-            full, cls = _transform_parts(values, word, tab, field)
-            assert cls is None and np.array_equal(full, spectra[v])
+            assert np.array_equal(_transform_parts(values, word, tab, field), spectra[v])
     assert accepted == np.flatnonzero(bent).tolist()
 
 

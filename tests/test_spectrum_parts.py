@@ -14,7 +14,6 @@ from bentvec import BooleanFunction, FieldSpec
 from bentvec import boolfun
 from bentvec.boolfun import (
     WalshSpectrum,
-    _checked_block,
     _fold,
     check_parseval_parity,
     check_round_trip,
@@ -348,8 +347,4 @@ def test_the_checked_class_is_classify_on_checked_spectra(n):
     for table in tables:
         S = unfolded(table)
         for values in (S, S.astype(np.int64)):
-            # the verdict's class where it holds, classify's everywhere else
-            bent = _checked_block(values, field)
-            want = classify(values, n)
-            assert (bent or want) == want
-            assert (bent is not None) == (want.kind == "bent")
+            assert WalshSpectrum(field, values).classification == classify(values, n)
