@@ -17,8 +17,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .boolfun import BooleanFunction, Classification, _unpack_signs, bent_or_raise, sigma_of
-from .errors import PreconditionError, VerificationError
-from .gf2n import _walsh_permutation, prime_factors, f2_is_independent
+from .errors import BentvecError, PreconditionError, VerificationError
+from .gf2n import _linear_table, _walsh_permutation, prime_factors, f2_is_independent
 from .propp import _same_field, satisfies_p, satisfies_p_packed
 from .redpoly import DefiningSet
 from .vectorial import (
@@ -220,58 +220,56 @@ def _trace_one_lambdas(field, m):
     return tuple(np.sort(combos[odd == 1]).tolist())
 
 
-def _require_p_tau_for(G, defining, lambdas, others=()):
-    """Gate (P_tau) on the `lambdas` duals and return the checks of the
-    `others` duals.  All of them are tested in one packed pass, on the
-    bits G keeps in the Hadamard index."""
+def _require_p_tau_for(G, defining, lambdas, checks):
+    """Gate (P_tau) on the `lambdas` duals, in order, from `checks`, the
+    PropertyCheck of each dual that `_component_dual_check` gave."""
     _same_field(G, defining)
-    kept = [G.packed_dual(lam) for lam in (*lambdas, *others)]
-    checks = satisfies_p_packed(kept, defining, _walsh_permutation(G.field))
-    for lam, check in zip(lambdas, checks):
+    for lam in lambdas:
+        check = checks[lam]
         if not check.holds:
             raise PreconditionError(
                 f"dual of component {lam:#x} violates (P_tau) on pair "
                 f"{check.pair} at x={check.witness}"
             )
-    return checks[len(lambdas) :]
 
 
-def _p_tau_all_lambdas(G, defining, lambdas):
+def _p_tau_all_lambdas(G, defining, lambdas, checks):
     """Gate (P_tau) on the `lambdas` duals, then report whether every
-    nonzero component dual of the vectorial bent G satisfies it.  Each
-    dual is checked once."""
-    others = [lam for lam, _ in G.selectors() if lam not in lambdas]
-    checks = _require_p_tau_for(G, defining, lambdas, others)
-    return all(check.holds for check in checks)
+    nonzero component dual of the vectorial bent G satisfies it, from
+    `checks`, which holds a PropertyCheck per dual."""
+    _require_p_tau_for(G, defining, lambdas, checks)
+    return all(check.holds for check in checks.values())
 
 
-def _require_pure_vectorial_bent(G):
-    """The gate both lifts put on G: pure, and vectorial bent.  G's duals
-    are read by the (P_tau) gates, so its profile keeps them.  A G profiled
-    without them is profiled again, whole: each of its rows is a bent
-    (lambda, 0) row, whose dual is missing."""
+def _require_pure_vectorial_bent(G, checks, gate):
+    """The gate both lifts put on G: pure, and vectorial bent.  Returns
+    the (P_tau) checks of the `gate` (defining, lambdas): `checks`, when a
+    family's pass gave them, else those of a pass of G's own, which
+    transforms G again so that each dual comes from its own transform."""
     if G.t:
         raise PreconditionError("lift expects a pure (n,m)-function")
-    G.keep_duals()
+    if checks is None:
+        checks = _component_dual_check(G, None, [gate])[2][0]
     pre = G.is_vectorial_bent()
     if not pre.ok:
         raise PreconditionError(
             f"G is not vectorial bent: component {pre.selector} has "
             f"W({pre.point}) = {pre.value}"
         )
+    return checks
 
 
-def vec_bent_lift(G, defining, poly):
+def vec_bent_lift(G, defining, poly, *, _checks=None):
     """H = G + F(traces): vectorial bent when the Tr = 1 component duals
     satisfy (P_tau) with the given defining set.
 
     Components with Tr^m_1(lambda) = 0 are untouched by the lift; the
     returned check still verifies every component of H.
     """
-    _require_pure_vectorial_bent(G)
-    _require_tau(poly, defining, G.n)
     lambdas = _trace_one_lambdas(G.field, G.m)
-    _require_p_tau_for(G, defining, lambdas)
+    checks = _require_pure_vectorial_bent(G, _checks, (defining, set(lambdas)))
+    _require_tau(poly, defining, G.n)
+    _require_p_tau_for(G, defining, lambdas, checks)
     g = poly.compose_traces(defining)
     H = G.add_boolean(g)
     check = H.is_vectorial_bent()
@@ -286,7 +284,7 @@ def _tail_profile(H_hat):
     return all(cls.plateaued_family for _, cls, _ in rows), amplitudes
 
 
-def vec_plateaued_lift(G, defining, polys):
+def vec_plateaued_lift(G, defining, polys, *, _checks=None):
     """H_hat = (G, f_1, ..., f_t) with f_i = F_i(traces).
 
     Records both sides of the equivalence "H_hat vectorial plateaued iff
@@ -298,14 +296,15 @@ def vec_plateaued_lift(G, defining, polys):
     polys = tuple(polys)
     if not polys:
         raise PreconditionError("plateaued lift needs at least one tail polynomial")
-    _require_pure_vectorial_bent(G)
+    every = {lam for lam, _ in G.selectors()}
+    checks = _require_pure_vectorial_bent(G, _checks, (defining, every))
     for poly in polys:
         if poly.tau != defining.tau:
             raise PreconditionError(
                 f"tail polynomial has {poly.tau} variables, defining set "
                 f"{defining.tau}"
             )
-    p_tau_all = _p_tau_all_lambdas(G, defining, _trace_one_lambdas(G.field, G.m))
+    p_tau_all = _p_tau_all_lambdas(G, defining, _trace_one_lambdas(G.field, G.m), checks)
     fs = tuple(poly.compose_traces(defining) for poly in polys)
     H_hat = G.augment(fs)
     hat_check = H_hat.is_vectorial_plateaued()
@@ -480,13 +479,14 @@ def _lift_degree(poly, u_values):
     return d if d >= 2 and f2_is_independent(u_values[: poly.tau]) else None
 
 
-# the dual checks compare DUAL_BLOCK lambdas at a time over
-# CHECK_ENTRIES / DUAL_BLOCK points: a chunk holds the predicted bits and
-# their temporaries, one byte per entry for kasami's parity of a word of
-# at most 8 bits, four above, and eight for the int64 products of niho's
-# and gold's scaling (2 MB each)
+# the dual checks take DUAL_BLOCK duals at a time, as profile() reads
+# them, and compare them with the closed forms over CHECK_ENTRIES /
+# DUAL_BLOCK points at a time: a chunk holds the predicted bits and their
+# temporaries, one byte per entry for kasami's parity of a word of at most
+# 8 bits, four above, and eight for the int64 products of niho's and
+# gold's scaling (1 MB each), beside profile()'s block buffer
 DUAL_BLOCK = 64
-CHECK_ENTRIES = 1 << 18
+CHECK_ENTRIES = 1 << 17
 
 
 class _ClosedForm(NamedTuple):
@@ -502,7 +502,7 @@ class _ClosedForm(NamedTuple):
     bits: Callable
 
 
-def _component_bits(G, plus=0):
+def _component_bits(G, plus):
     """bits(masks, xs) of the components of G with those selector masks,
     plus the constant `plus`."""
     # np.bitwise_count is fastest on bytes
@@ -527,65 +527,89 @@ def _scaled_bits(f):
 
 
 def _dual_mismatches(field, kept, params, bits):
-    """The least field x at which the kept dual bits kept[c] (as
-    `VectorialFunction.packed_dual` gives them) and the closed form
-    bits(params[c]) differ, for every c where they differ.
+    """The least field x at which the dual bits kept[c], a block of at most
+    DUAL_BLOCK rows as `VectorialFunction._read_duals` packs them, and the
+    closed form bits(params[c]) differ, for every c where they differ.
 
     The closed forms are evaluated at the field points of a chunk of the
-    Hadamard index, packed, and compared with the kept bits of DUAL_BLOCK
-    duals at a time.  Only a dual that differs is reindexed, to find x.
+    Hadamard index, packed and compared with the kept bits.  Only a dual
+    that differs is reindexed, to find x.
     """
     size = field.size
     perm = _walsh_permutation(field)
-    points = np.empty_like(perm)  # the field point of each Hadamard index
-    points[perm] = np.arange(size)
+    # the field point of each Hadamard index, F2-linear as perm is, built
+    # from the points of the powers of 2 with no temporary of its size
+    units = [int(np.flatnonzero(perm == 1 << i)[0]) for i in range(field.n)]
+    points = _linear_table(units, np.int64)
     step = min(size, max(8, CHECK_ENTRIES // DUAL_BLOCK))
-    differ = []
-    for c0 in range(0, len(kept), DUAL_BLOCK):
-        block = slice(c0, c0 + DUAL_BLOCK)
-        for h in range(0, size, step):
-            predicted = np.packbits(bits(params[block], points[h : h + step]), axis=1)
-            # below 2^3 points the one byte is partly padding, zero on both sides
-            spectral = np.stack([row[h // 8 : -(-(h + step) // 8)] for row in kept[block]])
-            differ.extend((c0 + np.flatnonzero((predicted != spectral).any(axis=1))).tolist())
-    every = np.arange(size)
+    differ = np.zeros(len(kept), dtype=bool)
+    for h in range(0, size, step):
+        predicted = np.packbits(bits(params, points[h : h + step]), axis=1)
+        # below 2^3 points the one byte is partly padding, zero on both sides
+        differ |= (predicted != kept[:, h // 8 : -(-(h + step) // 8)]).any(axis=1)
     witnesses = {}
-    for c in sorted(set(differ)):
+    for c in np.flatnonzero(differ).tolist():
         spectral = _unpack_signs(kept[c], size)[perm]
-        witnesses[c] = int(np.argmax(bits(params[c : c + 1], every)[0] != spectral))
+        witnesses[c] = int(np.argmax(bits(params[c : c + 1], np.arange(size))[0] != spectral))
     return witnesses
 
 
-def _family_map(field, k, terms):
-    """A family's G, made to keep its duals before anything profiles it:
-    the closed-form check and the (P_tau) gates read them, and a profile
-    computed without them (by degree(), say) would be computed again."""
-    G = VectorialFunction.from_univariate(field, k, terms)
-    G.keep_duals()
-    return G
+def _component_dual_check(G, closed_form, gates=()):
+    """Check G's component duals as its profile reads them, DUAL_BLOCK at
+    a time: against the closed form, when one is given, and (P_tau) with
+    each gate's defining set on the duals of its lambdas.  Returns the
+    closed form's failures and classes, and a {lambda: PropertyCheck} per
+    gate (defining, lambdas).
 
-
-def _component_dual_check(G, closed_form):
-    """Compare closed-form duals with spectrum duals for every selector.
-
-    Lambda by lambda, in order, the spectrum dual must be kept (a
-    component that is not bent raises NotBentError) and the closed form's
-    parameter computed (raising as the formula does); then the duals are
-    compared in blocks.  A failure is (lambda, the least field point at
-    which the two duals differ).
+    G is profiled again from its own word (`VectorialFunction._read_duals`),
+    and only a block of duals is held at a time.  The closed form's
+    parameter is computed as each dual arrives, and an error it raises is
+    held; after the pass, lambda by lambda in order, a component that is
+    not bent raises NotBentError and a held error is raised, as a check of
+    each lambda in turn would.  A failure is (lambda, the least field
+    point at which the two duals differ).
     """
-    G.keep_duals()
+    perm = _walsh_permutation(G.field)
+    block = np.empty((DUAL_BLOCK, -(-G.field.size // 8)), dtype=np.uint8)
+    lams, params, errors, witnesses = [], {}, {}, {}
+    checks = [{} for _ in gates]
+
+    def flush():
+        kept = block[: len(lams)]
+        if closed_form:
+            found = _dual_mismatches(G.field, kept, [params[lam] for lam in lams], closed_form.bits)
+            witnesses.update((lams[c], x) for c, x in found.items())
+        for (defining, subset), out in zip(gates, checks):
+            if defining.field == G.field:  # else its gate refuses it, in its turn
+                picked = [c for c, lam in enumerate(lams) if lam in subset]
+                found = satisfies_p_packed([kept[c] for c in picked], defining, perm)
+                out.update((lams[c], check) for c, check in zip(picked, found))
+        lams.clear()
+
+    def take(lambdas, bits):
+        for lam, row in zip(lambdas, bits):
+            try:
+                params[lam] = closed_form.param(lam) if closed_form else None
+            except BentvecError as exc:
+                errors[lam] = exc
+                continue
+            block[len(lams)] = row
+            lams.append(lam)
+            if len(lams) == DUAL_BLOCK:
+                flush()
+
+    G._read_duals(take)
+    if lams:
+        flush()
     rows = G.profile()
-    kept, params = [], []
-    for (lam, _), _, _ in rows:
-        kept.append(G.packed_dual(lam))
-        params.append(closed_form.param(lam))
-    witnesses = _dual_mismatches(G.field, kept, params, closed_form.bits)
-    failures = tuple((rows[c][0][0], x) for c, x in witnesses.items())
-    classes = tuple(
-        (lam, str(cls), c not in witnesses) for c, ((lam, _), cls, _) in enumerate(rows)
-    )
-    return failures, classes
+    for (lam, _), _, _ in rows if closed_form else ():
+        if lam in errors:
+            raise errors[lam]
+        if lam not in params:  # not bent: the lone function's error
+            G.component(lam).dual()
+            raise VerificationError(f"profile read no dual of bent {lam:#x}")
+    classes = tuple((lam, str(cls), lam not in witnesses) for (lam, _), cls, _ in rows)
+    return tuple(sorted(witnesses.items())), classes, checks
 
 
 def _run_family(
@@ -623,22 +647,22 @@ def _run_family(
         seed=seed,
     )
 
-    dual_failures, component_classes = _component_dual_check(G, closed_form)
+    gates = [(defining, set(_trace_one_lambdas(field, G.m)))]
+    # a repeated u is refused where the tail's set is built, after the bent lift
+    if tail_polys and len(set(u_values)) == len(u_values):
+        gates.append((DefiningSet(field, tuple(u_values)), {lam for lam, _ in G.selectors()}))
+    dual_failures, component_classes, p_tau = _component_dual_check(G, closed_form, gates)
     report.dual_formula = dual_formula
     report.dual_match = not dual_failures
     report.dual_failures = dual_failures
     report.component_classes = component_classes
 
     if self_dual_selector is not None:
+        # the closed form at lambda_0 is G's component lambda_0 itself (delta = 1)
         report.self_dual_selector = self_dual_selector
-        report.self_dual_ok = not _dual_mismatches(
-            field,
-            [G.packed_dual(self_dual_selector)],
-            [G._mask(self_dual_selector)],
-            _component_bits(G),
-        )
+        report.self_dual_ok = self_dual_selector not in dict(dual_failures)
 
-    lift = vec_bent_lift(G, defining, poly)
+    lift = vec_bent_lift(G, defining, poly, _checks=p_tau[0])
     report.predicted_class = f"vectorial bent ({field.n},{G.m})"
     report.verified_class = vectorial_class_string(lift.H)
     report.class_match = report.predicted_class == report.verified_class
@@ -654,7 +678,7 @@ def _run_family(
         # The appended coordinates are composed on the whole u set, not
         # the bent-lift subset; that is what makes their count maximal.
         tail_defining = DefiningSet(field, tuple(u_values))
-        plat = vec_plateaued_lift(G, tail_defining, tail_polys)
+        plat = vec_plateaued_lift(G, tail_defining, tail_polys, _checks=p_tau[1])
         H_hat = plat.H_hat
         report.p_tau_all_lambdas = plat.p_tau_all
         report.tail_plateaued = plat.tail_plateaued
@@ -706,7 +730,7 @@ def kasami_family(field, u_values, poly, tail_polys=(), seed=None):
     k = _family_k(field, "Kasami")
     u_values = [field.check(u) for u in u_values]
     _check_conjugate_condition(field, u_values, k)
-    G = _family_map(field, k, [(1, (1 << k) + 1)])
+    G = VectorialFunction.from_univariate(field, k, [(1, (1 << k) + 1)])
     # Tr^k_1(lambda^-1 x^(2^k+1)) is the component lambda^-1 of G
     closed_form = _ClosedForm(_inverse_masks(G).__getitem__, _component_bits(G, 1))
 
@@ -756,7 +780,7 @@ def niho_family(field, r, u_values, poly, tail_polys=(), seed=None):
         raise PreconditionError("u set is not linearly independent (basis check)")
 
     exps = niho_exponents(field.n, r)
-    G = _family_map(field, k, [(1, d) for d in exps])
+    G = VectorialFunction.from_univariate(field, k, [(1, d) for d in exps])
 
     # Closed form for the lambda = 1 dual, then the scaling law for the rest.
     t_idx = (1 << (r - 1)) - 1
@@ -777,7 +801,10 @@ def niho_family(field, r, u_values, poly, tail_polys=(), seed=None):
     closed_form = _ClosedForm(delta_inverse, _scaled_bits(g1_dual))
 
     d = poly.degree()
-    degree_predicted = k if (d == k and G.degree() != k) else None
+    # deg G from its coordinates: G.degree() would profile G before its dual check
+    degree_predicted = None
+    if d == k and max(f.degree() for f in G.coordinate_functions()) != k:
+        degree_predicted = k
     return _run_family(
         "niho",
         field,
@@ -850,7 +877,7 @@ def gold_family(field, u_values, poly, tail_polys=(), seed=None):
     terms = [
         (field.pow(omega, 1 << (i * k)), (e << (i * k)) % field.order) for i in range(4)
     ]
-    G = _family_map(field, k, terms)
+    G = VectorialFunction.from_univariate(field, k, terms)
 
     lam0 = field.inverse(omega ^ obar)
     if field.pow(lam0, 1 << k) != lam0:

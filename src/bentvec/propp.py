@@ -36,8 +36,9 @@ class ShiftCheck(NamedTuple):
 
 # satisfies_p_packed tests P_TAU_BYTES bytes of packed functions at a
 # time; a chunk holds its functions, one first and one second derivative
-# and the temporary of a shift, 1 MB in all
-P_TAU_BYTES = 1 << 18
+# and the temporary of a shift, 512 KB in all, beside profile()'s buffers
+# when the constructions check G's duals as it reads them
+P_TAU_BYTES = 1 << 17
 
 
 def satisfies_p(g: BooleanFunction, defining: DefiningSet) -> PropertyCheck:
@@ -63,7 +64,7 @@ def satisfies_p_packed(bits, defining: DefiningSet, order=None):
     us = [int(u) if order is None else int(order[u]) for u in defining.elements]
     size = defining.field.size
     checks = [PropertyCheck(True, None, None)] * len(bits)
-    if len(us) < 2:
+    if len(us) < 2 or not checks:
         return checks
     rows = max(1, P_TAU_BYTES // len(bits[0]))
     for start in range(0, len(bits), rows):

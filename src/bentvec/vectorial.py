@@ -97,10 +97,10 @@ class VectorialFunction:
     """Immutable (n, m [+t])-function; `word` is its only per-point table.
 
     A function made by add_boolean or augment keeps its parent, whose rows
-    profile() can copy, until its profile is computed or it keeps duals.
+    profile() can copy, until its profile is computed.
     """
 
-    __slots__ = ("field", "m", "t", "word", "_parent", "_profile", "_dual_bits")
+    __slots__ = ("field", "m", "t", "word", "_parent", "_profile")
 
     def __init__(self, field: FieldSpec, m, values, extra=None, t=0):
         _check_dimensions(field.n, m, t)
@@ -143,8 +143,6 @@ class VectorialFunction:
         self.word = word
         self._parent = None
         self._profile = None
-        # lambda -> packed dual, filled by profile() once keep_duals() asks
-        self._dual_bits = None
 
     @property
     def n(self):
@@ -252,81 +250,60 @@ class VectorialFunction:
     def dual(self, lam):
         """Dual of the bent component (lambda, 0), in field order: the lone
         component's dual.  Raises NotBentError when that component is not
-        bent.  The checks read `packed_dual` instead.
+        bent.  The checks read the duals `_read_duals` hands out instead.
         """
         return self.component(lam).dual()
-
-    def keep_duals(self):
-        """Have profile() keep the dual of every bent (lambda, 0) component.
-
-        Only a function whose duals are read asks for them; `verify` keeps
-        none.  A profile already computed without them is computed again,
-        whole: a lift's G is pure and vectorial bent, so every row is a bent
-        (lambda, 0) row and its missing duals are its whole profile.  Its
-        parent goes too: a kept dual comes from this function's transform.
-        """
-        if self._dual_bits is None:
-            self._dual_bits = {}
-            self._profile = None
-            self._parent = None
-
-    def packed_dual(self, lam):
-        """The kept dual of the bent component (lambda, 0), ceil(2^n / 8)
-        read-only bytes in the Hadamard index: the dual at field element x is bit
-        7 - h % 8 of byte h // 8, h = perm[x], as np.packbits packs it.
-
-        Raises NotBentError, as BooleanFunction.dual does, when that
-        component is not bent.
-        """
-        self.keep_duals()
-        self.profile()
-        bits = self._dual_bits.get(int(lam))
-        if bits is None:
-            # not a bent (lambda, 0) component, or not a selector: the lone
-            # function's path raises the same error
-            self.component(lam).dual()
-            raise VerificationError(f"profile kept no dual for bent {lam:#x}")
-        return bits
 
     def profile(self):
         """Cached ((lambda, v), Classification, degree) per selector, in order.
 
         A row is copied from the parent recorded by add_boolean or augment
         when the parent's profile is computed and an exact test shows the
-        two component tables are equal; a function that keeps duals has no
-        parent, so it copies none.  Every other component comes from the
-        coordinate word through `boolfun.transform_signs`: a block's signs
-        are tab[word], where tab = (-1)^parity(value & mask) has a row per
-        value the word can take and a column per selector mask of the
-        block.  When m + t > n, the word is indexed by its distinct values,
-        so that no table has more rows than points.  The signs are gathered
-        into one int32 buffer, allocated once per call for the widest
-        block, transformed at once along axis 0 and checked (Parseval,
-        parity, round trip), all in the Hadamard index, the round trip
-        last, once the spectra are read.
+        two component tables are equal.  Every other component comes from
+        the coordinate word through `boolfun.transform_signs`: a block's
+        signs are tab[word], where tab = (-1)^parity(value & mask) has a
+        row per value the word can take and a column per selector mask of
+        the block.  When m + t > n, the word is indexed by its distinct
+        values, so that no table has more rows than points.  The signs are
+        gathered into one int32 buffer, allocated once per call for the
+        widest block, transformed at once along axis 0 and checked
+        (Parseval, parity, round trip), all in the Hadamard index, the
+        round trip last, once the spectra are read.
         At even n, the columns whose S(0) is +-2^(n/2), by the word's value
         counts, go in int16 blocks twice as wide inside the same buffer,
         each column decided bent exactly or sent to int32 alone
         (`boolfun.transform_signs`); the others go in int32 blocks, whose
-        columns are classified one by one.  Once keep_duals() asks, the
-        dual of each bent (lambda, 0) column is kept packed in that index,
-        one bit per point.
+        columns are classified one by one.
         Degrees use the linearity of the ANF: one Möbius transform of
         the word packs the coordinate ANFs, and a component's ANF is
         parity(anf_word & mask).  No truth table, sign or spectrum is kept.
         """
         if self._profile is None:
-            sels = list(self.selectors())
-            masks = self._selector_masks()
-            duals = None if self._dual_bits is None else {}
-            rows = self._inherited_rows(sels, masks)
-            todo = [i for i, row in enumerate(rows) if row is None]
-            if todo:
-                self._transform_rows(sels, masks, todo, rows, duals)
-            self._profile = tuple(rows)
-            self._dual_bits = duals
-            self._parent = None
+            self._read_duals(None)
         return self._profile
+
+    def _read_duals(self, read):
+        """Compute the profile; given `read`, from this function's own word
+        alone, handing read(lambdas, bits) the duals of its bent (lambda, 0)
+        components as the blocks that transform them read them.
+
+        bits[c] is the dual of lambdas[c], ceil(2^n / 8) bytes in the
+        Hadamard index: the dual at field element x is bit 7 - h % 8 of
+        byte h // 8, h = perm[x], as np.packbits packs it, in a read-only
+        array of its own.  A block's duals are handed over once its checks
+        have passed; those of an int16 column left undecided, from its
+        int32 redo; so each dual is handed over once.  No row is copied
+        from a parent, and a profile computed before is computed again, so
+        that every dual comes from this function's transform.
+        """
+        sels = list(self.selectors())
+        masks = self._selector_masks()
+        rows = [None] * len(sels) if read else self._inherited_rows(sels, masks)
+        todo = [i for i, row in enumerate(rows) if row is None]
+        if todo:
+            self._transform_rows(sels, masks, todo, rows, read)
+        self._profile = tuple(rows)
+        self._parent = None
 
     def _inherited_rows(self, sels, masks):
         """The parent's row wherever (lambda, v) has equal tables, else None.
@@ -361,9 +338,9 @@ class VectorialFunction:
         values = _distinct(self.word.copy())
         return np.searchsorted(values, self.word).astype(np.uint32), values
 
-    def _transform_rows(self, sels, masks, todo, rows, duals):
+    def _transform_rows(self, sels, masks, todo, rows, read):
         """Fill rows[i] for i in `todo` from blocked, checked transforms,
-        and `duals`, when it is a dict, with the packed bent duals.
+        handing `read`, when given, the packed bent (lambda, 0) duals.
 
         At even n, the columns whose S(0) is +-2^(n/2), read once from the
         word's value counts, go to int16 blocks, which decide bent columns
@@ -388,37 +365,34 @@ class VectorialFunction:
         blocks += [(c, np.int32) for c in _chunks(others, wide)]
         blocks.sort(key=lambda block: block[0][0])
         spectra = np.empty(size * min(wide, len(todo)), dtype=np.int32)
-        # one buffer holds the packed duals: many small arrays fragmented
-        # the heap enough to raise verify's peak RSS
-        keep = [i for i in todo if sels[i][1] == 0] if duals is not None else []
-        slot = {i: r for r, i in enumerate(keep)}
-        store = np.empty((len(slot), -(-size // 8)), dtype=np.uint8)
 
         def transform(index, dtype):
             names = [sels[i] for i in index]
             block = masks[index]
+            # the packed duals of the block's bent (lambda, 0) columns, by column
+            duals = {}
 
-            def read(spectra_block, bent, columns=None):
+            def classified(spectra_block, bent, columns=None):
                 # called within this transform, on this block's columns, or
                 # those of `columns`; `bent` is the class of the columns read
                 # when int16 decided each of them bent, else None
                 odd = sign_table(mono_word, block) < 0  # parity 1
                 degrees = np.max(odd * mono_deg[:, None], axis=0, initial=0)
                 for j in range(len(index)) if columns is None else columns:
-                    i, sel = index[j], names[j]
                     cls = bent or classify(spectra_block[:, j], n)
-                    rows[i] = (sel, cls, int(degrees[j]))
-                    if i in slot and cls.kind == "bent":
-                        bits = _pack_signs(spectra_block[:, j], store[slot[i]])
-                        bits.flags.writeable = False
-                        duals[sel[0]] = bits
-                    elif i in slot:  # a second reading of the block stands
-                        duals.pop(sel[0], None)
+                    rows[index[j]] = (names[j], cls, int(degrees[j]))
+                    if read and names[j][1] == 0 and cls.kind == "bent":
+                        duals[j] = _pack_signs(spectra_block[:, j])
+                        duals[j].flags.writeable = False
 
             # a contiguous prefix, so that a last, narrower block is one too
             buffer = spectra.view(dtype)[: size * len(index)].reshape(size, len(index))
             tab = sign_table(values, block)
-            return transform_signs(buffer, word, tab, self.field, read, names)
+            undecided = transform_signs(buffer, word, tab, self.field, classified, names)
+            passed = [j for j in duals if j not in undecided]
+            if passed:
+                read([names[j][0] for j in passed], [duals[j] for j in passed])
+            return undecided
 
         for index, dtype in blocks:
             undecided = [index[j] for j in transform(index, dtype)]

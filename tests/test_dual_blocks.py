@@ -2,10 +2,10 @@
 per-lambda, field-order definitions.
 
 The closed-form check compares each family's closed forms with the bits
-profile() keeps, a block of lambdas and points at a time; the reference
+profile() reads, a block of lambdas and points at a time; the reference
 below is the per-lambda loop: each lone component's dual, then the
 closed form as a whole truth table, in field order.  (P_tau) is tested
-on the kept bits with the defining set mapped through the Walsh
+on the same bits with the defining set mapped through the Walsh
 permutation; its reference is `oracles.naive_p_tau` in field order.
 """
 
@@ -177,7 +177,7 @@ def test_blocked_dual_check_matches_the_per_lambda_definition(monkeypatch, name,
     lams = [lam for lam, _ in G.selectors()]
     want = _reference_check(G, reference)
     assert not want[0]  # every family's closed form holds
-    assert _component_dual_check(G, closed_form) == want
+    assert _component_dual_check(G, closed_form)[:2] == want
     # planted mismatches: the least planted point is the witness (at
     # n = 2, lambda = 1 alone, flipped at 0)
     flips = {lams[0]: [size - 1], lams[len(lams) // 2]: [7, 3, size // 2], lams[-1]: [0]}
@@ -186,7 +186,7 @@ def test_blocked_dual_check_matches_the_per_lambda_definition(monkeypatch, name,
     want = _reference_check(G, wrong)
     assert [lam for lam, _ in want[0]] == sorted(flips)
     assert [x for _, x in want[0]] == [min(flips[lam]) for lam in sorted(flips)]
-    assert _component_dual_check(G, blocked) == want
+    assert _component_dual_check(G, blocked)[:2] == want
 
 
 @pytest.mark.parametrize("name, n", CASES)
@@ -213,13 +213,61 @@ def test_a_mismatch_is_reported_with_its_point(monkeypatch):
     G, closed_form, reference = _family_parts(monkeypatch, "kasami", 8)
     (lam, _), cls, _ = G.profile()[4]
     blocked, _ = _planted(closed_form, reference, {lam: [200, 17]}, None)
-    failures, classes = _component_dual_check(G, blocked)
+    failures, classes, _ = _component_dual_check(G, blocked)
     assert failures == ((lam, 17),)
     assert [c for c in classes if not c[2]] == [(lam, str(cls), False)]
     report = constructions.ConstructionReport(
         family="kasami", field="11d", n=8, m=4, tau=2, t=0, dual_failures=failures
     )
     assert report.to_json_dict()["dual_failures"] == [[str(lam), "17"]]
+
+
+def _gold_lambda0(field):
+    """lambda_0 = (omega + omega^(2^k))^-1 of the gold family, k = n/4."""
+    k = field.n // 4
+    omega = field.pow(field.generator, ((1 << k) - 1) * ((1 << (2 * k)) + 1))
+    return field.inverse(omega ^ field.pow(omega, 1 << k))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_gold_closed_form_at_lambda0_is_the_component_lambda0(monkeypatch, n):
+    # delta = 1 at lambda_0, so its closed form is G's component lambda_0:
+    # the self-dual verdict is lambda_0's closed-form verdict
+    G, closed_form, _ = _family_parts(monkeypatch, "gold", n)
+    lam0 = _gold_lambda0(G.field)
+    assert closed_form.param(lam0) == 1
+    every = np.arange(G.field.size)
+    assert np.array_equal(closed_form.bits([1], every)[0], G.component(lam0).table)
+
+
+def _gold_report(monkeypatch, flips):
+    """The report of the gold n = 8 family with the closed form's bits
+    flipped at the points flips[lambda]."""
+    run = constructions._run_family
+
+    def planted(family, field, G, u_values, poly, tails, closed_form, *args, **kwargs):
+        blocked, _ = _planted(closed_form, None, flips, None)
+        return run(family, field, G, u_values, poly, tails, blocked, *args, **kwargs)
+
+    field = FieldSpec.default(8)
+    with monkeypatch.context() as patch:
+        patch.setattr(constructions, "_run_family", planted)
+        result = gold_family(field, gold_auto_u(field), ReducedPolynomial.make(2, [(1, 2)]))
+    return result.report
+
+
+def test_gold_self_dual_verdict_follows_lambda0_alone(monkeypatch):
+    lam0 = _gold_lambda0(FieldSpec.default(8))
+    report = _gold_report(monkeypatch, {})
+    assert report.self_dual_selector == lam0
+    assert report.dual_match and report.self_dual_ok and report.ok
+    report = _gold_report(monkeypatch, {lam0: [5]})
+    assert report.dual_failures == ((lam0, 5),)
+    assert report.dual_match is False and report.self_dual_ok is False
+    other = next(lam for lam, _, _ in report.component_classes if lam != lam0)
+    report = _gold_report(monkeypatch, {other: [5]})
+    assert report.dual_failures == ((other, 5),)
+    assert report.dual_match is False and report.self_dual_ok is True
 
 
 def _tables(data, n, count):
@@ -238,7 +286,7 @@ def _tables(data, n, count):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.sampled_from([6, 8, 10]), count=st.integers(1, 70), data=st.data())
+@given(n=st.sampled_from([6, 8, 10]), count=st.integers(0, 70), data=st.data())
 def test_hadamard_index_p_tau_matches_the_field_order_definition(n, count, data):
     field = FieldSpec.default(n)
     tau = data.draw(st.integers(2, 6))
@@ -256,10 +304,7 @@ def test_hadamard_index_p_tau_matches_the_field_order_definition(n, count, data)
 @pytest.fixture(scope="module")
 def kasami16():
     field = FieldSpec.default(16)
-    G = VectorialFunction.from_univariate(field, 8, [(1, 257)])
-    G.keep_duals()
-    G.profile()
-    return G
+    return VectorialFunction.from_univariate(field, 8, [(1, 257)])
 
 
 def _traced_peak(call):
@@ -273,16 +318,33 @@ def _traced_peak(call):
 
 
 def test_each_p_tau_gate_at_n16_stays_within_2_mb(kasami16):
-    # 255 duals of 8 KB each are kept; a gate works P_TAU_BYTES of them
-    # at a time, 1.3 MB traced
+    # the whole pass over G's 255 duals, closed form and both gates, holds
+    # one block of DUAL_BLOCK duals of 8 KB at a time: at most 1 MB above
+    # G.profile() alone, where a store of every dual took 2 MB; a gate
+    # then reads the pass's checks
     G = kasami16
     us = kasami_auto_u(G.field)
     lambdas = _trace_one_lambdas(G.field, G.m)
     gate = DefiningSet(G.field, tuple(us[:3]))
     every = DefiningSet(G.field, tuple(us))
-    assert _traced_peak(lambda: _require_p_tau_for(G, gate, lambdas)) <= 2 * 2**20
-    assert _traced_peak(lambda: _p_tau_all_lambdas(G, every, lambdas)) <= 2 * 2**20
-    assert _p_tau_all_lambdas(G, every, lambdas)
+    gates = [(gate, set(lambdas)), (every, {lam for lam, _ in G.selectors()})]
+    # kasami_family's closed form, Tr^k_1(lambda^-1 x^(2^k+1)) + 1
+    closed_form = _ClosedForm(
+        constructions._inverse_masks(G).__getitem__, constructions._component_bits(G, 1)
+    )
+
+    def profile_alone():
+        G._profile = None
+        return G.profile()
+
+    alone = _traced_peak(profile_alone)
+    streamed = _traced_peak(lambda: _component_dual_check(G, closed_form, gates))
+    assert streamed <= alone + 2**20
+    failures, _, (gate_checks, every_checks) = _component_dual_check(G, closed_form, gates)
+    assert not failures
+    assert _traced_peak(lambda: _require_p_tau_for(G, gate, lambdas, gate_checks)) <= 2 * 2**20
+    assert _traced_peak(lambda: _p_tau_all_lambdas(G, every, lambdas, every_checks)) <= 2 * 2**20
+    assert _p_tau_all_lambdas(G, every, lambdas, every_checks)
 
 
 def test_a_gate_witness_is_the_least_field_point(kasami16):
@@ -294,8 +356,9 @@ def test_a_gate_witness_is_the_least_field_point(kasami16):
     lam = _trace_one_lambdas(field, G.m)[0]
     want = naive_p_tau(G.component(lam).dual().table, bad.elements)
     assert not want[0]
+    checks = _component_dual_check(G, None, [(bad, {lam})])[2][0]
     with pytest.raises(PreconditionError) as info:
-        _require_p_tau_for(G, bad, (lam,))
+        _require_p_tau_for(G, bad, (lam,), checks)
     assert str(info.value) == (
         f"dual of component {lam:#x} violates (P_tau) on pair {want[1]} at x={want[2]}"
     )

@@ -11,6 +11,7 @@ from bentvec.boolfun import PASS_BUFSIZE, ROW_BYTES
 from bentvec.cli import main
 from bentvec.errors import VerificationError
 from bentvec.fileio import read_vf
+from dual_reader import read_duals
 
 
 def norm(n):
@@ -60,9 +61,8 @@ def _profiled(F, monkeypatch, one_column=False):
         blocks = _blocks(patch)
         if one_column:
             patch.setattr(vectorial, "_block_columns", lambda n, itemsize: 1)
-        F.keep_duals()
-        rows = F.profile()
-    return rows, F._dual_bits, blocks
+        rows, duals = read_duals(F)
+    return rows, duals, blocks
 
 
 def _widths(blocks, dtype, level=()):
@@ -316,7 +316,7 @@ def test_a_fault_in_the_in_place_inverse_names_its_component(gold_vf, monkeypatc
         with pytest.raises(VerificationError) as err:
             F.profile()
         assert str(err.value) == want
-        assert F._profile is None and F._dual_bits is None
+        assert F._profile is None
         monkeypatch.undo()
         assert F.profile() == read_vf(gold_vf).profile()
 
@@ -406,15 +406,13 @@ def test_chunked_gathers_give_the_same_profile_and_witness(gold_vf, monkeypatch)
     # int16 blocks of 16 columns and int32 ones of 8, of 2^16 points,
     # gathered and checked 32 entries at a time: the faulty entry at x =
     # 300 lies in the int32 round trip's 76th chunk of 4 rows
-    ref = read_vf(gold_vf)
-    ref.keep_duals()
-    ref.profile()
+    ref_rows, ref_duals = read_duals(read_vf(gold_vf))
     monkeypatch.setattr(boolfun, "GATHER_ENTRIES", 32)
-    F = read_vf(gold_vf)
-    F.keep_duals()
-    assert F.profile() == ref.profile()
-    for lam, bits in ref._dual_bits.items():
-        assert np.array_equal(F._dual_bits[lam], bits)
+    rows, duals = read_duals(read_vf(gold_vf))
+    assert rows == ref_rows
+    assert duals.keys() == ref_duals.keys()
+    for lam, bits in ref_duals.items():
+        assert np.array_equal(duals[lam], bits)
     sels = list(read_vf(gold_vf).selectors())
     x, k = 300, 11
     sign = 1 - 2 * int(read_vf(gold_vf).component(*sels[k]).table[x])

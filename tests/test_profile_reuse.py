@@ -1,5 +1,6 @@
 """One spectrum per distinct component: rows copied from a parent, packed
-duals, and (P_tau) checked on every dual at once, in the Hadamard index."""
+duals read from a function's own transform, and (P_tau) checked on every
+dual at once, in the Hadamard index."""
 
 import numpy as np
 import pytest
@@ -20,10 +21,17 @@ from bentvec import (
     niho_auto_u,
     niho_family,
 )
-from bentvec.constructions import _p_tau_all_lambdas, _require_p_tau_for
+from bentvec.constructions import (
+    _ClosedForm,
+    _component_bits,
+    _component_dual_check,
+    _p_tau_all_lambdas,
+    _require_p_tau_for,
+)
 from bentvec.errors import PreconditionError
 from bentvec.gf2n import _walsh_permutation
 from bentvec.propp import satisfies_p_packed
+from dual_reader import read_duals
 from oracles import naive_p_tau
 
 
@@ -46,9 +54,10 @@ def _parentless(F):
     return VectorialFunction(F.field, F.m, F.values, F.extra, F.t)
 
 
-def _kept_dual(F, lam):
-    """The kept dual of (lambda, 0), reindexed by field element."""
-    return np.unpackbits(F.packed_dual(lam), count=F.field.size)[_walsh_permutation(F.field)]
+def _kept_dual(duals, F, lam):
+    """The dual of (lambda, 0) that F's reader handed over, reindexed by
+    field element."""
+    return np.unpackbits(duals[lam], count=F.field.size)[_walsh_permutation(F.field)]
 
 
 @pytest.mark.parametrize(
@@ -63,27 +72,26 @@ def test_lifted_profiles_equal_parentless_copies(name, n, t):
         if F is None:
             continue
         assert F.profile() == _parentless(F).profile()
+    _, duals = read_duals(G)
     for lam, _ in G.selectors():
-        assert np.array_equal(_kept_dual(G, lam), G.component(lam).dual().table)
+        assert np.array_equal(_kept_dual(duals, G, lam), G.component(lam).dual().table)
 
 
-def _n6_child(keep_duals):
-    """G = x^9 over GF(2^6) into F_8, profiled, and its child G + 1."""
+def _n6_child():
+    """G = x^9 over GF(2^6) into F_8, profiled, its child G + 1, and the
+    duals of G's reader."""
     field = FieldSpec.default(6)
     G = VectorialFunction.from_univariate(field, 3, [(1, 9)])
-    G.keep_duals()
-    G.profile()
+    _, duals = read_duals(G)
     H = G.add_boolean(BooleanFunction.constant(field, 1))
-    if keep_duals:
-        H.keep_duals()
-    return G, H
+    return G, H, duals
 
 
 def test_rows_are_copied_only_where_tables_agree(monkeypatch):
     # G + g with g = 1 changes exactly the Tr(lambda) = 1 components, and
     # those are complemented: only their 4 rows are transformed, forward
     # and inverse
-    _, H = _n6_child(keep_duals=False)
+    _, H, _ = _n6_child()
     columns = _counted_columns(monkeypatch)
     rows = H.profile()
     assert sum(columns) == 8
@@ -91,19 +99,20 @@ def test_rows_are_copied_only_where_tables_agree(monkeypatch):
 
 
 def test_a_child_that_keeps_duals_transforms_every_row(monkeypatch):
-    # no dual is copied: all 7 rows are transformed, and the duals of the
-    # Tr(lambda) = 1 components come out complemented, the others equal
-    G, H = _n6_child(keep_duals=True)
+    # a child's reader copies no row from its parent: all 7 rows are
+    # transformed, and the duals of the Tr(lambda) = 1 components come out
+    # complemented, the others equal
+    G, H, G_duals = _n6_child()
     columns = _counted_columns(monkeypatch)
-    rows = H.profile()
+    rows, H_duals = read_duals(H)
     assert sum(columns) == 14
     assert rows == _parentless(H).profile()
     field = H.field
     for lam, _ in G.selectors():
         same = field.subfield_abs_trace(lam, 3) == 0
-        assert np.array_equal(H.packed_dual(lam), G.packed_dual(lam)) == same
-        assert np.array_equal(H.packed_dual(lam), ~G.packed_dual(lam)) != same
-        assert np.array_equal(_kept_dual(H, lam), H.component(lam).dual().table)
+        assert np.array_equal(H_duals[lam], G_duals[lam]) == same
+        assert np.array_equal(H_duals[lam], ~G_duals[lam]) != same
+        assert np.array_equal(_kept_dual(H_duals, H, lam), H.component(lam).dual().table)
 
 
 def test_dual_keeps_the_lone_function_errors():
@@ -112,52 +121,43 @@ def test_dual_keeps_the_lone_function_errors():
 
     field = FieldSpec.default(4)
     F = VectorialFunction(field, 2, field.subfield(2)[np.arange(16) % 4])
-    for read_dual in (F.dual, F.packed_dual):
-        for lam in (0, 2):  # zero selector; 2 is not in F_4
-            with pytest.raises(FieldError) as direct:
-                F.component(lam)
-            with pytest.raises(FieldError) as read:
-                read_dual(lam)
-            assert str(read.value) == str(direct.value)
-        for lam, _ in F.selectors():
-            with pytest.raises(NotBentError) as direct:
-                F.component(lam).dual()
-            with pytest.raises(NotBentError) as read:
-                read_dual(lam)
-            assert str(read.value) == str(direct.value)
+    for lam in (0, 2):  # zero selector; 2 is not in F_4
+        with pytest.raises(FieldError) as direct:
+            F.component(lam)
+        with pytest.raises(FieldError) as read:
+            F.dual(lam)
+        assert str(read.value) == str(direct.value)
+    for lam, _ in F.selectors():
+        with pytest.raises(NotBentError) as direct:
+            F.component(lam).dual()
+        with pytest.raises(NotBentError) as read:
+            F.dual(lam)
+        assert str(read.value) == str(direct.value)
+    # the dual check reads no dual of a component that is not bent, and
+    # raises the lone function's error at the first one
+    first = next(F.selectors())[0]
+    with pytest.raises(NotBentError) as direct:
+        F.component(first).dual()
+    with pytest.raises(NotBentError) as read:
+        _component_dual_check(F, _ClosedForm(int, _component_bits(F, 0)))
+    assert str(read.value) == str(direct.value)
 
 
 def test_packed_dual_layout():
     field = FieldSpec.default(6)
     G = VectorialFunction.from_univariate(field, 3, [(1, 9)])
     perm = _walsh_permutation(field)
+    rows = G.profile()
+    # read after profile(): G is transformed again, with the same rows
+    assert read_duals(G)[0] == rows
+    _, duals = read_duals(G)
+    assert sorted(duals) == [lam for lam, _ in G.selectors()]
     for lam, _ in G.selectors():
-        bits = G.packed_dual(lam)
+        bits = duals[lam]
         assert bits.shape == (8,) and bits.dtype == np.uint8 and not bits.flags.writeable
         # the dual at x is bit 7 - h % 8 of byte h // 8, h = perm[x]
         marks = (bits[perm >> 3] >> (7 - (perm & 7))) & 1
         assert np.array_equal(marks, G.component(lam).dual().table)
-
-
-def test_only_a_function_whose_duals_are_read_keeps_them():
-    field = FieldSpec.default(6)
-    G = VectorialFunction.from_univariate(field, 3, [(1, 9)])
-    G.profile()
-    assert G._dual_bits is None
-    rows = G.profile()
-    G.keep_duals()  # asked late: profiled again, with the same rows
-    assert G.profile() == rows and len(G._dual_bits) == 7
-    H = G.add_boolean(BooleanFunction.constant(field, 1))
-    H.profile()
-    assert H._dual_bits is None
-    # a child that keeps duals transforms its own rows, whatever its
-    # parent kept
-    F = VectorialFunction.from_univariate(field, 3, [(1, 9)])
-    F.profile()
-    K = F.add_boolean(BooleanFunction.constant(field, 1))
-    K.keep_duals()
-    for lam, _ in K.selectors():
-        assert np.array_equal(_kept_dual(K, lam), K.component(lam).dual().table)
 
 
 def _planted_tables(data, n, count):
@@ -207,7 +207,8 @@ def test_packed_checks_match_the_definition(n, count, data):
 
 class _Duals:
     """Stands in for a vectorial bent G whose nonzero lambdas have the given
-    tables as duals."""
+    tables as duals, with the (P_tau) checks that the dual check gives for
+    them."""
 
     def __init__(self, field, tables):
         self.field = field
@@ -216,8 +217,10 @@ class _Duals:
     def selectors(self):
         return ((lam, 0) for lam in self.tables)
 
-    def packed_dual(self, lam):
-        return _pack_rows(self.tables[lam][None, :], self.field)[0]
+    def checks(self, defining):
+        bits = _pack_rows(np.array(list(self.tables.values())), self.field)
+        checks = satisfies_p_packed(bits, defining, _walsh_permutation(self.field))
+        return dict(zip(self.tables, checks))
 
 
 def _loop_gate(duals, defining, lambdas):
@@ -244,16 +247,17 @@ def test_packed_gate_matches_a_per_dual_loop(n, count, data):
         sorted(data.draw(st.sets(st.sampled_from(sorted(duals.tables)), min_size=1)))
     )
     expected = _loop_gate(duals, defining, lambdas)
+    checks = duals.checks(defining)
     for gate in (_require_p_tau_for, _p_tau_all_lambdas):
         if expected is None:
-            gate(duals, defining, lambdas)
+            gate(duals, defining, lambdas, checks)
         else:
             with pytest.raises(PreconditionError) as info:
-                gate(duals, defining, lambdas)
+                gate(duals, defining, lambdas, checks)
             assert str(info.value) == expected
     if expected is None:
         others = [lam for lam in duals.tables if lam not in lambdas]
-        assert _p_tau_all_lambdas(duals, defining, lambdas) == (
+        assert _p_tau_all_lambdas(duals, defining, lambdas, checks) == (
             _loop_gate(duals, defining, others) is None
         )
 
@@ -291,7 +295,8 @@ def test_each_distinct_component_is_transformed_once(monkeypatch):
 
 
 def test_niho_with_deg_f_k_transforms_g_once(monkeypatch):
-    # deg F = k makes niho_family read G.degree() before the dual check
+    # deg F = k makes niho_family read deg G, from G's coordinates, before
+    # the dual check profiles G
     field = FieldSpec.default(8)
     k = 4
     poly = ReducedPolynomial.make(k, [(1, 2, 3, 4)])
