@@ -20,15 +20,16 @@ as a copy, or, when bent, as its amplitude and its packed sign bits.
 Every spectrum goes through one gather, butterfly and round trip: the
 signs of a column are tab[word], a small int32 table gathered through a
 per-point word, in chunks, into one int32 buffer that both butterflies
-then run on in place.  `VectorialFunction.profile()` passes its
-coordinate word and a +-1 `sign_table` per block of selector masks to
-`transform_signs`.  `walsh()` folds the top k = min(FOLD_LEVELS, max(0,
-n - FOLD_FROM)) butterfly levels into the gather, by H_(2^n) = H_(2^k)
-(x) H_(2^(n-k)): its word packs the 2^k bits f(p 2^(n-k) + x) of each x,
-and column q of its table, sums of 2^k signs, gives part q of S, the
-2^(n-k) Hadamard indices from q 2^(n-k) on (`_fold`).  At n <= FOLD_FROM,
-k = 0: the word is the truth table, the table [1, -1], and the one part
-is S.
+then run on in place.  `_spectrum_blocks`, the block driver of
+`VectorialFunction.profile()`, passes a coordinate word and a +-1
+`sign_table` per block of selector masks to `transform_signs`, and hands
+back each block's classes and duals once its checks pass.  `walsh()`
+folds the top k = min(FOLD_LEVELS, max(0, n - FOLD_FROM)) butterfly
+levels into the gather, by H_(2^n) = H_(2^k) (x) H_(2^(n-k)): its word
+packs the 2^k bits f(p 2^(n-k) + x) of each x, and column q of its
+table, sums of 2^k signs, gives part q of S, the 2^(n-k) Hadamard
+indices from q 2^(n-k) on (`_fold`).  At n <= FOLD_FROM, k = 0: the
+word is the truth table, the table [1, -1], and the one part is S.
 
 Nearly every spectrum of a vectorial bent function is bent, and bent
 spectra at even n are decided in int16, below.  Everything else takes
@@ -39,16 +40,14 @@ are not bent and raises.  `_transform_parts` runs it on the parts of
 `walsh()` one at a time in one buffer of a part, each copied into one
 int32 copy of S, which is checked whole.
 
-`profile()` hands `transform_signs` an int16 block of the columns whose
-S(0) is +-2^(n/2) at even n, as bentness requires, and an int32 block
-of any others.  An int16 block is decided bent column by column
+`_spectrum_blocks` routes each column to an int16 or an int32 block by
+its S(0), as it states.  An int16 block is decided bent column by column
 (`_narrow_bent`): its spectra modulo 2^16 are given the one bent-level
-verdict, `_bent_class` for the whole block and `_bent_columns` per
-column, which counts the entries equal to 2^(n/2) and to -2^(n/2).  The
-bent-level columns are read, and the block is shifted in place to
-candidate signs eps = +-1 and transformed again; fwht(eps) = 2^(n/2)
-tab[word] modulo 2^16 makes 2^(n/2) eps the exact spectrum of a column
-for n <= 28 (`check_round_trip` proves it), so that Parseval (2^n
+verdict, `_bent_columns`, which counts the entries equal to 2^(n/2) and
+to -2^(n/2).  The bent-level columns are read, and the block is shifted
+in place to candidate signs eps = +-1 and transformed again; fwht(eps) =
+2^(n/2) tab[word] modulo 2^16 makes 2^(n/2) eps the exact spectrum of a
+column for n <= 28 (`check_round_trip` proves it), so that Parseval (2^n
 squares of 2^n sum to 2^(2n)), parity (2^(n/2) is even), the class
 Bent(2^(n/2)) and the round trip all hold for it.  `walsh()` at even n
 tries every part of its fold so, when the S(0) of every part is
@@ -57,9 +56,9 @@ buffer, its signs packed into the part's bits of one bit buffer, and
 part q compared with 2^(n/2-k) t_q.  That certificate sums over the
 parts, so it holds only once every part passes, and then no int32
 array of 2^n entries is made for S.  Any other block or column, and a
-column or a part that fails there, takes the int32 path: `profile()`
-redoes only the failed columns, and a bent S found there is packed to
-its sign bits when it is kept.
+column or a part that fails there, takes the int32 path:
+`_spectrum_blocks` redoes only the failed columns, and a bent S found
+there is packed to its sign bits when it is kept.
 
 The Hadamard and Möbius butterflies do two levels per pass, in place on
 the caller's array, which they return; a caller that needs its input
@@ -104,6 +103,19 @@ TILE_BYTES = 1 << 19
 # blocks are at most this wide, and fwht runs the high bits of an array of
 # narrower rows on a view whose rows are longer than this
 ROW_BYTES = 64
+# `_spectrum_blocks` transforms its columns in blocks of at most ROW_BYTES a
+# row and BLOCK_BYTES in all while two int32 columns fit one fwht tile
+# (n <= 16), and of one column above, in either dtype: int32, 16 columns at
+# n <= 15 and 8 at n = 16; int16, twice as many, 32 and 16.  Wide blocks
+# give the low butterfly passes long runs, and fwht splits a one- or
+# two-column array of up to one tile so that its passes run on long rows
+# too.  int16 fwht per column, medians of alternated calls on a 2-vCPU Xeon,
+# for 1, 2 and 8 columns: 0.68, 0.49 and 0.61 ms at n = 17 (split, split,
+# tiled); 1.21, 1.10 and 0.97 ms at n = 18 (split, tiled, tiled).
+# Every block runs in one int32 buffer of the widest int32 block, which an
+# int16 block fills with twice the columns: at most 2 MB for n <= 16, and
+# 4 MB at n = 20, beside its sign table and one gather chunk.
+BLOCK_BYTES = 1 << 21
 # rows gathered at a time: np.take copies its indices as intp, 128 KB a chunk
 # (a whole n = 20 column traced 8 MB); the round trip's chunk holds entries
 GATHER_ENTRIES = 1 << 14
@@ -358,6 +370,78 @@ def sign_table(values, masks):
     return 1 - 2 * parity.astype(np.int32)
 
 
+def _spectrum_blocks(field, word, values, masks, keep, names):
+    """The spectra of the sign columns (-1)^parity(values[word] & mask),
+    one per selector mask, checked exactly: (columns, classes, duals) for
+    each block, once its checks have passed.
+
+    `word` indexes `values` at every point of `field`.  columns are
+    positions in `masks`, `keep` and `names`, which labels them in failure
+    messages; classes holds the class of each, and duals, by position, the
+    packed signs (`_pack_signs`) of each bent column that `keep` marks, in
+    a read-only array of its own.
+
+    At even n, a column whose S(0) is +-2^(n/2), read from the word's
+    value counts, as bentness needs, goes to an int16 block, and every
+    other one to an int32 block: sending every even-n column to int16
+    instead made `profile()` of a gold (16, 4+2) function 33.1-33.7 ms
+    against 27.9-28.5 ms on a 2-vCPU Xeon.  Blocks hold `_block_columns` columns, run in
+    the order of their first column, and all run in one int32 buffer of
+    the widest int32 block, viewed as int16 for an int16 block.  The
+    columns an int16 block leaves undecided are transformed again right
+    after it, in int32 blocks of int32 width, so each column, and each
+    dual, is handed back once.
+    """
+    n, size = field.n, field.size
+    wide = _block_columns(n, 4)
+    level = np.zeros(len(masks), dtype=bool)
+    if n % 2 == 0:
+        counts = np.bincount(word, minlength=len(values))
+        s0 = [counts @ sign_table(values, block) for block in _chunks(masks, wide)]
+        level = np.abs(np.concatenate(s0)) == 1 << (n // 2)
+    blocks = [(c, np.int16) for c in _chunks(np.flatnonzero(level).tolist(), _block_columns(n, 2))]
+    blocks += [(c, np.int32) for c in _chunks(np.flatnonzero(~level).tolist(), wide)]
+    blocks.sort(key=lambda block: block[0][0])
+    spectra = np.empty(size * min(wide, len(masks)), dtype=np.int32)
+
+    def transform(index, dtype):
+        classes, duals = {}, {}
+
+        def read(spectra_block, bent, columns=range(len(index))):
+            for j in columns:
+                classes[j] = bent or classify(spectra_block[:, j], n)
+                if keep[index[j]] and classes[j].kind == "bent":
+                    duals[j] = _pack_signs(spectra_block[:, j])
+                    duals[j].flags.writeable = False
+
+        # a contiguous prefix, so that a last, narrower block is one too
+        buffer = spectra.view(dtype)[: size * len(index)].reshape(size, len(index))
+        tab = sign_table(values, masks[index])
+        undecided = transform_signs(buffer, word, tab, field, read, [names[i] for i in index])
+        done = [j for j in classes if j not in undecided]
+        kept = {index[j]: duals[j] for j in done if j in duals}
+        return ([index[j] for j in done], [classes[j] for j in done], kept), undecided
+
+    for index, dtype in blocks:
+        block, undecided = transform(index, dtype)
+        if block[0]:
+            yield block
+        for part in _chunks([index[j] for j in undecided], wide):
+            yield transform(part, np.int32)[0]
+
+
+def _block_columns(n, itemsize):
+    """Columns of a `_spectrum_blocks` block of `itemsize`-byte entries at n."""
+    if 8 << n > TILE_BYTES:  # two int32 columns would be tiled
+        return 1
+    return max(1, min(ROW_BYTES, BLOCK_BYTES >> n) // itemsize)
+
+
+def _chunks(items, width):
+    """Consecutive runs of `width` items, the last one shorter."""
+    return [items[i : i + width] for i in range(0, len(items), width)]
+
+
 def transform_signs(values, word, tab, field, read, names=None):
     """The spectra of the sign columns tab[word], checked exactly: the
     positions of the columns left undecided, which only an int16 block has.
@@ -369,14 +453,11 @@ def transform_signs(values, word, tab, field, read, names=None):
     unchecked ("clip"): every word is a row.
 
     An int16 block is decided bent, read and checked column by column
-    (`_narrow_bent`); its caller, which sends only columns whose S(0) is
-    +-2^(n/2) at even n, then transforms the columns left in int32.  An
-    int32 block is gathered, transformed and checked by
-    `check_parseval_parity`.  `read(values, bent[, columns])` reads the
+    (`_narrow_bent`).  An int32 block is gathered, transformed and checked
+    by `check_parseval_parity`.  `read(values, bent[, columns])` reads the
     spectra: int16 gives `bent`, the class Bent(2^(n/2)) of the columns
     read, at positions `columns`; int32 gives None, for every column to
-    be classified.  A column may be read twice, int16 then int32, and the
-    second reading stands.  The inverse then overwrites the spectra for
+    be classified.  The inverse then overwrites the spectra for
     `check_round_trip`, exact because Parseval was decided first, so no
     sign array is kept.  `names` labels the columns in failure messages.
     """
@@ -398,9 +479,9 @@ def _narrow_bent(narrow, word, tab, n, read):
     False for none.
 
     The columns s = tab[word] are signs +-1, as `sign_table` gives them,
-    or, for a part of `_fold`, its one column of sums of 2^k signs.  The
-    caller sends only columns whose S(0) = sum_x s(x) is +-2^(n/2) at
-    even n, as bentness needs, and `narrow` is their int16 buffer.  The
+    or, for a part of `_fold`, its one column of sums of 2^k signs, whose
+    S(0) = sum_x s(x) is +-2^(n/2) at even n (`_spectrum_blocks`,
+    `_narrow_parts`), and `narrow` is their int16 buffer.  The
     columns are gathered into it and transformed modulo 2^16.  The
     columns whose every entry is then +-2^(n/2) (`_bent_columns`) are
     given to `read` with the class Bent(2^(n/2)), needing only the class
@@ -720,41 +801,28 @@ def classify(values, n):
     return Classification("mixed", None, abs_set)
 
 
-def _bent_class(values, n):
-    """Class Bent(2^(n/2)) when every entry of a block of spectra is
-    +-2^(n/2), else None: the one exact bent-level verdict.
+def _bent_columns(values, n):
+    """Which columns of a block of spectra are all +-2^(n/2), a bool per
+    column: the one exact bent-level verdict.
 
     For even n, the entries equal to amp = 2^(n/2) and to -amp are
     counted, a slice of an int32 tile's entries at a time, so that the
-    bool temporaries take at most TILE_BYTES / 4, and the first slice
-    whose counts fall short ends the count.  When they make up the block,
-    every column is bent, and Parseval and parity hold with it: 2^n
-    squares of amp^2 = 2^n sum to 2^(2n), and amp is even for n >= 2.
-    Odd n has no bent spectrum.
+    bool temporaries take at most TILE_BYTES / 4.  When they make up the
+    block, every column is bent, and Parseval and parity hold with it: 2^n
+    squares of amp^2 = 2^n sum to 2^(2n), and amp is even for n >= 2.  At
+    the first slice whose counts fall short, the block is counted again
+    column by column.  Odd n has no bent spectrum.
     """
-    if n % 2:
-        return None
-    amp = 1 << (n // 2)
     rows = values.reshape(values.shape[0], -1)
+    if n % 2:
+        return np.zeros(rows.shape[1], dtype=bool)
+    amp = 1 << (n // 2)
     step = max(1, TILE_BYTES // 4 // rows.shape[1])
     for i in range(0, len(rows), step):
         part = rows[i : i + step]
         if np.count_nonzero(part == amp) + np.count_nonzero(part == -amp) < part.size:
-            return None
-    return Classification("bent", amp, (amp,))
-
-
-def _bent_columns(values, n):
-    """Which columns of a block of spectra are all +-2^(n/2), a bool per
-    column: the verdict of `_bent_class` column by column.  A block bent
-    throughout is decided by its one count, any other counted again."""
-    rows = values.reshape(values.shape[0], -1)
-    if _bent_class(rows, n) is not None:
-        return np.ones(rows.shape[1], dtype=bool)
-    if n % 2:
-        return np.zeros(rows.shape[1], dtype=bool)
-    amp = 1 << (n // 2)
-    return _column_counts(rows, amp, -amp) == len(rows)
+            return _column_counts(rows, amp, -amp) == len(rows)
+    return np.ones(rows.shape[1], dtype=bool)
 
 
 def _column_counts(values, *levels):

@@ -22,13 +22,14 @@ those of str.splitlines; blank lines, blanks around an entry and either
 case of the digits are accepted on read.
 
 Neither format runs Python code per point or per line.  A VF file is
-written from one character matrix, a row per point, with leading zeros
-masked out.  It is read from the positions of its separators (dots and
-whitespace): every row is located and tested at once, and the values are
-read by Horner over digit columns.  A row that fails a test (not one
-token, a dot where t says there is none, an empty part, more than 15
-digits) goes alone to the one-entry parser, which gives its error or its
-value.
+written a block of about _CHUNK characters at a time, each block one
+character matrix with a row per point, decoded from the coordinate word,
+with leading zeros masked out.  It is read from the positions of its
+separators (dots and whitespace): every row is located and tested at
+once, and the values are read by Horner over digit columns.  A row that
+fails a test (not one token, a dot where t says there is none, an empty
+part, more than 15 digits) goes alone to the one-entry parser, which
+gives its error or its value.
 
 A parse error in either body, or a byte that is not UTF-8, is raised at
 a position of the text, and one helper turns that position into a line
@@ -58,7 +59,7 @@ import numpy as np
 from .boolfun import BooleanFunction
 from .errors import FieldError, ParseError
 from .gf2n import MAX_N, PRIMITIVE_POLYNOMIALS, FieldSpec
-from .vectorial import VectorialFunction, _check_dimensions
+from .vectorial import VectorialFunction, _basis_tables, _check_dimensions
 
 
 def field_from_modulus(n, modulus):
@@ -70,16 +71,26 @@ def field_from_modulus(n, modulus):
 
 def atomic_write_text(path, text):
     """Write text to path atomically (same-directory temp + rename), as
-    UTF-8 with no newline translation: the same bytes on every OS.
+    UTF-8 with no newline translation: the same bytes on every OS."""
+    _atomic_write(path, [text])
 
-    A failed rename names the destination alone: the temp file's name is
-    random, and the file is removed before the error propagates.
+
+def _atomic_write(path, texts):
+    """Write the strings of `texts` to path, in order, as `atomic_write_text`
+    writes one.
+
+    A temp file that cannot be made and a failed rename name the
+    destination alone: the temp file's name is random, and the file is
+    removed before the error propagates.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bentvec-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bentvec-")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(texts)
         try:
             os.replace(tmp, path)
         except OSError as exc:
@@ -261,40 +272,53 @@ def read_bf(path, modulus=None):
 
 
 def vf_to_text(F: VectorialFunction):
-    """The VF text of F, built as one character matrix with a row per point.
-
-    Each row holds every hex digit of the value, ".", every digit of the
-    extra bits when t > 0, and a newline; a mask drops leading zeros but
-    keeps the last digit, so 0 is written "0".
-    """
-    header = f"VF n={F.n} m={F.m} t={F.t} field={F.field.modulus:x}"
-    parts = [F.values, F.extra] if F.t else [F.values]
-    widths = [max(1, (int(part.max()).bit_length() + 3) // 4) for part in parts]
-    chars = np.empty((F.field.size, sum(widths) + len(parts)), dtype=np.uint8)
-    keep = np.ones(chars.shape, dtype=bool)
-    col = 0
-    for part, width in zip(parts, widths):
-        for shift in range(4 * width - 4, -1, -4):
-            digits = part >> shift
-            if shift:
-                np.not_equal(digits, 0, out=keep[:, col])
-            digits &= 15
-            chars[:, col] = _HEX_DIGITS[digits]
-            col += 1
-        chars[:, col] = ord(".")
-        col += 1
-    chars[:, -1] = ord("\n")
-    body = chars[keep]
-    del parts, chars, keep  # before the text's three copies below
-    return header + "\n" + body.tobytes().decode("ascii")
+    """The VF text of F: the blocks of `_vf_blocks`, joined."""
+    return "".join(_vf_blocks(F))
 
 
 def write_vf(path, F: VectorialFunction):
-    atomic_write_text(path, vf_to_text(F))
+    _atomic_write(path, _vf_blocks(F))
 
 
-# characters, or rows, per block of the VF reader's whole-array passes
+# characters, or rows, per block of the VF reader's whole-array passes, and
+# characters per block of the VF writer's text at most
 _CHUNK = 1 << 16
+
+
+def _vf_blocks(F):
+    """The header line of F's VF text, then its rows, about _CHUNK
+    characters a block.
+
+    A block is one character matrix with a row per point: every hex digit
+    a value can have, ceil(n/4), ".", every digit the extra bits can have,
+    ceil(t/4), when t > 0, and a newline.  A mask drops leading zeros but
+    keeps the last digit, so 0 is written "0".  The values and extra bits
+    are decoded from the word a block at a time.
+    """
+    yield f"VF n={F.n} m={F.m} t={F.t} field={F.field.modulus:x}\n"
+    combos, _ = _basis_tables(F.field, F.m)
+    widths = [-(-F.n // 4)] + [-(-F.t // 4)] * (F.t > 0)
+    row = sum(widths) + len(widths)
+    step = max(1, _CHUNK // row)
+    for lo in range(0, F.field.size, step):
+        word = F.word[lo : lo + step]
+        # zip() stops at the widths: the extra bits are written only when t > 0
+        parts = [combos[word & np.uint32((1 << F.m) - 1)], word >> np.uint32(F.m)]
+        chars = np.empty((len(word), row), dtype=np.uint8)
+        keep = np.ones(chars.shape, dtype=bool)
+        col = 0
+        for part, width in zip(parts, widths):
+            for shift in range(4 * width - 4, -1, -4):
+                digits = part >> shift
+                if shift:
+                    np.not_equal(digits, 0, out=keep[:, col])
+                digits &= 15
+                chars[:, col] = _HEX_DIGITS[digits]
+                col += 1
+            chars[:, col] = ord(".")
+            col += 1
+        chars[:, -1] = ord("\n")
+        yield chars[keep].tobytes().decode("ascii")
 
 
 def _vf_codes(text, head):

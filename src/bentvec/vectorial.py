@@ -21,34 +21,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .boolfun import (
-    ROW_BYTES,
-    TILE_BYTES,
     BooleanFunction,
     _distinct,
     _mobius,
     _off_bent_point,
-    _pack_signs,
-    classify,
+    _spectrum_blocks,
     sign_table,
-    transform_signs,
 )
 from .errors import FieldError, VerificationError
 from .gf2n import FieldSpec, _linear_table
-
-# profile() transforms its components in blocks of at most ROW_BYTES a row
-# and BLOCK_BYTES in all while two int32 columns fit one fwht tile (n <= 16),
-# and of one column above, in either dtype: int32, 16 columns at n <= 15 and
-# 8 at n = 16; int16, twice as many, 32 and 16.  Wide blocks give the low
-# butterfly passes long runs, and fwht splits a one- or two-column array of
-# up to one tile so that its passes run on long rows too.  int16 fwht per
-# column, medians of alternated calls on a 2-vCPU Xeon, for 1, 2 and 8
-# columns: 0.68, 0.49 and 0.61 ms at n = 17 (split, split, tiled); 1.21,
-# 1.10 and 0.97 ms at n = 18 (split, tiled, tiled).
-# Every block runs in one int32 buffer of the widest int32 block, which an
-# int16 block fills with twice the columns: at most 2 MB for n <= 16, and
-# 4 MB at n = 20, beside its sign table and one gather chunk.
-BLOCK_BYTES = 1 << 21
-
 
 class BentnessCheck(NamedTuple):
     ok: bool
@@ -259,21 +240,13 @@ class VectorialFunction:
 
         A row is copied from the parent recorded by add_boolean or augment
         when the parent's profile is computed and an exact test shows the
-        two component tables are equal.  Every other component comes from
-        the coordinate word through `boolfun.transform_signs`: a block's
-        signs are tab[word], where tab = (-1)^parity(value & mask) has a
-        row per value the word can take and a column per selector mask of
-        the block.  When m + t > n, the word is indexed by its distinct
-        values, so that no table has more rows than points.  The signs are
-        gathered into one int32 buffer, allocated once per call for the
-        widest block, transformed at once along axis 0 and checked
-        (Parseval, parity, round trip), all in the Hadamard index, the
-        round trip last, once the spectra are read.
-        At even n, the columns whose S(0) is +-2^(n/2), by the word's value
-        counts, go in int16 blocks twice as wide inside the same buffer,
-        each column decided bent exactly or sent to int32 alone
-        (`boolfun.transform_signs`); the others go in int32 blocks, whose
-        columns are classified one by one.
+        two component tables are equal.  Every other component's class
+        comes from the coordinate word through `boolfun._spectrum_blocks`,
+        checked exactly (Parseval, parity, round trip): component (lambda,
+        v) is parity(value & mask) of the word's value, so a block's signs
+        are gathered from a small table with a row per value the word can
+        take.  When m + t > n, the word is indexed by its distinct values,
+        so that no table has more rows than points.
         Degrees use the linearity of the ANF: one Möbius transform of
         the word packs the coordinate ANFs, and a component's ANF is
         parity(anf_word & mask).  No truth table, sign or spectrum is kept.
@@ -291,17 +264,27 @@ class VectorialFunction:
         Hadamard index: the dual at field element x is bit 7 - h % 8 of
         byte h // 8, h = perm[x], as np.packbits packs it, in a read-only
         array of its own.  A block's duals are handed over once its checks
-        have passed; those of an int16 column left undecided, from its
-        int32 redo; so each dual is handed over once.  No row is copied
-        from a parent, and a profile computed before is computed again, so
-        that every dual comes from this function's transform.
+        have passed, and each dual once.  No row is copied from a parent,
+        and a profile computed before is computed again, so that every
+        dual comes from this function's transform.
         """
         sels = list(self.selectors())
         masks = self._selector_masks()
         rows = [None] * len(sels) if read else self._inherited_rows(sels, masks)
         todo = [i for i, row in enumerate(rows) if row is None]
         if todo:
-            self._transform_rows(sels, masks, todo, rows, read)
+            mono_deg, mono_word = _monomial_keys(self.word)
+            names = [sels[i] for i in todo]
+            masks = masks[todo]
+            keep = [read is not None and v == 0 for _, v in names]
+            blocks = _spectrum_blocks(self.field, *self._sign_index(), masks, keep, names)
+            for columns, classes, duals in blocks:
+                odd = sign_table(mono_word, masks[columns]) < 0  # parity 1
+                degrees = np.max(odd * mono_deg[:, None], axis=0, initial=0)
+                for j, cls, degree in zip(columns, classes, degrees):
+                    rows[todo[j]] = (names[j], cls, int(degree))
+                if duals:
+                    read([names[j][0] for j in duals], list(duals.values()))
         self._profile = tuple(rows)
         self._parent = None
 
@@ -337,67 +320,6 @@ class VectorialFunction:
             return self.word, np.arange(1 << self.out_bits, dtype=np.uint32)
         values = _distinct(self.word.copy())
         return np.searchsorted(values, self.word).astype(np.uint32), values
-
-    def _transform_rows(self, sels, masks, todo, rows, read):
-        """Fill rows[i] for i in `todo` from blocked, checked transforms,
-        handing `read`, when given, the packed bent (lambda, 0) duals.
-
-        At even n, the columns whose S(0) is +-2^(n/2), read once from the
-        word's value counts, go to int16 blocks, which decide bent columns
-        alone, and all others to int32 blocks.  The columns an int16 block
-        leaves undecided are transformed again at once in int32 blocks of
-        int32 width.  Blocks run in the order of their first column and
-        fill rows by index, so the rows keep selector order.
-        """
-        n = self.n
-        size = self.field.size
-        mono_deg, mono_word = _monomial_keys(self.word)
-        word, values = self._sign_index()
-        wide = _block_columns(n, 4)
-        level = [False] * len(todo)
-        if n % 2 == 0:
-            counts = np.bincount(word, minlength=len(values))
-            s0 = [counts @ sign_table(values, masks[c]) for c in _chunks(todo, wide)]
-            level = np.abs(np.concatenate(s0)) == 1 << (n // 2)
-        narrow = list(compress(todo, level))
-        others = [i for i, ok in zip(todo, level) if not ok]
-        blocks = [(c, np.int16) for c in _chunks(narrow, _block_columns(n, 2))]
-        blocks += [(c, np.int32) for c in _chunks(others, wide)]
-        blocks.sort(key=lambda block: block[0][0])
-        spectra = np.empty(size * min(wide, len(todo)), dtype=np.int32)
-
-        def transform(index, dtype):
-            names = [sels[i] for i in index]
-            block = masks[index]
-            # the packed duals of the block's bent (lambda, 0) columns, by column
-            duals = {}
-
-            def classified(spectra_block, bent, columns=None):
-                # called within this transform, on this block's columns, or
-                # those of `columns`; `bent` is the class of the columns read
-                # when int16 decided each of them bent, else None
-                odd = sign_table(mono_word, block) < 0  # parity 1
-                degrees = np.max(odd * mono_deg[:, None], axis=0, initial=0)
-                for j in range(len(index)) if columns is None else columns:
-                    cls = bent or classify(spectra_block[:, j], n)
-                    rows[index[j]] = (names[j], cls, int(degrees[j]))
-                    if read and names[j][1] == 0 and cls.kind == "bent":
-                        duals[j] = _pack_signs(spectra_block[:, j])
-                        duals[j].flags.writeable = False
-
-            # a contiguous prefix, so that a last, narrower block is one too
-            buffer = spectra.view(dtype)[: size * len(index)].reshape(size, len(index))
-            tab = sign_table(values, block)
-            undecided = transform_signs(buffer, word, tab, self.field, classified, names)
-            passed = [j for j in duals if j not in undecided]
-            if passed:
-                read([names[j][0] for j in passed], [duals[j] for j in passed])
-            return undecided
-
-        for index, dtype in blocks:
-            undecided = [index[j] for j in transform(index, dtype)]
-            for part in _chunks(undecided, wide):
-                transform(part, np.int32)
 
     # -- predicates ----------------------------------------------------------------
 
@@ -459,18 +381,6 @@ class VectorialFunction:
                 f"degree {coord_deg} (first reached by coordinate {degrees.index(coord_deg)})"
             )
         return comp_deg
-
-
-def _block_columns(n, itemsize):
-    """Columns of a profile() block of `itemsize`-byte entries at n."""
-    if 8 << n > TILE_BYTES:  # two int32 columns would be tiled
-        return 1
-    return max(1, min(ROW_BYTES, BLOCK_BYTES >> n) // itemsize)
-
-
-def _chunks(items, width):
-    """Consecutive runs of `width` items, the last one shorter."""
-    return [items[i : i + width] for i in range(0, len(items), width)]
 
 
 def _monomial_keys(word):

@@ -26,7 +26,7 @@ from bentvec import BooleanFunction, FieldSpec
 from bentvec import boolfun
 from bentvec.boolfun import (
     TILE_BYTES,
-    _bent_class,
+    _bent_columns,
     _fold,
     _round_trip_errors,
     check_parseval_parity,
@@ -156,7 +156,7 @@ def test_a_block_that_keeps_parseval_but_is_not_bent_level_takes_the_fallback(mo
     planted = S.copy()
     plant(planted)
     check_parseval_parity(planted, field, names)  # does not raise
-    assert _bent_class(planted, n) is None
+    assert not _bent_columns(planted, n).all()
     with pytest.raises(VerificationError) as err:
         check_round_trip(planted.copy(), word, tab, names)
     want = str(err.value)
@@ -215,7 +215,7 @@ def test_a_wrapping_fault_on_a_whole_column_fails_parseval(monkeypatch):
     delta = character(field.size, 5) << (32 - n)
     planted = fwht(1 - 2 * table.astype(np.int32)) + delta
     check_round_trip(planted.copy(), table, tab)  # the round trip alone accepts it
-    assert _bent_class(planted, n) is None
+    assert not _bent_columns(planted, n).all()
     want = _parseval_message(planted, field)
 
     def plant(out):
@@ -253,7 +253,7 @@ def test_a_wrapping_fault_in_a_part_fails_parseval(monkeypatch, n, kind, q):
     S[q * length : (q + 1) * length] += delta
     part = S[q * length : (q + 1) * length].copy()
     assert _round_trip_errors(part, word, column) is None  # it wraps to a pass
-    assert _bent_class(S[q * length : (q + 1) * length], n) is None
+    assert not _bent_columns(S[q * length : (q + 1) * length], n).all()
     want = _parseval_message(S, field)
 
     def plant(out):
@@ -272,7 +272,7 @@ def test_the_verdicts_temporaries_stay_within_a_tile_of_bools():
     S = fwht(block_of(tables)[1].copy())
     tracemalloc.start()
     try:
-        assert _bent_class(S, n).kind == "bent"
+        assert _bent_columns(S, n).all()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

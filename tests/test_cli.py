@@ -754,16 +754,23 @@ def test_verification_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch)
     assert captured.out == ""
 
 
-def test_construct_onto_a_directory_leaves_no_temp_file(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "name, error",
+    [("out", "[Errno 21] Is a directory"), ("missing/H.vf", "[Errno 2] No such file or directory")],
+    ids=["directory", "missing-directory"],
+)
+def test_construct_onto_a_directory_leaves_no_temp_file(tmp_path, capsys, name, error):
     # the temp file is made beside the target, and the rename onto a
-    # directory fails: exit 1, one line naming the target alone, and the
-    # temp file is removed
-    target = tmp_path / "out"
-    target.mkdir()
+    # directory fails; in a missing directory, no temp file can be made:
+    # exit 1, one line naming the target alone, and no temp file is left
+    target = tmp_path / name
+    if name == "out":
+        target.mkdir()
     assert run(KASAMI_N6 + [str(target)]) == 1
-    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{target}'\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
-    assert list(target.iterdir()) == []
+    assert capsys.readouterr().err == f"error: {error}: '{target}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["out"] if name == "out" else [])
+    if name == "out":
+        assert list(target.iterdir()) == []
 
 
 # caps its own address space a margin above what it has mapped after

@@ -21,7 +21,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from bentvec import BooleanFunction, FieldSpec, VectorialFunction, boolfun, vectorial
+from bentvec import BooleanFunction, FieldSpec, VectorialFunction, boolfun
 from bentvec.boolfun import _fold, _narrow_parts, _transform_parts, classify, fwht
 from bentvec.cli import main
 from bentvec.constructions import _ClosedForm, _component_bits, _component_dual_check
@@ -159,7 +159,7 @@ def test_a_fault_that_fakes_a_bent_column_in_int16_keeps_no_dual(monkeypatch):
 
     assert abs(int((1 - 2 * fresh().component(1).table.astype(np.int64)).sum())) == 16
     assert not fresh().component(1).is_bent()
-    with mock.patch.object(vectorial, "_block_columns", return_value=1):
+    with mock.patch.object(boolfun, "_block_columns", return_value=1):
         ref_rows, ref_duals = _profile_and_duals(fresh())
 
         def all_bent_level(out):
@@ -201,7 +201,7 @@ def test_a_block_with_an_off_level_s0_sends_no_int16_array(gold_lift, monkeypatc
     assert calls == [np.int32, np.int32, np.int16, np.int16]
     # rows of 16 bytes: int32 blocks of four columns and int16 ones of eight
     calls.clear()
-    with mock.patch.object(vectorial, "BLOCK_BYTES", 16 << F.n):
+    with mock.patch.object(boolfun, "BLOCK_BYTES", 16 << F.n):
         assert read_vf(gold_lift).profile() == ref
     assert calls == [np.int32, np.int32] + [np.int16, np.int16] * 2
 

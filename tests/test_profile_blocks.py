@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from bentvec import BooleanFunction, FieldSpec, VectorialFunction, boolfun, vectorial
+from bentvec import BooleanFunction, FieldSpec, VectorialFunction, boolfun
 from bentvec.boolfun import PASS_BUFSIZE, ROW_BYTES
 from bentvec.cli import main
 from bentvec.errors import VerificationError
@@ -44,13 +44,13 @@ def _blocks(monkeypatch):
     transform_signs, in order.  A block's butterflies are two, in int16 or
     in int32, so blocks are counted where profile() hands them over."""
     blocks = []
-    transform = vectorial.transform_signs
+    transform = boolfun.transform_signs
 
     def counted(values, word, tab, field, read, names=None):
         blocks.append((values.dtype, list(names)))
         return transform(values, word, tab, field, read, names)
 
-    monkeypatch.setattr(vectorial, "transform_signs", counted)
+    monkeypatch.setattr(boolfun, "transform_signs", counted)
     return blocks
 
 
@@ -60,7 +60,7 @@ def _profiled(F, monkeypatch, one_column=False):
     with monkeypatch.context() as patch:
         blocks = _blocks(patch)
         if one_column:
-            patch.setattr(vectorial, "_block_columns", lambda n, itemsize: 1)
+            patch.setattr(boolfun, "_block_columns", lambda n, itemsize: 1)
         rows, duals = read_duals(F)
     return rows, duals, blocks
 
@@ -132,7 +132,7 @@ def test_block_widths_are_pinned_per_dtype(gold_vf, monkeypatch):
     # wide above
     widths = {12: (32, 16), 16: (16, 8), 17: (1, 1), 18: (1, 1)}
     for n, pair in widths.items():
-        assert (vectorial._block_columns(n, 2), vectorial._block_columns(n, 4)) == pair
+        assert (boolfun._block_columns(n, 2), boolfun._block_columns(n, 4)) == pair
     cases = [
         (norm(12), [32, 31], []),  # 63 bent components
         # one column at the level S(0), not bent, is redone in int32
@@ -259,7 +259,7 @@ def test_an_int16_block_that_is_not_bent_is_redone_once_in_int32(monkeypatch):
         with monkeypatch.context() as patch:
             _inverse_fault(patch, sel, x)
             if one_column:
-                patch.setattr(vectorial, "_block_columns", lambda n, itemsize: 1)
+                patch.setattr(boolfun, "_block_columns", lambda n, itemsize: 1)
             with pytest.raises(VerificationError) as err:
                 fresh().profile()
             if not one_column:
@@ -282,7 +282,7 @@ def _inverse_fault(monkeypatch, sel, x):
     # negates entry x of sel's column: an int16 round trip then fails, and
     # the int32 one names the fault
     block = {"column": None, "calls": 0}
-    transform = vectorial.transform_signs
+    transform = boolfun.transform_signs
     fwht = boolfun.fwht
 
     def counted(values, word, tab, field, read, names=None):
@@ -296,7 +296,7 @@ def _inverse_fault(monkeypatch, sel, x):
             out[x, block["column"]] = -out[x, block["column"]]
         return out
 
-    monkeypatch.setattr(vectorial, "transform_signs", counted)
+    monkeypatch.setattr(boolfun, "transform_signs", counted)
     monkeypatch.setattr(boolfun, "fwht", faulty)
 
 
@@ -312,7 +312,7 @@ def test_a_fault_in_the_in_place_inverse_names_its_component(gold_vf, monkeypatc
         F = read_vf(gold_vf)
         _inverse_fault(monkeypatch, sels[k], x)
         if one_column:
-            monkeypatch.setattr(vectorial, "_block_columns", lambda n, itemsize: 1)
+            monkeypatch.setattr(boolfun, "_block_columns", lambda n, itemsize: 1)
         with pytest.raises(VerificationError) as err:
             F.profile()
         assert str(err.value) == want
@@ -367,13 +367,13 @@ def test_profile_above_n_output_bits_matches_each_component(monkeypatch, n, m, t
     F = _random(n, m, t)()
     assert F.out_bits > n
     heights = []
-    transform = vectorial.transform_signs
+    transform = boolfun.transform_signs
 
     def recorded(values, word, tab, *args):
         heights.append(tab.shape[0])
         return transform(values, word, tab, *args)
 
-    monkeypatch.setattr(vectorial, "transform_signs", recorded)
+    monkeypatch.setattr(boolfun, "transform_signs", recorded)
     rows = F.profile()
     assert heights and max(heights) <= F.field.size
     for (lam, v), cls, deg in rows:

@@ -13,7 +13,7 @@ from bentvec import (
     FieldSpec,
     VectorialFunction,
     max_bent_components_bound,
-    vectorial,
+    boolfun,
 )
 from bentvec.errors import FieldError, VerificationError
 
@@ -406,7 +406,7 @@ def test_profile_blocks_match_per_component_reference(n, m_index, t, cols, seed)
     values = rng.choice(field.subfield(m), size=field.size)
     extra = rng.integers(0, 1 << t, size=field.size)
     F = VectorialFunction(field, m, values, extra, t)
-    with mock.patch.object(vectorial, "BLOCK_BYTES", (4 * cols) << n):
+    with mock.patch.object(boolfun, "BLOCK_BYTES", (4 * cols) << n):
         rows = F.profile()
     assert [sel for sel, _, _ in rows] == list(F.selectors())
     for (lam, v), cls, deg in rows:

@@ -5,12 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bentvec import FieldSpec, VectorialFunction
 from bentvec.errors import ParseError
-from bentvec.fileio import read_any, vf_from_text, vf_to_text
+from bentvec.fileio import read_any, vf_from_text, vf_to_text, write_vf
 
 from oracles import naive_vf_from_text, naive_vf_to_text
 
@@ -45,6 +45,7 @@ def outcome(read, text):
 
 @settings(max_examples=80, deadline=None)
 @given(shape=shapes(), seed=st.integers(0, 2**32 - 1), zero=st.booleans())
+@example(shape=(17, 1, 2), seed=17, zero=False)  # 2^17 rows: several blocks
 def test_write_is_the_oracle_text(shape, seed, zero):
     F = random_vf(*shape, seed, zero)
     text = vf_to_text(F)
@@ -203,3 +204,19 @@ def test_reading_a_gold_sized_file_stays_small():
     # 4.1 MB measured; the line-by-line reader peaks at 6.5 MB here, most
     # of it one str per line
     assert peak < 5_000_000
+
+
+def test_writing_an_n18_file_stays_small(tmp_path):
+    # the text is built and written a block of rows at a time: 12.0 MB were
+    # traced when it was built whole, 0.48 MB now
+    F = random_vf(18, 6, 2, seed=18)
+    path = tmp_path / "F.vf"
+    write_vf(path, F)  # field tables are built before the trace
+    tracemalloc.start()
+    try:
+        write_vf(path, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+    assert path.read_text() == vf_to_text(F)
