@@ -17,47 +17,43 @@ and the points named in failure messages are reindexed, through
 `_field_order`, when they are asked for: a `WalshSpectrum` keeps S alone,
 as a copy, or, when bent, as its amplitude and its packed sign bits.
 
-Every spectrum goes through one gather, butterfly and round trip: the
-signs of a column are tab[word], a small int32 table gathered through a
-per-point word, in chunks, into one int32 buffer that both butterflies
-then run on in place.  `_spectrum_blocks`, the block driver of
-`VectorialFunction.profile()`, passes a coordinate word and a +-1
-`sign_table` per block of selector masks to `transform_signs`, and hands
-back each block's classes and duals once its checks pass.  `walsh()`
-folds the top k = min(FOLD_LEVELS, max(0, n - FOLD_FROM)) butterfly
-levels into the gather, by H_(2^n) = H_(2^k) (x) H_(2^(n-k)): its word
-packs the 2^k bits f(p 2^(n-k) + x) of each x, and column q of its
-table, sums of 2^k signs, gives part q of S, the 2^(n-k) Hadamard
-indices from q 2^(n-k) on (`_fold`).  At n <= FOLD_FROM, k = 0: the
-word is the truth table, the table [1, -1], and the one part is S.
+Every spectrum goes through one driver, `_spectrum_blocks`, and in it
+through one gather, butterfly and round trip: the signs of a column are
+tab[word], a small int32 table gathered through a per-point word, in
+chunks, into one buffer that both butterflies then run on in place.
+`VectorialFunction.profile()` gives the driver its coordinate word and a
++-1 `sign_table` per block of selector masks.  `walsh()` gives it one
+column, the word and table of `_fold`, which folds the top k =
+min(FOLD_LEVELS, max(0, n - FOLD_FROM)) butterfly levels into the
+gather, by H_(2^n) = H_(2^k) (x) H_(2^(n-k)): the word packs the 2^k
+bits f(p 2^(n-k) + x) of each x, and column q of the table, sums of 2^k
+signs, gives part q of S, the 2^(n-k) Hadamard indices from q 2^(n-k)
+on.  At n <= FOLD_FROM, k = 0: the word is the truth table, the table
+[[1], [-1]], and the one part is S.  The driver reads the number of
+parts from its inputs, 2^n / len(word), and runs each block a part at a
+time in one buffer of a part (`transform_signs`).
 
-Nearly every spectrum of a vectorial bent function is bent, and bent
-spectra at even n are decided in int16, below.  Everything else takes
-the int32 path, one for every block: transform, `check_parseval_parity`,
-`classify` per column, and the round trip, which is exact only once
-Parseval holds (`check_round_trip`); it alone classifies columns that
-are not bent and raises.  `_transform_parts` runs it on the parts of
-`walsh()` one at a time in one buffer of a part, each copied into one
-int32 copy of S, which is checked whole.
-
-`_spectrum_blocks` routes each column to an int16 or an int32 block by
-its S(0), as it states.  An int16 block is decided bent column by column
-(`_narrow_bent`): its spectra modulo 2^16 are given the one bent-level
-verdict, `_bent_columns`, which counts the entries equal to 2^(n/2) and
-to -2^(n/2).  The bent-level columns are read, and the block is shifted
+Each column is sent by the S(0) of its parts, read as the word's value
+counts times the table.  Nearly every spectrum of a vectorial bent
+function is bent, and at even n a column whose every part has S(0) =
++-2^(n/2) goes to an int16 block, decided bent part by part
+(`_narrow_bent`): the part's spectra modulo 2^16 are given the one
+bent-level verdict, `_bent_columns`, which counts the entries equal to
+2^(n/2) and to -2^(n/2).  The bent-level columns are read, their signs
+packed into their part's bits (`_pack_part`), and the block is shifted
 in place to candidate signs eps = +-1 and transformed again; fwht(eps) =
-2^(n/2) tab[word] modulo 2^16 makes 2^(n/2) eps the exact spectrum of a
-column for n <= 28 (`check_round_trip` proves it), so that Parseval (2^n
-squares of 2^n sum to 2^(2n)), parity (2^(n/2) is even), the class
-Bent(2^(n/2)) and the round trip all hold for it.  `walsh()` at even n
-tries every part of its fold so, when the S(0) of every part is
-+-2^(n/2) (`_narrow_parts`): each in the low half of the one part
-buffer, its signs packed into the part's bits of one bit buffer, and
-part q compared with 2^(n/2-k) t_q.  That certificate sums over the
-parts, so it holds only once every part passes, and then no int32
-array of 2^n entries is made for S.  Any other block or column, and a
-column or a part that fails there, takes the int32 path:
-`_spectrum_blocks` redoes only the failed columns, and a bent S found
+2^(n/2-k) tab[word] modulo 2^16 for every part makes 2^(n/2) eps the
+exact spectrum of a column for n <= 28 (`check_round_trip` proves it),
+so that Parseval (2^n squares of 2^n sum to 2^(2n)), parity (2^(n/2) is
+even), the class Bent(2^(n/2)) and the round trip all hold for it, and
+no int32 array of it is made.  That certificate sums over the parts, so
+a column is taken from int16 only once every part passes.  Every other
+column, and one with a part that fails there, takes the int32 path,
+which alone classifies columns that are not bent and raises: each part
+is transformed and copied into one int32 S of the block, unless it is S,
+`check_parseval_parity` checks S whole, `classify` classifies each
+column, and the round trip, exact only once Parseval holds
+(`check_round_trip`), names the whole column's witness.  A bent S found
 there is packed to its sign bits when it is kept.
 
 The Hadamard and Möbius butterflies do two levels per pass, in place on
@@ -172,8 +168,8 @@ def fwht(a):
     their partial sums are bounded by 2^n, and int32 is exact for n <= 24.
     The inverse of a wrong spectrum has no such bound and may wrap:
     `check_round_trip` says why its verdict is still exact.  int16 gives
-    the transform modulo 2^16 only, which the narrow paths of
-    `transform_signs` and `walsh()` certify by their own round trips.
+    the transform modulo 2^16 only, which the int16 path of
+    `transform_signs` certifies by its own round trip.
     Any other input is refused with TypeError before anything is written;
     a caller that needs its input afterwards transforms a copy.
 
@@ -370,64 +366,83 @@ def sign_table(values, masks):
     return 1 - 2 * parity.astype(np.int32)
 
 
-def _spectrum_blocks(field, word, values, masks, keep, names):
-    """The spectra of the sign columns (-1)^parity(values[word] & mask),
-    one per selector mask, checked exactly: (columns, classes, duals) for
-    each block, once its checks have passed.
+def _spectrum_blocks(field, word, table, keep, names=None):
+    """The spectra of the columns tab[word], one per entry of `keep`,
+    checked exactly: (columns, classes, kept) for each block, once its
+    checks have passed.  The one spectrum driver: `walsh()` gives it one
+    column, `VectorialFunction.profile()` every component it computes.
 
-    `word` indexes `values` at every point of `field`.  columns are
-    positions in `masks`, `keep` and `names`, which labels them in failure
-    messages; classes holds the class of each, and duals, by position, the
-    packed signs (`_pack_signs`) of each bent column that `keep` marks, in
-    a read-only array of its own.
+    `table(index)` is the int32 table of the columns at positions `index`,
+    a row per value of `word`, and `word` a row of it for each point.  A
+    word of 2^(n-k) entries makes each column 2^k parts, its 2^k
+    consecutive columns of the table: part q of S, the 2^(n-k) Hadamard
+    indices from q 2^(n-k) on, is the transform of its table column
+    through the word (`_fold`).  columns are positions in `keep` and
+    `names`, which labels them in failure messages; classes holds the
+    class of each, and kept, by position, each column that `keep` marks,
+    in a read-only array of its own: its packed signs (`_pack_signs`)
+    when bent, else its int32 S.  A lone column is transformed as a 1-D
+    array, as a spectrum is kept.
 
-    At even n, a column whose S(0) is +-2^(n/2), read from the word's
-    value counts, as bentness needs, goes to an int16 block, and every
-    other one to an int32 block: sending every even-n column to int16
-    instead made `profile()` of a gold (16, 4+2) function 33.1-33.7 ms
-    against 27.9-28.5 ms on a 2-vCPU Xeon.  Blocks hold `_block_columns` columns, run in
-    the order of their first column, and all run in one int32 buffer of
-    the widest int32 block, viewed as int16 for an int16 block.  The
-    columns an int16 block leaves undecided are transformed again right
-    after it, in int32 blocks of int32 width, so each column, and each
-    dual, is handed back once.
+    At even n, a column whose every part has S(0) = +-2^(n/2), as
+    bentness needs, goes to an int16 block, and every other one to an
+    int32 block.  S(0) of each part is read as the word's value counts
+    times the table: sending every even-n column to int16 instead made
+    `profile()` of a gold (16, 4+2) function 33.1-33.7 ms against
+    27.9-28.5 ms on a 2-vCPU Xeon.  Blocks hold `_block_columns` columns,
+    run in the order of their first column, and all run in one int32
+    buffer of a part of the widest int32 block, viewed as int16 for an
+    int16 block (`transform_signs`).  The columns an int16 block leaves
+    undecided are transformed again right after it, in int32 blocks of
+    int32 width, so each column is handed back once.
     """
-    n, size = field.n, field.size
+    n, size, length = field.n, field.size, len(word)
+    parts = size // length
     wide = _block_columns(n, 4)
-    level = np.zeros(len(masks), dtype=bool)
+    level = np.zeros(len(keep), dtype=bool)
     if n % 2 == 0:
-        counts = np.bincount(word, minlength=len(values))
-        s0 = [counts @ sign_table(values, block) for block in _chunks(masks, wide)]
-        level = np.abs(np.concatenate(s0)) == 1 << (n // 2)
+        # np.bincount copies its input as intp: a 2^20-point uint32 word
+        # whole traced 8 MB, and 0.13 MB GATHER_ENTRIES points at a time
+        rows, step = int(word.max()) + 1, GATHER_ENTRIES
+        counts = sum(np.bincount(word[i : i + step], minlength=rows) for i in range(0, length, step))
+        s0 = np.concatenate([counts @ table(c)[:rows] for c in _chunks(list(range(len(keep))), wide)])
+        level = np.all(np.abs(s0.reshape(len(keep), parts)) == 1 << (n // 2), axis=1)
     blocks = [(c, np.int16) for c in _chunks(np.flatnonzero(level).tolist(), _block_columns(n, 2))]
     blocks += [(c, np.int32) for c in _chunks(np.flatnonzero(~level).tolist(), wide)]
     blocks.sort(key=lambda block: block[0][0])
-    spectra = np.empty(size * min(wide, len(masks)), dtype=np.int32)
+    spectra = np.empty(length * min(wide, len(keep)), dtype=np.int32)
 
     def transform(index, dtype):
-        classes, duals = {}, {}
+        classes, kept = {}, {}
 
-        def read(spectra_block, bent, columns=range(len(index))):
-            for j in columns:
-                classes[j] = bent or classify(spectra_block[:, j], n)
+        def read(values, bent, columns=None, q=0):
+            for j in range(len(index)) if columns is None else columns:
+                column = values[:, j] if values.ndim > 1 else values
+                classes[j] = bent or classify(column, n)
                 if keep[index[j]] and classes[j].kind == "bent":
-                    duals[j] = _pack_signs(spectra_block[:, j])
-                    duals[j].flags.writeable = False
+                    if j not in kept:
+                        kept[j] = np.zeros(-(-size // 8), dtype=np.uint8)
+                    _pack_part(column, kept[j], q)
+                elif keep[index[j]]:  # one part is the buffer, which the round trip overwrites
+                    kept[j] = column.copy() if parts == 1 else column
 
         # a contiguous prefix, so that a last, narrower block is one too
-        buffer = spectra.view(dtype)[: size * len(index)].reshape(size, len(index))
-        tab = sign_table(values, masks[index])
-        undecided = transform_signs(buffer, word, tab, field, read, [names[i] for i in index])
+        shape = (length,) if len(keep) == 1 else (length, len(index))
+        buffer = spectra.view(dtype)[: length * len(index)].reshape(shape)
+        labels = None if names is None else [names[i] for i in index]
+        undecided = transform_signs(buffer, word, table(index), field, read, labels)
         done = [j for j in classes if j not in undecided]
-        kept = {index[j]: duals[j] for j in done if j in duals}
+        kept = {index[j]: kept[j] for j in done if j in kept}
+        for array in kept.values():
+            array.flags.writeable = False
         return ([index[j] for j in done], [classes[j] for j in done], kept), undecided
 
     for index, dtype in blocks:
         block, undecided = transform(index, dtype)
         if block[0]:
             yield block
-        for part in _chunks([index[j] for j in undecided], wide):
-            yield transform(part, np.int32)[0]
+        for redo in _chunks([index[j] for j in undecided], wide):
+            yield transform(redo, np.int32)[0]
 
 
 def _block_columns(n, itemsize):
@@ -443,58 +458,85 @@ def _chunks(items, width):
 
 
 def transform_signs(values, word, tab, field, read, names=None):
-    """The spectra of the sign columns tab[word], checked exactly: the
-    positions of the columns left undecided, which only an int16 block has.
+    """The spectra of the sign columns tab[word] of one block of
+    `_spectrum_blocks`, checked exactly: the positions of the columns
+    left undecided, which only an int16 block has.
 
-    `tab` is a (words, cols) int32 table and `word` a row of it for every
-    point; `values`, the (2^n, cols) int16 or int32 buffer, receives the
-    signs and is transformed in place.  np.take copies its indices as
-    intp, so the signs are gathered GATHER_ENTRIES rows at a time,
-    unchecked ("clip"): every word is a row.
+    `tab` is a (words, cols 2^k) int32 table and `word` a row of it for
+    every point of a part, 2^(n-k) of them; `values`, the int16 or int32
+    buffer of a part, 2^(n-k) rows of cols entries, or one column as a
+    1-D array, receives the signs of each part in turn and is transformed
+    in place.  np.take copies its indices as intp, so the signs are
+    gathered GATHER_ENTRIES rows at a time, unchecked ("clip"): every word
+    is a row.
 
-    An int16 block is decided bent, read and checked column by column
-    (`_narrow_bent`).  An int32 block is gathered, transformed and checked
-    by `check_parseval_parity`.  `read(values, bent[, columns])` reads the
-    spectra: int16 gives `bent`, the class Bent(2^(n/2)) of the columns
-    read, at positions `columns`; int32 gives None, for every column to
-    be classified.  The inverse then overwrites the spectra for
-    `check_round_trip`, exact because Parseval was decided first, so no
-    sign array is kept.  `names` labels the columns in failure messages.
+    An int16 block is decided bent part by part (`_narrow_bent`), and a
+    column only once every part passes: `read(part, bent, columns, q)`
+    reads part q of the columns at positions `columns`, with `bent` their
+    class Bent(2^(n/2)).  After the first part that leaves no column
+    passing, the rest are not tried.  An int32 block transforms each part
+    and copies it into one int32 S of the block, unless the part is S;
+    `check_parseval_parity` checks S whole, and `read(S, None)` reads it,
+    for every column to be classified.  Each part's round trip compares it
+    with 2^(n-k) times its table column, right after its transform, or,
+    for S itself, once S is read, as it overwrites the buffer; it is exact
+    because Parseval was decided first (`check_round_trip`), so no sign
+    array is kept.  Failures raise in their whole-column order, Parseval,
+    parity, round trip, the last with the whole column's witness
+    (`_unfolded_round_trip`).  `names` labels the columns in failure
+    messages.
     """
+    n, length = field.n, len(word)
+    parts = field.size // length
+    part_tabs = [np.ascontiguousarray(tab[:, q::parts]) for q in range(parts)]
     if values.dtype == np.int16:
-        decided = _narrow_bent(values, word, tab, field.n, read)
-        return np.flatnonzero(~np.broadcast_to(decided, tab.shape[1:])).tolist()
-    _gather(values.reshape(len(values), -1), word, tab)
-    # W(a) = values[perm[a]]: only witnesses and duals need field points
-    fwht(values)
-    check_parseval_parity(values, field, names)
-    read(values, None)
-    check_round_trip(values, word, tab, names)
+        decided = True
+        for q, column in enumerate(part_tabs):
+            decided &= _narrow_bent(values, word, column, n, lambda *args: read(*args, q=q))
+            if not np.any(decided):
+                break
+        return np.flatnonzero(~np.broadcast_to(decided, (tab.shape[1] // parts,))).tolist()
+    full = values if parts == 1 else np.empty((field.size, *values.shape[1:]), dtype=np.int32)
+    errors = {}
+    for q, column in enumerate(part_tabs):
+        _gather(values.reshape(length, -1), word, column)
+        # W(a) = S[perm[a]]: only witnesses and duals need field points
+        fwht(values)
+        if parts > 1:
+            full[q * length : (q + 1) * length] = values
+            if _round_trip_errors(values, word, column) is not None:
+                errors[q] = values.copy()
+    check_parseval_parity(full, field, names)
+    read(full, None)
+    if parts == 1:
+        check_round_trip(values, word, tab, names)
+    if errors:
+        j, x, got, sign = _unfolded_round_trip(errors, word, tab, field.size)
+        raise VerificationError(_round_trip_message(names, j, x, got, sign, field.size))
     return []
 
 
 def _narrow_bent(narrow, word, tab, n, read):
-    """Decide the columns of an int16 block of `transform_signs`, or of a
-    part of `walsh()`, bent: which ones it decided, a bool per column, or
+    """Decide the columns of one part of an int16 block of
+    `transform_signs` bent: which ones it decided, a bool per column, or
     False for none.
 
     The columns s = tab[word] are signs +-1, as `sign_table` gives them,
-    or, for a part of `_fold`, its one column of sums of 2^k signs, whose
-    S(0) = sum_x s(x) is +-2^(n/2) at even n (`_spectrum_blocks`,
-    `_narrow_parts`), and `narrow` is their int16 buffer.  The
-    columns are gathered into it and transformed modulo 2^16.  The
-    columns whose every entry is then +-2^(n/2) (`_bent_columns`) are
-    given to `read` with the class Bent(2^(n/2)), needing only the class
-    and the signs; the block is shifted in place to eps = +-1 and
-    transformed again, and fwht(eps) must be 2^(n/2) len(word) / 2^n
-    tab[word] modulo 2^16: 2^(n/2) tab[word] for whole columns, 2^(n/2-k)
-    t_q for part q.  That makes 2^(n/2) eps the exact spectrum of such a
-    column for n <= 28, right or wrong as the first transform was
-    (`check_round_trip`), so Parseval, parity, the class and the round
-    trip all hold for it; for a part, only once every part of its column
-    passes.  A column that fails either test is left undecided, with
-    `narrow` overwritten, as every column is at odd n, where nothing is
-    bent.
+    or, for part q of a column folded into 2^k parts (`_fold`), sums of
+    2^k signs, whose S(0) = sum_x s(x) is +-2^(n/2) at even n
+    (`_spectrum_blocks`), and `narrow` is their int16 buffer.  The columns
+    are gathered into it and transformed modulo 2^16.  The columns whose
+    every entry is then +-2^(n/2) (`_bent_columns`) are given to `read`
+    with the class Bent(2^(n/2)), needing only the class and the signs;
+    the block is shifted in place to eps = +-1 and transformed again, and
+    fwht(eps) must be 2^(n/2) len(word) / 2^n tab[word] modulo 2^16:
+    2^(n/2) tab[word] for whole columns, 2^(n/2-k) t_q for part q.  That
+    makes 2^(n/2) eps the exact spectrum of such a column for n <= 28,
+    right or wrong as the first transform was (`check_round_trip`), so
+    Parseval, parity, the class and the round trip all hold for it; for a
+    part, only once every part of its column passes.  A column that fails
+    either test is left undecided, with `narrow` overwritten, as every
+    column is at odd n, where nothing is bent.
     """
     _gather(narrow.reshape(len(narrow), -1), word, tab.astype(np.int16))
     fwht(narrow)  # modulo 2^16
@@ -535,94 +577,27 @@ def _pack_part(values, bits, q):
         bits[:] = np.packbits(marks)
 
 
-def _narrow_parts(values, word, tab, table, n):
-    """The spectrum of `walsh()` decided bent in int16, or None.
-
-    `word` and `tab` are those of `_fold` for the truth table `table`, and
-    `values` the int32 buffer of a part, whose low half takes each part's
-    int16 block.  Part q goes through `_narrow_bent` as the one-column
-    table tab[:, q], once the S(0) of every part is +-2^(n/2), at even
-    n.  S(0) of part q is S(q 2^(n-k)) = sum_p H[p, q] (2^(n-k) - 2 c_p),
-    read from the weights c_p of the 2^k blocks of the table that the word
-    packs as bit planes (np.bincount would copy the word as intp).  Its
-    signs are packed into the part's bits of one zeroed bit buffer
-    (`_pack_part`).  When every part passes, 2^(n/2) eps is the true S
-    (`check_round_trip`): (bits, class Bent(2^(n/2))).
-    At the first part that fails, the bits are dropped and None returned,
-    so that `_transform_parts` checks the whole column again in int32.
-    """
-    length, parts = len(word), tab.shape[1]
-    H = sign_table(np.arange(parts), np.arange(parts))
-    weights = [np.count_nonzero(table[p * length : (p + 1) * length]) for p in range(parts)]
-    s0 = (length - 2 * np.array(weights)) @ H
-    if n % 2 or np.any(np.abs(s0) != 1 << (n // 2)):
-        return None
-    narrow = values.view(np.int16)[:length]
-    bits = np.zeros(-(-len(table) // 8), dtype=np.uint8)
-    bent = None
-
-    def read(spectra, verdict, columns):
-        nonlocal bent
-        bent = verdict
-        _pack_part(spectra, bits, q)
-
-    for q in range(parts):
-        column = np.ascontiguousarray(tab[:, q : q + 1])
-        if not np.all(_narrow_bent(narrow, word, column, n, read)):
-            return None
-    return bits, bent
-
-
-def _transform_parts(values, word, tab, field):
-    """The spectrum S of `walsh()`, checked exactly, one part at a time:
-    an int32 copy of S.
-
-    `word` and `tab` are those of `_fold`: part q of S is fwht(tab[word,
-    q]), 2^(n-k) entries, in `values`; at k = 0 the one part is S.  Each
-    part is copied into its entries of one int32 copy of S before its
-    inverse overwrites it, and the copy is checked whole by
-    `check_parseval_parity`.  Each part's round trip compares fwht(part)
-    with 2^(n-k) tab[word, q], whatever the table's values; the parts that
-    fail keep their errors, which `_unfolded_round_trip` turns into the
-    whole column's witness.  The checks raise in their whole-column order,
-    Parseval, parity, round trip, and only then is the copy returned.
-    """
-    length = len(word)
-    full = np.empty(field.size, dtype=np.int32)
-    errors = {}
-    for q in range(tab.shape[1]):
-        column = np.ascontiguousarray(tab[:, q : q + 1])
-        _gather(values.reshape(length, 1), word, column)
-        full[q * length : (q + 1) * length] = fwht(values)
-        if _round_trip_errors(values, word, column) is not None:
-            errors[q] = values.copy()
-    check_parseval_parity(full, field)
-    if errors:
-        x, got, sign = _unfolded_round_trip(errors, word, tab, field.size)
-        raise VerificationError(_round_trip_message(None, 0, x, got, sign, field.size))
-    return full
-
-
 def _unfolded_round_trip(errors, word, tab, size):
-    """The whole column's round-trip witness from its parts' errors.
+    """A block's round-trip witness from its parts' errors: (column, point,
+    inverse there, sign).
 
-    errors[q] is fwht(part q) - 2^(n-k) tab[word, q], for the parts where
-    it is not zero.  With H[p, q] = (-1)^popcount(p & q), the inverse of
-    S at point p 2^(n-k) + x is sum_q H[p, q] fwht(part q)[x], and tab =
-    signs H with H H = 2^k I, so that inverse is 2^n sign + sum_q H[p, q]
-    errors[q][x].  H is invertible, so that sum is not zero at some point
-    exactly when a part's error is not.  Returns the least such point, the
-    inverse there and its sign.
+    errors[q] is fwht(part q) - 2^(n-k) tab[word, q] for each column, for
+    the parts where it is not zero.  With H[p, q] = (-1)^popcount(p & q),
+    the inverse of S at point p 2^(n-k) + x is sum_q H[p, q] fwht(part
+    q)[x], and tab = signs H with H H = 2^k I, so that inverse is 2^n sign
+    + sum_q H[p, q] errors[q][x].  H is invertible, so that sum is not
+    zero at some point exactly when a part's error is not.  The least such
+    point is returned, with the first column failing there.
     """
-    parts = tab.shape[1]
+    parts = size // len(word)
     H = sign_table(np.arange(parts), np.arange(parts))
     for p in range(parts):
-        off = sum(int(H[p, q]) * e.astype(np.int64) for q, e in errors.items())
+        off = sum(int(H[p, q]) * e.astype(np.int64) for q, e in errors.items()).reshape(len(word), -1)
         bad = np.flatnonzero(off)
         if bad.size:
-            x = int(bad[0])
-            sign = int(tab[word[x]] @ H[p]) // parts  # H is symmetric
-            return p * len(word) + x, size * sign + int(off[x]), sign
+            x, j = divmod(int(bad[0]), off.shape[1])
+            sign = int(tab[word[x], j * parts : (j + 1) * parts] @ H[p]) // parts  # H is symmetric
+            return j, p * len(word) + x, size * sign + int(off[x, j]), sign
     raise AssertionError("a part's round-trip error vanished in the whole column")
 
 
@@ -659,7 +634,7 @@ def check_round_trip(values, word, tab, names=None):
     |w|^2.  As |<s, w>| <= sum |w_x| <= |w|^2 for +-1 signs, that holds
     for n <= 30 only at w = 0, where S' = S.  Alone, the check would
     accept S' = S + 2^(32-n) chi_a at n >= 16, chi_a a character.  For a
-    spectrum folded into 2^k parts (`_transform_parts`), part q is
+    spectrum folded into 2^k parts (`transform_signs`), part q is
     checked against 2^(n-k) t_q, with t_q = tab[word, q] and |t_q| <= 2^k,
     so a pass needs P'_q = P_q + 2^(32-n+k) H w_q; Parseval over the whole
     S' then needs sum_q <t_q, w_q> = -2^(31-n+k) sum_q |w_q|^2, while
@@ -679,8 +654,8 @@ def check_round_trip(values, word, tab, names=None):
     2^(n/2) s, and 2^(n/2) eps = H s is the true spectrum: bent, with
     Parseval, parity and the round trip.
 
-    `walsh()` tries the 2^k parts of a folded column so in int16
-    (`_narrow_parts`): part q, of 2^(n-k) entries, passes when H eps_q =
+    `transform_signs` tries the 2^k parts of a folded column so in int16:
+    part q, of 2^(n-k) entries, passes when H eps_q =
     2^(n/2-k) t_q + 2^16 w_q, t_q = tab[word, q].  No part's own sum
     decides it, but their total does: sum_q |H eps_q|^2 = 2^(n-k) 2^n =
     2^(2n-k), and so is sum_q |2^(n/2-k) t_q|^2, because sum_q |t_q|^2 =
@@ -894,18 +869,15 @@ class WalshSpectrum:
         if spectrum.shape != (field.size,):
             raise FieldError("spectrum length must be 2^n")
         check_parseval_parity(spectrum, field)
-        self._take(field, spectrum)
+        cls = classify(spectrum, field.n)
+        self._take(field, _pack_signs(spectrum) if cls.kind == "bent" else spectrum, cls)
 
-    def _take(self, field, kept, bent=None):
-        """Keep a checked S: the packed sign bits of a bent S with its
-        class `bent`, or an array of S that nothing else holds, with None,
-        kept as it is, not copied, once `classify` has classified it.  An
-        S that `classify` finds bent is packed then, so that every bent S
-        is kept as its bits, whichever path decided it."""
+    def _take(self, field, kept, classification):
+        """Keep a checked S with its class: the packed sign bits of a bent
+        S, or else an array of S that nothing else holds, kept as it is,
+        not copied."""
         self.field = field
-        self.classification = bent or classify(kept, field.n)
-        if bent is None and self.is_bent:
-            kept = _pack_signs(kept)
+        self.classification = classification
         kept.flags.writeable = False
         self._kept = kept
 
@@ -1077,36 +1049,26 @@ class BooleanFunction:
 
         Parseval and the inverse-transform round trip are asserted inline
         for every spectrum this package ever computes, in the Hadamard
-        index.  The butterfly and the values are int32, exact since
-        |W(a)| <= 2^n <= 2^24.  The spectrum is read before the round trip
-        inverts the buffer it was computed in, and kept, a bent one as its
-        packed sign bits.
-
-        The top k = min(FOLD_LEVELS, max(0, n - FOLD_FROM)) butterfly
-        levels are folded into the sign table (`_fold`), and the 2^k parts
-        of S, 2^(n-k) entries each, are transformed and checked one at a
-        time in one part-sized buffer.  At even n, when the S(0) of every
-        part is +-2^(n/2), every part is first tried in int16 in the low
-        half of that buffer (`_narrow_parts`): a column whose every part
-        passes is bent, and its bits are kept without an int32 butterfly.
-        Any other column, and one with a part that fails there, goes the
-        int32 way (`_transform_parts`), which alone classifies and raises:
-        each part is copied into one int32 copy of S, which is kept as it
-        is, or packed to its bits when found bent.  At n <= FOLD_FROM, k =
-        0 and the one part is S: beside the butterfly's scratch or one
-        gather chunk, one int32 array of 2^n entries is held at a time,
-        and that copy of S on the int32 way.
+        index.  The spectrum is one column of `_spectrum_blocks`, the one
+        spectrum driver, given the word and table of `_fold`: the top k =
+        min(FOLD_LEVELS, max(0, n - FOLD_FROM)) butterfly levels are
+        folded into the table, and the 2^k parts of S, 2^(n-k) entries
+        each, are transformed and checked in turn in one buffer of a part.
+        At even n, when the S(0) of every part is +-2^(n/2), the parts are
+        tried in int16 first: a column whose every part passes is bent,
+        and its bits are kept without an int32 butterfly.  Any other
+        column, and one with a part that fails there, goes the int32 way,
+        which alone classifies and raises: the parts are copied into one
+        int32 S, or at k = 0 its one part is copied once read.  The driver
+        hands the spectrum back with its class, and it is kept as it is: a
+        bent one as its packed sign bits, any other as that int32 S.
         """
         if self._walsh is None:
             k = min(FOLD_LEVELS, max(0, self.n - FOLD_FROM))
             word, tab = _fold(self.table, k)
-            values = np.empty(len(word), np.int32)
-            kept = _narrow_parts(values, word, tab, self.table, self.n) or (
-                _transform_parts(values, word, tab, self.field),
-            )
-            del values  # freed before `_take` classifies a copy of S
+            [(_, [cls], kept)] = _spectrum_blocks(self.field, word, lambda index: tab, [True])
             spectrum = WalshSpectrum.__new__(WalshSpectrum)
-            spectrum._take(self.field, *kept)
+            spectrum._take(self.field, kept[0], cls)
             self._walsh = spectrum
         return self._walsh
 

@@ -31,6 +31,11 @@ from .boolfun import (
 from .errors import FieldError, VerificationError
 from .gf2n import FieldSpec, _linear_table
 
+# points of the Möbius-transformed word that `_monomial_keys` reads at a
+# time, so that at n <= 16 the whole word is one chunk
+KEY_POINTS = 1 << 16
+
+
 class BentnessCheck(NamedTuple):
     ok: bool
     selector: tuple[int, int] | None  # failing (lambda, v)
@@ -277,14 +282,16 @@ class VectorialFunction:
             names = [sels[i] for i in todo]
             masks = masks[todo]
             keep = [read is not None and v == 0 for _, v in names]
-            blocks = _spectrum_blocks(self.field, *self._sign_index(), masks, keep, names)
-            for columns, classes, duals in blocks:
+            word, values = self._sign_index()
+            blocks = _spectrum_blocks(self.field, word, lambda c: sign_table(values, masks[c]), keep, names)
+            for columns, classes, kept in blocks:
                 odd = sign_table(mono_word, masks[columns]) < 0  # parity 1
                 degrees = np.max(odd * mono_deg[:, None], axis=0, initial=0)
                 for j, cls, degree in zip(columns, classes, degrees):
                     rows[todo[j]] = (names[j], cls, int(degree))
-                if duals:
-                    read([names[j][0] for j in duals], list(duals.values()))
+                bent = [j for j, cls in zip(columns, classes) if cls.kind == "bent" and j in kept]
+                if bent:
+                    read([names[j][0] for j in bent], [kept[j] for j in bent])
         self._profile = tuple(rows)
         self._parent = None
 
@@ -360,20 +367,27 @@ class VectorialFunction:
 
     def coordinate_functions(self):
         """Coordinates w.r.t. the least basis of F_{2^m}, then the extra bits."""
-        return [
-            BooleanFunction(self.field, ((self.word >> j) & 1).astype(np.uint8))
-            for j in range(self.out_bits)
-        ]
+        return [self._coordinate(j) for j in range(self.out_bits)]
+
+    def _coordinate(self, j):
+        """Coordinate j of `coordinate_functions`, on a table of its own,
+        read from the byte of each little-endian word that holds bit j, so
+        that no uint32 temporary is made."""
+        table = self.word.astype("<u4", copy=False).view(np.uint8)[j // 8 :: 4] >> np.uint8(j % 8)
+        table &= 1
+        return BooleanFunction._adopt(self.field, table)
 
     def degree(self):
         """Algebraic degree: max over components, cross-checked on coordinates.
 
         A mismatch names the first selector and the first coordinate (its
-        index in `coordinate_functions`) that reach each maximum.
+        index in `coordinate_functions`) that reach each maximum.  The
+        coordinates' tables are made one at a time, each dropped once its
+        degree is read.
         """
         # max() keeps the first of equal rows or coordinates, the witness
         sel, _, comp_deg = max(self.profile(), key=lambda row: row[2])
-        degrees = [f.degree() for f in self.coordinate_functions()]
+        degrees = [self._coordinate(j).degree() for j in range(self.out_bits)]
         coord_deg = max(degrees)
         if comp_deg != coord_deg:
             raise VerificationError(
@@ -389,14 +403,19 @@ def _monomial_keys(word):
     One Möbius transform of the coordinate word packs the ANFs of all its
     coordinates; a component's degree is the largest degree among the
     monomials whose coefficients have odd parity with its mask.  Distinct
-    (degree, coefficients) pairs suffice, at most (n + 1) 2^(m+t).
+    (degree, coefficients) pairs suffice, at most (n + 1) 2^(m+t).  They
+    are taken KEY_POINTS points at a time, each chunk's distinct keys
+    merged into those before it, so that no int64 index or uint64 key of
+    every nonzero entry is made: a random (20, 4+2) function's profile()
+    traced 24.9 MB with the whole word at once, and 7.6 MB so.
     """
     anf = _mobius(word.copy())
-    monomials = np.flatnonzero(anf)
-    keys = _distinct(
-        np.bitwise_count(monomials).astype(np.uint64) << np.uint64(32)
-        | anf[monomials]
-    )
+    keys = None
+    for i in range(0, len(anf), KEY_POINTS):
+        monomials = np.flatnonzero(anf[i : i + KEY_POINTS])
+        monomials += i
+        part = np.bitwise_count(monomials).astype(np.uint64) << np.uint64(32) | anf[monomials]
+        keys = _distinct(part if keys is None else np.concatenate((keys, part)))
     return (keys >> np.uint64(32)).astype(np.int64), keys.astype(np.uint32)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from bentvec import BooleanFunction, FieldSpec, VectorialFunction, boolfun
-from bentvec.boolfun import _fold, _narrow_parts, _transform_parts, classify, fwht
+from bentvec.boolfun import _fold, classify, fwht, transform_signs
 from bentvec.cli import main
 from bentvec.constructions import _ClosedForm, _component_bits, _component_dual_check
 from bentvec.errors import NotBentError, VerificationError
@@ -219,7 +219,12 @@ def unfolded(table):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
-def test_every_n4_table_folded_is_accepted_exactly_when_bent(k):
+def test_every_n4_table_folded_is_accepted_exactly_when_bent(monkeypatch, k):
+    # walsh() folds its top k levels once FOLD_FROM is n - k: parts of
+    # 2^(4-k) points, which at k = 2 share the bytes of the kept bits.
+    # Every table whose parts all have S(0) = +-2^(n/2), the ones the
+    # driver tries in int16, goes through walsh(), and every 64th other
+    # one, which must send no int16 array (all 2^16 took 60 s)
     n = 4
     amp = 1 << (n // 2)
     field = FieldSpec.default(n)
@@ -227,26 +232,38 @@ def test_every_n4_table_folded_is_accepted_exactly_when_bent(k):
     spectra = (1 - 2 * tables.astype(np.int64)) @ sylvester_hadamard(n)
     bent = np.all(np.abs(spectra) == amp, axis=1)
     assert np.count_nonzero(bent) == 896
-    # _fold runs along axis 0: one word column per table, and one sign table
-    words, tab = _fold(np.ascontiguousarray(tables.T), k)
-    values = np.empty(len(words), np.int32)
+    # part q of S holds the Hadamard indices from q 2^(n-k) on
+    level = np.all(np.abs(spectra[:, :: 1 << (n - k)]) == amp, axis=1)
+    assert not np.any(bent & ~level)
+    monkeypatch.setattr(boolfun, "FOLD_FROM", n - k)
+    calls = _fwht_calls(monkeypatch)
     accepted = []
-    for v in range(len(tables)):
-        word = np.ascontiguousarray(words[:, v])
-        kept = _narrow_parts(values, word, tab, tables[v], n)
-        if kept is not None:
+    for v in np.flatnonzero(level | (np.arange(len(tables)) % 64 == 0)).tolist():
+        calls.clear()
+        spectrum = BooleanFunction(field, tables[v]).walsh()
+        assert level[v] or np.int16 not in calls
+        if np.int32 not in calls:  # decided in int16 alone
             accepted.append(v)
-            bits, cls = kept
-            assert cls.kind == "bent" and cls.amplitude == amp
-            # the signs and the class of the int32 path's copy of S
-            full = _transform_parts(values, word, tab, field)
-            assert np.array_equal(np.unpackbits(bits), full < 0)
-            assert cls == classify(full, n)
+        cls = spectrum.classification
+        assert cls == classify(spectra[v], n)
+        if cls.kind == "bent":
+            assert cls.amplitude == amp
             # every bit, at k = 2 too, where parts of 4 points share a byte
-            assert np.array_equal(np.unpackbits(bits), spectra[v] < 0)
-        elif v % 64 == 0:
-            assert np.array_equal(_transform_parts(values, word, tab, field), spectra[v])
+            assert np.array_equal(np.unpackbits(spectrum._kept), spectra[v] < 0)
+        else:
+            assert np.array_equal(spectrum._hadamard(), spectra[v])
     assert accepted == np.flatnonzero(bent).tolist()
+    # no table that is not bent has a bent part and every S(0) at the
+    # level, so the S(0) routing spares the int16 step the tables with a
+    # bent part and another that is not; given one, that step must leave
+    # it undecided
+    part_bent = np.all(np.abs(spectra.reshape(len(tables), 1 << k, -1)) == amp, axis=2)
+    mixed = np.flatnonzero(part_bent.any(axis=1) & ~bent)
+    assert not np.any(level[mixed]) and mixed.size == (0, 1792, 6144)[k]
+    for v in mixed.tolist():
+        word, tab = _fold(tables[v], k)
+        narrow = np.empty(len(word), np.int16)
+        assert transform_signs(narrow, word, tab, field, lambda *args, q: None) == [0]
 
 
 def test_a_bent_column_at_n20_is_decided_by_int16_butterflies_alone(monkeypatch):

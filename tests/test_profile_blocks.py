@@ -349,6 +349,42 @@ def test_profile_memory_at_n16(gold_vf):
     assert peak <= bound
 
 
+@pytest.fixture(scope="module")
+def random20():
+    """A random (20, 4+2) function and the traced peak of its profile()."""
+    F = _random(20, 4, 2)()
+    tracemalloc.start()
+    try:
+        F.profile()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return F, peak
+
+
+def test_profile_memory_at_n20(random20):
+    # the word's Möbius copy, then the one-column int32 block, a word's
+    # bytes each and never held together, beside the 63 Mixed classes'
+    # levels and a chunk of monomial keys: within a second word and a byte
+    # a point.  The keys of every monomial at once took 23.76 MB
+    F, peak = random20
+    assert F.word.nbytes == 4 * F.field.size
+    assert peak <= 2 * F.word.nbytes + F.field.size
+
+
+def test_degree_memory_after_profile_at_n20(random20):
+    # one coordinate table of a byte a point at a time, with its packed ANF
+    # and one temporary table; every table at once took 13.0 MB
+    F, _ = random20
+    tracemalloc.start()
+    try:
+        assert F.degree() == 20
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * F.field.size
+
+
 # (n, m, t): t > 0 with m + t <= n, and m + t > n, where the word is
 # indexed by its distinct values
 @pytest.mark.parametrize("n, m, t", [(6, 3, 2), (8, 4, 3), (4, 2, 4), (6, 3, 5), (3, 3, 9)])
