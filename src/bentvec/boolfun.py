@@ -379,10 +379,15 @@ def _spectrum_blocks(field, word, table, keep, names=None):
     indices from q 2^(n-k) on, is the transform of its table column
     through the word (`_fold`).  columns are positions in `keep` and
     `names`, which labels them in failure messages; classes holds the
-    class of each, and kept, by position, each column that `keep` marks,
-    in a read-only array of its own: its packed signs (`_pack_signs`)
-    when bent, else its int32 S.  A lone column is transformed as a 1-D
-    array, as a spectrum is kept.
+    class of each, and kept, by position, what `keep` asks of each
+    column, in a read-only array of its own.  keep[c] is None, to keep
+    nothing, "bent", to keep the packed signs (`_pack_signs`) of a bent
+    column, as the duals of `VectorialFunction._read_duals` are kept, or
+    True, to keep those, or else the column's int32 S, as the spectrum of
+    `walsh()` is: a one-part S is the buffer, copied for it alone.  A call
+    of one column, `walsh()`'s or a `profile()` of one component, runs it
+    as a 1-D array, and every other call its blocks as (2^(n-k), cols)
+    arrays.
 
     At even n, a column whose every part has S(0) = +-2^(n/2), as
     bentness needs, goes to an int16 block, and every other one to an
@@ -423,7 +428,8 @@ def _spectrum_blocks(field, word, table, keep, names=None):
                     if j not in kept:
                         kept[j] = np.zeros(-(-size // 8), dtype=np.uint8)
                     _pack_part(column, kept[j], q)
-                elif keep[index[j]]:  # one part is the buffer, which the round trip overwrites
+                elif keep[index[j]] is True:
+                    # one part is the buffer, which the round trip overwrites
                     kept[j] = column.copy() if parts == 1 else column
 
         # a contiguous prefix, so that a last, narrower block is one too

@@ -281,7 +281,7 @@ class VectorialFunction:
             mono_deg, mono_word = _monomial_keys(self.word)
             names = [sels[i] for i in todo]
             masks = masks[todo]
-            keep = [read is not None and v == 0 for _, v in names]
+            keep = ["bent" if read is not None and v == 0 else None for _, v in names]
             word, values = self._sign_index()
             blocks = _spectrum_blocks(self.field, word, lambda c: sign_table(values, masks[c]), keep, names)
             for columns, classes, kept in blocks:
@@ -289,9 +289,8 @@ class VectorialFunction:
                 degrees = np.max(odd * mono_deg[:, None], axis=0, initial=0)
                 for j, cls, degree in zip(columns, classes, degrees):
                     rows[todo[j]] = (names[j], cls, int(degree))
-                bent = [j for j, cls in zip(columns, classes) if cls.kind == "bent" and j in kept]
-                if bent:
-                    read([names[j][0] for j in bent], [kept[j] for j in bent])
+                if kept:
+                    read([names[j][0] for j in kept], list(kept.values()))
         self._profile = tuple(rows)
         self._parent = None
 

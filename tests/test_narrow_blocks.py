@@ -224,7 +224,9 @@ def test_every_n4_table_folded_is_accepted_exactly_when_bent(monkeypatch, k):
     # 2^(4-k) points, which at k = 2 share the bytes of the kept bits.
     # Every table whose parts all have S(0) = +-2^(n/2), the ones the
     # driver tries in int16, goes through walsh(), and every 64th other
-    # one, which must send no int16 array (all 2^16 took 60 s)
+    # one, which must send no int16 array (all 2^16 took 60 s); every
+    # other table goes through the driver's routing alone, with
+    # transform_signs recording its buffer's dtype and running nothing
     n = 4
     amp = 1 << (n // 2)
     field = FieldSpec.default(n)
@@ -253,6 +255,19 @@ def test_every_n4_table_folded_is_accepted_exactly_when_bent(monkeypatch, k):
         else:
             assert np.array_equal(spectrum._hadamard(), spectra[v])
     assert accepted == np.flatnonzero(bent).tolist()
+    routed = []
+
+    def route(values, word, tab, field, read, names=None):
+        routed.append(values.dtype)
+        return []
+
+    monkeypatch.setattr(boolfun, "transform_signs", route)
+    rest = np.flatnonzero(~level & (np.arange(len(tables)) % 64 != 0)).tolist()
+    for v in rest:
+        word, tab = _fold(tables[v], k)
+        assert list(boolfun._spectrum_blocks(field, word, lambda index: tab, [True])) == []
+    assert routed == [np.int32] * len(rest)
+    monkeypatch.undo()
     # no table that is not bent has a bent part and every S(0) at the
     # level, so the S(0) routing spares the int16 step the tables with a
     # bent part and another that is not; given one, that step must leave

@@ -385,6 +385,29 @@ def test_degree_memory_after_profile_at_n20(random20):
     assert peak <= 2 * F.field.size
 
 
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_dual_pass_keeps_nothing_of_columns_that_are_not_bent():
+    # a random (12, 6) function: none of its 63 (lambda, 0) columns is
+    # bent, so the pass hands no dual over and holds no copy of a column's
+    # S: it takes what profile() takes, and 16.8 KB more, here and before
+    # any copy was made (an int32 copy of every column of a 16-column
+    # block took 480 KB more)
+    F = _random(12, 6, 0)
+    F().profile()  # the field's cached tables
+    read = []
+    dual_pass = _traced_peak(lambda: F()._read_duals(lambda lambdas, bits: read.extend(bits)))
+    assert read == []
+    assert dual_pass <= _traced_peak(F().profile) + 32768
+
+
 # (n, m, t): t > 0 with m + t <= n, and m + t > n, where the word is
 # indexed by its distinct values
 @pytest.mark.parametrize("n, m, t", [(6, 3, 2), (8, 4, 3), (4, 2, 4), (6, 3, 5), (3, 3, 9)])
