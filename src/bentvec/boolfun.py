@@ -121,7 +121,8 @@ GATHER_ENTRIES = 1 << 14
 FOLD_FROM = 18
 FOLD_LEVELS = 3
 # LOW[s]: the bit positions below 64 with bit s clear, for Möbius level s
-# inside a word; this and WEIGHT are plain ints, so importing builds no array
+# inside a word (`_anf_words`) and the bit-block swaps of `propp._shifted`;
+# this and WEIGHT are plain ints, so importing builds no array
 LOW = (
     0x5555555555555555,
     0x3333333333333333,
@@ -1044,9 +1045,8 @@ class BooleanFunction:
         return self ^ self.shift(a)
 
     def second_derivative(self, a, b):
-        """D_a D_b f: four-term sum over the coset of span{a, b}."""
-        idx = np.arange(self.field.size)
-        return BooleanFunction(self.field, _second_derivative(self.table, idx, a, b))
+        """D_a D_b f = D_a (D_b f)."""
+        return self.derivative(b).derivative(a)
 
     # -- spectra ---------------------------------------------------------------
 
@@ -1154,14 +1154,6 @@ def _distinct(a):
     keep[:1] = True
     np.not_equal(a[1:], a[:-1], out=keep[1:])
     return a[keep]
-
-
-def _second_derivative(t, idx, a, b):
-    """D_a D_b of truth table t along axis 0; idx = np.arange(len(t)), built
-    once per caller.  Bitwise, so a matrix of bit-planes gives every
-    plane's second derivative at once."""
-    # take() gathers whole rows faster than fancy indexing does
-    return t ^ t.take(idx ^ a, 0) ^ t.take(idx ^ b, 0) ^ t.take(idx ^ a ^ b, 0)
 
 
 def _mobius(a):

@@ -6,18 +6,21 @@ true.  The module also checks the two structural facts the constructions
 rely on: closure of the vanishing condition over the F2-span of the
 defining set, and the equivalence with the shift decomposition
 g(x + sum w_i u_i) = g(x) + sum w_i D_{u_i} g(x).
+
+`satisfies_p` tests given sets on packed truth tables; `find_defining_sets`
+searches for them, reading each candidate's vanishing partners from the
+autocorrelation of its first derivative, one `fwht` pair per candidate.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import cache
 from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .boolfun import BooleanFunction, _second_derivative
+from .boolfun import LOW, BooleanFunction, fwht
 from .errors import PreconditionError, VerificationError
 from .redpoly import DefiningSet
 
@@ -103,8 +106,8 @@ def _shifted(rows, a):
     out = words.take(np.arange(words.shape[1]) ^ (a // w), axis=1) if a >= w else words.copy()
     for k in range(w.bit_length() - 1):
         if a >> k & 1:
-            # the low 2^k bits of every block of 2^(k+1)
-            mask = unit(sum(((1 << (1 << k)) - 1) << b for b in range(0, w, 2 << k)))
+            # the low 2^k bits of every block of 2^(k+1), cut to a word
+            mask = unit(LOW[k] & (1 << w) - 1)
             shift = unit(1 << k)
             low = out & mask
             out >>= shift
@@ -190,35 +193,45 @@ def find_defining_sets(
     Complete clique enumeration over the graph whose edges are the
     vanishing pairs; exponential in the worst case, bounded by
     node_budget (visited extension nodes) when given.  limit truncates
-    the output to the first N sets in lexicographic value order.  A
-    node's later neighbours are found on its first extension, so both
-    bounds stop the work as well as the output.
+    the output to the first N sets in lexicographic value order.
+
+    d is an edge of c when D_c D_d g = 0, that is when d is a 0-linear
+    structure of h = D_c g: its autocorrelation sum_x (-1)^(h(x) + h(x + d))
+    is 2^n.  With W = fwht((-1)^h), fwht(W^2)[d] is 2^n times that, so one
+    fwht pair gives c's edges to every d, as fwht(W^2) == 2^(2n).  Both
+    transforms run in int64 and are exact for n <= 24: the partial sums of
+    the first lie within 2^n, and those of the second within
+    sum W^2 = 2^(2n) <= 2^48 (Parseval).
+
+    The pool is one sorted int64 array.  A node is expanded when it is
+    first extended: that holds one int64 spectrum of 2^n entries while it
+    runs and keeps one bool per field element, cached for the search.  Its
+    children are the later candidates among its edges, so both bounds stop
+    the work as well as the output.
     """
     if tau < 2:
         raise PreconditionError("search needs tau >= 2")
     field = g.field
     if candidates is None:
-        pool = list(range(1, field.size))
+        pool = np.arange(1, field.size, dtype=np.int64)
     else:
-        pool = sorted({field.check(c) for c in candidates})
-    idx = np.arange(field.size)
+        pool = np.array(sorted({field.check(c) for c in candidates}), dtype=np.int64)
     results = []
     nodes = 0
 
     @cache
-    def later(c):
-        """Pool elements d > c with D_c D_d g = 0."""
-        return {
-            d
-            for d in pool[bisect_right(pool, c) :]
-            if not _second_derivative(g.table, idx, c, d).any()
-        }
+    def edges(c):
+        """edges(c)[d]: D_c D_d g = 0, for every field element d."""
+        spectrum = fwht(1 - 2 * g.derivative(c).table.astype(np.int64))
+        spectrum *= spectrum
+        return fwht(spectrum) == 1 << 2 * field.n
 
     def extend(clique, allowed):
         nonlocal nodes
-        if limit is not None and len(results) >= limit:
-            return
-        for c in allowed:
+        for i in range(len(allowed)):
+            if limit is not None and len(results) >= limit:
+                return
+            c = int(allowed[i])
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 raise PreconditionError(
@@ -227,9 +240,8 @@ def find_defining_sets(
             if len(clique) + 1 == tau:
                 results.append(DefiningSet(field, (*clique, c)))
             else:
-                extend(clique + [c], [d for d in allowed if d in later(c)])
-            if limit is not None and len(results) >= limit:
-                return
+                rest = allowed[i + 1 :]
+                extend(clique + [c], rest[edges(c)[rest]])
 
     extend([], pool)
     return results

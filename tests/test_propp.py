@@ -1,9 +1,15 @@
 """Property (P_tau): checks, closure, equivalence, search."""
 
 import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import bentvec
 
 from bentvec import (
     BooleanFunction,
@@ -17,6 +23,7 @@ from bentvec import (
     span_closure,
 )
 from bentvec.errors import PreconditionError, VerificationError
+from bentvec.fileio import write_bf
 from oracles import naive_p_tau
 
 F4 = FieldSpec.default(2)
@@ -235,20 +242,109 @@ def test_find_defining_sets_candidate_pool_and_budget():
 
 
 def test_find_defining_sets_limit_bounds_the_work(monkeypatch):
+    # the unit of work is an expanded node, one fwht pair that gives its
+    # edges to every field element: with limit=1 the first node's first
+    # edge is the first set, so only that node is expanded
     import bentvec.propp as propp
 
     calls = []
-    second_derivative = propp._second_derivative
+    fwht = propp.fwht
 
-    def counting(*args):
-        calls.append(args[2:])
-        return second_derivative(*args)
+    def counting(a):
+        calls.append(a.shape)
+        return fwht(a)
 
-    monkeypatch.setattr(propp, "_second_derivative", counting)
+    monkeypatch.setattr(propp, "fwht", counting)
     g = kasami_dual(FieldSpec.default(8))
     sets = find_defining_sets(g, 2, limit=1)
     assert len(sets) == 1 and satisfies_p(g, sets[0]).holds
-    assert len(calls) < 255 * 254 // 2 // 50  # all pool pairs: 32,385
+    assert calls == [(256,), (256,)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_find_defining_sets_equals_brute_force(n):
+    # random tables have few vanishing pairs and sparse low-degree ANFs
+    # many, so the pair graphs range from empty to dense; pools come in any
+    # order and may repeat an element or hold 0, an edge of every element
+    field = FieldSpec.default(n)
+    rng = np.random.default_rng(100 + n)
+    for kind in ("table", "anf"):
+        if kind == "table":
+            g = random_function(field, rng)
+        else:
+            g = BooleanFunction.from_anf(field, [
+                set((rng.choice(n, size=min(d, n), replace=False) + 1).tolist())
+                for d in rng.integers(1, 4, size=3)
+            ])
+        table = g.table.tolist()
+        pools = [None] if kind == "table" or n <= 4 else []
+        for with_zero in (False, True):
+            pool = rng.choice(field.size, size=min(field.size, 14), replace=False)
+            pool = [int(u) for u in pool if u or with_zero] + ([0] if with_zero else [])
+            pools.append(pool + pool[:2])
+        for candidates in pools:
+            pool = sorted(set(range(1, field.size) if candidates is None else candidates))
+            # cliques[k]: the (k + 1)-subsets of the pool whose pairs all vanish
+            cliques = [[(u,) for u in pool]]
+            for tau in (2, 3):
+                if candidates is None and n > 6 and tau == 3:
+                    continue  # C(255, 3) naive checks
+                brute = [
+                    c for c in itertools.combinations(pool, tau)
+                    if naive_p_tau(table, c)[0]
+                ]
+                found = find_defining_sets(g, tau, candidates=candidates)
+                assert [ds.elements for ds in found] == brute, (kind, candidates, tau)
+                cliques.append(brute)
+                # the search visits every clique of sizes 1 to tau once
+                nodes = sum(map(len, cliques))
+                assert find_defining_sets(g, tau, candidates, node_budget=nodes) == found
+                if nodes:
+                    with pytest.raises(PreconditionError, match=f"budget {nodes - 1}$"):
+                        find_defining_sets(g, tau, candidates, node_budget=nodes - 1)
+
+
+def _tr_x3(n):
+    return BooleanFunction.from_univariate(FieldSpec.default(n), [(1, 3)])
+
+
+@pytest.mark.parametrize(
+    "flags, code, out, err",
+    [
+        (["--node-budget", "1"], 2, "",
+         "error: defining-set search exceeded node budget 1\n"),
+        ([], 0,
+         "1,2\nfound 1 defining set(s) of size 2 (truncated at limit; more may exist)\n",
+         ""),
+    ],
+)
+def test_search_bounds_hold_at_n20(tmp_path, flags, code, out, err):
+    # the first node's edges take one fwht pair of 2^20 entries, where a
+    # loop over its 2^20 - 2 later pool elements printed nothing in 60 s
+    write_bf(tmp_path / "f.bf", _tr_x3(20))
+    src = os.path.dirname(os.path.dirname(bentvec.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bentvec.cli", "propp", "f.bf",
+         "--search", "2", "--limit", "1", *flags],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_a_limited_search_stays_within_four_columns():
+    # the pool, one spectrum, the first node's edges and its children, each
+    # at most 2^n int64 entries: 1.5 MB traced at n = 16
+    g = _tr_x3(16)
+    tracemalloc.start()
+    try:
+        sets = find_defining_sets(g, 2, limit=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [ds.elements for ds in sets] == [(1, 2)]
+    assert peak <= 4 * 8 << 16
 
 
 def _random_set(field, rng, tau):
